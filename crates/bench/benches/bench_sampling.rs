@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pop_proto::{AliasTable, FenwickSampler};
 use sim_stats::multinomial::{
     categorical_index, hypergeometric_pairing_table, multivariate_hypergeometric,
-    multivariate_hypergeometric_streams,
+    multivariate_hypergeometric_streams, shuffle_pairing_table,
 };
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
@@ -132,28 +132,87 @@ fn bench_hypergeometric_splits(c: &mut Criterion) {
             })
         });
     }
-    // The full batch pairing table at USD scale (k states each side).
+    group.finish();
+}
+
+/// The batch engine's table path after its participant draw: the
+/// initiator split, then the pairing table — row by row through the
+/// chain rule for k < 16, through the tree-stream sampler for k ≥ 16.
+fn table_path(rng: &mut SimRng, participants: &[u64], length: u64) -> u64 {
+    let initiators = multivariate_hypergeometric(rng, participants, length);
+    let mut responders: Vec<u64> = participants
+        .iter()
+        .zip(&initiators)
+        .map(|(p, a)| p - a)
+        .collect();
+    if participants.len() >= 16 {
+        return hypergeometric_pairing_table(rng.next(), &initiators, &responders, 1)[0];
+    }
+    let (mut acc, mut remaining) = (0, length);
+    for &a in &initiators {
+        if a == 0 {
+            continue;
+        }
+        if a == remaining {
+            // The last row takes the remaining responders undrawn.
+            return acc ^ responders[0];
+        }
+        let row = multivariate_hypergeometric(rng, &responders, a);
+        for (r, &m) in responders.iter_mut().zip(&row) {
+            *r -= m;
+        }
+        acc ^= row[0];
+        remaining -= a;
+    }
+    acc
+}
+
+fn bench_pairing_paths(c: &mut Criterion) {
+    // The batch engine's two exact pairing paths on the same 2L
+    // participants: the initiator split plus the pairing table, against
+    // one shuffle of the participant slots. The engine shuffles when
+    // 2L ≤ 8k²: k = 2 at L = 16 sits on that crossover, L = 666 is the
+    // `clique-e6` block length, and k = 32 is the paper's large-k grid.
+    let mut group = c.benchmark_group("pairing_paths");
+    const CALLS: u64 = 500;
+    group.throughput(Throughput::Elements(CALLS));
     for &k in &[2usize, 32] {
-        let initiators: Vec<u64> = (0..k).map(|i| 500 + (i as u64 * 13) % 100).collect();
-        let responders = {
-            let total: u64 = initiators.iter().sum();
-            let mut r = vec![total / k as u64; k];
-            r[0] += total - r.iter().sum::<u64>();
-            r
-        };
-        group.bench_with_input(
-            BenchmarkId::new("pairing_table", k),
-            &(initiators, responders),
-            |b, (a, r)| {
-                b.iter(|| {
-                    let mut acc = 0u64;
-                    for master in 0..CALLS {
-                        acc ^= hypergeometric_pairing_table(master, a, r, 1)[0];
-                    }
-                    black_box(acc)
-                })
-            },
-        );
+        for &length in &[16u64, 666] {
+            // An undecided-heavy plateau: half the participants in the
+            // last state, the rest spread over the others.
+            let mut participants = vec![length / (k as u64 - 1); k];
+            participants[k - 1] = 2 * length - participants[..k - 1].iter().sum::<u64>();
+            let id = format!("k{k}/L{length}");
+            group.bench_with_input(
+                BenchmarkId::new("pairing_table", &id),
+                &participants,
+                |b, p| {
+                    b.iter(|| {
+                        let mut rng = SimRng::new(1);
+                        let mut acc = 0u64;
+                        for _ in 0..CALLS {
+                            acc ^= table_path(&mut rng, p, length);
+                        }
+                        black_box(acc)
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new("shuffle_pairing", &id),
+                &participants,
+                |b, p| {
+                    let mut slots = Vec::new();
+                    b.iter(|| {
+                        let mut rng = SimRng::new(1);
+                        let mut acc = 0u64;
+                        for _ in 0..CALLS {
+                            acc ^= shuffle_pairing_table(&mut rng, p, &mut slots)[0];
+                        }
+                        black_box(acc)
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }
@@ -162,6 +221,7 @@ criterion_group!(
     benches,
     bench_static_sampling,
     bench_dynamic_sampling,
-    bench_hypergeometric_splits
+    bench_hypergeometric_splits,
+    bench_pairing_paths
 );
 criterion_main!(benches);

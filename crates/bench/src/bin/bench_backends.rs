@@ -4,7 +4,8 @@
 //! ```text
 //! cargo run --release -p usd-bench --bin bench_backends -- \
 //!     [--quick] [--seed <u64>] [--json [path]]
-//!     [--backend <name>] [--topology <clique|cycle-frontier|regular:8|torus>]
+//!     [--backend <name>]
+//!     [--topology <clique|clique-k27|cycle-frontier|regular:8|torus>]
 //! ```
 //!
 //! `--backend`/`--topology` restrict the pinned scenario grid to matching
@@ -292,7 +293,8 @@ fn replica_ensemble_row(family: Option<TopologyFamily>, n: u64, k: usize, lanes:
 /// Clique stabilization through the generic simulator entry point (every
 /// clique backend benched here is a generic-substrate engine, including
 /// the skip-ahead wrapper, so scheduled *and* effective counts are real).
-fn clique_row(backend: Backend, n: u64, k: usize) -> Row {
+/// `label` is the row's topology label.
+fn clique_row(backend: Backend, n: u64, k: usize, label: &str) -> Row {
     let config = InitialConfigBuilder::new(n, k).figure1();
     let mut rng = SimRng::new(3);
     let mut sim = usd_core::backend::make_simulator(backend, &config);
@@ -301,7 +303,7 @@ fn clique_row(backend: Backend, n: u64, k: usize) -> Row {
     sim.run_to_silence(&mut rng, u64::MAX / 2);
     Row {
         backend: backend.name(),
-        topology: "clique".to_string(),
+        topology: label.to_string(),
         n,
         mode: "stabilize",
         wall_s: start.elapsed().as_secs_f64(),
@@ -329,8 +331,14 @@ enum Work {
     /// Stabilization of a torus endgame: one minority patch on an
     /// otherwise-converged torus (sparse-phase dominated; gated).
     TorusEndgame { n: usize, patch: usize },
-    /// Clique stabilization through the generic entry point.
-    Clique { n: u64, k: usize },
+    /// Clique stabilization through the generic entry point. `label` is
+    /// the row's topology label: `bench_compare` keys rows by backend,
+    /// topology and n, so two alphabets at one n need distinct labels.
+    Clique {
+        n: u64,
+        k: usize,
+        label: &'static str,
+    },
     /// Bit-parallel replica ensemble stabilization (`lanes` runs per
     /// pass; clique when `family` is `None`). Lane-weighted counters, so
     /// the row's throughput is effective-replica throughput.
@@ -355,7 +363,7 @@ impl Scenario {
             Work::TopoStabilize { family, .. } => family.name(),
             Work::Frontier { .. } | Work::FrontierStabilize { .. } => "cycle-frontier".to_string(),
             Work::TorusEndgame { .. } => "torus-endgame".to_string(),
-            Work::Clique { .. } => "clique".to_string(),
+            Work::Clique { label, .. } => label.to_string(),
             Work::ReplicaEnsemble { family, .. } => {
                 family.map_or_else(|| "clique".to_string(), |f| f.name())
             }
@@ -386,7 +394,7 @@ impl Scenario {
             Work::Frontier { n, target } => cycle_frontier_row(self.backend, n, target),
             Work::FrontierStabilize { n } => frontier_stabilize_row(self.backend, n),
             Work::TorusEndgame { n, patch } => torus_endgame_row(self.backend, n, patch),
-            Work::Clique { n, k } => clique_row(self.backend, n, k),
+            Work::Clique { n, k, label } => clique_row(self.backend, n, k, label),
             Work::ReplicaEnsemble {
                 family,
                 n,
@@ -438,7 +446,11 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
         for backend in [Backend::Batch, Backend::SkipAhead] {
             set.push(Scenario {
                 backend,
-                work: Work::Clique { n: 200_000, k: 4 },
+                work: Work::Clique {
+                    n: 200_000,
+                    k: 4,
+                    label: "clique",
+                },
             });
         }
         // The bit-parallel ensemble row: 64 lanes per word on the same
@@ -511,7 +523,25 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
         for backend in [Backend::Count, Backend::Batch, Backend::SkipAhead] {
             set.push(Scenario {
                 backend,
-                work: Work::Clique { n: 1_000_000, k: 4 },
+                work: Work::Clique {
+                    n: 1_000_000,
+                    k: 4,
+                    label: "clique",
+                },
+            });
+        }
+        // The paper's large-alphabet regime (a cell of E6's k grid): every
+        // batch is short next to the 28² state pairs, so the batch row
+        // gates the participant-shuffle pairing path, and count is its
+        // single-event reference on the same instance.
+        for backend in [Backend::Count, Backend::Batch] {
+            set.push(Scenario {
+                backend,
+                work: Work::Clique {
+                    n: 1_000_000,
+                    k: 27,
+                    label: "clique-k27",
+                },
             });
         }
         // The bit-parallel ensemble rows (the replica engine's acceptance
@@ -579,7 +609,8 @@ fn select_scenarios(
         return Err(match topology {
             Some(t) => format!(
                 "no scenario combines --backend {b} with --topology {t}: {} \
-                 graph families; the clique rows pin count/batch/skip/replica",
+                 graph families; the clique rows pin count/batch/skip/replica \
+                 and the clique-k27 rows count/batch",
                 if b.capabilities().topologies {
                     "that backend runs"
                 } else {
@@ -751,6 +782,18 @@ mod tests {
         assert!(full
             .iter()
             .any(|s| matches!(s.work, Work::Clique { .. }) && s.backend == Backend::Batch));
+        // The large-alphabet clique rows (the batch engine's shuffle path)
+        // carry their own label, so the gate never pairs them with the
+        // k = 4 rows at the same n.
+        for backend in [Backend::Count, Backend::Batch] {
+            assert!(full.iter().any(|s| s.backend == backend
+                && s.work
+                    == Work::Clique {
+                        n: 1_000_000,
+                        k: 27,
+                        label: "clique-k27"
+                    }));
+        }
         // The no-op-dominated stabilization rows (PR 5) must be pinned in
         // both grids for both graph engines — they are what puts the
         // shared sparse skipper inside the regression gate.

@@ -17,10 +17,18 @@
 //! 2. **Participants.** The `2L` distinct agents of the collision-free
 //!    prefix are a uniform without-replacement draw from the population:
 //!    their per-state counts follow a multivariate hypergeometric law.
-//! 3. **Pairing.** Which `L` of them initiate is another hypergeometric
-//!    split, and the initiator→responder matching is resolved state-by-
-//!    state into a table `M[i][j]` of ordered state-pair counts — the
-//!    "multinomial split" of the batch.
+//! 3. **Pairing.** The uniform initiator→responder matching of the
+//!    participants is resolved into a table `M[i][j]` of ordered
+//!    state-pair counts — the "multinomial split" of the batch — by one of
+//!    two exact samplers of the same law, chosen from the block alone
+//!    (`2L` against `c·k²`, see [`SHUFFLE_PAIRING_C`]):
+//!    * *short blocks* shuffle the `2L` participant states and pair slot
+//!      `t` with slot `L + t` — O(L) work, no per-cell draws;
+//!    * *long blocks* draw which `L` participants initiate (another
+//!      hypergeometric split) and then the table row by row: the
+//!      sequential chain rule for k < 16, position-derived tree streams
+//!      (optionally threaded) for k ≥ 16 — O(k²) cells, cheap next to a
+//!      long block.
 //! 4. **Transitions.** Each `(i, j)` with `M[i][j] = m` applies
 //!    `f(i, j)` `m` times count-wise; no-op pairs only advance the clock.
 //! 5. **Collision interaction.** If `T` landed inside the cap, the
@@ -28,8 +36,9 @@
 //!    conditional law (at least one participant among the batch's agents,
 //!    whose post-transition states are known as counts).
 //!
-//! Each batch therefore costs O(k² hypergeometric draws + log n) and
-//! advances ~√n interactions: sub-constant work per interaction.
+//! Each batch therefore costs O(min(L, k²) draws + k² + log n) for a
+//! block of L ≈ √n interactions: sub-constant work per interaction, and
+//! no more cells sampled than the block has interactions.
 //!
 //! # No-op-dominated phases
 //!
@@ -69,7 +78,9 @@ use crate::simulator::{snapshot_tags, Simulator};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::binomial::ln_factorial;
-use sim_stats::multinomial::{hypergeometric_pairing_table, multivariate_hypergeometric};
+use sim_stats::multinomial::{
+    hypergeometric_pairing_table, multivariate_hypergeometric, shuffle_pairing_table,
+};
 use sim_stats::rng::SimRng;
 
 /// Smallest batch worth the fixed sampling cost; below this the simulator
@@ -84,11 +95,38 @@ const MIN_BATCH: u64 = 16;
 /// thread count either way.
 const PAIR_TABLE_MIN_K: usize = 16;
 
+/// Shuffle-pairing crossover `c`: a batch of `L` interactions over `k`
+/// states is paired by shuffling its participants
+/// ([`shuffle_pairing_table`], O(L)) when `2L ≤ c·k²`, and through the
+/// hypergeometric initiator split and pairing table (O(k²) cells) above.
+///
+/// Measured on a 2-vCPU x86-64 container (`--release`).
+/// `bench_sampling`'s `pairing_paths` group times one call of each path
+/// (shuffle vs initiator split + table): 0.21 vs 0.26 µs at k = 2, L = 16
+/// (2L = 8k², the rule's edge); 6.2 vs 1.0 µs at k = 2, L = 666; 0.40 vs
+/// 1.75 µs at k = 32, L = 16; 6.9 vs 101 µs at k = 32, L = 666. A finer
+/// grid of the same two paths (k = 2…63 states, L = 8…6000) puts the
+/// crossover at `2L/k²` ≈ 8–16 for 2 states, ≈ 14–28 for 3, ≈ 60 for 8
+/// and ≈ 80 for 12; against the k ≥ 16 tree-stream table the shuffle was
+/// still 1.8–4.5× faster at the longest block measured (`2L/k²` up to
+/// 47). `c = 8` is the largest power of two never slower on any measured
+/// cell. The rule reads only the block, so runs stay bit-identical for
+/// any thread count.
+const SHUFFLE_PAIRING_C: u64 = 8;
+
+/// Whether a batch of `length` interactions over `k` states takes the
+/// shuffle path (see [`SHUFFLE_PAIRING_C`]).
+#[inline]
+fn shuffle_pairs(length: u64, k: usize) -> bool {
+    2 * length <= SHUFFLE_PAIRING_C * (k * k) as u64
+}
+
 /// Batch-leaping simulator for the uniform clique scheduler.
 ///
 /// See the module docs for the algorithm. Construction mirrors
 /// [`CountSimulator`](crate::simulator::CountSimulator); memory is O(k²)
-/// for the cached transition table.
+/// for the cached transition table, plus O(√n) shuffle scratch once a
+/// batch takes the shuffle path.
 ///
 /// Observation granularity
 /// ([`advance_observed`](crate::Simulator::advance_observed)):
@@ -124,13 +162,18 @@ pub struct BatchSimulator<P: Protocol> {
     /// the scheduled draws they covered), `block_applied` (effective
     /// interactions applied count-wise inside batches),
     /// `fallback_literal` (effective collision interactions simulated
-    /// individually), `table_draws` (hypergeometric row draws),
+    /// individually), `table_draws` (multivariate hypergeometric draws:
+    /// exactly one per shuffled batch, two plus the pairing rows per
+    /// table batch),
     /// `skip_draws` (geometric skip-ahead draws), `dense_steps` and
     /// `pair_draws` (single-step and conditional-pair draws). No spans.
     telemetry: EngineTelemetry,
     /// Per-event histograms (opt-in): geometric skip lengths, per-batch
     /// effective block sizes, and collision fallbacks.
     hist: Option<Box<EventHistograms>>,
+    /// Scratch slots for [`shuffle_pairing_table`]: empty until the first
+    /// shuffled batch grows it, and meaningless between batches.
+    pair_slots: Vec<u32>,
 }
 
 impl<P: Protocol> BatchSimulator<P> {
@@ -168,6 +211,7 @@ impl<P: Protocol> BatchSimulator<P> {
             threads: sim_stats::threads::resolve_threads(),
             telemetry: EngineTelemetry::new(),
             hist: None,
+            pair_slots: Vec::new(),
         }
     }
 
@@ -417,79 +461,67 @@ impl<P: Protocol> BatchSimulator<P> {
         self.telemetry.block_draws += length;
         // 2. Participants: 2L distinct agents, without replacement.
         let participants = multivariate_hypergeometric(rng, &self.counts, 2 * length);
-        // 3. Initiator / responder split, then the k² pairing-table rows.
-        let initiators = multivariate_hypergeometric(rng, &participants, length);
-        self.telemetry.table_draws += 2;
-        let mut responders: Vec<u64> = participants
-            .iter()
-            .zip(initiators.iter())
-            .map(|(&m, &a)| m - a)
-            .collect();
+        self.telemetry.table_draws += 1;
         // Remove all participants; they re-enter with post-transition
         // states.
         for (c, &m) in self.counts.iter_mut().zip(participants.iter()) {
             *c -= m;
         }
         let mut post = vec![0u64; k];
-        if k >= PAIR_TABLE_MIN_K {
-            // Large alphabets: sample the whole table from position-derived
-            // streams under a master drawn here — the rows dominate the
-            // batch cost at this size, and the tree decomposition fans
-            // them out over `self.threads` workers with bit-identical
-            // results for any thread count.
-            let pairing =
-                hypergeometric_pairing_table(rng.next(), &initiators, &responders, self.threads);
-            self.telemetry.table_draws += k as u64;
-            // 4. Apply f(i, j) count-wise, one pair class at a time.
-            for (cell, &m_ij) in pairing.iter().enumerate() {
-                if m_ij == 0 {
-                    continue;
-                }
-                let (ti, tj) = self.table[cell];
-                post[ti as usize] += m_ij;
-                post[tj as usize] += m_ij;
-                if !self.noop[cell] {
-                    self.effective_interactions += m_ij;
-                    self.telemetry.effective += m_ij;
-                    self.telemetry.block_applied += m_ij;
-                }
-            }
+        if shuffle_pairs(length, k) {
+            // 3. A batch short next to the k² state pairs: one shuffle of
+            // the 2L participants yields the initiator split and the
+            // pairing table together, in O(L) instead of O(k²) draws.
+            let pairing = shuffle_pairing_table(rng, &participants, &mut self.pair_slots);
+            self.apply_cells(0, &pairing, &mut post);
         } else {
-            // Small alphabets: the sequential chain rule row by row — the
-            // same law with cheaper constants (no per-subtree stream setup)
-            // at a size where parallelism could never pay.
-            let mut remaining = length;
-            for (i, &a_i) in initiators.iter().enumerate() {
-                if a_i == 0 {
-                    continue;
-                }
-                let row = if a_i == remaining {
-                    std::mem::take(&mut responders)
-                } else {
-                    self.telemetry.table_draws += 1;
-                    let row = multivariate_hypergeometric(rng, &responders, a_i);
-                    for (b, &r) in responders.iter_mut().zip(row.iter()) {
-                        *b -= r;
-                    }
-                    row
-                };
-                remaining -= a_i;
-                // 4. Apply f(i, j) count-wise.
-                for (j, &m_ij) in row.iter().enumerate() {
-                    if m_ij == 0 {
+            // 3. Initiator / responder split, then the pairing-table rows.
+            let initiators = multivariate_hypergeometric(rng, &participants, length);
+            self.telemetry.table_draws += 1;
+            let mut responders: Vec<u64> = participants
+                .iter()
+                .zip(initiators.iter())
+                .map(|(&m, &a)| m - a)
+                .collect();
+            if k >= PAIR_TABLE_MIN_K {
+                // Large alphabets: sample the whole table from
+                // position-derived streams under a master drawn here — the
+                // rows dominate the batch cost at this size, and the tree
+                // decomposition fans them out over `self.threads` workers
+                // with bit-identical results for any thread count.
+                let pairing = hypergeometric_pairing_table(
+                    rng.next(),
+                    &initiators,
+                    &responders,
+                    self.threads,
+                );
+                self.telemetry.table_draws += k as u64;
+                self.apply_cells(0, &pairing, &mut post);
+            } else {
+                // Small alphabets: the sequential chain rule row by row —
+                // the same law with cheaper constants (no per-subtree
+                // stream setup) at a size where parallelism could never
+                // pay.
+                let mut remaining = length;
+                for (i, &a_i) in initiators.iter().enumerate() {
+                    if a_i == 0 {
                         continue;
                     }
-                    let (ti, tj) = self.table[i * k + j];
-                    post[ti as usize] += m_ij;
-                    post[tj as usize] += m_ij;
-                    if !self.noop[i * k + j] {
-                        self.effective_interactions += m_ij;
-                        self.telemetry.effective += m_ij;
-                        self.telemetry.block_applied += m_ij;
+                    let row = if a_i == remaining {
+                        std::mem::take(&mut responders)
+                    } else {
+                        self.telemetry.table_draws += 1;
+                        let row = multivariate_hypergeometric(rng, &responders, a_i);
+                        for (b, &r) in responders.iter_mut().zip(row.iter()) {
+                            *b -= r;
+                        }
+                        row
+                    };
+                    remaining -= a_i;
+                    self.apply_cells(i * k, &row, &mut post);
+                    if remaining == 0 {
+                        break;
                     }
-                }
-                if remaining == 0 {
-                    break;
                 }
             }
         }
@@ -503,6 +535,26 @@ impl<P: Protocol> BatchSimulator<P> {
                 .add_u64(self.telemetry.block_applied - applied_before);
         }
         post
+    }
+
+    /// Step 4: apply `f(i, j)` count-wise to a run of pairing-table cells
+    /// starting at row-major cell `first` — `cells[c]` interactions of the
+    /// ordered state pair at cell `first + c`, whose post-transition
+    /// states are added to `post`.
+    fn apply_cells(&mut self, first: usize, cells: &[u64], post: &mut [u64]) {
+        for (cell, &m) in (first..).zip(cells) {
+            if m == 0 {
+                continue;
+            }
+            let (ti, tj) = self.table[cell];
+            post[ti as usize] += m;
+            post[tj as usize] += m;
+            if !self.noop[cell] {
+                self.effective_interactions += m;
+                self.telemetry.effective += m;
+                self.telemetry.block_applied += m;
+            }
+        }
     }
 
     /// Simulate the colliding interaction that ended a batch whose
@@ -687,8 +739,9 @@ impl<P: Protocol> Simulator for BatchSimulator<P> {
     fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
         // Everything else in the struct (transition table, no-op mask,
         // log-factorial constants, thread count) is a pure function of the
-        // constructor arguments, so counts + clocks + telemetry are the
-        // complete mutable state.
+        // constructor arguments, and the shuffle slots are per-batch
+        // scratch, so counts + clocks + telemetry are the complete mutable
+        // state.
         w.put_u8(snapshot_tags::BATCH);
         snapshot_tags::write_config(w, self.n, self.k);
         w.put_u64_slice(&self.counts);
@@ -843,6 +896,84 @@ mod tests {
         assert!(sim.counts()[0] < 10_000, "stop must fire before completion");
     }
 
+    /// A k-state "maximum spreads" protocol (both agents leave with the
+    /// larger state): the wide-alphabet counterpart of the epidemic,
+    /// silent once every agent holds the largest present state.
+    #[derive(Debug, Clone, Copy)]
+    struct MaxSpread {
+        k: usize,
+    }
+
+    impl Protocol for MaxSpread {
+        type State = usize;
+        type Output = usize;
+
+        fn num_states(&self) -> usize {
+            self.k
+        }
+
+        fn index_of(&self, state: usize) -> usize {
+            state
+        }
+
+        fn state_of(&self, index: usize) -> usize {
+            assert!(index < self.k);
+            index
+        }
+
+        fn transition(&self, a: usize, b: usize) -> (usize, usize) {
+            (a.max(b), a.max(b))
+        }
+
+        fn output(&self, state: usize) -> usize {
+            state
+        }
+    }
+
+    /// Advance `sim` up to `advances` times (stopping at silence),
+    /// checking every batch's multivariate hypergeometric draws against
+    /// the pairing path the crossover rule sends it to. Returns the
+    /// `(shuffled, tabled)` batch counts.
+    fn drive_checking_table_draws<P: Protocol>(
+        sim: &mut BatchSimulator<P>,
+        rng: &mut SimRng,
+        advances: u64,
+    ) -> (u64, u64) {
+        let k = sim.k as u64;
+        let (mut shuffled, mut tabled) = (0, 0);
+        for _ in 0..advances {
+            if sim.is_silent() {
+                break;
+            }
+            let before = sim.telemetry;
+            sim.advance(rng, u64::MAX / 2);
+            let after = sim.telemetry;
+            let draws = after.table_draws - before.table_draws;
+            if after.blocks == before.blocks {
+                assert_eq!(draws, 0, "a skip or step drew a table");
+                continue;
+            }
+            assert_eq!(after.blocks, before.blocks + 1);
+            let length = after.block_draws - before.block_draws;
+            if shuffle_pairs(length, sim.k) {
+                // The participant draw; the shuffle does the rest.
+                assert_eq!(draws, 1, "shuffled batch of {length}");
+                shuffled += 1;
+            } else {
+                if sim.k >= PAIR_TABLE_MIN_K {
+                    // Participants, initiators, one tree row per state.
+                    assert_eq!(draws, 2 + k, "tree-table batch of {length}");
+                } else {
+                    // Participants, initiators, every chain row but the
+                    // last (which takes the remaining responders).
+                    assert!((2..=1 + k).contains(&draws), "chain batch: {draws}");
+                }
+                tabled += 1;
+            }
+        }
+        (shuffled, tabled)
+    }
+
     #[test]
     fn telemetry_mirrors_clocks_and_accounts_for_batches_and_skips() {
         // A full epidemic crosses batch leaping (bulk) and geometric
@@ -851,22 +982,59 @@ mod tests {
         // run's structure.
         let mut sim = epidemic(100_000, 100);
         let mut rng = SimRng::new(23);
-        while !sim.is_silent() {
-            sim.advance(&mut rng, u64::MAX / 2);
-        }
+        let (shuffled, tabled) = drive_checking_table_draws(&mut sim, &mut rng, u64::MAX);
+        assert!(sim.is_silent());
         let t = Simulator::telemetry(&sim);
         assert_eq!(t.scheduled, sim.interactions());
         assert_eq!(t.effective, sim.effective_interactions());
         assert!(t.blocks >= 1, "no batches leapt");
+        assert_eq!(t.blocks, shuffled + tabled);
+        assert!(tabled >= 1, "two states: long batches take the table");
         assert!(t.block_draws >= t.blocks);
         assert!(t.skip_draws >= 1, "endgame never skipped");
-        // Participants + initiators cost two hypergeometric draws per
-        // batch before any pairing rows.
-        assert!(t.table_draws >= 2 * t.blocks);
+        // A shuffled batch costs exactly its participant draw; a table
+        // batch costs participants + initiators before any pairing rows.
+        assert!(t.table_draws >= shuffled + 2 * tabled);
         // Every effective interaction is a count-wise batch application, a
         // literal collision fallback, or a skip-ahead event.
         assert!(t.block_applied + t.fallback_literal <= t.effective);
         assert_eq!(t.spans, crate::telemetry::SpanSet::new());
+    }
+
+    #[test]
+    fn each_pairing_path_draws_exactly_its_tables() {
+        // Sixteen states at n = 10⁷: collision horizons (median ≈ 1870)
+        // straddle the crossover 2L = 8·16², so one run takes both the
+        // shuffle and the tree table.
+        let k = 16;
+        let n = 10_000_000u64;
+        let mut sim = BatchSimulator::new(
+            MaxSpread { k },
+            &CountConfig::from_counts(vec![n / k as u64; k]),
+        );
+        let mut rng = SimRng::new(24);
+        let (shuffled, tabled) = drive_checking_table_draws(&mut sim, &mut rng, 300);
+        assert!(
+            shuffled > 0 && tabled > 0,
+            "{shuffled} shuffled, {tabled} tabled"
+        );
+        let t = Simulator::telemetry(&sim);
+        assert_eq!(t.table_draws, shuffled + (2 + k as u64) * tabled);
+
+        // At n = 10⁵ every batch is short next to k²: a whole run to
+        // silence is exactly one hypergeometric draw per batch.
+        let mut sim = BatchSimulator::new(
+            MaxSpread { k },
+            &CountConfig::from_counts(vec![100_000 / k as u64; k]),
+        );
+        let (shuffled, tabled) = drive_checking_table_draws(&mut sim, &mut rng, u64::MAX);
+        assert!(sim.is_silent());
+        assert_eq!(sim.counts()[k - 1], 100_000);
+        assert_eq!(tabled, 0);
+        let t = Simulator::telemetry(&sim);
+        assert_eq!(t.table_draws, t.blocks);
+        assert_eq!(t.blocks, shuffled);
+        assert!(shuffled > 100, "only {shuffled} batches");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Exact simulators for population protocols.
 //!
-//! Five backends simulate the same Markov chains at different cost models:
+//! Seven of the repository's nine backends live here (the USD-specialized
+//! `seq` and `skip` engines are in `usd-core`); they simulate the same
+//! Markov chains at different cost models:
 //!
 //! * [`AgentSimulator`] — tracks each agent's state individually and asks a
 //!   [`Scheduler`](crate::scheduler::Scheduler) for agent pairs: the literal
@@ -17,8 +19,12 @@
 //!   collision-free batch (no agent interacting twice), applying
 //!   transitions count-wise, and handling the first colliding interaction
 //!   exactly; no-op-dominated phases use geometric skip-ahead instead.
-//!   O(k² + √n) work per ~√n interactions — sub-constant time per
-//!   interaction, the enabler for n ≥ 10⁸ runs. Clique only.
+//!   A block of L ≈ √n interactions is paired by shuffling its 2L
+//!   participants when it is short next to the k² state pairs (O(L)) and
+//!   through a hypergeometric pairing table when it is long (O(k²)
+//!   draws), so its cost is O(min(L, k²) draws + k²) per ~√n
+//!   interactions — sub-constant time per interaction, the enabler for
+//!   n ≥ 10⁸ runs. Clique only.
 //! * [`GraphSimulator`] — the graph-topology counterpart of the leaping
 //!   engines: per-agent states plus a Fenwick tree over per-edge *active*
 //!   (non-no-op) orientation counts, skipping geometrically over no-op
@@ -41,6 +47,9 @@
 //!   count) applied across BFS-cut spatial domains on the persistent
 //!   `sim_stats` worker pool, with cross-domain conflicts replayed in
 //!   schedule order and the same sparse-skipper endgame.
+//! * [`ReplicaSimulator`] — the bit-parallel ensemble engine: up to 64
+//!   independent replicas of one instance, one bit-plane word per agent,
+//!   all advanced by a single shared (pair, orientation) schedule.
 //!
 //! The graph engines' sparse phases share one block-leaping implementation
 //! (the private `sparse` module): a Fenwick tree over per-edge

@@ -251,8 +251,11 @@ pub struct EngineTelemetry {
     /// clique engines' no-op leaps; sparse-phase skips are counted in
     /// [`EngineTelemetry::sparse`]).
     pub skip_draws: u64,
-    /// Batched table draws (hypergeometric rows / binomial splits sampled
-    /// per batch).
+    /// Multivariate hypergeometric draws sampled per batch. On `batch`:
+    /// one participant draw per batch, plus — for batches too long for the
+    /// participant shuffle — the initiator split and the pairing-table
+    /// rows (the chain rule's rows for k < 16, one tree row per state for
+    /// k ≥ 16). A batch paired by the shuffle costs exactly one.
     pub table_draws: u64,
     /// Sparse-phase skipper counters (harvested; see [`SparseStats`]).
     pub sparse: SparseStats,

@@ -53,6 +53,7 @@ pub use ks::{ks_critical_value, ks_reject, ks_statistic};
 pub use multinomial::{
     categorical_index, hypergeometric_pairing_table, multinomial_counts, multinomial_counts_fast,
     multivariate_hypergeometric, multivariate_hypergeometric_streams, sample_hypergeometric,
+    shuffle_pairing_table,
 };
 pub use plot::AsciiChart;
 pub use regression::{loglog_fit, ols_fit, LinearFit};

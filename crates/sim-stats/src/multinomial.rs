@@ -1,10 +1,14 @@
 //! Categorical, multinomial, and hypergeometric sampling.
 //!
 //! These primitives back the initial-configuration builders (randomized
-//! opinion assignments) and the Gossip-model round simulation. All samplers
-//! take a [`SimRng`] and are exact (no normal approximations),
-//! trading asymptotic speed for correctness — the hot simulation loop in
-//! `usd-core` uses its own specialized sampling instead.
+//! opinion assignments), the Gossip-model round simulation, and the hot
+//! loop of the clique batch engine (`pop_proto::BatchSimulator`), which
+//! draws every batch's participants with [`multivariate_hypergeometric`]
+//! and pairs them with [`shuffle_pairing_table`] or
+//! [`hypergeometric_pairing_table`]. All samplers take a [`SimRng`] (or a
+//! master seed for the position-derived streams) and are exact: no normal
+//! approximations. The O(n) reference samplers ([`multinomial_counts`],
+//! [`sample_hypergeometric`]) stay out of the hot loop.
 
 use crate::rng::SimRng;
 
@@ -395,6 +399,49 @@ pub fn hypergeometric_pairing_table(
     out
 }
 
+/// Sample the same `k × k` row-major pairing table as
+/// [`hypergeometric_pairing_table`], starting one step earlier: from the
+/// batch's `participants` (`participants[s]` agents in state `s`, `2L` in
+/// all) before they are split into initiators and responders.
+///
+/// The participants' states are written into `slots`, Fisher–Yates
+/// shuffled, and slot `t` (an initiator) is paired with slot `L + t` (its
+/// responder). Conditional on the participant multiset, the slot
+/// assignment is a uniform permutation, so the table has exactly the law
+/// of a hypergeometric initiator split followed by the hypergeometric
+/// pairing table — the two draws this one O(L) pass replaces. It beats
+/// the O(k²) table whenever the batch is short next to the alphabet; see
+/// the batch simulator for the crossover.
+///
+/// `slots` is scratch space: cleared, grown as needed, and left holding
+/// the shuffled states. Panics if the participant total is odd.
+pub fn shuffle_pairing_table(
+    rng: &mut SimRng,
+    participants: &[u64],
+    slots: &mut Vec<u32>,
+) -> Vec<u64> {
+    let total: u64 = participants.iter().sum();
+    assert!(
+        total.is_multiple_of(2),
+        "participants must pair up (odd total {total})"
+    );
+    let k = participants.len();
+    slots.clear();
+    for (state, &m) in participants.iter().enumerate() {
+        slots.extend(std::iter::repeat_n(state as u32, m as usize));
+    }
+    for i in (1..slots.len()).rev() {
+        let j = rng.below(i as u64 + 1) as usize;
+        slots.swap(i, j);
+    }
+    let (initiators, responders) = slots.split_at(slots.len() / 2);
+    let mut out = vec![0u64; k * k];
+    for (&a, &b) in initiators.iter().zip(responders) {
+        out[a as usize * k + b as usize] += 1;
+    }
+    out
+}
+
 /// Draw an ordered pair of **distinct** indices uniformly from `[0, n)`,
 /// i.e. the population-protocol scheduler's choice of (initiator, responder).
 ///
@@ -656,6 +703,176 @@ mod tests {
     #[should_panic(expected = "totals must match")]
     fn pairing_table_margin_mismatch_panics() {
         hypergeometric_pairing_table(1, &[3], &[2], 1);
+    }
+
+    #[test]
+    fn shuffle_pairing_margins_and_scratch_reuse() {
+        let participants = [40u64, 0, 25, 35, 100];
+        let mut rng = SimRng::new(41);
+        let mut slots = Vec::new();
+        for _ in 0..100 {
+            let t = shuffle_pairing_table(&mut rng, &participants, &mut slots);
+            assert_eq!(t.len(), 25);
+            assert_eq!(t.iter().sum::<u64>(), 100);
+            // Every participant is exactly one initiator or one responder.
+            for (s, &p) in participants.iter().enumerate() {
+                let row: u64 = t[s * 5..(s + 1) * 5].iter().sum();
+                let col: u64 = (0..5).map(|i| t[i * 5 + s]).sum();
+                assert_eq!(row + col, p, "state {s} margin");
+            }
+            assert_eq!(slots.len(), 200);
+        }
+        // The scratch is reused, never required to be empty on entry.
+        assert_eq!(
+            shuffle_pairing_table(&mut rng, &[0, 2, 0], &mut slots),
+            vec![0, 0, 0, 0, 1, 0, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pair up")]
+    fn shuffle_pairing_odd_total_panics() {
+        shuffle_pairing_table(&mut SimRng::new(1), &[2, 1], &mut Vec::new());
+    }
+
+    /// Every pairing table of a batch whose participants hold
+    /// `participants[s]` agents in state `s`, with its exact probability
+    /// `L!·∏ pₛ! / ((2L)!·∏ Mᵢⱼ!)`: the number of slot sequences with
+    /// pair types `M`, times the agent orders within each state, over all
+    /// `(2L)!` permutations.
+    fn exact_table_law(participants: &[u64]) -> Vec<(Vec<u64>, f64)> {
+        fn fill(
+            cell: usize,
+            left: u64,
+            participants: &[u64],
+            used: &mut [u64],
+            table: &mut Vec<u64>,
+            out: &mut Vec<Vec<u64>>,
+        ) {
+            let k = participants.len();
+            if cell == k * k {
+                if left == 0 && used == participants {
+                    out.push(table.clone());
+                }
+                return;
+            }
+            let (i, j) = (cell / k, cell % k);
+            let mut m = 0;
+            // `m` pairs (i, j) use m agents of state i and m of state j.
+            while m <= left
+                && used[i] + m + if i == j { m } else { 0 } <= participants[i]
+                && used[j] + m <= participants[j]
+            {
+                used[i] += m;
+                used[j] += m;
+                table[cell] = m;
+                fill(cell + 1, left - m, participants, used, table, out);
+                used[i] -= m;
+                used[j] -= m;
+                m += 1;
+            }
+            table[cell] = 0;
+        }
+        let k = participants.len();
+        let l = participants.iter().sum::<u64>() / 2;
+        let mut tables = Vec::new();
+        fill(
+            0,
+            l,
+            participants,
+            &mut vec![0; k],
+            &mut vec![0; k * k],
+            &mut tables,
+        );
+        let ln = crate::binomial::ln_factorial;
+        let base = ln(l) - ln(2 * l) + participants.iter().map(|&p| ln(p)).sum::<f64>();
+        tables
+            .into_iter()
+            .map(|t| {
+                let p = (base - t.iter().map(|&m| ln(m)).sum::<f64>()).exp();
+                (t, p)
+            })
+            .collect()
+    }
+
+    /// Pearson chi-square of `samples` against the exact `law`, with
+    /// cells of expectation below 5 pooled; panics on a table outside the
+    /// law's support. Returns `(statistic, critical value at α = 0.001)`,
+    /// the critical value from the Wilson–Hilferty approximation.
+    fn chi_square_vs_law(law: &[(Vec<u64>, f64)], samples: &[Vec<u64>]) -> (f64, f64) {
+        let index: std::collections::HashMap<&[u64], usize> = law
+            .iter()
+            .enumerate()
+            .map(|(i, (t, _))| (t.as_slice(), i))
+            .collect();
+        let mut observed = vec![0u64; law.len()];
+        for s in samples {
+            let i = index
+                .get(s.as_slice())
+                .unwrap_or_else(|| panic!("table {s:?} is outside the law's support"));
+            observed[*i] += 1;
+        }
+        let n = samples.len() as f64;
+        let (mut buckets, mut pool) = (Vec::new(), (0.0, 0u64));
+        for ((_, p), &o) in law.iter().zip(&observed) {
+            let e = p * n;
+            if e < 5.0 {
+                pool = (pool.0 + e, pool.1 + o);
+            } else {
+                buckets.push((e, o));
+            }
+        }
+        if pool.0 > 0.0 {
+            buckets.push(pool);
+        }
+        let stat: f64 = buckets
+            .iter()
+            .map(|&(e, o)| (o as f64 - e).powi(2) / e)
+            .sum();
+        let df = (buckets.len() - 1) as f64;
+        let z = 3.090_232; // standard-normal 0.999 quantile
+        let h = 2.0 / (9.0 * df);
+        (stat, df * (1.0 - h + z * h.sqrt()).powi(3))
+    }
+
+    #[test]
+    fn pairing_samplers_match_the_exact_table_law() {
+        // Tiny 3-state margins (2L ≤ 10), where every table can be listed:
+        // the shuffle sampler and the hypergeometric initiator split plus
+        // pairing table must both follow the enumerated law.
+        let reps = 40_000;
+        for (case, participants) in [[2u64, 3, 5], [1, 2, 1], [0, 4, 2], [3, 3, 2]]
+            .iter()
+            .enumerate()
+        {
+            let law = exact_table_law(participants);
+            let mass: f64 = law.iter().map(|(_, p)| p).sum();
+            assert!((mass - 1.0).abs() < 1e-9, "{participants:?}: mass {mass}");
+            let l = participants.iter().sum::<u64>() / 2;
+            let mut rng = SimRng::new(900 + case as u64);
+            let mut slots = Vec::new();
+            let shuffled: Vec<Vec<u64>> = (0..reps)
+                .map(|_| shuffle_pairing_table(&mut rng, participants, &mut slots))
+                .collect();
+            let tabled: Vec<Vec<u64>> = (0..reps)
+                .map(|_| {
+                    let initiators = multivariate_hypergeometric(&mut rng, participants, l);
+                    let responders: Vec<u64> = participants
+                        .iter()
+                        .zip(&initiators)
+                        .map(|(p, a)| p - a)
+                        .collect();
+                    hypergeometric_pairing_table(rng.next(), &initiators, &responders, 1)
+                })
+                .collect();
+            for (name, samples) in [("shuffle", &shuffled), ("table", &tabled)] {
+                let (stat, crit) = chi_square_vs_law(&law, samples);
+                assert!(
+                    stat < crit,
+                    "{name} sampler on {participants:?}: chi-square {stat:.2} >= {crit:.2}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! |---------|---------------|
 //! | `agent` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
 //! | `count` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
-//! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws`, `skip_draws`, `dense_steps`/`pair_draws` |
+//! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws` (multivariate hypergeometric draws: exactly 1 per shuffle-paired batch, 2 + pairing rows per table-paired batch), `skip_draws`, `dense_steps`/`pair_draws` |
 //! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*` skipper stats, spans `dense`/`sparse` |
 //! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
 //! | `pargraph` | clocks, `blocks`/`block_draws`/`block_applied` (interior draws), `fallback_literal` (replayed boundary/conflict draws), `dense_steps`/`pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*`, spans `dense`/`sparse` |

@@ -129,14 +129,16 @@ where
 }
 
 /// KS-equivalence of the batch backend against the countwise reference on
-/// the USD stabilization-time distribution, k = 2 and k = 3, n = 10⁴,
+/// the USD stabilization-time distribution, k ∈ {2, 3, 20}, n = 10⁴,
 /// α = 0.01, 200 runs per backend — the batch simulator's headline
-/// correctness criterion.
+/// correctness criterion. At k = 2 and 3 most batches take the
+/// hypergeometric pairing table; at k = 20 every batch is short next to
+/// the 21² state pairs and takes the participant shuffle.
 #[test]
 fn batch_vs_count_usd_stabilization_ks() {
     let n = 10_000u64;
     let reps = 200u64;
-    for k in [2usize, 3] {
+    for k in [2usize, 3, 20] {
         let count = usd_stabilization_samples(n, k, reps, 10_000, |cfg| {
             CountSimulator::new(UndecidedStateDynamics::new(k), cfg)
         });
@@ -250,29 +252,59 @@ fn skip_ahead_interaction_clock_is_calibrated() {
     );
 }
 
-/// The batch engine's per-batch pairing rows are sampled from
-/// position-derived RNG streams, so the worker-thread cap is bit-neutral:
-/// identical trajectories for any thread count. This is the regression
-/// test guarding the parallel row sampling (k ≥ 16 engages the tree
-/// path; the threshold depends only on k, never on the thread count).
-#[test]
-fn batch_pairing_rows_bit_identical_across_thread_counts() {
+/// Run the batch engine on a k = 20 figure-1 instance at each worker-thread
+/// cap in {1, 2, 8} for `budget` interactions, assert the runs are
+/// bit-identical, and return the telemetry they share.
+fn batch_runs_across_thread_counts(n: u64, budget: u64) -> pop_proto::EngineTelemetry {
     let k = 20usize;
-    let config = InitialConfigBuilder::new(200_000, k).figure1();
+    let config = InitialConfigBuilder::new(n, k).figure1();
     let mut runs = Vec::new();
     for threads in [1usize, 2, 8] {
         let mut sim =
             BatchSimulator::new(UndecidedStateDynamics::new(k), &config.to_count_config())
                 .with_threads(threads);
         let mut rng = SimRng::new(42);
-        sim.run(&mut rng, 30_000_000, |_| false);
+        sim.run(&mut rng, budget, |_| false);
         runs.push((
             sim.counts().to_vec(),
             sim.interactions(),
             sim.effective_interactions(),
+            *Simulator::telemetry(&sim),
         ));
         assert!(runs[0].2 > 0, "no effective interactions simulated");
     }
     assert_eq!(runs[0], runs[1], "threads=2 diverged from threads=1");
     assert_eq!(runs[0], runs[2], "threads=8 diverged from threads=1");
+    runs[0].3
+}
+
+/// The batch engine's per-batch pairing is bit-neutral in the worker-thread
+/// cap: identical trajectories for any thread count. Which sampler pairs a
+/// batch — the participant shuffle for short batches, the
+/// position-derived tree-stream table (k ≥ 16) for long ones — depends
+/// only on the batch, never on the thread count. At n = 2·10⁵ every batch
+/// is short next to the 21² state pairs, so this leg pins the shuffle
+/// path: exactly one hypergeometric draw (the participants) per batch.
+#[test]
+fn batch_pairing_rows_bit_identical_across_thread_counts() {
+    let t = batch_runs_across_thread_counts(200_000, 30_000_000);
+    assert!(t.blocks > 0);
+    assert_eq!(t.table_draws, t.blocks, "a batch left the shuffle path");
+}
+
+/// The same bit-identity where the crossover picks the table: at n = 4·10⁸
+/// collision horizons (median ≈ 11 800 interactions) lie far above the
+/// crossover 2L = 8·21², so batches take the tree-stream rows, and most
+/// are large enough that the rows fan out over the worker pool when
+/// threads are offered.
+#[test]
+fn batch_tree_table_rows_bit_identical_across_thread_counts() {
+    let t = batch_runs_across_thread_counts(400_000_000, 2_000_000);
+    assert!(t.blocks > 0);
+    assert!(
+        t.table_draws > 2 * t.blocks,
+        "{} table draws over {} batches: the tree path never ran",
+        t.table_draws,
+        t.blocks
+    );
 }
