@@ -4,8 +4,8 @@
 //! is the cost model. The agentwise engine pays O(1) per **scheduled**
 //! interaction; the graphwise engine steps scheduled interactions at the
 //! same O(1) while the configuration is effective-dominated and escalates
-//! to its Fenwick skipper (O(d log m) per **effective** interaction) once
-//! no-ops dominate. The benches therefore measure *scheduled interactions
+//! to its sparse skipper (O(d) per **effective** interaction) once no-ops
+//! dominate. The benches therefore measure *scheduled interactions
 //! per second* in the two regimes:
 //!
 //! * `expander` — USD bulk phase on a random 8-regular graph: effective
@@ -146,9 +146,9 @@ fn bench_noop_dominated(c: &mut Criterion) {
 
 /// Sparse-phase *effective-event* throughput: full stabilization from the
 /// frontier configuration, so every measured event goes through the shared
-/// block-leaping skipper (deferred coalesced Fenwick updates, cached-log
-/// geometric skips). This is the hot path PR 5 batched — the gated
-/// `bench_backends` rows measure the same regime at n = 4096; this
+/// sparse skipper (O(1) active-edge pool updates, cached-log geometric
+/// skips). The gated `bench_backends` rows measure the same regime at
+/// n = 4096; this
 /// micro-bench keeps a small instance in the Criterion suite for quick
 /// A/B runs.
 fn bench_sparse_stabilize(c: &mut Criterion) {

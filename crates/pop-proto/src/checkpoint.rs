@@ -5,7 +5,7 @@
 //! | offset | size | field                                        |
 //! |--------|------|----------------------------------------------|
 //! | 0      | 8    | magic `"USDCKPT1"`                           |
-//! | 8      | 4    | format version (little-endian u32, currently 1) |
+//! | 8      | 4    | format version (little-endian u32, currently 2) |
 //! | 12     | 4    | CRC-32 (IEEE) of the body (little-endian)    |
 //! | 16     | …    | body                                         |
 //!
@@ -38,8 +38,11 @@ use std::path::{Path, PathBuf};
 /// Magic bytes identifying a checkpoint file (format name + major version).
 pub const MAGIC: [u8; 8] = *b"USDCKPT1";
 
-/// Current checkpoint format version, stored in the header.
-pub const VERSION: u32 = 1;
+/// Current checkpoint format version, stored in the header. Version 2
+/// changed the graph engines' sparse-skipper payload (an ordered
+/// active-edge pool instead of a Fenwick sidecar), so a version-1 file
+/// fails as [`CheckpointError::BadVersion`] instead of being misparsed.
+pub const VERSION: u32 = 2;
 
 /// Size in bytes of the fixed checkpoint header ([`MAGIC`] + version + CRC).
 pub const HEADER_LEN: usize = 16;
@@ -62,7 +65,7 @@ pub enum CheckpointError {
         actual: u32,
     },
     /// The body decoded structurally but fails a semantic validity check
-    /// (configuration mismatch, inconsistent sidecar, invalid RNG state…).
+    /// (configuration mismatch, inconsistent sparse pool, invalid RNG state…).
     Corrupt(String),
     /// The simulator backend does not implement snapshot/restore.
     Unsupported,
@@ -593,6 +596,15 @@ mod tests {
         for len in 0..sealed.len() {
             assert!(open(&sealed[..len]).is_err(), "truncate to {len}");
         }
+    }
+
+    #[test]
+    fn version_one_files_are_rejected_by_version() {
+        // A version-1 file carries the old sparse-skipper payload: it must
+        // fail on the header, before any engine parses its body.
+        let mut old = seal(b"v1 engine payload");
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(open(&old), Err(CheckpointError::BadVersion(1)));
     }
 
     #[test]

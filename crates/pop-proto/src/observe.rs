@@ -26,13 +26,13 @@
 //! the interaction. On the leaping engines (`batch`, `batchgraph`,
 //! `pargraph`) a
 //! boundary summarizes a whole block of ~√n interactions — and, since the
-//! sparse phase became block-leaping too (PR 5), a `batchgraph` sparse
-//! boundary summarizes up to 64 effective events; crossing times
-//! measured through them are accurate to one block, and an intra-block
-//! excursion that retreats before the boundary is invisible. `graph`
-//! keeps its exact per-event boundaries in the sparse phase — the shared
-//! skipper's Fenwick amortization persists across advancements, so
-//! exactness costs no throughput there. Observers
+//! sparse phase is block-leaping too, a `batchgraph` sparse boundary
+//! summarizes up to 64 effective events; crossing times measured through
+//! them are accurate to one block, and an intra-block excursion that
+//! retreats before the boundary is invisible. `graph` keeps its exact
+//! per-event boundaries in the sparse phase — the shared skipper's pool
+//! updates are O(1) per event, so exactness costs no throughput there.
+//! Observers
 //! that need a finer cadence on the leaping engines can bound the
 //! advancement stride via [`SimObserver::max_stride`] (at the cost of
 //! shorter leaps); [`Observation::is_exact`] tells the two regimes apart

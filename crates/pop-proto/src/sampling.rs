@@ -142,45 +142,6 @@ impl FenwickSampler {
         self.find(rng.below(self.total))
     }
 
-    /// [`FenwickSampler::find`] over *corrected* weights `weight(i) +
-    /// delta(i)` without materializing the deltas into the tree: `dp(x)`
-    /// must return `Σ_{i < x} delta(i)` (the exclusive prefix sum of the
-    /// corrections, evaluated on demand). The descent visits O(log m)
-    /// nodes and calls `dp` at most twice per node, so a caller with a
-    /// small sorted delta set answers each `dp` by binary search and pays
-    /// O(log m · log p) total.
-    ///
-    /// Preconditions: every corrected weight is ≥ 0, the corrected total
-    /// fits `i64`, and `target <` the corrected total. With those, the
-    /// result is exactly `find(target)` on a tree that had the deltas
-    /// applied — this is what lets the sparse engine keep its Fenwick tree
-    /// stale and still draw from the *true* weights in one pass, with no
-    /// rejection.
-    #[inline]
-    pub fn find_adjusted<F: Fn(usize) -> i64>(&self, target: u64, dp: F) -> usize {
-        let mut rem = target as i64;
-        let mut pos = 0usize;
-        let mut dp_pos = 0i64;
-        let mut step = self.tree.len().next_power_of_two() >> 1;
-        while step > 0 {
-            let next = pos + step;
-            if next < self.tree.len() {
-                // Node `next` covers 0-based items [pos, next): its
-                // corrected sum is the stored dyadic sum plus the deltas
-                // of exactly those items.
-                let dp_next = dp(next);
-                let node = self.tree[next] as i64 + dp_next - dp_pos;
-                if node <= rem {
-                    rem -= node;
-                    pos = next;
-                    dp_pos = dp_next;
-                }
-            }
-            step >>= 1;
-        }
-        pos
-    }
-
     /// Sample an ordered pair of **distinct items** (two different agents)
     /// where each category's weight is its agent count: the first item is
     /// drawn from all `total()` agents, the second from the remaining
@@ -298,41 +259,6 @@ mod tests {
                 }
             }
             assert_eq!(f.find(target), expect, "target {target}");
-        }
-    }
-
-    #[test]
-    fn find_adjusted_matches_find_on_materialized_deltas() {
-        // Stale tree [3,0,7,5,1,0,4] with deltas {1:+2, 2:-7, 4:+3, 6:-4}
-        // → corrected weights [3,2,0,5,4,0,0].
-        let stale = [3u64, 0, 7, 5, 1, 0, 4];
-        let deltas: &[(usize, i64)] = &[(1, 2), (2, -7), (4, 3), (6, -4)];
-        let corrected = [3u64, 2, 0, 5, 4, 0, 0];
-        let f = FenwickSampler::new(&stale);
-        let g = FenwickSampler::new(&corrected);
-        let dp = |x: usize| -> i64 {
-            deltas
-                .iter()
-                .filter(|&&(i, _)| i < x)
-                .map(|&(_, d)| d)
-                .sum()
-        };
-        let total: u64 = corrected.iter().sum();
-        for target in 0..total {
-            assert_eq!(
-                f.find_adjusted(target, dp),
-                g.find(target),
-                "target {target}"
-            );
-        }
-    }
-
-    #[test]
-    fn find_adjusted_with_empty_deltas_is_find() {
-        let weights = [3u64, 0, 7, 5, 1, 0, 4];
-        let f = FenwickSampler::new(&weights);
-        for target in 0..f.total() {
-            assert_eq!(f.find_adjusted(target, |_| 0), f.find(target));
         }
     }
 

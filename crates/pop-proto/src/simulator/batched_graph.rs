@@ -51,10 +51,11 @@
 //! escalates to the shared block-leaping sparse engine
 //! ([`SparseSkipper`](super::sparse)) that [`GraphSimulator`] uses too:
 //! exact geometric skips over no-op runs, effective events drawn from the
-//! exact weighted law, and Fenwick updates deferred into per-block batched
-//! passes. This engine drives the skipper a **block of effective events at
-//! a time** (up to [`SPARSE_BLOCK_EVENTS`](super::sparse) per advancement,
-//! the sparse twin of its dense block leaping), and the same hysteresis
+//! exact weighted law by one uniform pick from an active-edge pool, and
+//! O(1) pool updates per changed edge. This engine drives the skipper a
+//! **block of effective events at a time** (up to
+//! [`SPARSE_BLOCK_EVENTS`](super::sparse) per advancement, the sparse
+//! twin of its dense block leaping), and the same hysteresis
 //! band hands control back to the dense block engine when the activity
 //! fraction recovers. Both phases simulate the same chain; the switch is
 //! purely a cost-model decision.
@@ -64,11 +65,10 @@
 //! Every scanned draw is a literal scheduled interaction: clean draws use
 //! block-start states that provably equal current states, dirty draws use
 //! re-read current states, and the sparse phase inherits the shared
-//! skipper's exact geometric/conditional machinery (the deferred Fenwick
-//! updates change *when* the tree materializes the weights, never the
-//! weights sampling sees). The induced chain on agent states is identical
-//! to [`GraphSimulator`]'s — verified by KS equivalence on the complete
-//! graph, a random 8-regular graph, the cycle, and the torus in
+//! skipper's exact geometric/conditional machinery. The induced chain on
+//! agent states is identical to [`GraphSimulator`]'s — verified by KS
+//! equivalence on the complete graph, a random 8-regular graph, the
+//! cycle, the torus, and the torus endgame in
 //! `tests/topology_equivalence.rs`, and by the matching property tests
 //! below.
 //!
@@ -168,7 +168,7 @@ pub type WideBatchGraphSimulator<P> = BatchGraphSimulator<P, u16>;
 /// Memory is O(n + m) plus O(√n) scan buffers; the block phase costs O(1)
 /// per scheduled interaction with the per-draw constant driven down by
 /// batched RNG and overlapped gathers, and the sparse phase costs the
-/// shared skipper's amortized O(d log m) per **effective** interaction.
+/// shared skipper's O(d) per **effective** interaction.
 /// See the module docs for the block machinery and its exactness argument.
 ///
 /// Observation granularity
@@ -409,8 +409,8 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     }
 
     /// Verify the sparse skipper (if live) against per-edge weights
-    /// recomputed from the states — the deferred-update invariants the
-    /// property tests pin. O(m); `Ok` when the block phase is active.
+    /// recomputed from the states — the pool invariants the property
+    /// tests pin. O(m); `Ok` when the block phase is active.
     #[doc(hidden)]
     pub fn validate_sparse_invariants(&self) -> Result<(), String> {
         match &self.sparse {
@@ -435,9 +435,8 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// Re-weight the incident edges of vertex `v` in the sparse skipper
     /// after its state changed from `old` (the state array already holds
     /// the new value). Unchanged edges are filtered with pure
-    /// transition-table math before the skipper is touched; the tree
-    /// update for changed ones is deferred and coalesced. Sparse phase
-    /// only.
+    /// transition-table math before the skipper is touched; changed ones
+    /// report their new weight to the pool. Sparse phase only.
     fn refresh_incident(&mut self, v: usize, old: usize) {
         let t = self.states[v].unpack();
         let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
@@ -1201,8 +1200,8 @@ mod tests {
     fn sparse_phase_invariants_hold_across_advancements() {
         // Drive a no-op-dominated instance (an epidemic frontier creeping
         // around a large cycle: W ≤ 4 of 2m orientations) so the run lives
-        // in the sparse skipper, and verify the deferred-update invariants
-        // after every advancement.
+        // in the sparse skipper, and verify the pool invariants after every
+        // advancement.
         let g = Graph::cycle(2_048);
         let mut sim = epidemic_on(&g, 1);
         let mut rng = SimRng::new(11);

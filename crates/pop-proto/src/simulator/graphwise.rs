@@ -26,17 +26,16 @@
 //!   no-op interactions, so nothing is wasted or approximated);
 //! * **sparse phase**: the engine scans the graph once and hands the
 //!   per-edge active-orientation weights (0, 1, or 2) to the shared
-//!   [`SparseSkipper`](super::sparse) — the block-leaping Fenwick engine
-//!   both graph simulators use. Each no-op run is skipped in O(1) (the run
-//!   length is geometric with success probability `W / 2m`, with the
-//!   inversion constant cached per distinct `W`), the effective edge is
-//!   sampled in O(log m) from the exact weighted law, and the re-weighting
-//!   of the ≤ d incident edges of a changed agent is *deferred*: deltas
-//!   coalesce in the skipper's sidecar and hit the tree in one batched
-//!   pass per ~64-event block, so frontier dynamics whose deltas cancel
-//!   pay a fraction of the old per-event O(d log m). When the activity
-//!   fraction recovers past a hysteresis threshold the tree is dropped and
-//!   the dense phase resumes.
+//!   [`SparseSkipper`](super::sparse) — the active-edge pool all graph
+//!   simulators share. Each no-op run is skipped in O(1) (the run length
+//!   is geometric with success probability `W / 2m`, with the inversion
+//!   constant cached per distinct `W`), the effective edge is sampled in
+//!   O(1) from the exact weighted law (one uniform pick from a pool that
+//!   holds each edge once per active orientation), and re-weighting the
+//!   ≤ d incident edges of a changed agent costs O(1) each (pool pushes
+//!   and swap-removes). When the activity fraction recovers past a
+//!   hysteresis threshold the pool is dropped and the dense phase
+//!   resumes.
 //!
 //! On no-op-dominated regimes (low-conductance families like the cycle and
 //! torus spend > 99% of their schedule on no-ops; any topology's endgame
@@ -81,8 +80,8 @@ use sim_stats::rng::SimRng;
 /// Exact active-edge simulator for a fixed interaction graph.
 ///
 /// Memory is O(n + m); the dense phase costs O(1) per scheduled
-/// interaction and the sparse phase O(d log m) per **effective**
-/// interaction, where `d` is the degree of the two agents that changed.
+/// interaction and the sparse phase O(d) per **effective** interaction,
+/// where `d` is the degree of the two agents that changed.
 /// See the module docs for the phase machinery and its exactness
 /// argument.
 ///
@@ -292,8 +291,8 @@ impl<P: Protocol> GraphSimulator<P> {
     }
 
     /// Verify the sparse skipper (if live) against per-edge weights
-    /// recomputed from the states — the deferred-update invariants the
-    /// property tests pin. O(m); `Ok` when the dense phase is active.
+    /// recomputed from the states — the pool invariants the property
+    /// tests pin. O(m); `Ok` when the dense phase is active.
     #[doc(hidden)]
     pub fn validate_sparse_invariants(&self) -> Result<(), String> {
         match &self.sparse {
@@ -309,8 +308,8 @@ impl<P: Protocol> GraphSimulator<P> {
     /// after its state changed from `old` (the state array already holds
     /// the new value). Edges whose weight is unchanged are filtered with
     /// pure transition-table math before the skipper is touched; changed
-    /// ones report their new weight, and the tree update is deferred and
-    /// coalesced (see [`SparseSkipper`]). Sparse phase only.
+    /// ones report their new weight to the pool (see [`SparseSkipper`]).
+    /// Sparse phase only.
     fn refresh_incident(&mut self, v: usize, old: usize) {
         let t = self.states[v] as usize;
         let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
@@ -335,7 +334,7 @@ impl<P: Protocol> GraphSimulator<P> {
     }
 
     /// Apply `f` to the oriented pair `(i → j)`; returns whether any state
-    /// changed (re-weighting the incident edges when the tree is live).
+    /// changed (re-weighting the incident edges when the pool is live).
     fn apply_oriented(&mut self, i: usize, j: usize) -> bool {
         let (si, sj) = (self.states[i] as usize, self.states[j] as usize);
         if self.noop[si * self.k + sj] {
@@ -417,9 +416,8 @@ impl<P: Protocol> GraphSimulator<P> {
     /// simulate that interaction from the exact conditional law — edge
     /// ∝ active-orientation weight, then a uniform active orientation of
     /// the edge. Returns after **one** effective event (the engine's exact
-    /// observation granularity); the skipper's Fenwick updates are still
-    /// amortized because its sidecar persists across calls. Precondition:
-    /// skipper live, `W > 0`, `max > 0`.
+    /// observation granularity). Precondition: skipper live, `W > 0`,
+    /// `max > 0`.
     fn sparse_advance(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
         let sparse = self
             .sparse
@@ -461,7 +459,7 @@ impl<P: Protocol> GraphSimulator<P> {
 
     /// Advance by at most `max` interactions using the cheapest exact
     /// mechanism for the current activity level (literal dense stepping or
-    /// the sparse Fenwick skipper). Returns interactions advanced and
+    /// the sparse skipper). Returns interactions advanced and
     /// whether the counts changed. On a certified-silent configuration the
     /// clock stops: the call returns without advancing (possibly `(0,
     /// false)`), and `is_silent()` is true.
@@ -641,7 +639,7 @@ impl<P: Protocol> Simulator for GraphSimulator<P> {
         // The graph structure (edges, CSR adjacency) and transition tables
         // are constructor-derived; the mutable state is the agent states,
         // the clocks, the dense no-op run, and the live skipper (whose
-        // Fenwick tree restores from the states plus the sidecar).
+        // ordered pool is validated against the states on restore).
         w.put_u8(snapshot_tags::GRAPH);
         snapshot_tags::write_config(w, self.states.len() as u64, self.k);
         w.put_u32_slice(&self.states);
@@ -840,9 +838,9 @@ mod tests {
     #[test]
     fn sparse_phase_invariants_hold_across_advancements() {
         // A creeping epidemic frontier on a large cycle keeps the run in
-        // the sparse skipper; the deferred-update invariants (exact
-        // incremental total, sidecar-tracked weights, clean tree entries)
-        // must hold at every advancement boundary.
+        // the sparse skipper; the pool invariants (pool and slot mutually
+        // inverse, copies matching the recomputed edge weights) must hold
+        // at every advancement boundary.
         let g = Graph::cycle(1_024);
         let mut sim = epidemic_on(&g, 1);
         let mut rng = SimRng::new(13);

@@ -26,9 +26,9 @@
 //!   interactions — sub-constant time per interaction, the enabler for
 //!   n ≥ 10⁸ runs. Clique only.
 //! * [`GraphSimulator`] — the graph-topology counterpart of the leaping
-//!   engines: per-agent states plus a Fenwick tree over per-edge *active*
-//!   (non-no-op) orientation counts, skipping geometrically over no-op
-//!   stretches and paying O(d log m) per **effective** interaction. The
+//!   engines: per-agent states plus a pool of per-edge *active*
+//!   (non-no-op) orientations, skipping geometrically over no-op
+//!   stretches and paying O(d) per **effective** interaction. The
 //!   fast exact engine for no-op-dominated
 //!   [`GraphScheduler`](crate::scheduler::GraphScheduler) topologies.
 //! * [`BatchGraphSimulator`] — multi-event leaping on graphs: pre-generates
@@ -51,12 +51,12 @@
 //!   independent replicas of one instance, one bit-plane word per agent,
 //!   all advanced by a single shared (pair, orientation) schedule.
 //!
-//! The graph engines' sparse phases share one block-leaping implementation
-//! (the private `sparse` module): a Fenwick tree over per-edge
-//! active-orientation weights with the total maintained incrementally,
+//! The graph engines' sparse phases share one implementation (the private
+//! `sparse` module): an active-edge pool holding each edge once per active
+//! orientation, so one uniform pick draws an effective edge from the exact
+//! weighted law and a weight change is O(1) pushes or swap-removes, plus
 //! geometric no-op skips whose per-block aggregates are negative-binomial
-//! totals, and tree updates deferred into coalesced batched passes behind
-//! a no-false-negative dirty-edge sidecar.
+//! totals.
 //!
 //! The [`Simulator`] trait unifies them so drivers, experiments, the
 //! CLI, and benches can select a backend generically; its
@@ -271,8 +271,8 @@ pub trait Simulator {
     fn set_span_timing(&mut self, _enabled: bool) {}
 
     /// Enable or disable per-event histogram recording
-    /// ([`EventHistograms`]): skip lengths, block totals/sizes, sidecar
-    /// flush sizes, fallback runs. Off by default — the harvest sites then
+    /// ([`EventHistograms`]): skip lengths, block totals/sizes, fallback
+    /// runs. Off by default — the harvest sites then
     /// cost one branch on a `None` — and a no-op on engines without
     /// instrumented quantities. Enabling mid-run starts fresh histograms;
     /// disabling discards them.
@@ -289,8 +289,8 @@ pub trait Simulator {
 
     /// Serialize the engine's complete resume-relevant state — agent
     /// states or occupation counts, interaction clocks, phase/hysteresis
-    /// state, sparse-sidecar contents, telemetry counters, and histogram
-    /// buckets — into a checkpoint body, such that
+    /// state, the sparse skipper's ordered pool, telemetry counters, and
+    /// histogram buckets — into a checkpoint body, such that
     /// [`Simulator::restore_state`] on a freshly constructed simulator of
     /// the same configuration reproduces the uninterrupted run
     /// byte-for-byte (the RNG is owned by the driver and snapshotted

@@ -71,7 +71,8 @@
 //! length as a no-op run; once [`SPARSE_TRIGGER_NOOPS`] accumulate, the
 //! engine scans the per-edge active-orientation weights and hands off to
 //! the shared [`SparseSkipper`](super::sparse) exactly as the scalar
-//! graph engines do — low-activity endgames are a serial workload and get
+//! graph engines do (an active-edge pool: O(1) per event draw and per
+//! changed edge) — low-activity endgames are a serial workload and get
 //! the serial machinery, with the same hysteresis exit back to dense
 //! blocks. Silence certification (`W = 0`) and the clock-stop contract
 //! are inherited unchanged.

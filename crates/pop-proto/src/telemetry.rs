@@ -4,9 +4,8 @@
 //! protocol did — interactions, parallel time, effective events. This
 //! module accounts for what the simulation engine did to produce them:
 //! phase transitions, block sizes drawn vs. applied, literal fallbacks,
-//! sidecar flushes and their cancel rate, Fenwick updates deferred vs.
-//! applied, log-cache hits, and RNG draw events by kind. Every backend
-//! owns an [`EngineTelemetry`] and exposes it through
+//! sparse-pool updates, log-cache hits, and RNG draw events by kind.
+//! Every backend owns an [`EngineTelemetry`] and exposes it through
 //! [`Simulator::telemetry`](crate::Simulator::telemetry); the counters are
 //! monotone over a simulator's lifetime and always on (plain `u64`
 //! increments on paths that already do comparable bookkeeping).
@@ -31,7 +30,7 @@
 //! cadence-cost table in [`crate::observe`]), and
 //! [`timeline::EventHistograms`] bucket the per-event quantities the
 //! counters only total — geometric skip lengths, sparse block totals,
-//! flush sizes — into log-spaced p50/p90/p99 summaries (per-backend
+//! dense block sizes — into log-spaced p50/p90/p99 summaries (per-backend
 //! availability alongside the counter table in
 //! [`usd_core::backend`](../../usd_core/backend/index.html)).
 //!
@@ -53,6 +52,13 @@ use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 /// (`pop_proto::simulator::sparse`), harvested into
 /// [`EngineTelemetry::sparse`] by the graph engines at advancement
 /// boundaries.
+///
+/// The skipper is an active-edge pool with O(1) updates; it no longer has
+/// the deferred-update sidecar that `flushes`, `updates_deferred`,
+/// `entries_applied`, `entries_cancelled`, `bypass_enters` and
+/// `bypass_exits` measured. Those fields and their JSON keys are kept so
+/// existing readers and pinned key orders keep working; they always read
+/// 0, and so does [`SparseStats::cancel_rate`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SparseStats {
     /// Effective events drawn by the skipper.
@@ -61,25 +67,24 @@ pub struct SparseStats {
     pub skip_draws: u64,
     /// Weighted edge-selection draw events (exactly one per event).
     pub event_draws: u64,
-    /// Batched sidecar flushes (coalesced Fenwick passes).
+    /// Retired (always 0): batched sidecar flushes.
     pub flushes: u64,
-    /// Weight changes parked in the sidecar (deferred point-updates).
+    /// Retired (always 0): weight changes parked in a sidecar.
     pub updates_deferred: u64,
-    /// Weight changes applied to the tree immediately (deferral bypassed).
+    /// Edge-weight changes applied to the active-edge pool (each a few
+    /// O(1) pushes or swap-removes).
     pub updates_immediate: u64,
-    /// Sidecar entries written to the tree at flush time.
+    /// Retired (always 0): sidecar entries applied at flush time.
     pub entries_applied: u64,
-    /// Sidecar entries whose weight had toggled back to the tree's value
-    /// and were skipped at flush (or evicted early) — the coalescing win.
+    /// Retired (always 0): sidecar entries cancelled before a flush.
     pub entries_cancelled: u64,
     /// Geometric inversion constant reused (same `W` as the previous skip).
     pub log_cache_hits: u64,
     /// Inversion constant recomputed (distinct `W`).
     pub log_cache_misses: u64,
-    /// Adaptive-deferral transitions into bypass (measured cancel rate too
-    /// low for coalescing to pay).
+    /// Retired (always 0): transitions into deferral bypass.
     pub bypass_enters: u64,
-    /// Adaptive-deferral probes back into deferral.
+    /// Retired (always 0): probes back out of deferral bypass.
     pub bypass_exits: u64,
 }
 
@@ -119,9 +124,10 @@ impl SparseStats {
         self.bypass_exits += other.bypass_exits;
     }
 
-    /// Fraction of flush-resolved sidecar entries that had toggled back
-    /// (cancelled) before touching the tree — the measured quantity the
-    /// adaptive deferral decides on. 0.0 when nothing has been flushed.
+    /// Retired sidecar cancel rate: `entries_cancelled` over
+    /// `entries_applied + entries_cancelled`, 0.0 when both are zero —
+    /// which the pool-based skipper always leaves them (kept for the
+    /// report schema).
     pub fn cancel_rate(&self) -> f64 {
         let resolved = self.entries_applied + self.entries_cancelled;
         if resolved == 0 {
@@ -347,7 +353,8 @@ impl EngineTelemetry {
         }
     }
 
-    /// Sidecar cancel rate at flush time (see [`SparseStats::cancel_rate`]).
+    /// Retired sidecar cancel rate, always 0.0 (see
+    /// [`SparseStats::cancel_rate`]).
     pub fn cancel_rate(&self) -> f64 {
         self.sparse.cancel_rate()
     }

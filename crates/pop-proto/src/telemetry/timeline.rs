@@ -13,10 +13,10 @@
 //!   (the `usd-sim run --timeline` surface) or as a
 //!   [`TimeSeries`] for plotting.
 //! * [`EventHistograms`] — log-bucketed distributions of per-event engine
-//!   quantities (geometric skip lengths, sparse block totals, sidecar
-//!   flush sizes and occupancy, dense block sizes, literal-fallback runs),
-//!   harvested at the engines' existing telemetry increment sites and
-//!   summarized by p50/p90/p99 quantiles. Recording is opt-in
+//!   quantities (geometric skip lengths, sparse block totals, dense block
+//!   sizes, literal-fallback runs; the retired sidecar flush fields stay
+//!   empty), harvested at the engines' existing telemetry increment
+//!   sites and summarized by p50/p90/p99 quantiles. Recording is opt-in
 //!   ([`Simulator::set_histograms`]);
 //!   with it off the harvest sites cost one branch on a `None`.
 //!
@@ -69,8 +69,9 @@ fn event_histogram() -> LogHistogram {
 /// Which fields are live mirrors the telemetry counter availability: a
 /// per-event engine records only `skip_len` (its no-op run lengths), the
 /// clique batch engine adds `block_size`/`fallback_run`, and the graph
-/// engines add the sparse sidecar fields. An empty histogram means "not
-/// applicable", never "measured empty".
+/// engines add the sparse `block_total`. An empty histogram means "not
+/// applicable", never "measured empty"; `flush_size` and
+/// `flush_occupancy` are always empty (kept for the schema).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventHistograms {
     /// No-op run lengths before an effective interaction: the geometric
@@ -79,17 +80,16 @@ pub struct EventHistograms {
     /// per-event engines. At constant active weight this is geometric —
     /// KS-pinned in `simulator::sparse`.
     pub skip_len: LogHistogram,
-    /// Sparse-phase per-block scheduled totals (no-ops skipped + events
-    /// over one `FLUSH_EVENTS` block). Negative-binomial at constant
-    /// weight — KS-pinned in `simulator::sparse`.
+    /// Sparse-phase per-block no-op totals (no-ops skipped over one block
+    /// of `SPARSE_BLOCK_EVENTS` = 64 events). Negative-binomial at
+    /// constant weight — KS-pinned in `simulator::sparse`.
     pub block_total: LogHistogram,
     /// Dense block sizes: clean applications per batch/matching block.
     pub block_size: LogHistogram,
-    /// Sidecar flush sizes: divergent entries applied to the Fenwick tree
-    /// per flush.
+    /// Retired, always empty: sidecar flush sizes (the sparse skipper no
+    /// longer has a deferred-update sidecar).
     pub flush_size: LogHistogram,
-    /// Sidecar occupancy at flush time: entries pending (applied or
-    /// cancelled) when the flush ran.
+    /// Retired, always empty: sidecar occupancy at flush time.
     pub flush_occupancy: LogHistogram,
     /// Literal-fallback run lengths: fallback applications per dense
     /// block (dirty-endpoint re-reads, batch collisions).

@@ -258,8 +258,12 @@ struct RegionJob<'f> {
 
 impl RegionJob<'_> {
     fn finish(&self, n: usize) {
+        // Decrement under the lock the waiter checks `outstanding` under:
+        // it cannot see zero — and return, freeing this job from its stack
+        // frame — until this call has released the lock and stopped
+        // touching the job.
+        let _guard = self.done.lock().expect("job done lock poisoned");
         if self.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
-            let _guard = self.done.lock().expect("job done lock poisoned");
             self.done_cv.notify_all();
         }
     }
@@ -306,8 +310,9 @@ struct JoinJob<F: FnOnce() + Send> {
 
 impl<F: FnOnce() + Send> JoinJob<F> {
     fn finish(&self, n: usize) {
+        // Under the lock, as in `RegionJob::finish`.
+        let _guard = self.done.lock().expect("job done lock poisoned");
         if self.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
-            let _guard = self.done.lock().expect("job done lock poisoned");
             self.done_cv.notify_all();
         }
     }

@@ -63,7 +63,7 @@ commands:
            (cadence default: max(n, 65536) — deterministic in the
            interaction clock, so fixed seeds reproduce bit-identical
            files); --histograms prints log-bucketed per-event histograms
-           (skip lengths, block totals, flush sizes; p50/p90/p99).
+           (skip lengths, block totals, block sizes; p50/p90/p99).
            --checkpoint persists a crash-safe resume point (engine state,
            RNG stream position, flight recorder) every --checkpoint-every
            interactions (default max(16n, 2^22)): temp file + fsync +

@@ -51,9 +51,9 @@
 //! | `agent` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
 //! | `count` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
 //! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws` (multivariate hypergeometric draws: exactly 1 per shuffle-paired batch, 2 + pairing rows per table-paired batch), `skip_draws`, `dense_steps`/`pair_draws` |
-//! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*` skipper stats, spans `dense`/`sparse` |
-//! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
-//! | `pargraph` | clocks, `blocks`/`block_draws`/`block_applied` (interior draws), `fallback_literal` (replayed boundary/conflict draws), `dense_steps`/`pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*`, spans `dense`/`sparse` |
+//! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*` skipper stats, spans `dense`/`sparse` |
+//! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
+//! | `pargraph` | clocks, `blocks`/`block_draws`/`block_applied` (interior draws), `fallback_literal` (replayed boundary/conflict draws), `dense_steps`/`pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*`, spans `dense`/`sparse` |
 //! | `seq` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
 //! | `skip` | `scheduled`/`effective`, `skip_draws`, `pair_draws` |
 //! | `replica` | `scheduled`/`effective` (*lane-aggregate*: +popcount(live)/+popcount(changed) per draw), `dense_steps`/`pair_draws` (per *draw*) |
@@ -79,12 +79,19 @@
 //! | `agent` | `skip_len` (literally-counted no-op runs) |
 //! | `count` | `skip_len` (literally-counted no-op runs) |
 //! | `batch` | `skip_len` (geometric draws), `block_size` (applied per batch), `fallback_run` (collision literals) |
-//! | `graph` | `skip_len` (dense no-op runs + sparse geometric draws), `block_total`/`flush_size`/`flush_occupancy` (sparse skipper) |
-//! | `batchgraph` | `skip_len`, `block_size` (matching blocks), `fallback_run` (dirty draws), `block_total`/`flush_size`/`flush_occupancy` (sparse skipper) |
-//! | `pargraph` | `block_size` (interior draws applied per block), `fallback_run` (replayed draws per block), `skip_len`/`block_total`/`flush_size`/`flush_occupancy` (sparse skipper only — dense no-op runs are not observable from the parallel application) |
+//! | `graph` | `skip_len` (dense no-op runs + sparse geometric draws), `block_total` (sparse skipper) |
+//! | `batchgraph` | `skip_len`, `block_size` (matching blocks), `fallback_run` (dirty draws), `block_total` (sparse skipper) |
+//! | `pargraph` | `block_size` (interior draws applied per block), `fallback_run` (replayed draws per block), `skip_len`/`block_total` (sparse skipper only — dense no-op runs are not observable from the parallel application) |
 //! | `seq` | `skip_len` (literally-counted no-op runs) |
 //! | `skip` | `skip_len` (completed geometric runs) |
 //! | `replica` | `skip_len` (runs of draws effective in **no** lane) |
+//!
+//! The live `sparse.*` stats are `events`, `skip_draws`, `event_draws`,
+//! `updates_immediate` (pool updates) and the log-cache hits/misses. The
+//! retired deferred-update counters (`flushes`, `updates_deferred`,
+//! `entries_*`, `bypass_*`) and the `flush_size`/`flush_occupancy`
+//! histograms are kept for the schema and stay zero/empty on every
+//! backend.
 
 use crate::config::UsdConfig;
 use crate::protocol::UndecidedStateDynamics;

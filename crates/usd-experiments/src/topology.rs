@@ -6,8 +6,9 @@
 //! the active-edge `graph` backend to graph silence and reports parallel
 //! stabilization time, the effective-interaction fraction (how no-op
 //! dominated the trajectory was — the quantity the graphwise engine skips
-//! over), the engine-telemetry rates of a representative run (the sparse
-//! sidecar's cancel rate and the block engines' literal-fallback rate),
+//! over), the engine-telemetry rates of a representative run (the
+//! retired sparse-sidecar cancel rate, now always 0, and the block
+//! engines' literal-fallback rate),
 //! and the plurality win rate. The `T / (k ln n)` column normalizes
 //! by the clique barrier scale, making departures from the complete-graph
 //! regime directly visible (expander-like families track the clique;
@@ -49,8 +50,9 @@ pub struct TopologyCell {
     pub win_rate: f64,
     /// Fraction of runs that froze (disconnected topology) or timed out.
     pub degenerate_rate: f64,
-    /// Sidecar cancel rate from the representative run's engine telemetry
-    /// (the adaptive-deferral signal; 0 on engines without the skipper).
+    /// Retired sparse-sidecar cancel rate from the representative run's
+    /// engine telemetry: always 0 since the skipper became an active-edge
+    /// pool (the column is kept until the report schema next changes).
     pub cancel_rate: f64,
     /// Block fallback rate from the representative run's engine telemetry
     /// (dirty-draw literal re-simulations; 0 on non-block engines).
@@ -126,10 +128,10 @@ pub fn families(args: &ExpArgs) -> Vec<TopologyFamily> {
 /// effective interactions for the leaping backends (graph/batchgraph skip
 /// scheduled no-ops for free, so their scheduled cap stays at the
 /// astronomically generous n³ — in effect the cap escalates whenever the
-/// sparse skipper is active; since PR 5 both engines drive the *shared
-/// block-leaping* sparse engine, which also amortizes the per-effective
-/// Fenwick updates across ~64-event blocks, so the effective meter is an
-/// even tighter proxy for wall time on the no-op-dominated families),
+/// sparse skipper is active; both engines drive the *shared* sparse
+/// engine, whose cost is O(1) per effective event and per changed edge,
+/// so the effective meter is a tight proxy for wall time on the
+/// no-op-dominated families),
 /// scheduled interactions for the agentwise backend (which pays O(1) per
 /// scheduled draw, so metering anything else would not bound its wall
 /// time). This replaces the old hard
@@ -305,8 +307,8 @@ pub fn topology_cell(
     // Engine-telemetry rates — and, when asked for, the flight-recorder
     // timeline — from one representative run (cheap statistics; the
     // stabilization outcomes above are the measured quantity): the
-    // effective fraction, the sidecar cancel rate the adaptive deferral
-    // decides on, and the block fallback rate.
+    // effective fraction, the retired sidecar cancel rate (always 0),
+    // and the block fallback rate.
     let mut recorder = record_timeline.then(|| TimelineRecorder::with_default_cadence(n));
     let (effective_fraction, cancel_rate, fallback_rate) = {
         let mut rng = sim_stats::rng::SimRng::new(master_seed ^ 0xF00D);
@@ -632,9 +634,9 @@ pub fn topology_report(args: &ExpArgs) -> Report {
          random regular), while low-conductance families (cycle, torus) pay \
          polynomial slowdowns. 'eff. frac', 'cancel' and 'fallback' come \
          from one run's engine telemetry: the effective-interaction \
-         fraction (the no-op dominance the engine skips), the sparse \
-         sidecar's flush-time cancel rate (the signal the adaptive \
-         deferral decides on), and the block engines' dirty-draw \
+         fraction (the no-op dominance the engine skips), the retired \
+         sparse-sidecar cancel rate (always 0; the skipper now updates \
+         an active-edge pool in place), and the block engines' dirty-draw \
          literal-fallback rate. \
          'degenerate' counts frozen (disconnected er) runs plus runs that \
          exhausted the {budget_note}."

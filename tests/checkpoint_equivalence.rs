@@ -4,14 +4,19 @@
 //! `--timeline` flight-recorder JSONL. The split run round-trips through
 //! the sealed [`RunCheckpoint`] container bytes, exactly what the CLI
 //! persists to disk, and rebuilds a *fresh* simulator before restoring —
-//! the same path an interrupted process takes on `--resume`.
+//! the same path an interrupted process takes on `--resume`. The torus
+//! endgame case splits while the graph engines' sparse skipper is live,
+//! so the restored run must continue from the skipper's pool exactly.
 
 use pop_proto::checkpoint::{SnapshotReader, SnapshotWriter};
 use pop_proto::topology::TopologyFamily;
-use pop_proto::{Simulator, TimelineRecorder};
+use pop_proto::{
+    BatchGraphSimulator, GraphSimulator, ParGraphSimulator, Simulator, TimelineRecorder,
+};
 use sim_stats::rng::SimRng;
 use usd_core::backend::{make_simulator, make_topology_simulator, Backend};
 use usd_core::config::UsdConfig;
+use usd_core::protocol::UndecidedStateDynamics;
 use usd_core::RunCheckpoint;
 
 fn snapshot_bytes(sim: &dyn Simulator) -> Vec<u8> {
@@ -170,6 +175,114 @@ fn topology_resume_is_bit_identical_on_the_graph_backends() {
         for family in [TopologyFamily::Cycle, TopologyFamily::Regular { d: 8 }] {
             assert_equivalent(backend, Some(family), 0xBEEF ^ backend as u64);
         }
+    }
+}
+
+/// One torus-endgame run to silence: an 8 × 8 opinion-1 patch on a
+/// 64 × 64 torus of opinion 0, so activity collapses to the patch
+/// perimeter and the engine hands off to its sparse skipper early. The
+/// run is driven to successive multiples of a fixed chunk, so chunk
+/// boundaries are a pure function of the absolute clock. With `split`,
+/// the run is interrupted at the first boundary where the skipper is live
+/// and has drawn at least 64 events — its pool has churned, and the pool
+/// order is trajectory state — then checkpointed through the sealed
+/// container, restored into a freshly built engine, and driven on to
+/// silence.
+fn endgame_run(backend: Backend, seed: u64, split: bool) -> RunOutput {
+    let side = 64usize;
+    let n = side * side;
+    let patch = 8usize;
+    let graph = TopologyFamily::Torus.build(n, 0);
+    let mut states = vec![0usize; n];
+    for r in 0..patch {
+        for c in 0..patch {
+            states[r * side + c] = 1;
+        }
+    }
+    let make = || -> Box<dyn Simulator> {
+        let proto = UndecidedStateDynamics::new(2);
+        let states = states.clone();
+        let mut sim: Box<dyn Simulator> = match backend {
+            Backend::Graph => Box::new(GraphSimulator::new(proto, &graph, states)),
+            Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, &graph, states)),
+            Backend::ParGraph => Box::new(ParGraphSimulator::new(proto, &graph, states, 2)),
+            other => panic!("{other} has no sparse skipper"),
+        };
+        sim.set_histograms(true);
+        sim
+    };
+    let mut rng = SimRng::new(seed);
+    let mut sim = make();
+    let mut rec = TimelineRecorder::with_default_cadence(n as u64);
+    let chunk = 1024u64;
+    let mut split_pending = split;
+    while !sim.is_silent() {
+        let next = (sim.interactions() / chunk + 1) * chunk;
+        drive(sim.as_mut(), &mut rng, &mut rec, next, chunk);
+        let t = *sim.telemetry();
+        let live = t.sparse_enters > t.sparse_exits && t.sparse.events >= 64;
+        if !(split_pending && live) || sim.is_silent() {
+            continue;
+        }
+        split_pending = false;
+        let ckpt = RunCheckpoint {
+            backend: backend.name().to_string(),
+            n: n as u64,
+            k: 2,
+            seed,
+            topology: "torus".to_string(),
+            rng: rng.state(),
+            recorder: Some(rec.clone()),
+            engine: snapshot_bytes(sim.as_ref()),
+        };
+        let back = RunCheckpoint::from_bytes(&ckpt.to_bytes()).expect("sealed bytes round-trip");
+        let mut fresh = make();
+        fresh
+            .restore_state(&mut SnapshotReader::new(&back.engine))
+            .expect("restore_state failed");
+        rng = SimRng::from_state(back.rng).expect("non-degenerate RNG state");
+        rec = back.recorder.expect("checkpoint carries the recorder");
+        sim = fresh;
+    }
+    assert!(
+        !split_pending,
+        "{}: no live skipper before silence — test lost its teeth",
+        backend.name()
+    );
+    rec.finish(sim.as_ref());
+    RunOutput {
+        snapshot: snapshot_bytes(sim.as_ref()),
+        counts: sim.counts().to_vec(),
+        interactions: sim.interactions(),
+        effective: sim.effective_interactions(),
+        jsonl: rec.to_jsonl(),
+    }
+}
+
+#[test]
+fn endgame_resume_with_a_live_skipper_is_bit_identical() {
+    for backend in [Backend::Graph, Backend::BatchGraph, Backend::ParGraph] {
+        let seed = 0xE9D ^ backend as u64;
+        let reference = endgame_run(backend, seed, false);
+        let resumed = endgame_run(backend, seed, true);
+        let label = backend.name();
+        assert_eq!(
+            reference.interactions, resumed.interactions,
+            "{label}: interaction clocks diverged"
+        );
+        assert_eq!(
+            reference.effective, resumed.effective,
+            "{label}: effective clocks diverged"
+        );
+        assert_eq!(reference.counts, resumed.counts, "{label}: counts diverged");
+        assert_eq!(
+            reference.jsonl, resumed.jsonl,
+            "{label}: timeline JSONL diverged"
+        );
+        assert!(
+            reference.snapshot == resumed.snapshot,
+            "{label}: final engine snapshots are not byte-identical"
+        );
     }
 }
 

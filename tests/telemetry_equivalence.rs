@@ -101,7 +101,7 @@ fn leaping_engines_decompose_effective_by_provenance() {
     );
     // The graph engine on a no-op-dominated configuration (cycle
     // frontier: two opinion domains, only the boundaries active) actually
-    // enters the sparse phase and harvests its sidecar stats into the
+    // enters the sparse phase and harvests its skipper stats into the
     // telemetry — without breaking the clock identity.
     use plurality_consensus::pop_proto::{GraphSimulator, Simulator};
     use plurality_consensus::usd_core::protocol::UndecidedStateDynamics;
@@ -168,7 +168,7 @@ fn counters_are_monotone_across_advance_interleavings() {
     // chunk sizes. At every boundary the full counter vector must be
     // monotone non-decreasing and the clock identity must hold — which is
     // exactly what fails if a phase-exit harvest drops or double-counts
-    // the sparse sidecar's running stats.
+    // the sparse skipper's running stats.
     for backend in Backend::ALL {
         let config = InitialConfigBuilder::new(400, 3).figure1();
         let mut sim = make_simulator(backend, &config);

@@ -168,20 +168,23 @@ fn graphwise_vs_agentwise_torus_ks() {
     );
 }
 
-/// KS equivalence of the graphwise engine against the literal agentwise
-/// engine on the **torus endgame** — one minority square patch on an
-/// otherwise-converged torus, the benched scenario whose runs live almost
-/// entirely in the sparse skipper at a *low* sidecar cancel rate. Re-pins
-/// the chain after the adaptive deferral bypass (PR 6): the policy may
-/// only change Fenwick bookkeeping, never the sampled trajectory law.
+/// KS equivalence of the sparse-skipper engines against the literal
+/// agentwise engine on the **torus endgame** — one 4 × 4 minority patch on
+/// an otherwise-converged 128 × 128 torus, the benched scenario's shape.
+/// The initial activity fraction (≈ 32 of 65 536 orientations) trips the
+/// sparse trigger within a few thousand draws, so nearly every effective
+/// event of the `graph` and `batchgraph` runs is drawn by the shared
+/// sparse skipper. Both engines are compared against the same agentwise
+/// sample, each at α = 0.01: the skipper's active-edge pool may only change
+/// the cost of a draw, never the sampled trajectory law.
 #[test]
 fn graphwise_vs_agentwise_torus_endgame_ks() {
     use plurality_consensus::pop_proto::{
-        AgentSimulator, GraphScheduler, GraphSimulator, Simulator,
+        AgentSimulator, BatchGraphSimulator, GraphScheduler, GraphSimulator, Simulator,
     };
     use plurality_consensus::usd_core::protocol::UndecidedStateDynamics;
 
-    let n = TopologyFamily::Torus.snap_n(196);
+    let n = TopologyFamily::Torus.snap_n(16_384);
     let side = (n as f64).sqrt() as usize;
     let patch = 4usize;
     let reps = 120u64;
@@ -194,35 +197,42 @@ fn graphwise_vs_agentwise_torus_endgame_ks() {
         }
         states
     };
-    let samples = |graphwise: bool, seed_base: u64| -> Vec<f64> {
+    let samples = |backend: Backend, seed_base: u64| -> Vec<f64> {
         let graph = TopologyFamily::Torus.build(n, 0);
         (0..reps)
             .map(|rep| {
                 let mut rng = SimRng::new(seed_base + rep);
                 let proto = UndecidedStateDynamics::new(2);
-                let mut sim: Box<dyn Simulator> = if graphwise {
-                    Box::new(GraphSimulator::new(proto, &graph, endgame_states()))
-                } else {
-                    Box::new(AgentSimulator::new(
+                let mut sim: Box<dyn Simulator> = match backend {
+                    Backend::Agent => Box::new(AgentSimulator::new(
                         proto,
                         GraphScheduler::new(graph.clone()),
                         endgame_states(),
-                    ))
+                    )),
+                    Backend::Graph => {
+                        Box::new(GraphSimulator::new(proto, &graph, endgame_states()))
+                    }
+                    Backend::BatchGraph => {
+                        Box::new(BatchGraphSimulator::new(proto, &graph, endgame_states()))
+                    }
+                    other => unreachable!("{other} is not compared here"),
                 };
                 let (interactions, silent) = sim.run_to_silence(&mut rng, u64::MAX / 2);
-                assert!(silent, "endgame rep {rep} did not stabilize");
+                assert!(silent, "{backend} endgame rep {rep} did not stabilize");
                 interactions as f64
             })
             .collect()
     };
-    let a = samples(false, 120_000);
-    let b = samples(true, 220_000);
-    let d = ks_statistic(&a, &b);
-    let crit = ks_critical_value(a.len(), b.len(), 0.01);
-    assert!(
-        d < crit,
-        "torus endgame: graph vs agent stabilization-time KS {d:.4} >= critical {crit:.4}"
-    );
+    let reference = samples(Backend::Agent, 120_000);
+    for (backend, seed_base) in [(Backend::Graph, 220_000), (Backend::BatchGraph, 320_000)] {
+        let candidate = samples(backend, seed_base);
+        let d = ks_statistic(&reference, &candidate);
+        let crit = ks_critical_value(reference.len(), candidate.len(), 0.01);
+        assert!(
+            d < crit,
+            "torus endgame: {backend} vs agent stabilization-time KS {d:.4} >= critical {crit:.4}"
+        );
+    }
 }
 
 /// Winner distributions agree under a strong bias: both engines elect the
