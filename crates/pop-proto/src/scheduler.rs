@@ -73,8 +73,7 @@ impl Scheduler for GraphScheduler {
 
     #[inline]
     fn next_pair(&mut self, rng: &mut SimRng) -> (usize, usize) {
-        let edges = self.graph.edges();
-        let (a, b) = edges[rng.index(edges.len())];
+        let (a, b) = self.graph.endpoints(rng.index(self.graph.num_edges()));
         if rng.bernoulli(0.5) {
             (a as usize, b as usize)
         } else {

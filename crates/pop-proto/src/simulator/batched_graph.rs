@@ -22,10 +22,12 @@
 //!
 //! 1. one tight loop draws the raw schedule (pure RNG; a single
 //!    [`SimRng::below`] yields both the edge index and, in its low bit, the
-//!    orientation) and gathers the oriented endpoints from the edge list,
-//!    and a second loop gathers their states — independent loads the CPU
-//!    overlaps, the memory-level parallelism a draw-at-a-time engine
-//!    cannot express (its next address depends on the previous load);
+//!    orientation), a second derives the oriented endpoints — loads from a
+//!    stored edge list, or pure index arithmetic on the implicit cycle and
+//!    torus, with the form matched once per chunk — and a third gathers
+//!    their states: independent loads the CPU overlaps, the memory-level
+//!    parallelism a draw-at-a-time engine cannot express (its next address
+//!    depends on the previous load);
 //! 2. a scan applies the block in schedule order against a **dirty
 //!    bitmap** (vertex hashed to one bit, cleared at block end in
 //!    O(changed vertices) time) that tracks every vertex changed since the
@@ -93,7 +95,7 @@
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
-use crate::graph::Graph;
+use crate::graph::{Adjacency, Graph};
 use crate::protocol::Protocol;
 use crate::simulator::sparse::{
     orient_event, SparseSkipper, SparseStep, SPARSE_BLOCK_EVENTS, SPARSE_TRIGGER_NOOPS,
@@ -165,10 +167,13 @@ pub type WideBatchGraphSimulator<P> = BatchGraphSimulator<P, u16>;
 
 /// Batch-leaping simulator for graph-restricted schedulers.
 ///
-/// Memory is O(n + m) plus O(√n) scan buffers; the block phase costs O(1)
-/// per scheduled interaction with the per-draw constant driven down by
-/// batched RNG and overlapped gathers, and the sparse phase costs the
-/// shared skipper's O(d) per **effective** interaction.
+/// Memory is O(n + m) plus O(√n) scan buffers on stored graphs. The
+/// implicit cycle and torus store no edges, so there the block phase holds
+/// O(n) and the skipper's O(m) pool exists only while the sparse phase is
+/// live. The block phase costs O(1) per scheduled interaction with the
+/// per-draw constant driven down by batched RNG and overlapped gathers,
+/// and the sparse phase costs the shared skipper's O(d) per **effective**
+/// interaction.
 /// See the module docs for the block machinery and its exactness argument.
 ///
 /// Observation granularity
@@ -181,12 +186,9 @@ pub type WideBatchGraphSimulator<P> = BatchGraphSimulator<P, u16>;
 #[derive(Debug, Clone)]
 pub struct BatchGraphSimulator<P: Protocol, S: StateWord = u8> {
     protocol: P,
-    /// The graph's edge list (unordered endpoint pairs).
-    edges: Vec<(u32, u32)>,
-    /// CSR adjacency offsets: vertex `v` owns `adj[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<u32>,
-    /// CSR adjacency entries: `(neighbor, edge index)`.
-    adj: Vec<(u32, u32)>,
+    /// Edge endpoints and incident edges: a stored graph's edge list and
+    /// CSR, or an implicit lattice's index arithmetic.
+    adjacency: Adjacency,
     /// Packed dense state index per agent (see [`StateWord`]).
     states: Vec<S>,
     /// Per-state counts, kept in sync with `states`.
@@ -277,7 +279,6 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
                 S::pack(s)
             })
             .collect();
-        let (offsets, adj) = graph.csr_adjacency();
         let chunk = ((graph.n() as f64).sqrt() as usize).clamp(CHUNK_MIN, CHUNK_MAX);
         // ~64 bitmap bits per possible dirty vertex of a chunk keeps the
         // hash false-positive rate (which only shortens blocks) below ~3%
@@ -285,9 +286,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         let bits = (chunk * 64).next_power_of_two();
         BatchGraphSimulator {
             protocol,
-            edges: graph.edges().to_vec(),
-            offsets,
-            adj,
+            adjacency: Adjacency::new(graph),
             states,
             counts,
             sparse: None,
@@ -335,7 +334,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.adjacency.num_edges()
     }
 
     /// The state index of one agent.
@@ -382,7 +381,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     pub fn active_weight(&self) -> u64 {
         match &self.sparse {
             Some(s) => s.total(),
-            None => (0..self.edges.len()).map(|e| self.edge_weight(e)).sum(),
+            None => (0..self.num_edges()).map(|e| self.edge_weight(e)).sum(),
         }
     }
 
@@ -402,7 +401,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// states.
     #[inline]
     fn edge_weight(&self, e: usize) -> u64 {
-        let (a, b) = self.edges[e];
+        let (a, b) = self.adjacency.endpoints(e);
         let sa = self.states[a as usize].unpack();
         let sb = self.states[b as usize].unpack();
         (!self.noop[sa * self.k + sb]) as u64 + (!self.noop[sb * self.k + sa]) as u64
@@ -416,7 +415,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         match &self.sparse {
             None => Ok(()),
             Some(s) => {
-                let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
+                let truth: Vec<u64> = (0..self.num_edges()).map(|e| self.edge_weight(e)).collect();
                 s.check_consistent(&truth)
             }
         }
@@ -439,13 +438,11 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// report their new weight to the pool. Sparse phase only.
     fn refresh_incident(&mut self, v: usize, old: usize) {
         let t = self.states[v].unpack();
-        let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
         let sparse = self
             .sparse
             .as_mut()
             .expect("sparse-phase refresh without a skipper");
-        for idx in lo..hi {
-            let (nb, e) = self.adj[idx];
+        for &(nb, e) in self.adjacency.incident(v, &mut [(0, 0); 4]) {
             debug_assert_ne!(nb as usize, v, "self-loop");
             let y = self.states[nb as usize].unpack();
             let was = (!self.noop[old * self.k + y]) as u64 + (!self.noop[y * self.k + old]) as u64;
@@ -494,8 +491,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// Enter the sparse phase: scan the graph once and hand the per-edge
     /// active-orientation weights to a fresh [`SparseSkipper`].
     fn enter_sparse(&mut self) {
-        let weights: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
-        let mut skipper = SparseSkipper::new(&weights);
+        let mut skipper = SparseSkipper::new((0..self.num_edges()).map(|e| self.edge_weight(e)));
         skipper.set_histograms(self.hist.is_some());
         self.sparse = Some(skipper);
         self.noop_run = 0;
@@ -523,8 +519,8 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         self.telemetry.scheduled += 1;
         self.telemetry.dense_steps += 1;
         self.telemetry.pair_draws += 1;
-        let v = rng.below(2 * self.edges.len() as u64);
-        let (a, b) = self.edges[(v >> 1) as usize];
+        let v = rng.below(2 * self.num_edges() as u64);
+        let (a, b) = self.adjacency.endpoints((v >> 1) as usize);
         let (i, j) = if v & 1 == 0 {
             (a as usize, b as usize)
         } else {
@@ -560,7 +556,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
                     edge
                 }
             };
-            let (a, b) = self.edges[e];
+            let (a, b) = self.adjacency.endpoints(e);
             let sa = self.states[a as usize].unpack();
             let sb = self.states[b as usize].unpack();
             let (i, j) = orient_event(
@@ -590,7 +586,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     fn chunk_scan(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool, bool) {
         debug_assert!(max > 0);
         debug_assert!(self.sparse.is_none(), "chunk scan with a live skipper");
-        let m2 = 2 * self.edges.len() as u64;
+        let m2 = 2 * self.num_edges() as u64;
         let k = self.k;
         let want = (self.chunk as u64).min(max) as usize;
         self.telemetry.blocks += 1;
@@ -609,14 +605,13 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         for _ in 0..want {
             draws.push(rng.below(m2));
         }
-        // Pass 2: the oriented-endpoint gather — independent loads the CPU
-        // overlaps. The orientation select is branchless (a 50/50 branch
-        // here would mispredict every other draw).
-        ends.clear();
-        for &v in &draws {
-            let (a, b) = self.edges[(v >> 1) as usize];
-            let swap = 0u32.wrapping_sub((v & 1) as u32) & (a ^ b);
-            ends.push((a ^ swap, b ^ swap));
+        // Pass 2: the oriented endpoints — independent loads from a stored
+        // edge list, or pure index arithmetic on an implicit lattice. The
+        // form is matched once here, so each arm is a monomorphic loop.
+        match &self.adjacency {
+            Adjacency::Stored(csr) => gather_ends(&draws, &mut ends, |e| csr.endpoints(e)),
+            Adjacency::Torus(t) => gather_ends(&draws, &mut ends, |e| t.endpoints(e)),
+            Adjacency::Cycle(c) => gather_ends(&draws, &mut ends, |e| c.endpoints(e)),
         }
         // Pass 3: gather block-start endpoint states (independent loads).
         pair_states.clear();
@@ -808,6 +803,19 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     }
 }
 
+/// Pass 2 of a chunk: the oriented endpoints of each raw draw (edge
+/// `v >> 1`, swapped when the low bit is set). The orientation select is
+/// branchless (a 50/50 branch here would mispredict every other draw).
+#[inline(always)]
+fn gather_ends(draws: &[u64], ends: &mut Vec<(u32, u32)>, endpoints: impl Fn(usize) -> (u32, u32)) {
+    ends.clear();
+    for &v in draws {
+        let (a, b) = endpoints((v >> 1) as usize);
+        let swap = 0u32.wrapping_sub((v & 1) as u32) & (a ^ b);
+        ends.push((a ^ swap, b ^ swap));
+    }
+}
+
 impl<P: Protocol> BatchGraphSimulator<P> {
     /// Create from explicit per-agent states (dense indices) with the
     /// default one-byte packing. The graph must have at least one edge and
@@ -979,7 +987,7 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
         self.states = states;
         self.counts = counts;
         let sparse = if r.get_bool()? {
-            let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
+            let truth: Vec<u64> = (0..self.num_edges()).map(|e| self.edge_weight(e)).collect();
             Some(SparseSkipper::read_snapshot(&truth, r)?)
         } else {
             None

@@ -69,7 +69,7 @@
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
-use crate::graph::Graph;
+use crate::graph::{Adjacency, Graph};
 use crate::protocol::Protocol;
 use crate::simulator::sparse::{orient_event, SparseSkipper, SparseStep, SPARSE_TRIGGER_NOOPS};
 use crate::simulator::{snapshot_tags, Simulator};
@@ -79,9 +79,12 @@ use sim_stats::rng::SimRng;
 
 /// Exact active-edge simulator for a fixed interaction graph.
 ///
-/// Memory is O(n + m); the dense phase costs O(1) per scheduled
-/// interaction and the sparse phase O(d) per **effective** interaction,
-/// where `d` is the degree of the two agents that changed.
+/// Memory is O(n + m) on stored graphs. The implicit cycle and torus
+/// store no edges, so there the engine holds O(n) outside the sparse
+/// phase and the skipper's O(m) pool only while it is live. The dense
+/// phase costs O(1) per scheduled interaction and the sparse phase O(d)
+/// per **effective** interaction, where `d` is the degree of the two
+/// agents that changed.
 /// See the module docs for the phase machinery and its exactness
 /// argument.
 ///
@@ -94,12 +97,9 @@ use sim_stats::rng::SimRng;
 #[derive(Debug, Clone)]
 pub struct GraphSimulator<P: Protocol> {
     protocol: P,
-    /// The graph's edge list (unordered endpoint pairs).
-    edges: Vec<(u32, u32)>,
-    /// CSR adjacency offsets: vertex `v` owns `adj[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<u32>,
-    /// CSR adjacency entries: `(neighbor, edge index)`.
-    adj: Vec<(u32, u32)>,
+    /// Edge endpoints and incident edges: a stored graph's edge list and
+    /// CSR, or an implicit lattice's index arithmetic.
+    adjacency: Adjacency,
     /// Dense state index per agent.
     states: Vec<u32>,
     /// Per-state counts, kept in sync with `states`.
@@ -160,14 +160,9 @@ impl<P: Protocol> GraphSimulator<P> {
             })
             .collect();
 
-        let edges = graph.edges().to_vec();
-        let (offsets, adj) = graph.csr_adjacency();
-
         GraphSimulator {
             protocol,
-            edges,
-            offsets,
-            adj,
+            adjacency: Adjacency::new(graph),
             states,
             counts,
             sparse: None,
@@ -221,7 +216,7 @@ impl<P: Protocol> GraphSimulator<P> {
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.adjacency.num_edges()
     }
 
     /// The state index of one agent.
@@ -255,7 +250,7 @@ impl<P: Protocol> GraphSimulator<P> {
     pub fn active_weight(&self) -> u64 {
         match &self.sparse {
             Some(s) => s.total(),
-            None => (0..self.edges.len()).map(|e| self.edge_weight(e)).sum(),
+            None => (0..self.num_edges()).map(|e| self.edge_weight(e)).sum(),
         }
     }
 
@@ -284,7 +279,7 @@ impl<P: Protocol> GraphSimulator<P> {
     /// states.
     #[inline]
     fn edge_weight(&self, e: usize) -> u64 {
-        let (a, b) = self.edges[e];
+        let (a, b) = self.adjacency.endpoints(e);
         let sa = self.states[a as usize] as usize;
         let sb = self.states[b as usize] as usize;
         (!self.noop[sa * self.k + sb]) as u64 + (!self.noop[sb * self.k + sa]) as u64
@@ -298,7 +293,7 @@ impl<P: Protocol> GraphSimulator<P> {
         match &self.sparse {
             None => Ok(()),
             Some(s) => {
-                let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
+                let truth: Vec<u64> = (0..self.num_edges()).map(|e| self.edge_weight(e)).collect();
                 s.check_consistent(&truth)
             }
         }
@@ -312,13 +307,11 @@ impl<P: Protocol> GraphSimulator<P> {
     /// Sparse phase only.
     fn refresh_incident(&mut self, v: usize, old: usize) {
         let t = self.states[v] as usize;
-        let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
         let sparse = self
             .sparse
             .as_mut()
             .expect("sparse-phase refresh without a skipper");
-        for idx in lo..hi {
-            let (nb, e) = self.adj[idx];
+        for &(nb, e) in self.adjacency.incident(v, &mut [(0, 0); 4]) {
             debug_assert_ne!(nb as usize, v, "self-loop");
             // The neighbor may be the interaction partner; the two
             // endpoints are flipped and refreshed one at a time, so `y`
@@ -371,8 +364,7 @@ impl<P: Protocol> GraphSimulator<P> {
     /// Enter the sparse phase: scan the graph once and hand the per-edge
     /// active-orientation weights to a fresh [`SparseSkipper`].
     fn enter_sparse(&mut self) {
-        let weights: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
-        let mut skipper = SparseSkipper::new(&weights);
+        let mut skipper = SparseSkipper::new((0..self.num_edges()).map(|e| self.edge_weight(e)));
         skipper.set_histograms(self.hist.is_some());
         self.sparse = Some(skipper);
         self.noop_run = 0;
@@ -402,7 +394,7 @@ impl<P: Protocol> GraphSimulator<P> {
         self.telemetry.scheduled += 1;
         self.telemetry.dense_steps += 1;
         self.telemetry.pair_draws += 1;
-        let (a, b) = self.edges[rng.index(self.edges.len())];
+        let (a, b) = self.adjacency.endpoints(rng.index(self.num_edges()));
         let (i, j) = if rng.bernoulli(0.5) {
             (a as usize, b as usize)
         } else {
@@ -438,7 +430,7 @@ impl<P: Protocol> GraphSimulator<P> {
                 (consumed, edge)
             }
         };
-        let (a, b) = self.edges[e];
+        let (a, b) = self.adjacency.endpoints(e);
         let sa = self.states[a as usize] as usize;
         let sb = self.states[b as usize] as usize;
         let (i, j) = orient_event(
@@ -636,7 +628,7 @@ impl<P: Protocol> Simulator for GraphSimulator<P> {
     }
 
     fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
-        // The graph structure (edges, CSR adjacency) and transition tables
+        // The graph structure (the adjacency) and transition tables
         // are constructor-derived; the mutable state is the agent states,
         // the clocks, the dense no-op run, and the live skipper (whose
         // ordered pool is validated against the states on restore).
@@ -699,7 +691,7 @@ impl<P: Protocol> Simulator for GraphSimulator<P> {
         self.states = states;
         self.counts = counts;
         let sparse = if r.get_bool()? {
-            let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
+            let truth: Vec<u64> = (0..self.num_edges()).map(|e| self.edge_weight(e)).collect();
             Some(SparseSkipper::read_snapshot(&truth, r)?)
         } else {
             None

@@ -82,7 +82,7 @@ use std::sync::RwLock;
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
-use crate::graph::Graph;
+use crate::graph::{Adjacency, Csr, Graph};
 use crate::protocol::Protocol;
 use crate::simulator::graphwise::shuffled_layout;
 use crate::simulator::sparse::{orient_event, SparseSkipper, SparseStep, SPARSE_TRIGGER_NOOPS};
@@ -228,13 +228,10 @@ pub struct ParGraphSimulator<P: Protocol> {
     /// Worker-pool participants for the parallel phases (≥ 1; 1 = fully
     /// inline). Never affects the trajectory.
     threads: usize,
-    /// Reordered edge list: interior edges grouped per domain, boundary
-    /// edges last. Endpoints are internal (BFS-renumbered) vertex ids.
-    edges: Vec<(u32, u32)>,
-    /// CSR adjacency offsets over internal ids (sparse-phase refresh).
-    offsets: Vec<u32>,
-    /// CSR adjacency entries: `(neighbor, reordered edge index)`.
-    adj: Vec<(u32, u32)>,
+    /// Reordered edge list (interior edges grouped per domain, boundary
+    /// edges last) over internal (BFS-renumbered) vertex ids, with its CSR
+    /// incidence for the sparse-phase refresh.
+    csr: Csr,
     /// Domain vertex-range cuts (`D + 1` entries, each a multiple of 64
     /// except the last).
     dom_start: Vec<u32>,
@@ -303,8 +300,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
         // BFS renumbering (forest order on disconnected graphs): makes
         // contiguous id ranges spatially coherent, so the domain cuts
         // below are cycle arcs / torus tiles / BFS cuts by construction.
-        let (g_offsets, g_adj) = graph.csr_adjacency();
-        let order = bfs_order(n, &g_offsets, &g_adj);
+        let order = bfs_order(n, &Adjacency::new(graph));
         let mut perm = vec![0u32; n];
         for (new, &old) in order.iter().enumerate() {
             perm[old as usize] = new as u32;
@@ -324,7 +320,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
         let dom_of = |v: u32| dom_start.partition_point(|&s| s <= v) - 1;
         let mut interior: Vec<Vec<(u32, u32)>> = vec![Vec::new(); domains];
         let mut boundary: Vec<(u32, u32)> = Vec::new();
-        for &(a, b) in graph.edges() {
+        for (a, b) in graph.edges() {
             let (pa, pb) = (perm[a as usize], perm[b as usize]);
             let (da, db) = (dom_of(pa), dom_of(pb));
             if da == db {
@@ -341,29 +337,10 @@ impl<P: Protocol> ParGraphSimulator<P> {
             edge_off.push(edges.len() as u32);
         }
         edges.extend_from_slice(&boundary);
-
-        // CSR adjacency over internal ids and reordered edge indices
-        // (the sparse phase's incident-edge refresh needs it).
-        let mut degree = vec![0u32; n];
-        for &(a, b) in &edges {
-            degree[a as usize] += 1;
-            degree[b as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut adj = vec![(0u32, 0u32); edges.len() * 2];
-        for (e, &(a, b)) in edges.iter().enumerate() {
-            adj[cursor[a as usize] as usize] = (b, e as u32);
-            cursor[a as usize] += 1;
-            adj[cursor[b as usize] as usize] = (a, e as u32);
-            cursor[b as usize] += 1;
-        }
+        let block = block_len_for(edges.len());
+        // CSR incidence over internal ids and reordered edge indices (the
+        // sparse phase's incident-edge refresh needs it).
+        let csr = Csr::new(n, edges);
 
         let mut counts = vec![0u64; k];
         for &s in &states {
@@ -375,13 +352,10 @@ impl<P: Protocol> ParGraphSimulator<P> {
             .map(|&old| AtomicU32::new(states[old as usize] as u32))
             .collect();
 
-        let block = block_len_for(edges.len());
         ParGraphSimulator {
             protocol,
             threads: threads.max(1),
-            edges,
-            offsets,
-            adj,
+            csr,
             dom_start,
             edge_off,
             states: atomic_states,
@@ -437,7 +411,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
     /// Number of boundary (cross-domain) edges — the draws that always
     /// take the sequential replay path.
     pub fn boundary_edges(&self) -> usize {
-        self.edges.len() - self.edge_off[self.domains()] as usize
+        self.num_edges() - self.edge_off[self.domains()] as usize
     }
 
     /// Number of agents.
@@ -475,7 +449,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
     pub fn active_weight(&self) -> u64 {
         match &self.sparse {
             Some(s) => s.total(),
-            None => (0..self.edges.len()).map(|e| self.edge_weight(e)).sum(),
+            None => (0..self.num_edges()).map(|e| self.edge_weight(e)).sum(),
         }
     }
 
@@ -495,9 +469,13 @@ impl<P: Protocol> ParGraphSimulator<P> {
         self.states[v].load(Ordering::Relaxed) as usize
     }
 
+    fn num_edges(&self) -> usize {
+        self.csr.edges().len()
+    }
+
     #[inline]
     fn edge_weight(&self, e: usize) -> u64 {
-        let (a, b) = self.edges[e];
+        let (a, b) = self.csr.endpoints(e);
         let sa = self.state_of(a as usize);
         let sb = self.state_of(b as usize);
         (!self.noop[sa * self.k + sb]) as u64 + (!self.noop[sb * self.k + sa]) as u64
@@ -510,7 +488,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
         match &self.sparse {
             None => Ok(()),
             Some(s) => {
-                let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
+                let truth: Vec<u64> = (0..self.num_edges()).map(|e| self.edge_weight(e)).collect();
                 s.check_consistent(&truth)
             }
         }
@@ -552,9 +530,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
 
     fn refresh_incident(&mut self, v: usize, old: usize) {
         let t = self.state_of(v);
-        let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
-        for idx in lo..hi {
-            let (nb, e) = self.adj[idx];
+        for &(nb, e) in self.csr.incident(v) {
             let y = self.state_of(nb as usize);
             let was = (!self.noop[old * self.k + y]) as u64 + (!self.noop[y * self.k + old]) as u64;
             let now = (!self.noop[t * self.k + y]) as u64 + (!self.noop[y * self.k + t]) as u64;
@@ -568,8 +544,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
     }
 
     fn enter_sparse(&mut self) {
-        let weights: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
-        let mut skipper = SparseSkipper::new(&weights);
+        let mut skipper = SparseSkipper::new((0..self.num_edges()).map(|e| self.edge_weight(e)));
         skipper.set_histograms(self.hist.is_some());
         self.sparse = Some(skipper);
         self.noop_run = 0;
@@ -596,7 +571,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
         self.telemetry.scheduled += 1;
         self.telemetry.dense_steps += 1;
         self.telemetry.pair_draws += 1;
-        let (a, b) = self.edges[rng.index(self.edges.len())];
+        let (a, b) = self.csr.endpoints(rng.index(self.num_edges()));
         let (i, j) = if rng.bernoulli(0.5) {
             (a as usize, b as usize)
         } else {
@@ -623,7 +598,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
                 (consumed, edge)
             }
         };
-        let (a, b) = self.edges[e];
+        let (a, b) = self.csr.endpoints(e);
         let sa = self.state_of(a as usize);
         let sb = self.state_of(b as usize);
         let (i, j) = orient_event(
@@ -648,7 +623,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
         let domains = self.domains();
         let chunks = domains;
         let interior_end = self.edge_off[domains];
-        let m = self.edges.len();
+        let m = self.num_edges();
 
         // Phase 1 — bucket: chunk c derives positions [len·c/C, len·(c+1)/C)
         // and buckets them per domain. Field-borrow captures keep the
@@ -679,7 +654,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
                 .get_mut()
                 .expect("chunk scratch poisoned");
             for draw in &sc.boundary {
-                let (a, b) = self.edges[draw.edge as usize];
+                let (a, b) = self.csr.endpoints(draw.edge as usize);
                 self.dirty[a as usize / 64].fetch_or(1 << (a % 64), Ordering::Relaxed);
                 self.dirty[b as usize / 64].fetch_or(1 << (b % 64), Ordering::Relaxed);
             }
@@ -693,7 +668,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
             let chunk_scratch = &self.chunk_scratch;
             let dom_scratch = &self.dom_scratch;
             let dirty = &self.dirty;
-            let edges = &self.edges;
+            let edges = self.csr.edges();
             let states = &self.states;
             let table = &self.table;
             let noop = &self.noop;
@@ -756,7 +731,7 @@ impl<P: Protocol> ParGraphSimulator<P> {
         {
             let mut delta = vec![0i64; self.k];
             for draw in &replay {
-                let (a, b) = self.edges[draw.edge as usize];
+                let (a, b) = self.csr.endpoints(draw.edge as usize);
                 self.dirty[a as usize / 64].fetch_and(!(1 << (a % 64)), Ordering::Relaxed);
                 self.dirty[b as usize / 64].fetch_and(!(1 << (b % 64)), Ordering::Relaxed);
                 let (i, j) = if draw.fwd {
@@ -889,8 +864,9 @@ impl<P: Protocol> ParGraphSimulator<P> {
 }
 
 /// BFS visitation order from vertex 0 (continuing from the smallest
-/// unvisited vertex on disconnected graphs): `order[new_id] = old_id`.
-fn bfs_order(n: usize, offsets: &[u32], adj: &[(u32, u32)]) -> Vec<u32> {
+/// unvisited vertex on disconnected graphs), neighbours in incidence order:
+/// `order[new_id] = old_id`.
+fn bfs_order(n: usize, adjacency: &Adjacency) -> Vec<u32> {
     let mut order = Vec::with_capacity(n);
     let mut seen = vec![false; n];
     let mut head = 0usize;
@@ -903,7 +879,7 @@ fn bfs_order(n: usize, offsets: &[u32], adj: &[(u32, u32)]) -> Vec<u32> {
         while head < order.len() {
             let v = order[head] as usize;
             head += 1;
-            for &(nb, _) in &adj[offsets[v] as usize..offsets[v + 1] as usize] {
+            for &(nb, _) in adjacency.incident(v, &mut [(0, 0); 4]) {
                 if !seen[nb as usize] {
                     seen[nb as usize] = true;
                     order.push(nb);
@@ -1045,7 +1021,7 @@ impl<P: Protocol> Simulator for ParGraphSimulator<P> {
         }
         self.counts = counts;
         let sparse = if r.get_bool()? {
-            let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
+            let truth: Vec<u64> = (0..self.num_edges()).map(|e| self.edge_weight(e)).collect();
             Some(SparseSkipper::read_snapshot(&truth, r)?)
         } else {
             None

@@ -184,31 +184,6 @@ fn pack_lane(counts: &[u64]) -> u64 {
         .fold(0u64, |acc, (st, &c)| acc | c << (PACKED_FIELD_BITS * st))
 }
 
-/// Whether `graph` on `n` vertices is connected (union-find; `n ≤ 1` is
-/// trivially connected).
-fn is_connected(n: usize, edges: &[(u32, u32)]) -> bool {
-    if n <= 1 {
-        return true;
-    }
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut components = n;
-    for &(a, b) in edges {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra != rb {
-            parent[ra as usize] = rb;
-            components -= 1;
-        }
-    }
-    components == 1
-}
-
 /// Bit-parallel replica engine: up to 64 independent replicas of one
 /// topology advanced by a single shared schedule (see the module docs).
 ///
@@ -333,7 +308,7 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
         }
         let needs_scan = match &graph {
             None => false, // clique: connected, uniform pair scheduler
-            Some(g) => !(protocol.noops_are_equal_pairs() && is_connected(n, g.edges())),
+            Some(g) => !(protocol.noops_are_equal_pairs() && g.is_connected()),
         };
         let scan_period = (4 * n as u64).max(1 << 16);
         // Lanes whose initial configuration is already silent retire at
@@ -494,8 +469,7 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
                 (a as usize, b as usize)
             }
             Some(g) => {
-                let edges = g.edges();
-                let (a, b) = edges[rng.index(edges.len())];
+                let (a, b) = g.endpoints(rng.index(g.num_edges()));
                 if rng.bernoulli(0.5) {
                     (a as usize, b as usize)
                 } else {
@@ -835,7 +809,7 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
         let mut active = 0u64;
         if let Some(g) = &self.graph {
             let s = self.planes;
-            for &(x, y) in g.edges() {
+            for (x, y) in g.edges() {
                 let a = &self.words[x as usize * s..x as usize * s + s];
                 let b = &self.words[y as usize * s..y as usize * s + s];
                 active |= self.protocol.active_lanes(a, b);

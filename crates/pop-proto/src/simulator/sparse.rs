@@ -120,12 +120,13 @@ pub(crate) struct SparseSkipper {
 }
 
 impl SparseSkipper {
-    /// Build the pool from a scan of the current per-edge active-orientation
-    /// weights (entering the sparse phase). O(m). Panics if a weight
+    /// Build the pool from the current per-edge active-orientation weights,
+    /// streamed in edge order (entering the sparse phase; no m-entry weight
+    /// vector is collected beside the pool). O(m). Panics if a weight
     /// exceeds 2.
-    pub(crate) fn new(weights: &[u64]) -> Self {
+    pub(crate) fn new(weights: impl ExactSizeIterator<Item = u64>) -> Self {
         let mut s = Self::empty(weights.len());
-        for (e, &w) in weights.iter().enumerate() {
+        for (e, w) in weights.enumerate() {
             assert!(w <= 2, "edge {e} has {w} active orientations");
             for c in 0..w as u32 {
                 s.push(2 * e as u32 + c);
@@ -135,7 +136,7 @@ impl SparseSkipper {
     }
 
     /// An empty pool over `m` edges. Panics if the `2m` copy ids do not
-    /// fit `u32` (the CSR offsets already need that bound).
+    /// fit `u32` (every `Graph` constructor already enforces that bound).
     fn empty(m: usize) -> Self {
         let copies = 2 * m;
         assert!(
@@ -530,7 +531,7 @@ mod tests {
     #[test]
     fn skipper_tracks_totals_and_weights() {
         let w = sparse_weights(16, &[(3, 2), (7, 1), (12, 2)]);
-        let mut s = SparseSkipper::new(&w);
+        let mut s = SparseSkipper::new(w.iter().copied());
         assert_eq!(s.total(), 5);
         assert_eq!(s.weight(3), 2);
         assert_eq!(s.weight(0), 0);
@@ -556,7 +557,7 @@ mod tests {
     fn random_weight_walk_keeps_the_pool_consistent() {
         let m = 40usize;
         let mut truth = sparse_weights(m, &[(1, 1), (9, 2), (20, 1), (33, 2)]);
-        let mut s = SparseSkipper::new(&truth);
+        let mut s = SparseSkipper::new(truth.iter().copied());
         s.check_consistent(&truth).unwrap();
         let mut rng = SimRng::new(77);
         let mut seen = [[0u32; 3]; 3];
@@ -584,7 +585,7 @@ mod tests {
     fn sampled_edges_follow_weights_after_churn() {
         let m = 64usize;
         let mut truth = vec![0u64; m];
-        let mut s = SparseSkipper::new(&truth);
+        let mut s = SparseSkipper::new(truth.iter().copied());
         let mut rng = SimRng::new(4242);
         for _ in 0..50_000 {
             let e = rng.index(m);
@@ -635,7 +636,7 @@ mod tests {
         let blocks = 400usize;
         let r = 16u64;
 
-        let mut s = SparseSkipper::new(&w);
+        let mut s = SparseSkipper::new(w.iter().copied());
         let mut rng = SimRng::new(1234);
         let engine: Vec<f64> = (0..blocks)
             .map(|_| {
@@ -681,7 +682,7 @@ mod tests {
         let w = sparse_weights(m, &[(5, 2), (17, 1), (30, 2), (44, 1), (60, 2)]);
         let p = 8.0 / (2 * m) as f64; // W = 8, 2m = 128
         let draws = 4_000usize;
-        let mut s = SparseSkipper::new(&w);
+        let mut s = SparseSkipper::new(w.iter().copied());
         s.set_histograms(true);
         let mut rng = SimRng::new(2024);
         for _ in 0..draws {
@@ -716,7 +717,7 @@ mod tests {
         let w = sparse_weights(m, &[(5, 2), (17, 1), (30, 2), (44, 1), (60, 2)]);
         let p = 8.0 / (2 * m) as f64;
         let blocks = 300usize;
-        let mut s = SparseSkipper::new(&w);
+        let mut s = SparseSkipper::new(w.iter().copied());
         s.set_histograms(true);
         let mut rng = SimRng::new(31_415);
         for _ in 0..blocks * SPARSE_BLOCK_EVENTS as usize {
@@ -777,7 +778,7 @@ mod tests {
         let m = 64usize;
         let init = sparse_weights(m, &[(3, 1), (17, 2), (30, 1), (51, 2)]);
         let run = |record: bool| -> Vec<(u64, usize)> {
-            let mut s = SparseSkipper::new(&init);
+            let mut s = SparseSkipper::new(init.iter().copied());
             s.set_histograms(record);
             let events = toggle_walk(&mut s, &init, 777, 2_000);
             if record {
@@ -799,7 +800,7 @@ mod tests {
     fn retired_sidecar_telemetry_stays_zero() {
         let m = 64usize;
         let init = sparse_weights(m, &[(3, 1), (17, 2), (30, 1), (51, 2)]);
-        let mut s = SparseSkipper::new(&init);
+        let mut s = SparseSkipper::new(init.iter().copied());
         s.set_histograms(true);
         toggle_walk(&mut s, &init, 9, 1_000);
         let h = s.histograms().expect("enabled");
@@ -828,7 +829,7 @@ mod tests {
     fn snapshot_round_trip_continues_the_trajectory() {
         let m = 64usize;
         let init = sparse_weights(m, &[(3, 1), (17, 2), (30, 1), (51, 2)]);
-        let mut s = SparseSkipper::new(&init);
+        let mut s = SparseSkipper::new(init.iter().copied());
         s.set_histograms(true);
         let mut truth = init.clone();
         let mut rng = SimRng::new(5);
@@ -860,7 +861,7 @@ mod tests {
     fn restore_rejects_corrupt_pools() {
         let m = 16usize;
         let truth = sparse_weights(m, &[(2, 2), (5, 1), (11, 1)]);
-        let s = SparseSkipper::new(&truth);
+        let s = SparseSkipper::new(truth.iter().copied());
         // Re-encode the snapshot with a doctored pool (the pool is the
         // only length-prefixed u32 sequence in the payload).
         let doctored = |pool: &[u32]| -> Vec<u8> {
@@ -900,7 +901,7 @@ mod tests {
     #[test]
     fn hysteresis_thresholds() {
         let w = sparse_weights(64, &[(0, 2)]); // 2m = 128
-        let mut s = SparseSkipper::new(&w);
+        let mut s = SparseSkipper::new(w.iter().copied());
         assert!(!s.should_exit_to_dense()); // W = 2: 2·32 < 128
         s.set_weight(1, 2);
         assert!(s.should_exit_to_dense()); // W = 4: 4·32 ≥ 128
@@ -923,8 +924,7 @@ mod tests {
     #[test]
     fn saturated_weight_skips_nothing() {
         // Every orientation active: p = 1, no no-ops to skip.
-        let w = vec![2u64; 8];
-        let mut s = SparseSkipper::new(&w);
+        let mut s = SparseSkipper::new([2u64; 8].into_iter());
         let mut rng = SimRng::new(3);
         for _ in 0..100 {
             match s.next_event(&mut rng, 10) {

@@ -31,9 +31,10 @@ pub enum TopologyFamily {
     /// The complete graph K_n — the paper's model, materialized as an
     /// explicit Θ(n²) edge list (degenerate reference; keep n modest).
     Complete,
-    /// The cycle C_n.
+    /// The cycle C_n (implicit: O(1) memory, see [`Graph::cycle`]).
     Cycle,
     /// The √n × √n torus (4-regular); requires a perfect-square n ≥ 9.
+    /// Implicit: O(1) memory, see [`Graph::torus`].
     Torus,
     /// The log₂(n)-dimensional hypercube; requires n a power of two.
     Hypercube,
@@ -216,25 +217,21 @@ fn complete(n: usize) -> Graph {
     Graph::from_edges(n, edges)
 }
 
-/// The √n × √n torus with wraparound in both dimensions (4-regular).
+/// The √n × √n torus with wraparound in both dimensions (4-regular),
+/// implicit (see [`Graph::torus`]).
 fn torus(n: usize) -> Graph {
     let side = n.isqrt();
     assert!(
         side * side == n && side >= 3,
         "torus needs a perfect-square n with side >= 3, got n={n}"
     );
-    let idx = |r: usize, c: usize| (r * side + c) as u32;
-    let mut edges = Vec::with_capacity(2 * n);
-    for r in 0..side {
-        for c in 0..side {
-            edges.push((idx(r, c), idx(r, (c + 1) % side)));
-            edges.push((idx(r, c), idx((r + 1) % side, c)));
-        }
-    }
-    Graph::from_edges(n, edges)
+    Graph::torus(side)
 }
 
-/// The log₂(n)-dimensional hypercube.
+/// The log₂(n)-dimensional hypercube, stored. Its edges are numbered in
+/// scan order over `(v, bit)` with `v < v ⊕ 2^bit`, which has no O(1)
+/// inverse from the edge index, so unlike the torus it keeps its edge list
+/// (renumbering it would change its trajectories).
 fn hypercube(n: usize) -> Graph {
     assert!(
         n >= 2 && n.is_power_of_two(),
@@ -376,7 +373,7 @@ mod tests {
 
     fn assert_simple(g: &Graph) {
         let mut seen = HashSet::new();
-        for &(a, b) in g.edges() {
+        for (a, b) in g.edges() {
             assert_ne!(a, b, "self-loop ({a},{b})");
             assert!(seen.insert(edge_key(a, b)), "duplicate edge ({a},{b})");
         }

@@ -190,7 +190,7 @@ proptest! {
 
             // Simplicity: no self-loops, no multi-edges.
             let mut seen = HashSet::new();
-            for &(a, b) in g.edges() {
+            for (a, b) in g.edges() {
                 prop_assert_ne!(a, b, "{}: self-loop", fam);
                 let key = ((a.min(b) as u64) << 32) | a.max(b) as u64;
                 prop_assert!(seen.insert(key), "{}: duplicate edge ({},{})", fam, a, b);

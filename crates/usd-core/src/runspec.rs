@@ -610,7 +610,7 @@ pub(crate) fn graph_silent(
     graph: &Graph,
     states: &[usize],
 ) -> bool {
-    graph.edges().iter().all(|&(a, b)| {
+    graph.edges().all(|(a, b)| {
         let (sa, sb) = (states[a as usize], states[b as usize]);
         proto.is_noop(sa, sb) && proto.is_noop(sb, sa)
     })

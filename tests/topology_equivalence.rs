@@ -6,6 +6,10 @@
 //! clique topology), a random 8-regular graph, and the torus, plus
 //! winner-rate agreement. Fixed seeds, no flaky assertions: the KS
 //! thresholds are distribution-level with 150+ samples per engine.
+//!
+//! The implicit torus and cycle are pinned by bit-identity instead: every
+//! graph engine runs the same trajectory on an implicit lattice and on its
+//! stored edge-list copy.
 
 use plurality_consensus::prelude::*;
 use pop_proto::TopologyFamily;
@@ -299,4 +303,206 @@ fn graphwise_skip_clock_matches_agentwise_on_cycle() {
         means[0],
         means[1]
     );
+}
+
+/// The engine under test on `graph`, started from per-agent `states`
+/// (`threads` only matters for `pargraph`; `replica` runs three lanes
+/// whose layouts are rotations of `states`).
+fn lattice_engine(
+    backend: Backend,
+    threads: usize,
+    graph: &pop_proto::Graph,
+    states: &[usize],
+) -> Box<dyn pop_proto::Simulator> {
+    use pop_proto::{
+        AgentSimulator, BatchGraphSimulator, GraphScheduler, GraphSimulator, ParGraphSimulator,
+        ReplicaSimulator,
+    };
+    let proto = UndecidedStateDynamics::new(2);
+    let states = states.to_vec();
+    match backend {
+        Backend::Agent => Box::new(AgentSimulator::new(
+            proto,
+            GraphScheduler::new(graph.clone()),
+            states,
+        )),
+        Backend::Graph => Box::new(GraphSimulator::new(proto, graph, states)),
+        Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, graph, states)),
+        Backend::ParGraph => Box::new(ParGraphSimulator::new(proto, graph, states, threads)),
+        Backend::Replica => {
+            let layouts: Vec<Vec<usize>> = (0..3)
+                .map(|lane| {
+                    let mut layout = states.clone();
+                    layout.rotate_left(lane * 17);
+                    layout
+                })
+                .collect();
+            Box::new(ReplicaSimulator::new_graph(proto, graph.clone(), &layouts))
+        }
+        other => unreachable!("{other} does not run on graphs"),
+    }
+}
+
+fn snapshot_bytes(sim: &dyn pop_proto::Simulator) -> Vec<u8> {
+    let mut w = pop_proto::SnapshotWriter::new();
+    sim.snapshot_state(&mut w).expect("snapshot_state failed");
+    w.into_bytes()
+}
+
+/// Drive `sim` in `chunk`-interaction calls up to the absolute clock
+/// `target` (or silence), stopping early at the first chunk boundary where
+/// `pause` holds. Chunk boundaries are a pure function of the clock, so a
+/// run resumed from a paused one meets the same boundaries.
+fn drive_chunks(
+    sim: &mut dyn pop_proto::Simulator,
+    rng: &mut SimRng,
+    target: u64,
+    chunk: u64,
+    pause: impl Fn(&dyn pop_proto::Simulator) -> bool,
+) -> Vec<(u64, Vec<u64>)> {
+    let mut path = Vec::new();
+    while sim.interactions() < target && !sim.is_silent() {
+        let step = chunk.min(target - sim.interactions());
+        if sim.run_until(rng, step, &mut |_| false) == 0 {
+            break;
+        }
+        path.push((sim.interactions(), sim.counts().to_vec()));
+        if pause(&*sim) {
+            break;
+        }
+    }
+    path
+}
+
+/// Whether a graph engine's sparse skipper is live (entered more often
+/// than exited).
+fn skipper_live(sim: &dyn pop_proto::Simulator) -> bool {
+    let t = sim.telemetry();
+    t.sparse_enters > t.sparse_exits
+}
+
+/// The three lattice instances of the implicit-vs-stored pins: a shuffled
+/// two-opinion torus (dense phase), a minority patch on a 64² torus (enters
+/// the sparse skipper), and a two-front cycle (lives in the skipper).
+fn lattice_instances() -> Vec<(&'static str, pop_proto::Graph, Vec<usize>)> {
+    use pop_proto::simulator::shuffled_layout;
+    use pop_proto::CountConfig;
+    let shuffled = shuffled_layout(
+        &CountConfig::from_counts(vec![1_100, 925, 0]),
+        &mut SimRng::new(45),
+    );
+    let mut patch = vec![0usize; 64 * 64];
+    for row in patch.chunks_mut(64).take(8) {
+        row[..8].fill(1);
+    }
+    let mut fronts = vec![0usize; 4_096];
+    fronts[..2_048].fill(1);
+    vec![
+        (
+            "shuffled torus 45x45",
+            pop_proto::Graph::torus(45),
+            shuffled,
+        ),
+        (
+            "torus 64x64 with an 8x8 patch",
+            pop_proto::Graph::torus(64),
+            patch,
+        ),
+        (
+            "cycle 4096 with two fronts",
+            pop_proto::Graph::cycle(4_096),
+            fronts,
+        ),
+    ]
+}
+
+/// The implicit torus and cycle compute edge endpoints and incident lists
+/// from the index, numbered exactly like the stored generators. Every graph
+/// engine must therefore run the same trajectory on an implicit graph and
+/// on its stored `Graph::from_edges` copy: identical clocks, counts at every
+/// chunk boundary, telemetry, and final snapshot bytes. A snapshot taken
+/// from the stored-graph engine while its sparse skipper is live must also
+/// resume on the implicit graph to a byte-identical finish.
+#[test]
+fn implicit_vs_explicit_lattice_bit_identical() {
+    const BUDGET: u64 = 1_500_000;
+    const CHUNK: u64 = 10_000;
+    let engines = [
+        (Backend::Agent, 1),
+        (Backend::Graph, 1),
+        (Backend::BatchGraph, 1),
+        (Backend::ParGraph, 1),
+        (Backend::ParGraph, 2),
+        (Backend::Replica, 1),
+    ];
+    for (label, implicit, states) in lattice_instances() {
+        let stored = pop_proto::Graph::from_edges(implicit.n(), implicit.edges().collect());
+        assert!(implicit.is_implicit() && !stored.is_implicit());
+        for (backend, threads) in engines {
+            let seed = 0x1A77 ^ backend as u64;
+            let run = |graph: &pop_proto::Graph| {
+                let mut sim = lattice_engine(backend, threads, graph, &states);
+                let mut rng = SimRng::new(seed);
+                let path = drive_chunks(sim.as_mut(), &mut rng, BUDGET, CHUNK, |_| false);
+                (path, *sim.telemetry(), snapshot_bytes(sim.as_ref()))
+            };
+            let (path, telemetry, bytes) = run(&implicit);
+            let (stored_path, stored_telemetry, stored_bytes) = run(&stored);
+            let what = format!("{label}: {backend} at t = {threads}");
+            assert!(!path.is_empty(), "{what}: nothing ran");
+            assert_eq!(path, stored_path, "{what}: clocks or counts diverged");
+            assert_eq!(telemetry, stored_telemetry, "{what}: telemetry diverged");
+            assert!(bytes == stored_bytes, "{what}: final snapshots differ");
+            let has_skipper = matches!(
+                backend,
+                Backend::Graph | Backend::BatchGraph | Backend::ParGraph
+            );
+            if label.starts_with("torus 64") && has_skipper {
+                assert!(
+                    telemetry.sparse_enters > 0,
+                    "{what}: never entered the skipper"
+                );
+            }
+        }
+    }
+
+    // Cross-form resume: split the stored-graph run at the first chunk
+    // boundary where its skipper is live, and finish it on the implicit
+    // graph. Short chunks put the split well before the patch's end.
+    const RESUME_CHUNK: u64 = 2_000;
+    for (label, implicit, states) in lattice_instances().into_iter().skip(1) {
+        let stored = pop_proto::Graph::from_edges(implicit.n(), implicit.edges().collect());
+        for (backend, threads) in [
+            (Backend::Graph, 1),
+            (Backend::BatchGraph, 1),
+            (Backend::ParGraph, 2),
+        ] {
+            let seed = 0x5EED ^ backend as u64;
+            let what = format!("{label}: {backend}");
+            let mut reference = lattice_engine(backend, threads, &implicit, &states);
+            let mut rng = SimRng::new(seed);
+            drive_chunks(reference.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, |_| {
+                false
+            });
+
+            let mut first = lattice_engine(backend, threads, &stored, &states);
+            let mut rng = SimRng::new(seed);
+            drive_chunks(first.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, skipper_live);
+            assert!(
+                skipper_live(first.as_ref()) && first.interactions() < reference.interactions(),
+                "{what}: no split point with a live skipper before the run ended"
+            );
+            let bytes = snapshot_bytes(first.as_ref());
+            let mut resumed = lattice_engine(backend, threads, &implicit, &states);
+            resumed
+                .restore_state(&mut pop_proto::SnapshotReader::new(&bytes))
+                .expect("restore across forms");
+            drive_chunks(resumed.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, |_| false);
+            assert_eq!(resumed.interactions(), reference.interactions(), "{what}");
+            assert!(
+                snapshot_bytes(resumed.as_ref()) == snapshot_bytes(reference.as_ref()),
+                "{what}: stored-to-implicit resume finished differently"
+            );
+        }
+    }
 }
