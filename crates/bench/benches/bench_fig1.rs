@@ -1,15 +1,15 @@
 //! End-to-end Figure 1 regeneration cost at reduced n.
 //!
 //! One sample = one full run of the E1 workload (paper family, bias
-//! √(n ln n), run to stabilization) with the skip-ahead engine — the cost
-//! a user pays per `fig1_left` invocation at the benched n.
+//! √(n ln n), run to stabilization) on the resolved default engine — the
+//! cost a user pays per `fig1_left` invocation at the benched n.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, SamplingMode};
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
 use usd_bench::bench_config;
-use usd_core::dynamics::{run_until_stable, SkipAheadUsd};
 use usd_core::theory;
+use usd_core::RunSpec;
 
 fn bench_fig1_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1_end_to_end");
@@ -25,12 +25,11 @@ fn bench_fig1_runs(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let mut sim = SkipAheadUsd::new(config);
                     let mut rng = SimRng::new(seed);
                     let budget = (40.0 * k as f64 * n as f64 * (n as f64).ln()) as u64;
-                    let (t, stable) = run_until_stable(&mut sim, &mut rng, budget, |_, _| {});
-                    assert!(stable);
-                    black_box(t)
+                    let result = RunSpec::new(config).budget(budget).run(&mut rng);
+                    assert!(result.stabilized());
+                    black_box(result.interactions)
                 })
             },
         );

@@ -1,15 +1,15 @@
-//! Engine throughput: interactions per second for the four exact engines.
+//! Engine throughput: interactions per second for the three exact clique
+//! engines.
 //!
 //! This is the quantitative backing for DESIGN.md §7's ablation choices:
 //! count-based beats agent-based on memory without losing speed, and the
-//! skip-ahead engine wins by the no-op fraction.
+//! batch-leaping engine wins by leaping whole blocks of interactions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pop_proto::{AgentSimulator, CliqueScheduler, CountSimulator};
+use pop_proto::{AgentSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Simulator};
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
 use usd_bench::bench_config;
-use usd_core::dynamics::{SequentialUsd, SkipAheadUsd, UsdSimulator};
 use usd_core::protocol::UndecidedStateDynamics;
 
 const INTERACTIONS: u64 = 100_000;
@@ -57,33 +57,15 @@ fn bench_engines(c: &mut Criterion) {
         );
 
         group.bench_with_input(
-            BenchmarkId::new("sequential_usd", format!("n{n}_k{k}")),
+            BenchmarkId::new("batch_leaping", format!("n{n}_k{k}")),
             &config,
             |b, config| {
                 b.iter(|| {
-                    let mut sim = SequentialUsd::new(config);
+                    let proto = UndecidedStateDynamics::new(k);
+                    let mut sim = BatchSimulator::new(proto, &config.to_count_config());
                     let mut rng = SimRng::new(1);
-                    for _ in 0..INTERACTIONS {
-                        sim.step(&mut rng);
-                    }
-                    black_box(sim.undecided())
-                })
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("skip_ahead_usd", format!("n{n}_k{k}")),
-            &config,
-            |b, config| {
-                b.iter(|| {
-                    let mut sim = SkipAheadUsd::new(config);
-                    let mut rng = SimRng::new(1);
-                    while sim.interactions() < INTERACTIONS {
-                        if sim.step_effective(&mut rng).is_none() {
-                            break;
-                        }
-                    }
-                    black_box(sim.undecided())
+                    sim.run_to_silence(&mut rng, INTERACTIONS);
+                    black_box(sim.counts()[0])
                 })
             },
         );

@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, SamplingMode};
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
-use usd_core::dynamics::{run_until_stable, SkipAheadUsd};
 use usd_core::init::InitialConfigBuilder;
+use usd_core::RunSpec;
 
 fn bench_stabilization(c: &mut Criterion) {
     let mut group = c.benchmark_group("stabilization_sweep_cell");
@@ -22,12 +22,11 @@ fn bench_stabilization(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let mut sim = SkipAheadUsd::new(config);
                     let mut rng = SimRng::new(seed);
                     let budget = (40.0 * k as f64 * n as f64 * (n as f64).ln()) as u64;
-                    let (t, stable) = run_until_stable(&mut sim, &mut rng, budget, |_, _| {});
-                    assert!(stable);
-                    black_box(t)
+                    let result = RunSpec::new(config).budget(budget).run(&mut rng);
+                    assert!(result.stabilized());
+                    black_box(result.interactions)
                 })
             },
         );

@@ -291,8 +291,8 @@ fn replica_ensemble_row(family: Option<TopologyFamily>, n: u64, k: usize, lanes:
 }
 
 /// Clique stabilization through the generic simulator entry point (every
-/// clique backend benched here is a generic-substrate engine, including
-/// the skip-ahead wrapper, so scheduled *and* effective counts are real).
+/// clique backend benched here is a generic-substrate engine, so
+/// scheduled *and* effective counts are real).
 /// `label` is the row's topology label.
 fn clique_row(backend: Backend, n: u64, k: usize, label: &str) -> Row {
     let config = InitialConfigBuilder::new(n, k).figure1();
@@ -443,16 +443,14 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
                 work: Work::TorusEndgame { n: 4_096, patch: 8 },
             });
         }
-        for backend in [Backend::Batch, Backend::SkipAhead] {
-            set.push(Scenario {
-                backend,
-                work: Work::Clique {
-                    n: 200_000,
-                    k: 4,
-                    label: "clique",
-                },
-            });
-        }
+        set.push(Scenario {
+            backend: Backend::Batch,
+            work: Work::Clique {
+                n: 200_000,
+                k: 4,
+                label: "clique",
+            },
+        });
         // The bit-parallel ensemble row: 64 lanes per word on the same
         // expander instance as the scalar rows above, so the amortization
         // ratio (replica sched/s over agent sched/s) is measured in-grid.
@@ -520,7 +518,7 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
                 },
             });
         }
-        for backend in [Backend::Count, Backend::Batch, Backend::SkipAhead] {
+        for backend in [Backend::Count, Backend::Batch] {
             set.push(Scenario {
                 backend,
                 work: Work::Clique {
@@ -609,7 +607,7 @@ fn select_scenarios(
         return Err(match topology {
             Some(t) => format!(
                 "no scenario combines --backend {b} with --topology {t}: {} \
-                 graph families; the clique rows pin count/batch/skip/replica \
+                 graph families; the clique rows pin count/batch/replica \
                  and the clique-k27 rows count/batch",
                 if b.capabilities().topologies {
                     "that backend runs"
@@ -620,7 +618,7 @@ fn select_scenarios(
             None => format!(
                 "--backend {b} appears in no scenario of this grid (graph \
                  rows pin agent/graph/batchgraph/pargraph/replica; clique \
-                 rows pin count/batch/skip, or batch/skip in quick mode, \
+                 rows pin count/batch, or batch in quick mode, \
                  plus the replica ensemble rows)"
             ),
         });
@@ -852,7 +850,7 @@ mod tests {
         assert!(
             select_scenarios(scenario_set(false), Some(Backend::Batch), Some("regular:8")).is_err()
         );
-        // Graph engine on the clique rows (those pin count/batch/skip).
+        // Graph engine on the clique rows (those pin count/batch).
         assert!(
             select_scenarios(scenario_set(false), Some(Backend::Graph), Some("clique")).is_err()
         );

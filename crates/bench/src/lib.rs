@@ -2,15 +2,15 @@
 //!
 //! The benches measure (see DESIGN.md §3/§7):
 //!
-//! * `bench_simulators` — per-interaction throughput of the four engines
-//!   (agentwise, generic countwise, SequentialUsd, SkipAheadUsd) across
-//!   (n, k) — the count-based vs agent-based and Fenwick-vs-naive ablation;
+//! * `bench_simulators` — per-interaction throughput of the three clique
+//!   engines (agentwise, countwise, batch-leaping) across (n, k) — the
+//!   count-based vs agent-based and leaping-vs-stepping ablation;
 //! * `bench_sampling` — Fenwick vs linear-scan vs alias-table categorical
 //!   sampling across category counts (the log k vs k vs O(1) crossover);
 //! * `bench_fig1` — the end-to-end Figure 1 run at reduced n (E1/E2's
-//!   regeneration cost);
+//!   regeneration cost), on the resolved default engine;
 //! * `bench_stabilization` — full stabilization measurement at small n
-//!   (what one sweep cell of E6 costs);
+//!   (what one sweep cell of E6 costs), on the resolved default engine;
 //! * `bench_baselines` — baseline protocol round/interaction throughput.
 
 use usd_core::init::InitialConfigBuilder;

@@ -48,15 +48,14 @@
 //! number of no-ops before the next effective interaction is geometric
 //! with the exact effective-pair probability of the current configuration,
 //! and the effective interaction is drawn from the exact conditional
-//! pair law. (This generalizes `usd-core`'s `SkipAheadUsd` to arbitrary
-//! protocols.) The switch is purely a cost-model decision — both engines
+//! pair law, for any protocol. The switch is purely a cost-model decision — both engines
 //! simulate the same chain.
 //!
 //! # Exactness
 //!
 //! Every sampling step above follows the exact conditional law of the
 //! agent-level chain (up to `f64` evaluation of log-gamma CDFs, the same
-//! class of rounding as `SkipAheadUsd`'s geometric inversion), so the
+//! class of rounding as any geometric inversion), so the
 //! induced chain on count configurations is the `CountSimulator` chain —
 //! verified distributionally in `tests/simulator_equivalence.rs`.
 //!
@@ -218,22 +217,11 @@ impl<P: Protocol> BatchSimulator<P> {
     /// Cap the worker threads used for the per-batch pairing-table rows
     /// (default: the process-wide resolution at construction time).
     /// Thread count is bit-neutral: any value produces identical runs.
-    /// Builder twin of the deprecated [`set_threads`](Self::set_threads);
     /// `RunSpec::threads` resolves the value once and passes it here.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Cap the worker threads used for the per-batch pairing-table rows.
-    #[deprecated(
-        since = "0.1.0",
-        note = "thread counts are resolved once by RunSpec::threads and passed through \
-                with_threads; mutate-after-build is no longer part of the API"
-    )]
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// The protocol.

@@ -46,7 +46,7 @@
 //! # Exactness
 //!
 //! The geometric skip is the exact law of the embedded no-op run (the same
-//! inversion `SkipAheadUsd` and `BatchSimulator` use), and the effective
+//! inversion [`BatchSimulator`](crate::simulator::BatchSimulator) uses), and the effective
 //! interaction is drawn from the exact conditional law (edge ∝ its active
 //! orientation count, then a uniform active orientation of that edge), so
 //! the induced chain on agent states is identical to driving

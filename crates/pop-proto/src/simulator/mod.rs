@@ -1,8 +1,7 @@
 //! Exact simulators for population protocols.
 //!
-//! Seven of the repository's nine backends live here (the USD-specialized
-//! `seq` and `skip` engines are in `usd-core`); they simulate the same
-//! Markov chains at different cost models:
+//! All seven of the repository's backends live here; they simulate the
+//! same Markov chains at different cost models:
 //!
 //! * [`AgentSimulator`] — tracks each agent's state individually and asks a
 //!   [`Scheduler`](crate::scheduler::Scheduler) for agent pairs: the literal
@@ -113,9 +112,11 @@ pub mod snapshot_tags {
     /// [`WideBatchGraphSimulator`](super::WideBatchGraphSimulator)
     /// (u16 states).
     pub const WIDE_BATCH_GRAPH: u8 = 6;
-    /// The sequential USD wrapper in `usd-core` (`SequentialGeneric`).
+    /// Reserved: the retired USD-specialized sequential engine (`seq`).
+    /// No engine writes it; a stray payload fails to restore by name.
     pub const USD_SEQ: u8 = 7;
-    /// The skip-ahead USD wrapper in `usd-core` (`SkipAheadGeneric`).
+    /// Reserved: the retired USD-specialized skip-ahead engine (`skip`).
+    /// No engine writes it; a stray payload fails to restore by name.
     pub const USD_SKIP: u8 = 8;
     /// [`ReplicaSimulator`](super::ReplicaSimulator) (bit-parallel
     /// replica lanes).

@@ -19,8 +19,7 @@
 //! the short version: `scheduled`/`effective` are live on all seven
 //! backends, the block counters on `batch`/`batchgraph`, the sparse and
 //! phase counters on `graph`/`batchgraph`, the draw-kind counters wherever
-//! the engine itself performs the draws (the `seq`/`skip` wrappers report
-//! totals only).
+//! the engine itself performs the draws.
 //!
 //! # Time-resolved views
 //!

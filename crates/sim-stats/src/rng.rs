@@ -135,8 +135,8 @@ impl SimRng {
 
     /// Uniform `u128` in `[0, bound)` via masked rejection sampling
     /// (expected < 2 draws). Exact — no floating-point rounding — which the
-    /// skip-ahead simulator needs when splitting interaction probabilities
-    /// whose weights exceed `u64`. Panics if `bound == 0`.
+    /// batch simulator's skip-ahead needs when splitting interaction
+    /// probabilities whose weights exceed `u64`. Panics if `bound == 0`.
     #[inline]
     pub fn below_u128(&mut self, bound: u128) -> u128 {
         assert!(bound > 0, "below_u128(0) is meaningless");
@@ -179,8 +179,8 @@ impl SimRng {
     /// to exactly 1.0 below `p ≈ 1e−16`, which would collapse every draw to
     /// 0 instead of the correct ~1/p scale (the batch simulator feeds
     /// per-pair probabilities as small as 1/n² here). For `p = 1` returns
-    /// 0. This is the primitive behind the skip-ahead simulators (no-op
-    /// runs between effective interactions are geometric).
+    /// 0. This is the primitive behind geometric skip-ahead (no-op runs
+    /// between effective interactions are geometric).
     #[inline]
     pub fn geometric(&mut self, p: f64) -> u64 {
         assert!(

@@ -27,8 +27,7 @@
 //! synchronization + memory buy, not to give a new protocol.
 
 use sim_stats::rng::SimRng;
-use usd_core::dynamics::{SequentialUsd, UsdSimulator};
-use usd_core::UsdConfig;
+use usd_core::{ConsensusOutcome, RunSpec, UsdConfig};
 
 /// Result of one tournament run.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,25 +112,28 @@ impl TournamentUsd {
                 }
                 // Two-opinion USD on the sub-population.
                 let sub_config = UsdConfig::new(vec![count_a, count_b], pool_share);
-                let mut sim = SequentialUsd::new(&sub_config);
                 let budget =
                     (self.budget_factor * sub_n as f64 * (n as f64).ln()).max(1_000.0) as u64;
-                let (t, _stable) =
-                    usd_core::dynamics::run_until_stable(&mut sim, rng, budget, |_, _| {});
+                let (result, sim) = RunSpec::new(&sub_config).budget(budget).run_keeping(rng);
+                let t = result.interactions;
                 total_interactions += t;
                 phase_span = phase_span.max(t as f64 / sub_n as f64);
 
-                match sim.winner() {
-                    Some(0) => next_round.push((op_a, sub_n)),
-                    Some(1) => next_round.push((op_b, sub_n)),
+                match result.outcome {
+                    ConsensusOutcome::Winner(0) => next_round.push((op_a, sub_n)),
+                    ConsensusOutcome::Winner(_) => next_round.push((op_b, sub_n)),
                     _ => {
                         // All-undecided absorption or timeout: advance the
                         // currently larger side; its supporters keep their
                         // opinion, the rest feed the pool.
-                        let (op, keep) = if sim.opinions()[0] >= sim.opinions()[1] {
-                            (op_a, sim.opinions()[0])
+                        let counts = sim
+                            .expect("clique runs keep their engine")
+                            .counts()
+                            .to_vec();
+                        let (op, keep) = if counts[0] >= counts[1] {
+                            (op_a, counts[0])
                         } else {
-                            (op_b, sim.opinions()[1])
+                            (op_b, counts[1])
                         };
                         next_round.push((op, keep.max(1)));
                         next_pool += sub_n - keep.max(1);

@@ -9,14 +9,15 @@ use sim_stats::rng::SimRng;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use std::path::{Path, PathBuf};
-use usd_core::backend::{make_agent_topology_simulator, Backend, RunTicker};
+use usd_core::backend::{
+    make_agent_topology_simulator, Backend, ObservationGranularity, RunTicker,
+};
 use usd_core::checkpoint::RunCheckpoint;
-use usd_core::dynamics::{SkipAheadUsd, UsdSimulator};
 use usd_core::encode::Trajectory;
 use usd_core::init::InitialConfigBuilder;
 use usd_core::stabilization::ConsensusOutcome;
 use usd_core::theory::{self, Bounds};
-use usd_core::{EnsembleOutcome, RunSpec, DEFAULT_REPLICAS};
+use usd_core::{EnsembleOutcome, RunSpec, TraceRecorder, DEFAULT_REPLICAS};
 
 /// CLI usage text.
 pub const USAGE: &str = "\
@@ -24,7 +25,7 @@ usd-sim — Undecided State Dynamics simulator
 
 commands:
   run    --n <u64> --k <usize> [--bias <u64> | --max-bias] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|pargraph|seq|skip|replica]
+         [--backend agent|count|batch|graph|batchgraph|pargraph|replica]
          [--replicas <1..=64>] [--threads <t>]
          [--trace <file.usdt>]
          [--topology complete|cycle|torus|hypercube|regular[:d]|er[:avg]]
@@ -35,8 +36,9 @@ commands:
          [--checkpoint <file.ckpt>] [--checkpoint-every <interactions>]
          [--resume <file.ckpt>]
            one exact run to stabilization; optionally record a trajectory
-           (backend default: skip; use batch for n >= 10^7, agent for
-           per-agent ground truth; trace requires the skip backend).
+           with one snapshot per parallel time unit (any clique backend,
+           single lane). Backend default: agent for n <= 10^5, batch above
+           (count is the event-exact engine at large n).
            --backend replica packs up to 64 independent replica runs of
            the same instance into one bit-parallel engine pass (one lane
            per bit of a machine word) and prints a per-lane ensemble
@@ -77,8 +79,9 @@ commands:
            resumed run reproduces the uninterrupted run byte-for-byte
            (final state and timeline)
   sweep  --n <u64> [--seeds <u64>] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|pargraph|seq|skip|replica]
+         [--backend agent|count|batch|graph|batchgraph|pargraph|replica]
            stabilization time across the admissible k grid vs the bounds
+           (same backend default as run)
   bounds --n <u64> --k <usize>
            print the paper's bound curves for (n, k)
   trace  <file.usdt>
@@ -249,25 +252,36 @@ struct CheckpointSink {
 }
 
 /// Chunk-boundary observer combining the optional stderr heartbeat, the
-/// optional `--timeline` flight recorder, and the optional `--checkpoint`
-/// sink behind one [`RunTicker`]. The recorder bounds driving chunks via
-/// its sampling horizon so samples land exactly on cadence marks.
+/// optional `--timeline` flight recorder, the optional `--trace`
+/// trajectory recorder, and the optional `--checkpoint` sink behind one
+/// [`RunTicker`]. The two recorders bound driving chunks via their
+/// horizons so samples land exactly on their marks.
 struct RunMonitor {
     heartbeat: Option<Heartbeat>,
     recorder: Option<TimelineRecorder>,
+    trace: Option<TraceRecorder>,
     checkpoint: Option<CheckpointSink>,
 }
 
 impl RunTicker for RunMonitor {
     fn horizon(&self, scheduled: u64) -> u64 {
-        self.recorder
+        let timeline = self
+            .recorder
             .as_ref()
-            .map_or(u64::MAX, |r| r.horizon(scheduled))
+            .map_or(u64::MAX, |r| r.horizon(scheduled));
+        let trace = self
+            .trace
+            .as_ref()
+            .map_or(u64::MAX, |t| t.horizon(scheduled));
+        timeline.min(trace)
     }
 
     fn tick(&mut self, sim: &dyn Simulator) {
         if let Some(r) = &mut self.recorder {
             r.record_if_due(sim);
+        }
+        if let Some(t) = &mut self.trace {
+            t.tick(sim);
         }
         if let Some(hb) = &mut self.heartbeat {
             hb.tick(sim.interactions(), sim.telemetry());
@@ -422,7 +436,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let backend: Backend = flags.get("backend")?.unwrap_or(if topology.is_some() {
         Backend::BatchGraph
     } else {
-        Backend::SkipAhead
+        Backend::clique_default(n, ObservationGranularity::Block)
     });
     let caps = backend.capabilities();
     let lanes: u32 = match flags.get::<u32>("replicas")? {
@@ -535,19 +549,15 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if n < 2 || k < 1 || (k as u64) > n {
         return Err(CliError(format!("invalid instance n={n}, k={k}")));
     }
-    if trace_path.is_some() && backend != Backend::SkipAhead {
-        return Err(CliError(
-            "trace recording requires --backend skip".to_string(),
-        ));
-    }
-    if trace_path.is_some() && (timeline_path.is_some() || want_histograms) {
-        return Err(CliError(
-            "--timeline/--histograms use the generic engine drivers (drop --trace)".to_string(),
-        ));
+    if trace_path.is_some() && lanes > 1 {
+        return Err(CliError(format!(
+            "--trace records one trajectory; the {backend} run packs {lanes} lanes \
+             (pass --replicas 1)"
+        )));
     }
     if trace_path.is_some() && (checkpoint_path.is_some() || resume_path.is_some()) {
         return Err(CliError(
-            "--checkpoint/--resume use the generic engine drivers (drop --trace)".to_string(),
+            "--checkpoint/--resume do not carry the --trace trajectory (drop --trace)".to_string(),
         ));
     }
     // Preflight output directories now: a run can take hours, and the
@@ -615,7 +625,6 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
 
     let mut rng = SimRng::new(seed);
     let started = std::time::Instant::now();
-    let mut trajectory = Trajectory::new(n, k);
     // The flight recorder: fresh from the flags, or — on resume — the
     // checkpoint's restored recorder, mid-samples, so the rewritten JSONL
     // is byte-for-byte the uninterrupted run's. The recorder also bounds
@@ -649,6 +658,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let mut monitor = RunMonitor {
         heartbeat: heartbeat_period.map(|p| Heartbeat::new(p, n)),
         recorder,
+        trace: trace_path.as_ref().map(|_| TraceRecorder::new(&config)),
         checkpoint: checkpoint_path.as_ref().map(|p| CheckpointSink {
             path: PathBuf::from(p),
             every: checkpoint_every.unwrap_or_else(|| (16 * n).max(1 << 22)),
@@ -667,54 +677,15 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let mut histograms: Option<EventHistograms> = None;
     // Per-lane outcomes of an ensemble run, read off the kept engine.
     let mut ensemble: Option<EnsembleOutcome> = None;
+    let mut trajectory: Option<Trajectory> = None;
     // Whether any chunk-boundary instrumentation is attached: a monitor
     // forces the chunked drive loop; without one a clique run is a single
     // uninterrupted `run_to_silence`, bit-identical to the plain path.
-    let monitored =
-        monitor.heartbeat.is_some() || monitor.recorder.is_some() || monitor.checkpoint.is_some();
-    let result = if trace_path.is_some() {
-        // Stabilize with snapshots roughly once per parallel round (the
-        // skip backend, so the observer sees every effective event).
-        // The raw engine predates the `Simulator` trait, so the skip
-        // backend's counters (one geometric skip draw and one effective
-        // draw per event) are tallied here at the drive site.
-        let mut sim = SkipAheadUsd::new(&config);
-        let mut tally = EngineTelemetry::new();
-        trajectory.push(0, config.clone());
-        let mut next_capture = n;
-        loop {
-            match sim.step_effective(&mut rng) {
-                None => break,
-                Some(_) => {
-                    tally.effective += 1;
-                    tally.skip_draws += 1;
-                    tally.pair_draws += 1;
-                    if sim.interactions() >= next_capture {
-                        trajectory.push(sim.interactions(), sim.config());
-                        next_capture = sim.interactions() + n;
-                        if let Some(hb) = monitor.heartbeat.as_mut() {
-                            tally.scheduled = sim.interactions();
-                            hb.tick(sim.interactions(), &tally);
-                        }
-                    }
-                    if sim.is_silent() {
-                        break;
-                    }
-                }
-            }
-        }
-        trajectory.push(sim.interactions(), sim.config());
-        tally.scheduled = sim.interactions();
-        telemetry = Some(tally);
-        usd_core::stabilization::StabilizationResult {
-            outcome: match sim.winner() {
-                Some(w) => ConsensusOutcome::Winner(w),
-                None => ConsensusOutcome::AllUndecided,
-            },
-            interactions: sim.interactions(),
-            initial_plurality: config.plurality(),
-        }
-    } else if let Some((ckpt, from)) = &resumed {
+    let monitored = monitor.heartbeat.is_some()
+        || monitor.recorder.is_some()
+        || monitor.trace.is_some()
+        || monitor.checkpoint.is_some();
+    let result = if let Some((ckpt, from)) = &resumed {
         // Rebuild the simulator exactly as the original run did (the
         // constructors consume the same RNG draws — e.g. the shuffled
         // initial layout on topologies), restore the engine payload,
@@ -859,6 +830,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         if let Some(rec) = monitor.recorder.as_mut() {
             rec.finish(sim.as_ref());
         }
+        trajectory = monitor.trace.take().map(|t| t.finish(sim.as_ref()));
         histograms = sim.histograms();
         telemetry = Some(*sim.telemetry());
         if lanes > 1 {
@@ -985,7 +957,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if let Some(path) = trace_path {
+    if let (Some(path), Some(trajectory)) = (trace_path, trajectory) {
         let blob = trajectory.encode();
         std::fs::write(&path, &blob).map_err(|e| CliError(format!("writing {path}: {e}")))?;
         println!(
@@ -1003,7 +975,9 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     let n: u64 = flags.get("n")?.unwrap_or(50_000);
     let seeds: u64 = flags.get("seeds")?.unwrap_or(5);
     let seed: u64 = flags.get("seed")?.unwrap_or(42);
-    let backend: Backend = flags.get("backend")?.unwrap_or(Backend::SkipAhead);
+    let backend: Backend = flags
+        .get("backend")?
+        .unwrap_or(Backend::clique_default(n, ObservationGranularity::Block));
     if n < 16 {
         return Err(CliError("need --n >= 16".into()));
     }
@@ -1173,15 +1147,7 @@ mod tests {
 
     #[test]
     fn run_accepts_telemetry_and_heartbeat_on_every_backend() {
-        for b in [
-            "agent",
-            "count",
-            "batch",
-            "graph",
-            "batchgraph",
-            "seq",
-            "skip",
-        ] {
+        for b in ["agent", "count", "batch", "graph", "batchgraph"] {
             cmd_run(&s(&[
                 "--n",
                 "500",
@@ -1327,7 +1293,7 @@ mod tests {
 
     #[test]
     fn run_accepts_every_backend() {
-        for b in ["agent", "count", "batch", "graph", "seq", "skip"] {
+        for b in ["agent", "count", "batch", "graph", "batchgraph", "replica"] {
             cmd_run(&s(&[
                 "--n",
                 "500",
@@ -1345,15 +1311,107 @@ mod tests {
     #[test]
     fn run_rejects_unknown_backend_and_trace_combination() {
         assert!(cmd_run(&s(&["--n", "500", "--backend", "warp"])).is_err());
-        assert!(cmd_run(&s(&[
+        // The trace recorder is a ticker, so every clique backend records.
+        let dir = std::env::temp_dir().join("usd_cli_test_batch_trace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("batch.usdt");
+        let path_str = path.to_str().unwrap().to_string();
+        cmd_run(&s(&[
             "--n",
             "500",
             "--backend",
             "batch",
             "--trace",
-            "/tmp/x.usdt"
+            &path_str,
         ]))
-        .is_err());
+        .unwrap();
+        let traj = Trajectory::decode(&std::fs::read(&path).unwrap()[..]).unwrap();
+        assert!(traj.snapshots.len() >= 2);
+        let _ = std::fs::remove_file(&path);
+        // A multi-lane ensemble has no single trajectory to record.
+        let err = cmd_run(&s(&[
+            "--n",
+            "500",
+            "--backend",
+            "replica",
+            "--trace",
+            &path_str,
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("--replicas 1"), "{}", err.0);
+    }
+
+    #[test]
+    fn removed_backend_names_exit_with_their_replacement() {
+        for b in ["seq", "sequential", "skip", "skip-ahead"] {
+            for cmd in [cmd_run, cmd_sweep] {
+                let err = cmd(&s(&["--n", "500", "--backend", b])).unwrap_err();
+                assert!(
+                    err.0.contains("count for per-event runs, batch otherwise"),
+                    "{b}: {}",
+                    err.0
+                );
+            }
+        }
+    }
+
+    /// A checkpoint whose identity names a removed backend, or whose
+    /// engine payload carries a removed engine's snapshot tag, is refused
+    /// with an error (exit 2), never a panic.
+    #[test]
+    fn resume_refuses_checkpoints_of_removed_backends() {
+        use pop_proto::simulator::snapshot_tags;
+        let dir = std::env::temp_dir().join("usd_cli_test_removed_ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("removed.ckpt");
+        let path_str = path.to_str().unwrap().to_string();
+        let payload = |tag: u8| {
+            let mut w = SnapshotWriter::new();
+            w.put_u8(tag);
+            snapshot_tags::write_config(&mut w, 2_000, 4);
+            w.into_bytes()
+        };
+        let write = |backend: &str, tag: u8| {
+            RunCheckpoint {
+                backend: backend.into(),
+                n: 2_000,
+                k: 3,
+                seed: 5,
+                topology: String::new(),
+                rng: SimRng::new(1).state(),
+                recorder: None,
+                engine: payload(tag),
+            }
+            .save(&path)
+            .unwrap();
+        };
+        let run = |extra: &[&str]| {
+            let mut args = vec!["--n", "2000", "--k", "3", "--seed", "5", "--resume"];
+            args.push(&path_str);
+            args.extend_from_slice(extra);
+            cmd_run(&s(&args)).unwrap_err().0
+        };
+        for (name, tag) in [
+            ("seq", snapshot_tags::USD_SEQ),
+            ("skip", snapshot_tags::USD_SKIP),
+        ] {
+            // A run on the old default wrote identity `skip`; the
+            // resolved default no longer matches it.
+            write(name, tag);
+            let err = run(&[]);
+            assert!(err.contains(&format!("backend {name}")), "{err}");
+            let err = run(&["--backend", name]);
+            assert!(err.contains("removed"), "{err}");
+            // A stray payload under a live identity fails the tag check.
+            write("count", tag);
+            let err = run(&["--backend", "count"]);
+            assert!(
+                err.contains(&format!("snapshot is for engine '{name}'")),
+                "{err}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(dir.join("removed.ckpt.prev"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Generic backend selection for USD runs.
 //!
-//! Nine exact engines can run the Undecided State Dynamics:
+//! Seven exact engines can run the Undecided State Dynamics:
 //!
 //! | backend | engine | cost model |
 //! |---------|--------|------------|
@@ -10,8 +10,6 @@
 //! | `graph` | [`pop_proto::GraphSimulator`] | O(d log m)/**effective** interaction |
 //! | `batchgraph` | [`pop_proto::BatchGraphSimulator`] | block-leaping O(1)/interaction, sparse O(d log m)/effective |
 //! | `pargraph` | [`pop_proto::ParGraphSimulator`] | multi-core block-leaping: position-derived draw blocks applied across spatial domains on the persistent worker pool |
-//! | `seq`   | [`crate::dynamics::SequentialUsd`] | O(log k)/interaction, USD-specialized |
-//! | `skip`  | [`crate::dynamics::SkipAheadUsd`] | O(log k)/effective event |
 //! | `replica` | [`pop_proto::ReplicaSimulator`] | r ≤ 64 packed lanes, O(⌈log₂(k+1)⌉)/draw for **all** lanes |
 //!
 //! [`Backend`] names them (with `FromStr` for CLI flags);
@@ -33,11 +31,11 @@
 //! bit-identical for any [`RunSpec::threads`](crate::RunSpec::threads)
 //! setting.
 //!
-//! The free functions in this module are the *legacy* entrypoints, kept as
-//! thin deprecated wrappers over [`RunSpec`] (their
-//! equivalence is pinned by `tests/replica_equivalence.rs`); callers that
-//! only need an engine built, not driven, use [`make_simulator`] /
-//! [`make_topology_simulator`], which delegate to
+//! A run that names no backend gets a resolved one:
+//! [`Backend::clique_default`] on the clique (a pure function of n and the
+//! observation granularity the caller needs) and `batchgraph` on a
+//! topology. Callers that only need an engine built, not driven, use
+//! [`make_simulator`] / [`make_topology_simulator`], which delegate to
 //! [`RunSpec::build_simulator`](crate::RunSpec::build_simulator).
 //!
 //! # Telemetry availability
@@ -54,8 +52,6 @@
 //! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*` skipper stats, spans `dense`/`sparse` |
 //! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
 //! | `pargraph` | clocks, `blocks`/`block_draws`/`block_applied` (interior draws), `fallback_literal` (replayed boundary/conflict draws), `dense_steps`/`pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*`, spans `dense`/`sparse` |
-//! | `seq` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
-//! | `skip` | `scheduled`/`effective`, `skip_draws`, `pair_draws` |
 //! | `replica` | `scheduled`/`effective` (*lane-aggregate*: +popcount(live)/+popcount(changed) per draw), `dense_steps`/`pair_draws` (per *draw*) |
 //!
 //! `scheduled`/`effective` equal the engine's interaction clocks on every
@@ -82,8 +78,6 @@
 //! | `graph` | `skip_len` (dense no-op runs + sparse geometric draws), `block_total` (sparse skipper) |
 //! | `batchgraph` | `skip_len`, `block_size` (matching blocks), `fallback_run` (dirty draws), `block_total` (sparse skipper) |
 //! | `pargraph` | `block_size` (interior draws applied per block), `fallback_run` (replayed draws per block), `skip_len`/`block_total` (sparse skipper only — dense no-op runs are not observable from the parallel application) |
-//! | `seq` | `skip_len` (literally-counted no-op runs) |
-//! | `skip` | `skip_len` (completed geometric runs) |
 //! | `replica` | `skip_len` (runs of draws effective in **no** lane) |
 //!
 //! The live `sparse.*` stats are `events`, `skip_draws`, `event_draws`,
@@ -95,7 +89,7 @@
 
 use crate::config::UsdConfig;
 use crate::protocol::UndecidedStateDynamics;
-use crate::runspec::{drive_agent_graph_chunked, drive_chunked, drive_plain, RunSpec};
+use crate::runspec::RunSpec;
 use crate::stabilization::{ConsensusOutcome, StabilizationResult};
 use pop_proto::simulator::shuffled_layout;
 use pop_proto::{AgentSimulator, GraphScheduler, Simulator, TopologyFamily};
@@ -120,10 +114,6 @@ pub enum Backend {
     /// applied across spatial domains on the persistent worker pool;
     /// trajectories bit-identical for any thread count).
     ParGraph,
-    /// USD-specialized sequential engine.
-    Sequential,
-    /// USD-specialized skip-ahead engine.
-    SkipAhead,
     /// Bit-parallel replica engine: up to 64 independent replica runs
     /// packed one bit-plane word per agent, advanced together by one
     /// shared (pair, orientation) schedule — the ensemble engine.
@@ -132,20 +122,18 @@ pub enum Backend {
 
 impl Backend {
     /// All backends, in display order.
-    pub const ALL: [Backend; 9] = [
+    pub const ALL: [Backend; 7] = [
         Backend::Agent,
         Backend::Count,
         Backend::Batch,
         Backend::Graph,
         Backend::BatchGraph,
         Backend::ParGraph,
-        Backend::Sequential,
-        Backend::SkipAhead,
         Backend::Replica,
     ];
 
     /// The flag-friendly name (`agent`, `count`, `batch`, `graph`,
-    /// `batchgraph`, `pargraph`, `seq`, `skip`, `replica`).
+    /// `batchgraph`, `pargraph`, `replica`).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Agent => "agent",
@@ -154,8 +142,6 @@ impl Backend {
             Backend::Graph => "graph",
             Backend::BatchGraph => "batchgraph",
             Backend::ParGraph => "pargraph",
-            Backend::Sequential => "seq",
-            Backend::SkipAhead => "skip",
             Backend::Replica => "replica",
         }
     }
@@ -179,8 +165,7 @@ impl Backend {
     /// and construction paths consult. See [`Capabilities`].
     pub fn capabilities(&self) -> Capabilities {
         let granularity = match self {
-            Backend::Agent | Backend::Count | Backend::Sequential => ObservationGranularity::Event,
-            Backend::SkipAhead | Backend::Graph => ObservationGranularity::Event,
+            Backend::Agent | Backend::Count | Backend::Graph => ObservationGranularity::Event,
             Backend::Batch | Backend::BatchGraph | Backend::ParGraph | Backend::Replica => {
                 ObservationGranularity::Block
             }
@@ -205,20 +190,29 @@ impl Backend {
         }
     }
 
-    /// Whether the backend runs on non-clique interaction graphs (accepted
-    /// by [`RunSpec::topology`](crate::RunSpec::topology) /
-    /// [`make_topology_simulator`]).
-    #[deprecated(since = "0.1.0", note = "use Backend::capabilities().topologies")]
-    pub fn supports_topologies(&self) -> bool {
-        self.capabilities().topologies
-    }
-
-    /// Whether the backend packs multiple independent replica lanes into
-    /// one engine pass (accepted by
-    /// [`RunSpec::replicas`](crate::RunSpec::replicas) with r > 1).
-    #[deprecated(since = "0.1.0", note = "use Backend::capabilities().replicas > 1")]
-    pub fn supports_replicas(&self) -> bool {
-        self.capabilities().replicas > 1
+    /// The clique engine a run that names no backend gets: a pure function
+    /// of the population `n` and the `observation` granularity the caller
+    /// needs, so a fixed seed reproduces the same run.
+    ///
+    /// `agent` (the literal model) up to n = 10⁵, where its state array
+    /// is cache-resident; above that `count` when every effective event
+    /// must be observed individually and `batch` otherwise. The crossover
+    /// is the README's "Clique engine census" (`cargo run --release
+    /// --example clique_census`: ns per interaction from maximum
+    /// admissible bias to silence, median of 5 seeds): `agent` is the
+    /// fastest engine in every measured cell up to n = 10⁵ but
+    /// (10⁵, k = 2), and `batch` in every cell above. The constant has no
+    /// k term.
+    pub fn clique_default(n: u64, observation: ObservationGranularity) -> Backend {
+        const AGENT_MAX_N: u64 = 100_000;
+        if n <= AGENT_MAX_N {
+            Backend::Agent
+        } else {
+            match observation {
+                ObservationGranularity::Event => Backend::Count,
+                ObservationGranularity::Block => Backend::Batch,
+            }
+        }
     }
 }
 
@@ -234,10 +228,9 @@ pub enum ObservationGranularity {
 
 /// What a [`Backend`] can do, declared in one place.
 ///
-/// Replaces the scattered `supports_*` boolean probes: argument
-/// validation (the CLI's exit-2 paths) and the [`RunSpec`] construction
-/// panics all route through this struct, so adding a backend means
-/// filling in one table instead of auditing every probe call site.
+/// Argument validation (the CLI's exit-2 paths) and the [`RunSpec`]
+/// construction panics all route through this struct, so adding a
+/// backend means filling in one table instead of auditing call sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capabilities {
     /// Runs on non-clique interaction graphs
@@ -276,12 +269,13 @@ impl std::str::FromStr for Backend {
             "graph" | "graphwise" => Ok(Backend::Graph),
             "batchgraph" | "batch-graph" => Ok(Backend::BatchGraph),
             "pargraph" | "par-graph" => Ok(Backend::ParGraph),
-            "seq" | "sequential" => Ok(Backend::Sequential),
-            "skip" | "skip-ahead" => Ok(Backend::SkipAhead),
             "replica" | "ensemble" => Ok(Backend::Replica),
+            "seq" | "sequential" | "skip" | "skip-ahead" => Err(format!(
+                "backend '{s}' was removed: use count for per-event runs, batch otherwise"
+            )),
             other => Err(format!(
-                "unknown backend '{other}' (expected \
-                 agent|count|batch|graph|batchgraph|pargraph|seq|skip|replica)"
+                "unknown backend '{other}' (expected {})",
+                Backend::ALL.map(|b| b.name()).join("|")
             )),
         }
     }
@@ -294,10 +288,9 @@ pub const COMPLETE_GRAPH_MAX_N: u64 = 10_000;
 
 /// Construct a generic-substrate simulator for `config` as a trait object.
 ///
-/// Every backend is a generic-substrate engine: the six `pop-proto`
-/// engines natively, the two USD-specialized ones through their thin
-/// wrappers, and the replica ensemble engine (default 64 lanes), so
-/// observer-driven experiments select any of the nine interchangeably.
+/// Every backend is a generic-substrate engine (the replica ensemble
+/// engine with its default 64 lanes), so observer-driven experiments
+/// select any of the seven interchangeably.
 /// Delegates to [`RunSpec::build_simulator`](crate::RunSpec::build_simulator)
 /// — the one place backends register; clique construction draws no RNG
 /// (replica lane layouts come from an internal fixed-seed stream).
@@ -373,29 +366,6 @@ pub fn classify_counts(
     }
 }
 
-/// Run an already-constructed USD simulator to stabilization in place.
-///
-/// The in-place twin of [`stabilize_with_backend`]: the caller keeps the
-/// simulator, so its per-engine state —
-/// [`telemetry`](pop_proto::Simulator::telemetry) above all — survives the
-/// run. `k` is the opinion count (the simulator holds `k + 1` states with
-/// ⊥ at index `k`); `initial_plurality` feeds the result's plurality
-/// bookkeeping.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).budget(b).run_keeping(rng), or RunSpec::drive for a \
-            simulator you built yourself"
-)]
-pub fn stabilize_simulator(
-    sim: &mut dyn Simulator,
-    k: usize,
-    rng: &mut SimRng,
-    budget: u64,
-    initial_plurality: Option<usize>,
-) -> StabilizationResult {
-    drive_plain(sim, k, rng, budget, initial_plurality)
-}
-
 /// Chunk-boundary observer for the ticking run drivers.
 ///
 /// The drivers call [`RunTicker::tick`] with the live engine after every
@@ -437,122 +407,6 @@ impl<F: FnMut(&dyn Simulator)> RunTicker for F {
     }
 }
 
-/// `stabilize_simulator` with a progress heartbeat: the run is driven in
-/// `~max(4n, 2¹⁶)`-interaction chunks (further bounded by the ticker's
-/// [`horizon`](RunTicker::horizon)) and `tick` observes the engine after
-/// each chunk (the CLI's `--progress-every` stderr heartbeat and the
-/// `--timeline` flight recorder hang off this). Chunk boundaries can
-/// truncate the leaping backends' geometric skip draws, so a ticked run
-/// need not be interaction-identical to the same seed driven without one.
-/// Assumes a freshly constructed simulator (interaction clock at zero),
-/// which is how every caller of [`make_simulator`] holds one.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).ticker(t).budget(b).run_keeping(rng), or \
-            RunSpec::drive for a simulator you built yourself"
-)]
-pub fn stabilize_simulator_ticking(
-    sim: &mut dyn Simulator,
-    k: usize,
-    rng: &mut SimRng,
-    budget: u64,
-    initial_plurality: Option<usize>,
-    tick: &mut dyn RunTicker,
-) -> StabilizationResult {
-    drive_chunked(sim, k, rng, budget, initial_plurality, Some(tick), None)
-}
-
-/// Run `config` to USD stabilization on the chosen backend.
-///
-/// Semantics match [`stabilize`](crate::stabilization::stabilize): the run
-/// ends at silence (consensus or
-/// all-undecided) or when `budget` interactions have been simulated, and
-/// the result reports the winner, the interaction count at the stopping
-/// point, and whether the initial plurality won.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).backend(b).budget(budget).run(rng)"
-)]
-pub fn stabilize_with_backend(
-    backend: Backend,
-    config: &UsdConfig,
-    rng: &mut SimRng,
-    budget: u64,
-) -> StabilizationResult {
-    RunSpec::new(config)
-        .backend(backend)
-        .budget(budget)
-        .run(rng)
-}
-
-/// Run `config` to USD stabilization on a [`TopologyFamily`] graph.
-///
-/// The graph is deterministic in `(family, n, topo_seed)`; the initial
-/// layout and the dynamics draw from `rng`. The run ends at *graph*
-/// silence or budget exhaustion. On disconnected topologies (possible for
-/// `er`) a run can end [`ConsensusOutcome::Frozen`]; the backends detect
-/// this exactly — the `graph` engines natively, the `agent` engine via an
-/// O(m) edge scan every ~4n interactions (amortized O(d/n) per step), the
-/// `replica` engine via its periodic frozen-lane scan. A generated graph
-/// with no edges at all (very sparse `er`) is trivially silent and
-/// classifies immediately without simulating.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).backend(b).topology(f).topo_seed(s).budget(budget).run(rng)"
-)]
-pub fn stabilize_on_topology(
-    backend: Backend,
-    config: &UsdConfig,
-    family: TopologyFamily,
-    topo_seed: u64,
-    rng: &mut SimRng,
-    budget: u64,
-) -> StabilizationResult {
-    RunSpec::new(config)
-        .backend(backend)
-        .topology(family)
-        .topo_seed(topo_seed)
-        .budget(budget)
-        .run(rng)
-}
-
-/// `stabilize_on_topology` for callers that need the engine afterwards:
-/// returns the result together with the simulator, so per-engine state —
-/// [`telemetry`](pop_proto::Simulator::telemetry) above all — survives the
-/// run. `tick` observes the engine after every driving chunk (pass
-/// `&mut |_: &dyn Simulator| {}` for no heartbeat) and can bound chunks
-/// via [`RunTicker::horizon`]. `span_timing` turns the engine's span
-/// clock on before the run and `histograms` its per-event histograms. An
-/// edgeless graph (very sparse `er`) is trivially silent and has no
-/// engine to return — the simulator slot is `None`.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).backend(b).topology(f).topo_seed(s).budget(budget)\
-            .span_timing(st).histograms(h).ticker(t).run_keeping(rng)"
-)]
-pub fn stabilize_on_topology_keeping(
-    backend: Backend,
-    config: &UsdConfig,
-    family: TopologyFamily,
-    topo_seed: u64,
-    rng: &mut SimRng,
-    budget: u64,
-    span_timing: bool,
-    histograms: bool,
-    tick: &mut dyn RunTicker,
-) -> (StabilizationResult, Option<Box<dyn Simulator>>) {
-    RunSpec::new(config)
-        .backend(backend)
-        .topology(family)
-        .topo_seed(topo_seed)
-        .budget(budget)
-        .span_timing(span_timing)
-        .histograms(histograms)
-        .ticker(tick)
-        .run_keeping(rng)
-}
-
 /// Construct the *concrete* agentwise simulator for a topology run —
 /// the engine [`make_topology_simulator`] boxes for [`Backend::Agent`],
 /// unboxed so callers that must interleave the exact frozen-configuration
@@ -573,32 +427,8 @@ pub fn make_agent_topology_simulator(
     AgentSimulator::new(proto, GraphScheduler::new(graph), states)
 }
 
-/// Chunked drive of the agentwise engine on an interaction graph: the
-/// count-level silence criterion inside `run_to_silence` misses frozen
-/// configurations on disconnected graphs, so chunked runs interleave with
-/// the exact O(m) edge-scan criterion. Resumed runs (simulator restored
-/// from a checkpoint, clock mid-flight) drive through exactly the same
-/// loop — chunk boundaries are a pure function of the absolute
-/// interaction clock.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).ticker(t).budget(b).drive_agent_graph(sim, rng)"
-)]
-pub fn stabilize_agent_graph_ticking(
-    sim: &mut AgentSimulator<UndecidedStateDynamics, GraphScheduler>,
-    k: usize,
-    rng: &mut SimRng,
-    budget: u64,
-    initial_plurality: Option<usize>,
-    tick: &mut dyn RunTicker,
-) -> StabilizationResult {
-    drive_agent_graph_chunked(sim, k, rng, budget, initial_plurality, Some(tick), None)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
     use crate::init::InitialConfigBuilder;
 
@@ -608,45 +438,73 @@ mod tests {
             assert_eq!(b.name().parse::<Backend>().unwrap(), b);
             assert_eq!(b.to_string(), b.name());
         }
-        assert_eq!(
-            "sequential".parse::<Backend>().unwrap(),
-            Backend::Sequential
-        );
-        assert_eq!("skip-ahead".parse::<Backend>().unwrap(), Backend::SkipAhead);
         assert_eq!("graphwise".parse::<Backend>().unwrap(), Backend::Graph);
         assert_eq!("ensemble".parse::<Backend>().unwrap(), Backend::Replica);
         assert_eq!("par-graph".parse::<Backend>().unwrap(), Backend::ParGraph);
-        assert!("warp".parse::<Backend>().is_err());
+        let unknown = "warp".parse::<Backend>().unwrap_err();
+        assert!(
+            unknown.contains("agent|count|batch|graph|batchgraph|pargraph|replica"),
+            "{unknown}"
+        );
         assert!(Backend::Agent.per_agent_memory());
         assert!(Backend::Graph.per_agent_memory());
         assert!(!Backend::Batch.per_agent_memory());
-        assert!(Backend::Agent.supports_topologies());
-        assert!(Backend::Graph.supports_topologies());
-        assert!(Backend::BatchGraph.supports_topologies());
         assert!(Backend::BatchGraph.per_agent_memory());
-        assert!(Backend::ParGraph.supports_topologies());
         assert!(Backend::ParGraph.per_agent_memory());
-        assert!(Backend::Replica.supports_topologies());
         assert!(Backend::Replica.per_agent_memory());
-        assert!(Backend::Replica.supports_replicas());
-        for b in Backend::ALL {
-            assert_eq!(b.supports_replicas(), b == Backend::Replica, "{b}");
-        }
         assert_eq!(
             "batch-graph".parse::<Backend>().unwrap(),
             Backend::BatchGraph
         );
-        assert!(!Backend::Batch.supports_topologies());
-        assert!(!Backend::SkipAhead.supports_topologies());
+    }
+
+    #[test]
+    fn removed_backend_names_point_at_their_replacements() {
+        for name in ["seq", "sequential", "skip", "skip-ahead"] {
+            let err = name.parse::<Backend>().unwrap_err();
+            assert!(err.contains("removed"), "{name}: {err}");
+            assert!(
+                err.contains("count for per-event runs") && err.contains("batch otherwise"),
+                "{name}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn clique_default_is_agent_up_to_1e5_then_count_or_batch() {
+        use ObservationGranularity::{Block, Event};
+        for n in [2, 1_000, 100_000] {
+            assert_eq!(Backend::clique_default(n, Event), Backend::Agent);
+            assert_eq!(Backend::clique_default(n, Block), Backend::Agent);
+        }
+        for n in [100_001, 1_000_000, 10_000_000_000] {
+            assert_eq!(Backend::clique_default(n, Event), Backend::Count);
+            assert_eq!(Backend::clique_default(n, Block), Backend::Batch);
+        }
+        // An event-granularity request resolves to an event-exact engine.
+        for n in [1_000, 1_000_000] {
+            let b = Backend::clique_default(n, Event);
+            assert_eq!(b.capabilities().observation, Event, "{b}");
+        }
     }
 
     #[test]
     fn capabilities_declare_the_probe_truth_in_one_place() {
         for b in Backend::ALL {
             let caps = b.capabilities();
-            // The deprecated shims must forward to the struct exactly.
-            assert_eq!(b.supports_topologies(), caps.topologies, "{b}");
-            assert_eq!(b.supports_replicas(), caps.replicas > 1, "{b}");
+            assert_eq!(
+                caps.topologies,
+                matches!(
+                    b,
+                    Backend::Agent
+                        | Backend::Graph
+                        | Backend::BatchGraph
+                        | Backend::ParGraph
+                        | Backend::Replica
+                ),
+                "{b}"
+            );
+            assert_eq!(caps.replicas > 1, b == Backend::Replica, "{b}");
             assert!(caps.checkpointing, "{b}: every current engine snapshots");
             assert!(caps.replicas >= 1, "{b}");
         }
@@ -662,13 +520,7 @@ mod tests {
             );
         }
         // Observation granularity mirrors the table in pop_proto::observe.
-        for b in [
-            Backend::Agent,
-            Backend::Count,
-            Backend::Sequential,
-            Backend::SkipAhead,
-            Backend::Graph,
-        ] {
+        for b in [Backend::Agent, Backend::Count, Backend::Graph] {
             assert_eq!(
                 b.capabilities().observation,
                 ObservationGranularity::Event,
@@ -694,7 +546,7 @@ mod tests {
         let config = UsdConfig::decided(vec![800, 200]);
         for b in Backend::ALL {
             let mut rng = SimRng::new(11);
-            let result = stabilize_with_backend(b, &config, &mut rng, u64::MAX / 2);
+            let result = RunSpec::new(&config).backend(b).run(&mut rng);
             assert!(result.stabilized(), "{b} did not stabilize");
             assert_eq!(
                 result.outcome,
@@ -711,7 +563,10 @@ mod tests {
         let config = UsdConfig::decided(vec![1, 1]);
         for b in Backend::ALL {
             let mut rng = SimRng::new(5);
-            let result = stabilize_with_backend(b, &config, &mut rng, 100_000);
+            let result = RunSpec::new(&config)
+                .backend(b)
+                .budget(100_000)
+                .run(&mut rng);
             assert!(result.stabilized(), "{b}");
             assert_eq!(result.outcome, ConsensusOutcome::AllUndecided, "{b}");
         }
@@ -722,7 +577,7 @@ mod tests {
         let config = UsdConfig::decided(vec![500, 500]);
         for b in Backend::ALL {
             let mut rng = SimRng::new(7);
-            let result = stabilize_with_backend(b, &config, &mut rng, 50);
+            let result = RunSpec::new(&config).backend(b).budget(50).run(&mut rng);
             assert_eq!(result.outcome, ConsensusOutcome::Timeout, "{b}");
             assert!(!result.stabilized(), "{b}");
         }
@@ -746,7 +601,7 @@ mod tests {
         {
             for seed in 0..reps {
                 let mut rng = SimRng::new(seed * 13 + slot as u64);
-                let r = stabilize_with_backend(b, &config, &mut rng, u64::MAX / 2);
+                let r = RunSpec::new(&config).backend(b).run(&mut rng);
                 assert!(r.stabilized());
                 means[slot] += r.interactions as f64;
             }
@@ -755,31 +610,6 @@ mod tests {
         let max = means.iter().cloned().fold(f64::MIN, f64::max);
         let min = means.iter().cloned().fold(f64::MAX, f64::min);
         assert!((max - min) / max < 0.15, "backends diverge: {means:?}");
-    }
-
-    #[test]
-    fn sequential_wrapper_is_a_generic_backend() {
-        let config = UsdConfig::decided(vec![60, 20]);
-        let mut sim = make_simulator(Backend::Sequential, &config);
-        let mut rng = SimRng::new(17);
-        let (t, silent) = sim.run_to_silence(&mut rng, u64::MAX / 2);
-        assert!(silent);
-        assert!(t > 0);
-        assert_eq!(sim.counts().iter().sum::<u64>(), 80);
-        assert!(sim.effective_interactions() > 0);
-        assert!(sim.effective_interactions() <= sim.interactions());
-    }
-
-    #[test]
-    fn skip_ahead_wrapper_is_a_generic_backend() {
-        let config = UsdConfig::decided(vec![60, 20]);
-        let mut sim = make_simulator(Backend::SkipAhead, &config);
-        let mut rng = SimRng::new(13);
-        let (t, silent) = sim.run_to_silence(&mut rng, u64::MAX / 2);
-        assert!(silent);
-        assert!(t > 0);
-        assert_eq!(sim.counts().iter().sum::<u64>(), 80);
-        assert!(sim.effective_interactions() > 0);
     }
 
     #[test]
@@ -821,14 +651,11 @@ mod tests {
             Backend::Replica,
         ] {
             let mut rng = SimRng::new(3);
-            let r = stabilize_on_topology(
-                b,
-                &config,
-                TopologyFamily::Regular { d: 4 },
-                7,
-                &mut rng,
-                u64::MAX / 2,
-            );
+            let r = RunSpec::new(&config)
+                .backend(b)
+                .topology(TopologyFamily::Regular { d: 4 })
+                .topo_seed(7)
+                .run(&mut rng);
             assert!(r.stabilized(), "{b} did not stabilize");
             assert!(r.interactions > 0, "{b}");
         }
@@ -844,14 +671,11 @@ mod tests {
         let counts: Vec<u64> = (0..k).map(|i| if i == 0 { 1_000 } else { 2 }).collect();
         let config = UsdConfig::decided(counts);
         let mut rng = SimRng::new(13);
-        let r = stabilize_on_topology(
-            Backend::BatchGraph,
-            &config,
-            TopologyFamily::Regular { d: 8 },
-            5,
-            &mut rng,
-            u64::MAX / 2,
-        );
+        let r = RunSpec::new(&config)
+            .backend(Backend::BatchGraph)
+            .topology(TopologyFamily::Regular { d: 8 })
+            .topo_seed(5)
+            .run(&mut rng);
         assert!(r.stabilized(), "k = 300 run did not stabilize");
         assert!(r.interactions > 0);
         // The strong bias makes opinion 0 the overwhelming favourite; any
@@ -876,14 +700,11 @@ mod tests {
         let config = UsdConfig::decided(vec![150, 150]);
         for b in [Backend::Agent, Backend::Graph, Backend::BatchGraph] {
             let mut rng = SimRng::new(9);
-            let r = stabilize_on_topology(
-                b,
-                &config,
-                TopologyFamily::ErdosRenyi { avg_degree: 0.8 },
-                3,
-                &mut rng,
-                u64::MAX / 2,
-            );
+            let r = RunSpec::new(&config)
+                .backend(b)
+                .topology(TopologyFamily::ErdosRenyi { avg_degree: 0.8 })
+                .topo_seed(3)
+                .run(&mut rng);
             assert!(r.stabilized(), "{b} did not detect the freeze");
             assert_eq!(r.outcome, ConsensusOutcome::Frozen, "{b}");
             assert!(
@@ -898,18 +719,52 @@ mod tests {
     fn edgeless_topology_classifies_without_simulating() {
         let config = UsdConfig::decided(vec![10, 10]);
         let mut rng = SimRng::new(2);
-        let r = stabilize_on_topology(
-            Backend::Graph,
-            &config,
-            TopologyFamily::ErdosRenyi {
+        let r = RunSpec::new(&config)
+            .backend(Backend::Graph)
+            .topology(TopologyFamily::ErdosRenyi {
                 avg_degree: 1.0e-12,
-            },
-            1,
-            &mut rng,
-            1_000,
-        );
+            })
+            .topo_seed(1)
+            .budget(1_000)
+            .run(&mut rng);
         assert_eq!(r.outcome, ConsensusOutcome::Frozen);
         assert_eq!(r.interactions, 0);
+    }
+
+    /// A spec that names no backend runs the resolved engine: `batchgraph`
+    /// on a topology (the old clique-only default panicked there), and on
+    /// the clique `clique_default` at the granularity the run needs.
+    #[test]
+    fn unnamed_backend_resolves_per_instance() {
+        use pop_proto::checkpoint::SnapshotWriter;
+        use pop_proto::simulator::snapshot_tags;
+        use pop_proto::Observation;
+        let engine_tag = |sim: Option<Box<dyn Simulator>>| {
+            let mut w = SnapshotWriter::new();
+            sim.expect("an engine ran").snapshot_state(&mut w).unwrap();
+            w.into_bytes()[0]
+        };
+        let config = UsdConfig::decided(vec![600, 424]);
+        let (r, sim) = RunSpec::new(&config)
+            .topology(TopologyFamily::Torus)
+            .run_keeping(&mut SimRng::new(1));
+        assert!(r.stabilized());
+        assert_eq!(engine_tag(sim), snapshot_tags::BATCH_GRAPH);
+        for (n, observed, tag) in [
+            (1_000, false, snapshot_tags::AGENT),
+            (1_000, true, snapshot_tags::AGENT),
+            (200_000, false, snapshot_tags::BATCH),
+            (200_000, true, snapshot_tags::COUNT),
+        ] {
+            let config = UsdConfig::decided(vec![n / 2 + 50, n / 2 - 50]);
+            let mut observer = |_: &Observation<'_>| true;
+            let mut spec = RunSpec::new(&config).budget(10_000);
+            if observed {
+                spec = spec.observer(&mut observer);
+            }
+            let (_, sim) = spec.run_keeping(&mut SimRng::new(2));
+            assert_eq!(engine_tag(sim), tag, "n = {n}, observed = {observed}");
+        }
     }
 
     #[test]
@@ -922,18 +777,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot run graph topologies")]
+    #[should_panic(expected = "cannot run graph topologies \
+                               (topology-capable: agent, graph, batchgraph, pargraph, replica)")]
     fn topology_rejects_clique_only_backends() {
         let config = UsdConfig::decided(vec![4, 4]);
         let mut rng = SimRng::new(1);
-        stabilize_on_topology(
-            Backend::Batch,
-            &config,
-            TopologyFamily::Cycle,
-            0,
-            &mut rng,
-            1_000,
-        );
+        RunSpec::new(&config)
+            .backend(Backend::Batch)
+            .topology(TopologyFamily::Cycle)
+            .budget(1_000)
+            .run(&mut rng);
     }
 
     #[test]

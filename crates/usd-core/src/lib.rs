@@ -26,24 +26,24 @@
 //! * [`init`] — initial-configuration families, including the paper's
 //!   lower-bound family (equal minorities, majority bias
 //!   β = O((√n/(k log n))^¼ · √(n log n))) and the Figure 1 family;
-//! * [`dynamics`] — two specialized exact simulators:
-//!   [`dynamics::SequentialUsd`] (O(log k) per interaction) and
-//!   [`dynamics::SkipAheadUsd`] (geometric skipping over no-op
-//!   interactions, exact in distribution, for large-n sweeps);
-//! * [`backend`] — uniform selection among those engines and the three
-//!   generic `pop-proto` backends (`agent`, `count`, and the batch-leaping
-//!   `batch` for n ≥ 10⁸), one entry point for experiments and the CLI;
+//! * [`backend`] — uniform selection among the seven exact `pop-proto`
+//!   engines (`agent`, `count`, the batch-leaping `batch`, the graph
+//!   engines and the `replica` ensemble engine), and
+//!   [`Backend::clique_default`], the engine a run that names none gets;
+//! * [`runspec`] — [`RunSpec`], the one entry point that builds and drives
+//!   any of them, for experiments, the CLI, examples and benches;
 //! * [`analysis`] — every quantity the proof manipulates: the plateau
 //!   n/2 − n/4k, the per-opinion threshold uᵢ = (n − xᵢ)/2, closed-form
 //!   one-step drifts of u(t) and Δᵢⱼ(t), the maximum pairwise gap, and the
 //!   monochromatic distance of Becchetti et al.;
-//! * [`stabilization`] — consensus detection and the doubling-time
-//!   detectors used by Lemmas 3.3/3.4 and Figure 1 (right);
+//! * [`stabilization`] — how a run to silence ended (winner, interaction
+//!   count, whether the plurality won);
 //! * [`theory`] — the paper's bound curves (Theorem 3.5 lower bound,
 //!   Amir et al. upper bound, admissible-bias and valid-k predicates);
 //! * [`phases`] — segmentation of a run into the ramp / plateau / endgame
 //!   phases discussed in §2;
-//! * [`encode`] — compact binary trace encoding for large experiment runs.
+//! * [`encode`] — compact binary trace encoding for large experiment runs,
+//!   and [`recording`] — the ticker that records one during a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +52,6 @@ pub mod analysis;
 pub mod backend;
 pub mod checkpoint;
 pub mod config;
-pub mod dynamics;
 pub mod encode;
 pub mod init;
 pub mod mean_field;
@@ -70,16 +69,11 @@ pub use analysis::{
 pub use backend::{
     make_simulator, make_topology_simulator, Backend, Capabilities, ObservationGranularity,
 };
-#[allow(deprecated)]
-pub use backend::{stabilize_on_topology, stabilize_with_backend};
 pub use checkpoint::{RunCheckpoint, RunIdentity};
 pub use config::UsdConfig;
-pub use dynamics::{
-    SequentialGeneric, SequentialUsd, SkipAheadGeneric, SkipAheadUsd, UsdEvent, UsdSimulator,
-};
 pub use init::InitialConfigBuilder;
 pub use protocol::{UndecidedStateDynamics, UsdState};
-pub use recording::record_run;
+pub use recording::TraceRecorder;
 pub use runspec::{EnsembleOutcome, LaneOutcome, RunSpec, DEFAULT_REPLICAS};
-pub use stabilization::{ConsensusOutcome, DoublingDetector, StabilizationResult};
+pub use stabilization::{ConsensusOutcome, StabilizationResult};
 pub use theory::Bounds;

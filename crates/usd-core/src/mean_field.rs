@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn mean_field_tracks_stochastic_simulation_at_large_n() {
-        use crate::dynamics::{SkipAheadUsd, UsdSimulator};
+        use crate::backend::{make_simulator, Backend};
         use sim_stats::rng::SimRng;
         // Integrate 5 parallel-time units and compare υ with one stochastic
         // run at n = 200k (fluid limit error is O(1/√n) ≈ 0.002).
@@ -229,15 +229,10 @@ mod tests {
         let (_, states) = integrate(initial, horizon, 0.001, usize::MAX);
         let fluid_u = states.last().unwrap().u;
 
-        let mut sim = SkipAheadUsd::new(&config);
+        let mut sim = make_simulator(Backend::Batch, &config);
         let mut rng = SimRng::new(12);
-        let target = (horizon * n as f64) as u64;
-        while sim.interactions() < target {
-            if sim.step_effective(&mut rng).is_none() {
-                break;
-            }
-        }
-        let stochastic_u = sim.undecided() as f64 / n as f64;
+        sim.run_to_silence(&mut rng, (horizon * n as f64) as u64);
+        let stochastic_u = sim.counts()[k] as f64 / n as f64;
         assert!(
             (fluid_u - stochastic_u).abs() < 0.01,
             "fluid υ {fluid_u} vs stochastic {stochastic_u}"

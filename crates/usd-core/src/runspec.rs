@@ -1,10 +1,8 @@
 //! The unified run entrypoint: [`RunSpec`].
 //!
-//! Historically every way of driving a USD run had its own free function in
-//! [`crate::backend`] — clique vs topology, fire-and-forget vs keeping the
-//! engine, with vs without a progress ticker — six near-duplicate
-//! entrypoints whose signatures grew in lockstep. [`RunSpec`] collapses
-//! them into one builder:
+//! Every way of driving a USD run — clique or topology, fire-and-forget or
+//! keeping the engine, with or without a progress ticker or observer —
+//! goes through one builder:
 //!
 //! ```
 //! use sim_stats::rng::SimRng;
@@ -13,11 +11,18 @@
 //! let config = UsdConfig::decided(vec![800, 200]);
 //! let mut rng = SimRng::new(11);
 //! let result = RunSpec::new(&config)
-//!     .backend(Backend::SkipAhead)
+//!     .backend(Backend::Batch)
 //!     .budget(u64::MAX / 2)
 //!     .run(&mut rng);
 //! assert!(result.stabilized());
 //! ```
+//!
+//! A spec that names no [`backend`](RunSpec::backend) resolves one when it
+//! runs: `batchgraph` on a topology, and on the clique
+//! [`Backend::clique_default`] at the observation granularity the run
+//! needs — [`Event`](crate::ObservationGranularity::Event) when an
+//! [`observer`](RunSpec::observer) is attached,
+//! [`Block`](crate::ObservationGranularity::Block) otherwise.
 //!
 //! Optional knobs compose instead of multiplying entrypoints:
 //! [`topology`](RunSpec::topology) switches the run to a
@@ -41,28 +46,25 @@
 //!
 //! Construction without driving is [`RunSpec::build_simulator`] — the one
 //! place every backend (including [`Backend::Replica`]) registers; the
-//! legacy [`make_simulator`](crate::backend::make_simulator) /
+//! [`make_simulator`](crate::backend::make_simulator) /
 //! [`make_topology_simulator`](crate::backend::make_topology_simulator)
 //! helpers delegate here. Resumed runs (engine restored from a
 //! [`RunCheckpoint`](crate::checkpoint::RunCheckpoint), clock mid-flight)
 //! re-enter the identical chunked drive loops through
 //! [`RunSpec::drive`] / [`RunSpec::drive_agent_graph`].
 //!
-//! # Drive-loop equivalence with the legacy entrypoints
+//! # Drive loops
 //!
-//! The builder routes to the same three loops the legacy functions were:
-//! a clique run with no ticker and no observer is a single
-//! `run_to_silence` call (bit-identical to `stabilize_with_backend`);
-//! attaching a ticker or observer switches to the `~max(4n, 2¹⁶)`-chunked
-//! loop (`stabilize_simulator_ticking`); topology runs always drive
-//! chunked, with [`Backend::Agent`] additionally interleaving the exact
-//! O(m) frozen-configuration edge scan (`stabilize_agent_graph_ticking`).
-//! `tests/replica_equivalence.rs` pins builder ↔ wrapper equivalence on
-//! every backend.
+//! A clique run with no ticker and no observer is a single
+//! `run_to_silence` call. Attaching a ticker or observer switches to the
+//! `~max(4n, 2¹⁶)`-chunked loop. Topology runs always drive chunked, with
+//! [`Backend::Agent`] additionally interleaving the exact O(m)
+//! frozen-configuration edge scan.
 
-use crate::backend::{classify_counts, Backend, RunTicker, COMPLETE_GRAPH_MAX_N};
+use crate::backend::{
+    classify_counts, Backend, ObservationGranularity, RunTicker, COMPLETE_GRAPH_MAX_N,
+};
 use crate::config::UsdConfig;
-use crate::dynamics::{SequentialGeneric, SkipAheadGeneric};
 use crate::protocol::UndecidedStateDynamics;
 use crate::stabilization::StabilizationResult;
 use pop_proto::simulator::{shuffled_layout, MAX_LANES};
@@ -102,7 +104,7 @@ const REPLICA_CLIQUE_LAYOUT_SEED: u64 = 0x5EED_1A9E_C0DE_D001;
 /// the run); [`build_simulator`](RunSpec::build_simulator) borrows it.
 pub struct RunSpec<'a> {
     config: &'a UsdConfig,
-    backend: Backend,
+    backend: Option<Backend>,
     topology: Option<TopologyFamily>,
     topo_seed: u64,
     replicas: Option<u32>,
@@ -115,13 +117,13 @@ pub struct RunSpec<'a> {
 }
 
 impl<'a> RunSpec<'a> {
-    /// A run of `config` on the default engine ([`Backend::SkipAhead`],
-    /// the fast USD-specialized clique engine) with an effectively
-    /// unbounded budget and no instrumentation.
+    /// A run of `config` on the resolved default engine (see the
+    /// [module docs](self)) with an effectively unbounded budget and no
+    /// instrumentation.
     pub fn new(config: &'a UsdConfig) -> Self {
         RunSpec {
             config,
-            backend: Backend::SkipAhead,
+            backend: None,
             topology: None,
             topo_seed: 0,
             replicas: None,
@@ -134,10 +136,24 @@ impl<'a> RunSpec<'a> {
         }
     }
 
-    /// Select the engine (default [`Backend::SkipAhead`]).
+    /// Select the engine (default: resolved when the run starts, see the
+    /// [module docs](self)).
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.backend = Some(backend);
         self
+    }
+
+    /// The engine this spec runs: the [`backend`](RunSpec::backend) set,
+    /// else `batchgraph` on a topology and [`Backend::clique_default`] on
+    /// the clique (event granularity when an observer is attached).
+    fn engine(&self) -> Backend {
+        self.backend.unwrap_or_else(|| match self.topology {
+            Some(_) => Backend::BatchGraph,
+            None if self.observer.is_some() => {
+                Backend::clique_default(self.config.n(), ObservationGranularity::Event)
+            }
+            None => Backend::clique_default(self.config.n(), ObservationGranularity::Block),
+        })
     }
 
     /// Run on a [`TopologyFamily`] graph instead of the clique. The graph
@@ -232,9 +248,10 @@ impl<'a> RunSpec<'a> {
     /// ceiling), else [`DEFAULT_REPLICAS`] for [`Backend::Replica`] and 1
     /// otherwise.
     pub fn lanes(&self) -> u32 {
+        let backend = self.engine();
         match self.replicas {
             None => {
-                if self.backend == Backend::Replica {
+                if backend == Backend::Replica {
                     DEFAULT_REPLICAS
                 } else {
                     1
@@ -246,12 +263,11 @@ impl<'a> RunSpec<'a> {
                     r as usize <= MAX_LANES as usize,
                     "{r} replica lanes exceed the {MAX_LANES}-lane word width"
                 );
-                let ceiling = self.backend.capabilities().replicas;
+                let ceiling = backend.capabilities().replicas;
                 assert!(
                     r <= ceiling,
-                    "{} cannot pack {r} replica lanes into one engine pass \
-                     (its capabilities().replicas ceiling is {ceiling})",
-                    self.backend
+                    "{backend} cannot pack {r} replica lanes into one engine pass \
+                     (its capabilities().replicas ceiling is {ceiling})"
                 );
                 r
             }
@@ -269,22 +285,35 @@ impl<'a> RunSpec<'a> {
         match self.topology {
             None => self.build_clique(),
             Some(family) => {
-                assert!(
-                    self.backend.capabilities().topologies,
-                    "{} cannot run graph topologies (use agent or graph)",
-                    self.backend
-                );
-                let graph = family.build(self.config.n() as usize, self.topo_seed);
+                let graph = self.build_graph(family);
                 self.build_on_graph(graph, rng)
             }
         }
     }
 
+    /// Build the topology graph, refusing a backend that cannot run one.
+    fn build_graph(&self, family: TopologyFamily) -> Graph {
+        let backend = self.engine();
+        if !backend.capabilities().topologies {
+            let capable: Vec<&str> = Backend::ALL
+                .iter()
+                .filter(|b| b.capabilities().topologies)
+                .map(|b| b.name())
+                .collect();
+            panic!(
+                "{backend} cannot run graph topologies (topology-capable: {})",
+                capable.join(", ")
+            );
+        }
+        family.build(self.config.n() as usize, self.topo_seed)
+    }
+
     fn build_clique(&self) -> Box<dyn Simulator> {
         let lanes = self.lanes();
+        let backend = self.engine();
         let proto = UndecidedStateDynamics::new(self.config.k());
         let counts = self.config.to_count_config();
-        match self.backend {
+        match backend {
             Backend::Agent => Box::new(AgentSimulator::from_config(
                 proto,
                 CliqueScheduler::new(self.config.n() as usize),
@@ -302,16 +331,15 @@ impl<'a> RunSpec<'a> {
                 // `RunSpec::topology`.
                 assert!(
                     self.config.n() <= COMPLETE_GRAPH_MAX_N,
-                    "backend '{}' on the complete graph materializes n(n-1)/2 edges; \
+                    "backend '{backend}' on the complete graph materializes n(n-1)/2 edges; \
                      n = {} exceeds the {COMPLETE_GRAPH_MAX_N} cap (use --topology for \
                      sparse graphs, or agent/count/batch for the clique)",
-                    self.backend,
                     self.config.n()
                 );
                 let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
-                if self.backend == Backend::Graph {
+                if backend == Backend::Graph {
                     Box::new(GraphSimulator::from_config(proto, &graph, &counts))
-                } else if self.backend == Backend::ParGraph {
+                } else if backend == Backend::ParGraph {
                     // Canonical block layout, like the scalar graph
                     // engine's `from_config` — clique construction stays
                     // RNG-free.
@@ -331,8 +359,6 @@ impl<'a> RunSpec<'a> {
                     Box::new(WideBatchGraphSimulator::with_states(proto, &graph, states))
                 }
             }
-            Backend::Sequential => Box::new(SequentialGeneric::new(self.config)),
-            Backend::SkipAhead => Box::new(SkipAheadGeneric::new(self.config)),
             Backend::Replica => {
                 let mut layout_rng = SimRng::new(REPLICA_CLIQUE_LAYOUT_SEED);
                 let layouts: Vec<Vec<usize>> = (0..lanes)
@@ -349,9 +375,10 @@ impl<'a> RunSpec<'a> {
 
     fn build_on_graph(&self, graph: Graph, rng: &mut SimRng) -> Box<dyn Simulator> {
         let lanes = self.lanes();
+        let backend = self.engine();
         let proto = UndecidedStateDynamics::new(self.config.k());
         let counts = self.config.to_count_config();
-        match self.backend {
+        match backend {
             Backend::Agent => Box::new(AgentSimulator::new(
                 proto,
                 GraphScheduler::new(graph),
@@ -385,7 +412,7 @@ impl<'a> RunSpec<'a> {
                     (0..lanes).map(|_| shuffled_layout(&counts, rng)).collect();
                 Box::new(ReplicaSimulator::new_graph(proto, graph, &layouts))
             }
-            _ => unreachable!("capabilities().topologies admitted {}", self.backend),
+            _ => unreachable!("capabilities().topologies admitted {backend}"),
         }
     }
 
@@ -405,23 +432,20 @@ impl<'a> RunSpec<'a> {
         let k = self.config.k();
         let plurality = self.config.plurality();
         let budget = self.budget;
+        // Resolve before the observer is taken: it decides the default.
+        self.backend = Some(self.engine());
         let mut ticker = self.ticker.take();
         let mut observer = self.observer.take();
         match self.topology {
             Some(family) => {
-                assert!(
-                    self.backend.capabilities().topologies,
-                    "{} cannot run graph topologies (use agent or graph)",
-                    self.backend
-                );
-                let graph = family.build(self.config.n() as usize, self.topo_seed);
+                let graph = self.build_graph(family);
                 if graph.num_edges() == 0 {
                     // Edgeless graph: nothing can ever interact.
                     let counts = self.config.to_count_config();
                     let result = classify_counts(counts.counts(), k, 0, true, plurality);
                     return (result, None);
                 }
-                if self.backend == Backend::Agent {
+                if self.backend == Some(Backend::Agent) {
                     // The agentwise engine needs its concrete type kept
                     // through the drive: the count-level silence criterion
                     // inside `run_to_silence` misses frozen configurations
@@ -482,9 +506,8 @@ impl<'a> RunSpec<'a> {
                     drive_chunked(sim.as_mut(), k, rng, budget, plurality, ticker, observer)
                 } else {
                     // No instrumentation: a single uninterrupted
-                    // `run_to_silence`, bit-identical to the legacy
-                    // fire-and-forget path (chunk boundaries can truncate
-                    // the leaping backends' geometric skip draws, so this
+                    // `run_to_silence` (chunk boundaries can truncate the
+                    // leaping backends' geometric skip draws, so this
                     // distinction is observable).
                     drive_plain(sim.as_mut(), k, rng, budget, plurality)
                 };
@@ -544,9 +567,8 @@ impl SimObserver for StopWatch<'_, '_> {
     }
 }
 
-/// Single uninterrupted `run_to_silence` + classification — the legacy
-/// `stabilize_simulator` body.
-pub(crate) fn drive_plain(
+/// Single uninterrupted `run_to_silence` + classification.
+fn drive_plain(
     sim: &mut dyn Simulator,
     k: usize,
     rng: &mut SimRng,
@@ -557,11 +579,9 @@ pub(crate) fn drive_plain(
     classify_counts(sim.counts(), k, interactions, stabilized, initial_plurality)
 }
 
-/// The `~max(4n, 2¹⁶)`-chunked drive loop — the legacy
-/// `stabilize_simulator_ticking` body, generalized to optional ticker and
-/// observer. With `observer: None` and `ticker: Some(_)` the loop (and its
-/// RNG stream) is identical to the legacy function.
-pub(crate) fn drive_chunked(
+/// The `~max(4n, 2¹⁶)`-chunked drive loop with an optional ticker and
+/// observer.
+fn drive_chunked(
     sim: &mut dyn Simulator,
     k: usize,
     rng: &mut SimRng,
@@ -605,11 +625,7 @@ pub(crate) fn drive_chunked(
 
 /// Whether no edge of `graph` can change any state under `proto` — the
 /// exact graph-silence criterion, from explicit per-agent states.
-pub(crate) fn graph_silent(
-    proto: &UndecidedStateDynamics,
-    graph: &Graph,
-    states: &[usize],
-) -> bool {
+fn graph_silent(proto: &UndecidedStateDynamics, graph: &Graph, states: &[usize]) -> bool {
     graph.edges().all(|(a, b)| {
         let (sa, sb) = (states[a as usize], states[b as usize]);
         proto.is_noop(sa, sb) && proto.is_noop(sb, sa)
@@ -617,11 +633,10 @@ pub(crate) fn graph_silent(
 }
 
 /// Chunked drive of the concrete agentwise engine on an interaction graph
-/// — the legacy `stabilize_agent_graph_ticking` body, generalized to
-/// optional ticker and observer. The count-level silence criterion inside
-/// `run_to_silence` misses frozen configurations on disconnected graphs,
-/// so chunk boundaries interleave the exact O(m) edge scan.
-pub(crate) fn drive_agent_graph_chunked(
+/// with an optional ticker and observer. The count-level silence criterion
+/// inside `run_to_silence` misses frozen configurations on disconnected
+/// graphs, so chunk boundaries interleave the exact O(m) edge scan.
+fn drive_agent_graph_chunked(
     sim: &mut AgentSimulator<UndecidedStateDynamics, GraphScheduler>,
     k: usize,
     rng: &mut SimRng,

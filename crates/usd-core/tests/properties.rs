@@ -3,8 +3,7 @@
 //! Key properties: population conservation across engines for arbitrary
 //! configurations, exactness of the closed-form drifts against brute-force
 //! enumeration for arbitrary configurations, binary trajectory round-trips,
-//! and consistency between the specialized USD engines and the generic
-//! substrate simulator running the same protocol.
+//! and agreement between the clique engines running the same protocol.
 
 use pop_proto::{CountSimulator, Protocol};
 use proptest::prelude::*;
@@ -12,10 +11,10 @@ use sim_stats::rng::SimRng;
 use usd_core::analysis::{
     expected_gap_drift, expected_opinion_drift, expected_undecided_drift, interaction_probabilities,
 };
-use usd_core::dynamics::{SequentialUsd, SkipAheadUsd, UsdSimulator};
+use usd_core::backend::{make_simulator, Backend};
 use usd_core::encode::Trajectory;
 use usd_core::protocol::UndecidedStateDynamics;
-use usd_core::UsdConfig;
+use usd_core::{RunSpec, UsdConfig};
 
 /// Arbitrary small USD configurations with n ≥ 2.
 fn usd_config() -> impl Strategy<Value = UsdConfig> {
@@ -64,23 +63,17 @@ fn brute_force_drift(config: &UsdConfig, stat: impl Fn(&UsdConfig) -> f64) -> f6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both specialized engines conserve the population on any input.
+    /// The clique engines conserve the population on any input.
     #[test]
     fn engines_conserve_population(config in usd_config(), seed in any::<u64>()) {
         let n = config.n();
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed);
-        for _ in 0..300 {
-            seq.step(&mut rng);
-            prop_assert_eq!(seq.opinions().iter().sum::<u64>() + seq.undecided(), n);
-        }
-        let mut skip = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(seed ^ 0x1234);
-        for _ in 0..300 {
-            if skip.step_effective(&mut rng).is_none() {
-                break;
+        for backend in [Backend::Agent, Backend::Count, Backend::Batch] {
+            let mut sim = make_simulator(backend, &config);
+            let mut rng = SimRng::new(seed);
+            for _ in 0..300 {
+                sim.step(&mut rng);
+                prop_assert_eq!(sim.counts().iter().sum::<u64>(), n, "{}", backend);
             }
-            prop_assert_eq!(skip.opinions().iter().sum::<u64>() + skip.undecided(), n);
         }
     }
 
@@ -140,8 +133,8 @@ proptest! {
         prop_assert_eq!(decoded, traj);
     }
 
-    /// The generic substrate simulator running the USD protocol and the
-    /// specialized SequentialUsd engine both preserve silence as absorbing.
+    /// The count and agent engines running the USD protocol both preserve
+    /// silence as absorbing.
     #[test]
     fn silence_absorbing_everywhere(config in usd_config(), seed in any::<u64>()) {
         if !config.is_silent() {
@@ -154,8 +147,10 @@ proptest! {
         for _ in 0..100 {
             prop_assert!(!generic.step(&mut rng));
         }
-        let mut seq = SequentialUsd::new(&config);
-        prop_assert!(seq.step_effective(&mut rng).is_none());
+        let mut agent = make_simulator(Backend::Agent, &config);
+        for _ in 0..100 {
+            prop_assert!(!agent.step(&mut rng));
+        }
     }
 
     /// Silence predicates agree between UsdConfig and the generic protocol.
@@ -178,9 +173,8 @@ proptest! {
 }
 
 /// Cross-engine distributional agreement on a fixed mid-size instance:
-/// the generic CountSimulator (running UndecidedStateDynamics), the
-/// specialized SequentialUsd, and SkipAheadUsd must agree on the mean
-/// stabilization time.
+/// the CountSimulator driven by hand, and the agent and batch engines run
+/// through `RunSpec`, must agree on the mean stabilization time.
 #[test]
 fn three_engines_agree_on_mean_stabilization_time() {
     let config = UsdConfig::decided(vec![70, 50, 30]);
@@ -206,21 +200,15 @@ fn three_engines_agree_on_mean_stabilization_time() {
         });
         means[0] += generic.interactions() as f64;
 
-        // SequentialUsd.
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed + 50_000);
-        let (t, stable) =
-            usd_core::dynamics::run_until_stable(&mut seq, &mut rng, 100_000_000, |_, _| {});
-        assert!(stable);
-        means[1] += t as f64;
-
-        // SkipAheadUsd.
-        let mut skip = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(seed + 90_000);
-        let (t, stable) =
-            usd_core::dynamics::run_until_stable(&mut skip, &mut rng, 100_000_000, |_, _| {});
-        assert!(stable);
-        means[2] += t as f64;
+        for (slot, backend, offset) in [(1, Backend::Agent, 50_000), (2, Backend::Batch, 90_000)] {
+            let mut rng = SimRng::new(seed + offset);
+            let r = RunSpec::new(&config)
+                .backend(backend)
+                .budget(100_000_000)
+                .run(&mut rng);
+            assert!(r.stabilized());
+            means[slot] += r.interactions as f64;
+        }
     }
     for m in &mut means {
         *m /= reps as f64;
@@ -229,7 +217,7 @@ fn three_engines_agree_on_mean_stabilization_time() {
     let min = means.iter().cloned().fold(f64::MAX, f64::min);
     assert!(
         (max - min) / max < 0.12,
-        "engines disagree: generic {} sequential {} skip-ahead {}",
+        "engines disagree: count {} agent {} batch {}",
         means[0],
         means[1],
         means[2]

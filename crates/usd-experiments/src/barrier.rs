@@ -26,7 +26,7 @@ use sim_stats::regression::loglog_fit;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use usd_baselines::TournamentUsd;
-use usd_core::backend::Backend;
+use usd_core::backend::{Backend, ObservationGranularity::Block};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::theory::Bounds;
 use usd_core::RunSpec;
@@ -87,7 +87,7 @@ pub fn barrier_cell(
 pub fn barrier_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n.min(20_000), 4_000);
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => {
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn both_protocols_correct_and_comparable_at_moderate_k() {
-        let cell = barrier_cell(Backend::SkipAhead, 8_000, 16, 3, 7);
+        let cell = barrier_cell(Backend::Agent, 8_000, 16, 3, 7);
         assert!(cell.usd_win_rate > 0.5, "{cell:?}");
         assert!(cell.tournament_win_rate > 0.5, "{cell:?}");
         // The E13 finding: at simulable scales the tournament does not
@@ -188,8 +188,8 @@ mod tests {
         // but only adds 3 tournament phases (3 → 6, a factor of 2 in the
         // phase count). The tournament's time must therefore grow by far
         // less than the 6x opinion-count factor.
-        let c8 = barrier_cell(Backend::SkipAhead, 8_000, 8, 3, 8);
-        let c48 = barrier_cell(Backend::SkipAhead, 8_000, 48, 3, 8);
+        let c8 = barrier_cell(Backend::Agent, 8_000, 8, 3, 8);
+        let c48 = barrier_cell(Backend::Agent, 8_000, 48, 3, 8);
         let growth = c48.tournament_parallel / c8.tournament_parallel;
         assert!(
             growth < 3.5,

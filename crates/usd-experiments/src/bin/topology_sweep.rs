@@ -39,7 +39,9 @@ mod tests {
         assert!(validate_args(&parse(&[])).is_ok());
         assert!(validate_args(&parse(&["--backend", "graph"])).is_ok());
         assert!(validate_args(&parse(&["--backend", "batch"])).is_err());
-        assert!(validate_args(&parse(&["--backend", "skip"])).is_err());
+        assert!(validate_args(&parse(&["--backend", "count"])).is_err());
+        let removed = ExpArgs::parse(["--backend", "skip"].iter().map(|s| s.to_string()));
+        assert!(removed.is_err(), "removed backend names must not parse");
         assert!(validate_args(&parse(&["--topology", "cycle", "--degree", "4"])).is_err());
         assert!(validate_args(&parse(&["--topology", "regular:8", "--degree", "4"])).is_ok());
     }

@@ -319,19 +319,21 @@ mod tests {
         assert!(validate_clique_backend(Backend::BatchGraph, 1_000_000).is_err());
         // Non-graph backends have no cap.
         assert!(validate_clique_backend(Backend::Batch, u64::MAX / 2).is_ok());
-        assert!(validate_clique_backend(Backend::Sequential, 1_000_000).is_ok());
+        assert!(validate_clique_backend(Backend::Count, 1_000_000).is_ok());
     }
 
     #[test]
     fn backend_flag_parses_and_rejects_unknown() {
         let a = parse(&["--backend", "batchgraph"]).unwrap();
         assert_eq!(a.backend, Some(Backend::BatchGraph));
-        assert_eq!(a.backend_or(Backend::SkipAhead), Backend::BatchGraph);
+        assert_eq!(a.backend_or(Backend::Agent), Backend::BatchGraph);
         assert_eq!(
             parse(&[]).unwrap().backend_or(Backend::Count),
             Backend::Count
         );
         assert!(parse(&["--backend", "warp9"]).is_err());
+        let removed = parse(&["--backend", "skip"]).unwrap_err();
+        assert!(removed.contains("batch otherwise"), "{removed}");
     }
 
     #[test]

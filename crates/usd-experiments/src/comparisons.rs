@@ -10,7 +10,7 @@
 //! * **E11 (baseline comparison)**: USD vs the four-state exact-majority
 //!   protocol, voter dynamics, 3-majority, and synchronized USD.
 //! * **E12 (simulator ablation)**: distributional equivalence and relative
-//!   speed of the three exact engines (DESIGN.md §7).
+//!   speed of the exact engines on the clique (DESIGN.md §7).
 //!
 //! The USD measurements in E8 and E11 run through the generic backend
 //! layer and honor `--backend`; E12 is inherently engine-specific (it *is*
@@ -29,11 +29,9 @@ use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use usd_baselines::{FourStateMajority, GossipUsd, SynchronizedUsd, ThreeMajority, VoterDynamics};
 use usd_core::analysis::monochromatic_distance;
-use usd_core::backend::Backend;
-use usd_core::dynamics::{SequentialUsd, SkipAheadUsd, UsdSimulator};
+use usd_core::backend::{Backend, ObservationGranularity::Block};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::protocol::UndecidedStateDynamics;
-use usd_core::stabilization::stabilize;
 use usd_core::theory;
 use usd_core::RunSpec;
 use usd_core::UsdConfig;
@@ -111,7 +109,7 @@ pub fn bias_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(8_000));
     let k = args.k_or(8.min((n / 100) as usize).max(2));
     let seeds = args.unless_quick(args.seeds.max(10), 3);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let grid = bias_grid(n, k);
     let cells = runner::sweep(args.seed, grid, |_, &b, _| {
         bias_cell(backend, n, k, b, seeds, args.seed)
@@ -391,7 +389,7 @@ impl NoU for UsdConfig {
 pub fn baseline_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n.min(10_000), 2_000);
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let mut report = Report::new();
     report.heading(format!(
         "E11 / Baseline comparison at the Figure-1 bias, n={}, backend={backend}",
@@ -462,7 +460,7 @@ fn restart_throughput<S: Simulator>(
     target as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Run E12: the three exact engines on the same instance.
+/// Run E12: the exact engines on the same clique instance.
 pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<AblationRow> {
     let config = InitialConfigBuilder::new(n, k).figure1();
     let budget = crate::fig1::default_budget(n, k);
@@ -470,48 +468,6 @@ pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<Abla
     let hi = 4.0 * theory::Bounds::new(n, k).upper_bound_interactions();
 
     let mut rows = Vec::new();
-
-    // SequentialUsd.
-    let seq: Vec<u64> = runner::repeat(master_seed ^ 0xE1, seeds, |_r, rng| {
-        let mut sim = SequentialUsd::new(&config);
-        stabilize(&mut sim, rng, budget).interactions
-    });
-    rows.push(make_ablation_row("SequentialUsd", &seq, hi, || {
-        let mut rng = sim_stats::rng::SimRng::new(master_seed);
-        let mut sim = SequentialUsd::new(&config);
-        let start = std::time::Instant::now();
-        let target = (n * 200).min(2_000_000);
-        // Accumulate interactions across restarts: a run may stabilize
-        // before reaching the target, in which case we start a fresh one.
-        let mut done = 0u64;
-        while done + sim.interactions() < target {
-            if sim.step_effective(&mut rng).is_none() {
-                done += sim.interactions();
-                sim = SequentialUsd::new(&config);
-            }
-        }
-        target as f64 / start.elapsed().as_secs_f64()
-    }));
-
-    // SkipAheadUsd.
-    let skip: Vec<u64> = runner::repeat(master_seed ^ 0xE2, seeds, |_r, rng| {
-        let mut sim = SkipAheadUsd::new(&config);
-        stabilize(&mut sim, rng, budget).interactions
-    });
-    rows.push(make_ablation_row("SkipAheadUsd", &skip, hi, || {
-        let mut rng = sim_stats::rng::SimRng::new(master_seed);
-        let mut sim = SkipAheadUsd::new(&config);
-        let start = std::time::Instant::now();
-        let target = (n * 200).min(2_000_000);
-        let mut done = 0u64;
-        while done + sim.interactions() < target {
-            if sim.step_effective(&mut rng).is_none() {
-                done += sim.interactions();
-                sim = SkipAheadUsd::new(&config);
-            }
-        }
-        target as f64 / start.elapsed().as_secs_f64()
-    }));
 
     // Generic CountSimulator.
     let generic: Vec<u64> = runner::repeat(master_seed ^ 0xE3, seeds, |_r, rng| {
@@ -657,7 +613,7 @@ pub fn ablation_report(args: &ExpArgs) -> Report {
          and batch-graph rows run on the complete graph, their degenerate \
          clique instance); their stabilization-time distributions must \
          agree (chi^2 per dof ~ 1) while throughputs differ (the point of \
-         the skip-ahead, batch-leaping, and active-edge designs).",
+         the batch-leaping and active-edge designs).",
     );
     let mut t = TextTable::new(&["engine", "mean interactions", "stderr", "interactions/s"]);
     for r in &rows {
@@ -701,9 +657,9 @@ mod tests {
     fn bias_zero_is_near_chance_and_big_bias_wins() {
         let n = 3_000u64;
         let k = 4usize;
-        let lo = bias_cell(Backend::SkipAhead, n, k, 0, 30, 1);
+        let lo = bias_cell(Backend::Agent, n, k, 0, 30, 1);
         let hi = bias_cell(
-            Backend::SkipAhead,
+            Backend::Agent,
             n,
             k,
             theory::max_admissible_bias(n, k).min(n / 2),
@@ -741,7 +697,7 @@ mod tests {
 
     #[test]
     fn baseline_rows_cover_protocols() {
-        let rows = baseline_rows(Backend::SkipAhead, 500, 2, 3, 4);
+        let rows = baseline_rows(Backend::Agent, 500, 2, 3, 4);
         let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
         assert!(names.contains(&"USD (PP)"));
         assert!(names.contains(&"4-state exact (PP)"));
@@ -760,7 +716,7 @@ mod tests {
     #[test]
     fn ablation_distributions_agree() {
         let rows = ablation_rows(800, 3, 60, 5);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 4);
         assert!(rows.iter().any(|r| r.name.contains("GraphSimulator")));
         assert!(rows.iter().any(|r| r.name.contains("BatchGraphSimulator")));
         // Means within 15% of each other.

@@ -18,7 +18,7 @@ use sim_stats::rng::RngFactory;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use sim_stats::timeseries::{Series, TimeSeries};
 use usd_core::analysis::undecided_plateau;
-use usd_core::backend::{make_simulator, Backend};
+use usd_core::backend::{make_simulator, Backend, ObservationGranularity};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::theory;
 
@@ -63,20 +63,20 @@ pub struct Fig1Snapshot {
     pub max_difference: i64,
 }
 
-/// Simulate one Figure-1 run on the default engine (the skip-ahead wrapper,
-/// the historical choice for this experiment), recording roughly once per
-/// parallel round.
+/// Simulate one Figure-1 run on the resolved default engine — the
+/// trackers read every effective event, so
+/// [`Backend::clique_default`] at event granularity — recording roughly
+/// once per parallel round.
 pub fn simulate_fig1_run(n: u64, k: usize, seed: u64, budget: u64) -> Fig1Run {
-    simulate_fig1_run_with(n, k, seed, budget, Backend::SkipAhead)
+    let backend = Backend::clique_default(n, ObservationGranularity::Event);
+    simulate_fig1_run_with(n, k, seed, budget, backend)
 }
 
-/// Simulate one Figure-1 run on any generic-substrate [`Backend`]
-/// (including the USD-specialized skip-ahead engine through its
-/// [`SkipAheadGeneric`](usd_core::dynamics::SkipAheadGeneric) wrapper —
-/// the observer below only reads the trait-level counts).
+/// Simulate one Figure-1 run on any [`Backend`] (the observer below only
+/// reads the trait-level counts).
 ///
 /// Observation granularity follows the backend's advancement granularity:
-/// the per-event engines (agent, count, skip) expose every effective
+/// the per-event engines (agent, count, graph) expose every effective
 /// interaction to the doubling/plateau trackers, while the leaping
 /// engines (batch) are sampled at their batch boundaries — advancements
 /// are capped at the capture spacing of ~one parallel round either way.
@@ -293,7 +293,8 @@ fn summary_table(run: &Fig1Run) -> TextTable {
 pub fn fig1_left_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(20_000));
     let k = args.k_or(theory::figure1_k(n));
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let default = Backend::clique_default(n, ObservationGranularity::Event);
+    let backend = args.clique_backend_or(default, n);
     let run = simulate_fig1_run_with(n, k, args.seed, default_budget(n, k), backend);
     let mut report = Report::new();
     report.heading(format!(
@@ -337,7 +338,8 @@ pub fn fig1_left_report(args: &ExpArgs) -> Report {
 pub fn fig1_right_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(20_000));
     let k = args.k_or(theory::figure1_k(n));
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let default = Backend::clique_default(n, ObservationGranularity::Event);
+    let backend = args.clique_backend_or(default, n);
     let run = simulate_fig1_run_with(n, k, args.seed, default_budget(n, k), backend);
     let mut report = Report::new();
     report.heading(format!(
@@ -431,9 +433,8 @@ mod tests {
     #[test]
     fn generic_backends_reproduce_the_run_shape() {
         // The port onto the Simulator trait must preserve the experiment's
-        // qualitative content for every generic backend, including the
-        // skip-ahead engine exercised purely as a wrapper.
-        for backend in [Backend::SkipAhead, Backend::Count, Backend::Batch] {
+        // qualitative content for every clique backend.
+        for backend in [Backend::Agent, Backend::Count, Backend::Batch] {
             let run = simulate_fig1_run_with(3_000, 4, 1, default_budget(3_000, 4), backend);
             assert!(run.stabilized, "{backend} did not stabilize");
             assert_eq!(run.winner, Some(0), "{backend}: majority should win");

@@ -20,7 +20,8 @@
 //! All three probes run through the backend-agnostic observation layer
 //! ([`Simulator::advance_observed`](pop_proto::Simulator::advance_observed)):
 //! any `--backend` drives them, with exact per-effective-event trajectories
-//! on the single-event engines (`seq`, `skip`, `agent`, `count`, `graph`)
+//! on the single-event engines (`agent`, `count`, `graph`; the default is
+//! one of them, `Backend::clique_default` at event granularity)
 //! and block-checkpoint trajectories on the leaping ones (`batch`,
 //! `batchgraph`) — there, running extrema and crossing instants resolve to
 //! the ~√n-interaction block boundary, a granularity far below the kn-scale
@@ -33,7 +34,7 @@ use pop_proto::Observation;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use usd_core::analysis::undecided_plateau;
-use usd_core::backend::{make_simulator, Backend};
+use usd_core::backend::{make_simulator, Backend, ObservationGranularity::Event};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::theory::{self, Bounds};
 
@@ -108,7 +109,7 @@ pub fn lemma31_cell(
 pub fn lemma31_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(10_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => default_k_grid(n),
@@ -238,7 +239,7 @@ pub fn lemma33_cell(
 pub fn lemma33_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(10_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => default_k_grid(n),
@@ -376,7 +377,7 @@ pub fn lemma34_cell(
 pub fn lemma34_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(10_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => default_k_grid(n),
@@ -442,7 +443,7 @@ mod tests {
 
     #[test]
     fn lemma31_cell_within_bound_small() {
-        let cell = lemma31_cell(Backend::SkipAhead, 4_000, 4, 2, 1);
+        let cell = lemma31_cell(Backend::Agent, 4_000, 4, 2, 1);
         assert!(cell.within_bound, "{cell:?}");
         assert!(cell.max_u_worst >= cell.plateau * 0.5);
         assert!(cell.max_u_worst <= 4_000.0);
@@ -452,7 +453,7 @@ mod tests {
 
     #[test]
     fn lemma33_cell_bound_holds_small() {
-        let cell = lemma33_cell(Backend::SkipAhead, 4_000, 4, 3, 2);
+        let cell = lemma33_cell(Backend::Agent, 4_000, 4, 3, 2);
         // The winner must cross in at least some runs.
         assert!(cell.crossings > 0, "no crossings observed");
         assert!(
@@ -464,7 +465,7 @@ mod tests {
 
     #[test]
     fn lemma34_cell_bound_holds_small() {
-        let cell = lemma34_cell(Backend::SkipAhead, 4_000, 4, 3, 3);
+        let cell = lemma34_cell(Backend::Agent, 4_000, 4, 3, 3);
         if cell.min_doubling_kn.is_finite() {
             assert!(
                 cell.min_doubling_kn >= 1.0 / 24.0,
@@ -478,13 +479,13 @@ mod tests {
     #[test]
     fn lemma_probes_run_on_the_exact_backends() {
         // The observation layer makes the lemma probes backend-agnostic:
-        // the same cell runs on the reference engine, the countwise
+        // the same cell runs on the literal agent engine, the countwise
         // engine, and the graph engine's clique instance, with the
         // measured quantity staying inside the paper's bound on all of
         // them. (The leaping engines, whose checkpoint granularity needs
         // a block slack on the crossing bound, are covered by the tier-1
         // tests/lemma_smoke.rs.)
-        for backend in [Backend::Sequential, Backend::Count, Backend::Graph] {
+        for backend in [Backend::Agent, Backend::Count, Backend::Graph] {
             let cell = lemma31_cell(backend, 2_000, 4, 1, 7);
             assert!(cell.within_bound, "{backend}: {cell:?}");
             assert!(

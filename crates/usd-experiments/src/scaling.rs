@@ -17,7 +17,7 @@ use sim_stats::regression::{loglog_fit, ols_fit};
 use sim_stats::rng::SimRng;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
-use usd_core::backend::Backend;
+use usd_core::backend::{Backend, ObservationGranularity::Block};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::stabilization::ConsensusOutcome;
 use usd_core::theory::Bounds;
@@ -105,7 +105,7 @@ pub fn scaling_k_grid(n: u64) -> Vec<usize> {
 pub fn thm35_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(8_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => scaling_k_grid(n),
@@ -181,7 +181,7 @@ pub fn thm35_report(args: &ExpArgs) -> Report {
 pub fn tightness_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(8_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::SkipAhead, n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => scaling_k_grid(n),
@@ -246,7 +246,7 @@ pub fn tightness_report(args: &ExpArgs) -> Report {
 pub fn k2_report(args: &ExpArgs) -> Report {
     let seeds = args.unless_quick(args.seeds.max(5), 3);
     let max_n = args.unless_quick(args.n.max(64_000), 8_000);
-    let backend = args.clique_backend_or(Backend::SkipAhead, max_n);
+    let backend = args.clique_backend_or(Backend::clique_default(max_n, Block), max_n);
     // Geometric n grid from 1000 up to max_n.
     let mut ns = Vec::new();
     let mut n = 1_000u64;
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn measured_cell_within_band() {
-        let cell = measure_cell(Backend::SkipAhead, 4_000, 4, 3, 1);
+        let cell = measure_cell(Backend::Agent, 4_000, 4, 3, 1);
         assert_eq!(cell.stabilized_rate, 1.0);
         assert!(cell.plurality_win_rate > 0.5, "{cell:?}");
         let b = Bounds::new(4_000, 4);
@@ -343,8 +343,8 @@ mod tests {
 
     #[test]
     fn parallel_time_grows_with_k() {
-        let c4 = measure_cell(Backend::SkipAhead, 4_000, 4, 3, 2);
-        let c12 = measure_cell(Backend::SkipAhead, 4_000, 12, 3, 2);
+        let c4 = measure_cell(Backend::Agent, 4_000, 4, 3, 2);
+        let c12 = measure_cell(Backend::Agent, 4_000, 12, 3, 2);
         assert!(
             c12.parallel_mean > c4.parallel_mean,
             "k=12 ({}) not slower than k=4 ({})",
@@ -357,15 +357,15 @@ mod tests {
     fn scaling_cell_runs_on_the_leaping_backends() {
         // The scaling sweeps are pure stabilization measurements, so every
         // generic backend drives them; the leaping engines must agree with
-        // the reference on the measured scale.
-        let reference = measure_cell(Backend::Sequential, 2_000, 4, 3, 6);
+        // the literal agent engine on the measured scale.
+        let reference = measure_cell(Backend::Agent, 2_000, 4, 3, 6);
         for backend in [Backend::Batch, Backend::BatchGraph] {
             let cell = measure_cell(backend, 2_000, 4, 3, 6);
             assert_eq!(cell.stabilized_rate, 1.0, "{backend}");
             let ratio = cell.parallel_mean / reference.parallel_mean;
             assert!(
                 (0.5..=2.0).contains(&ratio),
-                "{backend} diverges from sequential: {ratio}"
+                "{backend} diverges from agent: {ratio}"
             );
         }
     }

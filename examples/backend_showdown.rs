@@ -5,10 +5,10 @@
 //! ```
 //!
 //! Runs the same Figure-1 instance to stabilization on each backend the
-//! workspace provides — per-agent, countwise, batch-leaping, the active-edge
-//! graphwise engine (on the complete graph, its degenerate topology), and
-//! the two USD-specialized engines — and prints interactions, winner, and
-//! wall clock per backend. With the default n = 2 000 000 the batch
+//! workspace provides — per-agent, countwise, batch-leaping, the graph
+//! engines (on the complete graph, their degenerate topology), and the
+//! replica ensemble engine — and prints interactions, winner, and wall
+//! clock per backend. With the default n = 2 000 000 the batch
 //! backend's sub-constant-per-interaction leaping is already visible; pass
 //! a larger n (it alone handles 10⁸+ comfortably) to watch the gap widen.
 //! The graphwise row materializes all C(n, 2) clique edges, so it sits out

@@ -32,27 +32,23 @@ fn main() {
     println!("initial counts: {:?}", config.opinions());
     println!();
 
-    let mut sim = SkipAheadUsd::new(&config);
+    // Record each species once per parallel unit of time.
+    let mut recorder = TraceRecorder::new(&config);
     let mut rng = SimRng::new(11);
-
-    // Record each species roughly once per parallel unit of time.
-    let mut next_capture = 0u64;
-    let mut trajectories: Vec<Vec<f64>> = vec![Vec::new(); k + 1];
-    loop {
-        if sim.interactions() >= next_capture {
-            for (i, traj) in trajectories.iter_mut().enumerate() {
-                if i < k {
-                    traj.push(sim.opinions()[i] as f64);
-                } else {
-                    traj.push(sim.undecided() as f64);
-                }
-            }
-            next_capture = sim.interactions() + n;
-        }
-        if sim.step_effective(&mut rng).is_none() || sim.is_silent() {
-            break;
-        }
-    }
+    let (result, sim) = RunSpec::new(&config)
+        .ticker(&mut recorder)
+        .run_keeping(&mut rng);
+    let trace = recorder.finish(sim.expect("clique runs keep their engine").as_ref());
+    let trajectories: Vec<Vec<f64>> = (0..=k)
+        .map(|i| {
+            let count = |c: &UsdConfig| if i < k { c.x(i) } else { c.u() };
+            trace
+                .snapshots
+                .iter()
+                .map(|(_, c)| count(c) as f64)
+                .collect()
+        })
+        .collect();
 
     for (i, traj) in trajectories.iter().enumerate() {
         let name = if i < k {
@@ -72,9 +68,12 @@ fn main() {
         plateau,
         trajectories[k].iter().cloned().fold(0.0, f64::max)
     );
+    let winner = match result.outcome {
+        ConsensusOutcome::Winner(w) => w + 1,
+        _ => 0,
+    };
     println!(
-        "consensus species: X{} after {:.1} parallel time",
-        sim.winner().map(|w| w + 1).unwrap_or(0),
-        sim.parallel_time()
+        "consensus species: X{winner} after {:.1} parallel time",
+        result.parallel_time(n)
     );
 }

@@ -45,8 +45,7 @@ fn main() {
         let config = InitialConfigBuilder::new(n, k).max_admissible_bias();
         let mut total = 0.0;
         for _ in 0..3 {
-            let mut sim = SkipAheadUsd::new(&config);
-            let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+            let result = RunSpec::new(&config).run(&mut rng);
             total += result.parallel_time(n);
         }
         let t = total / 3.0;

@@ -28,8 +28,7 @@ fn main() {
 
     // USD in the population protocol model.
     {
-        let mut sim = SkipAheadUsd::new(&config2);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config2).run(&mut rng);
         row(
             "USD (PP)",
             result.parallel_time(n),
@@ -104,8 +103,7 @@ fn main() {
     );
     let config5 = InitialConfigBuilder::new(n, 5).figure1();
     {
-        let mut sim = SkipAheadUsd::new(&config5);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config5).run(&mut rng);
         row(
             "USD (PP)",
             result.parallel_time(n),

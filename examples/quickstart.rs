@@ -32,11 +32,10 @@ fn main() {
         bounds.upper_bound_parallel()
     );
 
-    // Exact simulation with the skip-ahead engine (distribution-identical
-    // to per-interaction simulation, but skips no-op meetings).
-    let mut sim = SkipAheadUsd::new(&config);
+    // Exact simulation on the resolved default engine (the literal
+    // per-agent model at this n; the batch-leaping engine above n = 10⁵).
     let mut rng = SimRng::new(2025);
-    let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+    let result = RunSpec::new(&config).run(&mut rng);
 
     match result.outcome {
         ConsensusOutcome::Winner(w) => {

@@ -10,7 +10,7 @@
 //! * a generic **population-protocol substrate** ([`pop_proto`]) —
 //!   protocols, schedulers (uniform clique and graph-restricted), seeded
 //!   interaction-graph family generators (cycle, torus, hypercube, random
-//!   regular, Erdős–Rényi), and four exact simulators including the
+//!   regular, Erdős–Rényi), and the seven exact simulators, including the
 //!   batch-leaping clique engine and the active-edge graph engine;
 //! * the **Undecided State Dynamics** and its full analysis toolkit
 //!   ([`usd_core`]) — the paper's object of study, including the exact
@@ -32,9 +32,9 @@
 //!
 //! // n = 10,000 agents, k = 6 opinions, the paper's Figure-1 bias.
 //! let config = InitialConfigBuilder::new(10_000, 6).figure1();
-//! let mut sim = SkipAheadUsd::new(&config);
 //! let mut rng = SimRng::new(42);
-//! let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+//! // No backend named: the run resolves the clique default for this n.
+//! let result = RunSpec::new(&config).run(&mut rng);
 //! assert!(result.stabilized());
 //! // With bias sqrt(n ln n), the initial plurality wins w.h.p.
 //! assert!(result.plurality_won());
@@ -58,16 +58,12 @@ pub mod prelude {
     pub use usd_core::analysis::{
         expected_gap_drift, expected_undecided_drift, monochromatic_distance, undecided_plateau,
     };
-    pub use usd_core::backend::Backend;
-    #[allow(deprecated)]
-    pub use usd_core::backend::{stabilize_on_topology, stabilize_with_backend};
-    pub use usd_core::dynamics::{
-        run_until_stable, SequentialUsd, SkipAheadUsd, UsdEvent, UsdSimulator,
-    };
+    pub use usd_core::backend::{Backend, ObservationGranularity};
     pub use usd_core::init::InitialConfigBuilder;
     pub use usd_core::protocol::{UndecidedStateDynamics, UsdState};
+    pub use usd_core::recording::TraceRecorder;
     pub use usd_core::runspec::{EnsembleOutcome, LaneOutcome, RunSpec, DEFAULT_REPLICAS};
-    pub use usd_core::stabilization::{stabilize, ConsensusOutcome, StabilizationResult};
+    pub use usd_core::stabilization::{ConsensusOutcome, StabilizationResult};
     pub use usd_core::theory::Bounds;
     pub use usd_core::UsdConfig;
 }
@@ -79,9 +75,8 @@ mod tests {
     #[test]
     fn facade_quickstart_compiles_and_runs() {
         let config = InitialConfigBuilder::new(2_000, 4).figure1();
-        let mut sim = SkipAheadUsd::new(&config);
         let mut rng = SimRng::new(7);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config).run(&mut rng);
         assert!(result.stabilized());
     }
 }

@@ -7,7 +7,7 @@ use plurality_consensus::usd_experiments::lemmas;
 #[test]
 fn lemma31_bound_holds_at_small_n() {
     for &k in &[4usize, 8] {
-        let cell = lemmas::lemma31_cell(Backend::SkipAhead, 5_000, k, 3, 17);
+        let cell = lemmas::lemma31_cell(Backend::Agent, 5_000, k, 3, 17);
         assert!(
             cell.within_bound,
             "Lemma 3.1 ceiling violated at k={k}: {cell:?}"
@@ -20,7 +20,7 @@ fn lemma31_bound_holds_at_small_n() {
 
 #[test]
 fn lemma33_bound_holds_at_small_n() {
-    let cell = lemmas::lemma33_cell(Backend::SkipAhead, 5_000, 5, 4, 18);
+    let cell = lemmas::lemma33_cell(Backend::Agent, 5_000, 5, 4, 18);
     assert!(cell.crossings > 0, "winner never crossed the levels");
     assert!(
         cell.min_tau_over_kn >= 1.0 / 25.0,
@@ -31,7 +31,7 @@ fn lemma33_bound_holds_at_small_n() {
 
 #[test]
 fn lemma34_bound_holds_at_small_n() {
-    let cell = lemmas::lemma34_cell(Backend::SkipAhead, 5_000, 5, 4, 19);
+    let cell = lemmas::lemma34_cell(Backend::Agent, 5_000, 5, 4, 19);
     if cell.min_doubling_kn.is_finite() {
         assert!(
             cell.min_doubling_kn >= 1.0 / 24.0,

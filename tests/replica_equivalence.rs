@@ -1,5 +1,4 @@
-//! The bit-parallel replica engine ≡ scalar runs, and the [`RunSpec`]
-//! builder ≡ the deprecated free-function entrypoints it replaced.
+//! The bit-parallel replica engine ≡ scalar runs.
 //!
 //! The replica engine packs one state bit (per plane) of up to 64
 //! independent replica runs into each machine word and applies the USD
@@ -17,12 +16,6 @@
 //! * **lane retirement**: the live-lane bitmap only ever loses bits, a
 //!   retired lane's counts and stabilization clock never change again, and
 //!   the aggregate counts stay the exact lane sum throughout.
-//!
-//! The RunSpec ↔ wrapper tests pin that the builder routes every backend
-//! through drive loops whose RNG consumption is identical to the legacy
-//! entrypoints' (same seed ⇒ same classified result, bit for bit).
-
-#![allow(deprecated)] // the wrapper-equivalence tests exercise them on purpose
 
 use plurality_consensus::pop_proto::{
     AgentSimulator, CliqueScheduler, ReplicaSimulator, Simulator, TopologyFamily,
@@ -31,7 +24,7 @@ use plurality_consensus::usd_core::protocol::UndecidedStateDynamics;
 use plurality_consensus::usd_core::{EnsembleOutcome, RunSpec};
 use sim_stats::ks::{ks_critical_value, ks_statistic};
 use sim_stats::rng::SimRng;
-use usd_core::backend::{stabilize_on_topology, stabilize_with_backend, Backend};
+use usd_core::backend::Backend;
 use usd_core::init::InitialConfigBuilder;
 
 /// `lanes` independent shuffles of the configuration's canonical state
@@ -249,46 +242,5 @@ fn lane_retirement_is_monotone_and_freezes_lanes() {
             let t = sim.stabilized_at(lane).expect("every lane retired");
             assert!(t <= sim.draws(), "seed {seed}: lane clock past the draws");
         }
-    }
-}
-
-/// The builder and the deprecated fire-and-forget wrapper classify the
-/// same seed identically on every backend — the wrappers are now thin
-/// delegations, and this pins that the delegation changed nothing.
-#[test]
-fn runspec_matches_deprecated_clique_wrapper_on_every_backend() {
-    for backend in Backend::ALL {
-        let config = InitialConfigBuilder::new(600, 3).figure1();
-        let mut rng_legacy = SimRng::new(42);
-        let mut rng_spec = SimRng::new(42);
-        let legacy = stabilize_with_backend(backend, &config, &mut rng_legacy, u64::MAX / 2);
-        let spec = RunSpec::new(&config).backend(backend).run(&mut rng_spec);
-        assert_eq!(legacy, spec, "{backend}: builder diverged from wrapper");
-        assert!(spec.stabilized(), "{backend}: did not stabilize");
-    }
-}
-
-/// Same pinning for the topology wrapper, on every topology-capable
-/// backend (the agentwise edge-scan path included).
-#[test]
-fn runspec_matches_deprecated_topology_wrapper() {
-    for backend in [
-        Backend::Agent,
-        Backend::Graph,
-        Backend::BatchGraph,
-        Backend::Replica,
-    ] {
-        let config = InitialConfigBuilder::new(256, 2).figure1();
-        let family = TopologyFamily::Regular { d: 8 };
-        let mut rng_legacy = SimRng::new(5);
-        let mut rng_spec = SimRng::new(5);
-        let legacy =
-            stabilize_on_topology(backend, &config, family, 9, &mut rng_legacy, u64::MAX / 2);
-        let spec = RunSpec::new(&config)
-            .backend(backend)
-            .topology(family)
-            .topo_seed(9)
-            .run(&mut rng_spec);
-        assert_eq!(legacy, spec, "{backend}: builder diverged from wrapper");
     }
 }

@@ -1,6 +1,6 @@
-//! The exact USD engines — agentwise (via the generic substrate),
-//! countwise generic, batch-leaping generic, and the two specialized
-//! engines — simulate the same Markov chain. These tests compare their
+//! The exact USD clique engines — agentwise, countwise, batch-leaping,
+//! and the active-edge graph engine on the complete graph — simulate the
+//! same Markov chain. These tests compare their
 //! *distributions* (fixed seeds, generous tolerances; no flaky
 //! assertions), including two-sample Kolmogorov–Smirnov equivalence of the
 //! batch backend's stabilization-time law against the countwise reference.
@@ -44,21 +44,13 @@ fn engine_means(n: u64, k: usize, reps: u64) -> [f64; 4] {
             sim.run(&mut rng, u64::MAX / 2, |s| usd_silent_counts(s.counts(), k));
             means[1] += sim.interactions() as f64;
         }
-        // Engine 2: SequentialUsd.
-        {
-            let mut sim = SequentialUsd::new(&config);
-            let mut rng = SimRng::new(seed * 4 + 2);
-            let (t, stable) = run_until_stable(&mut sim, &mut rng, u64::MAX / 2, |_, _| {});
-            assert!(stable);
-            means[2] += t as f64;
-        }
-        // Engine 3: SkipAheadUsd.
-        {
-            let mut sim = SkipAheadUsd::new(&config);
-            let mut rng = SimRng::new(seed * 4 + 3);
-            let (t, stable) = run_until_stable(&mut sim, &mut rng, u64::MAX / 2, |_, _| {});
-            assert!(stable);
-            means[3] += t as f64;
+        // Engines 2 and 3: the batch-leaping engine and the graph engine
+        // on the complete graph, through `RunSpec`.
+        for (slot, backend) in [(2, Backend::Batch), (3, Backend::Graph)] {
+            let mut rng = SimRng::new(seed * 4 + slot as u64);
+            let r = RunSpec::new(&config).backend(backend).run(&mut rng);
+            assert!(r.stabilized());
+            means[slot] += r.interactions as f64;
         }
     }
     for m in &mut means {
@@ -89,23 +81,18 @@ fn engines_agree_on_winner_distribution() {
 
     let mut wins = [0u64; 2];
     for seed in 0..reps {
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed);
-        let r = stabilize(&mut seq, &mut rng, u64::MAX / 2);
-        if r.plurality_won() {
-            wins[0] += 1;
-        }
-        let mut skip = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(seed + 1_000_000);
-        let r = stabilize(&mut skip, &mut rng, u64::MAX / 2);
-        if r.plurality_won() {
-            wins[1] += 1;
+        for (slot, backend, offset) in [(0, Backend::Agent, 0), (1, Backend::Count, 1_000_000)] {
+            let mut rng = SimRng::new(seed + offset);
+            let r = RunSpec::new(&config).backend(backend).run(&mut rng);
+            if r.plurality_won() {
+                wins[slot] += 1;
+            }
         }
     }
     let rate0 = wins[0] as f64 / reps as f64;
     let rate1 = wins[1] as f64 / reps as f64;
-    assert!(rate0 > 0.8, "sequential win rate {rate0}");
-    assert!(rate1 > 0.8, "skip-ahead win rate {rate1}");
+    assert!(rate0 > 0.8, "agent win rate {rate0}");
+    assert!(rate1 > 0.8, "count win rate {rate1}");
     assert!((rate0 - rate1).abs() < 0.15, "{rate0} vs {rate1}");
 }
 
@@ -208,48 +195,6 @@ fn batch_elects_plurality_at_reference_rate() {
     }
     let rate = wins as f64 / reps as f64;
     assert!(rate > 0.8, "batch win rate {rate}");
-}
-
-#[test]
-fn skip_ahead_interaction_clock_is_calibrated() {
-    // The skipped-no-op accounting must make the *total interaction count*
-    // (not just effective events) agree with the sequential engine — this
-    // is what makes parallel-time measurements comparable.
-    let config = UsdConfig::new(vec![50, 30], 420); // no-op heavy (84% ⊥)
-    let reps = 400u64;
-    let mut seq_mean = 0.0;
-    let mut skip_mean = 0.0;
-    for seed in 0..reps {
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed);
-        // Run until 40 effective events and note the interaction clock.
-        let mut events = 0;
-        while events < 40 {
-            if seq.step_effective(&mut rng).is_none() {
-                break;
-            }
-            events += 1;
-        }
-        seq_mean += seq.interactions() as f64;
-
-        let mut skip = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(seed + 55_555);
-        let mut events = 0;
-        while events < 40 {
-            if skip.step_effective(&mut rng).is_none() {
-                break;
-            }
-            events += 1;
-        }
-        skip_mean += skip.interactions() as f64;
-    }
-    seq_mean /= reps as f64;
-    skip_mean /= reps as f64;
-    let rel = (seq_mean - skip_mean).abs() / seq_mean;
-    assert!(
-        rel < 0.05,
-        "interaction clocks disagree: sequential {seq_mean} vs skip {skip_mean}"
-    );
 }
 
 /// Run the batch engine on a k = 20 figure-1 instance at each worker-thread

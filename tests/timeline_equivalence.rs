@@ -188,7 +188,7 @@ fn timelines_are_bit_reproducible_under_a_fixed_seed() {
     // must render byte-identical JSONL — the property the `usd-sim run
     // --timeline` surface documents. One dense-dominated clique backend
     // and the two leaping engines cover the distinct driver paths.
-    for backend in [Backend::Agent, Backend::Batch, Backend::SkipAhead] {
+    for backend in [Backend::Agent, Backend::Batch, Backend::BatchGraph] {
         let (a, _, _) = recorded_run(backend, 500, 3, 1234, 2_048);
         let (b, _, _) = recorded_run(backend, 500, 3, 1234, 2_048);
         assert_eq!(
