@@ -252,12 +252,13 @@ fn parse_histograms(obj: &str) -> Vec<HistField> {
     out
 }
 
-/// Parse the `rows` array of a `bench_backends --json` document.
-fn parse_rows(doc: &str) -> Result<Vec<CmpRow>, String> {
+/// The row objects of the `rows` array of a `bench_backends --json`
+/// document, as raw JSON text.
+fn row_objects(doc: &str) -> Result<Vec<&str>, String> {
     let rows_at = doc.find("\"rows\"").ok_or("no \"rows\" key")?;
     let open = doc[rows_at..].find('[').ok_or("no rows array")? + rows_at;
     let bytes = doc.as_bytes();
-    let mut rows = Vec::new();
+    let mut objects = Vec::new();
     let mut i = open + 1;
     loop {
         while i < bytes.len() && bytes[i] != b'{' && bytes[i] != b']' {
@@ -270,20 +271,29 @@ fn parse_rows(doc: &str) -> Result<Vec<CmpRow>, String> {
             break;
         }
         let (start, end) = balanced_object(doc, i)?;
-        let obj = &doc[start..end];
-        rows.push(CmpRow {
-            backend: str_field(obj, "backend")?,
-            topology: str_field(obj, "topology")?,
-            n: num_field(obj, "n")? as u64,
-            mode: str_field(obj, "mode")?,
-            scheduled_per_s: num_field(obj, "scheduled_per_s")?,
-            effective_per_s: num_field(obj, "effective_per_s")?,
-            histograms: parse_histograms(obj),
-            telemetry: parse_telemetry(obj),
-        });
+        objects.push(&doc[start..end]);
         i = end;
     }
-    Ok(rows)
+    Ok(objects)
+}
+
+/// Parse the `rows` array of a `bench_backends --json` document.
+fn parse_rows(doc: &str) -> Result<Vec<CmpRow>, String> {
+    row_objects(doc)?
+        .into_iter()
+        .map(|obj| {
+            Ok(CmpRow {
+                backend: str_field(obj, "backend")?,
+                topology: str_field(obj, "topology")?,
+                n: num_field(obj, "n")? as u64,
+                mode: str_field(obj, "mode")?,
+                scheduled_per_s: num_field(obj, "scheduled_per_s")?,
+                effective_per_s: num_field(obj, "effective_per_s")?,
+                histograms: parse_histograms(obj),
+                telemetry: parse_telemetry(obj),
+            })
+        })
+        .collect()
 }
 
 /// `--assert-telemetry` check: every row must carry a telemetry block
@@ -1177,6 +1187,94 @@ mod tests {
         let md = summary_markdown(&clean, 0.40);
         assert!(md.contains("PASS ✅"), "{md}");
         assert!(!md.contains("REGRESSED"));
+    }
+
+    /// `x` rounded to as many decimals as `printed` shows.
+    fn rounded_like(printed: &str, x: f64) -> String {
+        let decimals = printed.split_once('.').map_or(0, |(_, d)| d.len());
+        format!("{x:.decimals$}")
+    }
+
+    /// A README population: digits with space separators, or a power of
+    /// ten written with a superscript exponent (`10⁶`).
+    fn readme_count(s: &str) -> u64 {
+        const SUPERSCRIPTS: &str = "⁰¹²³⁴⁵⁶⁷⁸⁹";
+        let digit = |c: char| SUPERSCRIPTS.chars().position(|d| d == c);
+        match s.strip_prefix("10") {
+            Some(exp) if exp.chars().next().and_then(digit).is_some() => 10u64.pow(
+                exp.chars()
+                    .fold(0, |e, c| 10 * e + digit(c).unwrap() as u32),
+            ),
+            _ => s.replace(' ', "").parse().unwrap(),
+        }
+    }
+
+    /// The README's graph-topology Scale table quotes the committed
+    /// baseline: every row's wall time and rate equal the
+    /// `BENCH_backends.json` row with the same topology, n and backend,
+    /// rounded as printed.
+    #[test]
+    fn readme_scale_table_quotes_the_committed_baseline() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let readme = std::fs::read_to_string(format!("{root}/README.md")).unwrap();
+        let doc = std::fs::read_to_string(format!("{root}/BENCH_backends.json")).unwrap();
+        let objects = row_objects(&doc).unwrap();
+        let (_, table) = readme
+            .split_once("| topology | n | backend | wall | effective/s |")
+            .expect("README has the graph Scale table");
+        let mut checked = 0;
+        for line in table.lines().skip(2).take_while(|l| l.starts_with('|')) {
+            let cells: Vec<String> = line
+                .trim_matches('|')
+                .split('|')
+                .map(|c| c.replace("**", "").trim().to_string())
+                .collect();
+            let [topology, n, backend, wall, rate] = &cells[..] else {
+                panic!("malformed Scale row {line:?}");
+            };
+            // "cycle frontier (target drive)" is the `cycle-frontier` row in
+            // `target` mode; every other label names a stabilization row.
+            let label = topology.split(" (").next().unwrap().replace(' ', "-");
+            let mode = if topology.ends_with("(target drive)") {
+                "target"
+            } else {
+                "stabilize"
+            };
+            let n = readme_count(n);
+            let obj = objects
+                .iter()
+                .find(|o| {
+                    str_field(o, "backend").unwrap() == *backend
+                        && str_field(o, "topology").unwrap() == label
+                        && num_field(o, "n").unwrap() as u64 == n
+                        && str_field(o, "mode").unwrap() == mode
+                })
+                .unwrap_or_else(|| panic!("no baseline row for {line:?}"));
+            // A target drive's wall time is its fixed work, not a result.
+            if mode == "target" {
+                assert_eq!(wall, "—", "{line:?}");
+            } else {
+                let wall = wall.strip_suffix(" s").expect("wall in seconds");
+                let want = rounded_like(wall, num_field(obj, "wall_s").unwrap());
+                assert_eq!(wall, want, "wall of {line:?}");
+            }
+            let mut parts = rate.split_whitespace();
+            let (value, prefix) = (parts.next().unwrap(), parts.next().unwrap());
+            let scale = match prefix.chars().next() {
+                Some('M') => 1e6,
+                Some('G') => 1e9,
+                _ => panic!("unknown rate unit {prefix:?} in {line:?}"),
+            };
+            let field = if rate.contains("scheduled") {
+                "scheduled_per_s"
+            } else {
+                "effective_per_s"
+            };
+            let want = rounded_like(value, num_field(obj, field).unwrap() / scale);
+            assert_eq!(value, want, "rate of {line:?}");
+            checked += 1;
+        }
+        assert!(checked > 0, "the Scale table has no rows");
     }
 
     #[test]

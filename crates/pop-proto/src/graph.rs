@@ -388,11 +388,6 @@ impl Csr {
         }
     }
 
-    /// The edge list.
-    pub(crate) fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
-    }
-
     #[inline(always)]
     pub(crate) fn endpoints(&self, e: usize) -> (u32, u32) {
         self.edges[e]

@@ -90,7 +90,7 @@ pub use sampling::{AliasTable, FenwickSampler};
 pub use scheduler::{CliqueScheduler, GraphScheduler, Scheduler};
 pub use simulator::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, BitwiseProtocol, CountSimulator,
-    GraphSimulator, InteractionRecord, ParGraphSimulator, ReplicaSimulator, Simulator, StateWord,
+    GraphSimulator, InteractionRecord, ReplicaSimulator, Simulator, StateWord,
     WideBatchGraphSimulator,
 };
 pub use stopping::{RunOutcome, StopReason, Stopper};

@@ -1,6 +1,6 @@
 //! Exact simulators for population protocols.
 //!
-//! All seven of the repository's backends live here; they simulate the
+//! All six of the repository's backends live here; they simulate the
 //! same Markov chains at different cost models:
 //!
 //! * [`AgentSimulator`] — tracks each agent's state individually and asks a
@@ -40,12 +40,6 @@
 //!   [`GraphSimulator`] uses, driven a block of events at a time) when
 //!   no-ops dominate. [`WideBatchGraphSimulator`] is its u16 state-packing
 //!   fallback for protocols with more than 256 states.
-//! * [`ParGraphSimulator`] — the multi-core graph engine: dense blocks of
-//!   position-derived draws (each a pure function of a per-block seed and
-//!   its position, so trajectories are bit-identical for any thread
-//!   count) applied across BFS-cut spatial domains on the persistent
-//!   `sim_stats` worker pool, with cross-domain conflicts replayed in
-//!   schedule order and the same sparse-skipper endgame.
 //! * [`ReplicaSimulator`] — the bit-parallel ensemble engine: up to 64
 //!   independent replicas of one instance, one bit-plane word per agent,
 //!   all advanced by a single shared (pair, orientation) schedule.
@@ -72,7 +66,6 @@ mod batched;
 mod batched_graph;
 mod countwise;
 mod graphwise;
-mod par_graph;
 mod replica;
 mod sparse;
 
@@ -81,7 +74,6 @@ pub use batched::BatchSimulator;
 pub use batched_graph::{BatchGraphSimulator, StateWord, WideBatchGraphSimulator};
 pub use countwise::CountSimulator;
 pub use graphwise::{shuffled_layout, GraphSimulator};
-pub use par_graph::ParGraphSimulator;
 pub use replica::{BitwiseProtocol, ReplicaSimulator, MAX_LANES, MAX_PLANES};
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
@@ -121,8 +113,9 @@ pub mod snapshot_tags {
     /// [`ReplicaSimulator`](super::ReplicaSimulator) (bit-parallel
     /// replica lanes).
     pub const REPLICA: u8 = 9;
-    /// [`ParGraphSimulator`](super::ParGraphSimulator) (sharded
-    /// multi-core graph engine).
+    /// Reserved: the retired sharded multi-core graph engine
+    /// (`pargraph`). No engine writes it; a stray payload fails to
+    /// restore by name.
     pub const PAR_GRAPH: u8 = 10;
 
     /// Name of a tag for error messages.
@@ -256,7 +249,7 @@ pub trait Simulator {
     /// Engine telemetry accumulated over this simulator's lifetime: what
     /// the *engine* did (phases, blocks, draws, flushes, fallbacks) to
     /// simulate what the counters above report the *protocol* did. All
-    /// seven backends override this; the default returns a shared all-zero
+    /// six backends override this; the default returns a shared all-zero
     /// instance so external `Simulator` implementations keep compiling.
     /// Counters a backend has no mechanism for stay zero — see the
     /// per-backend table in `usd_core::backend`.
@@ -295,7 +288,7 @@ pub trait Simulator {
     /// [`Simulator::restore_state`] on a freshly constructed simulator of
     /// the same configuration reproduces the uninterrupted run
     /// byte-for-byte (the RNG is owned by the driver and snapshotted
-    /// separately via `SimRng::state`). All seven backends override this;
+    /// separately via `SimRng::state`). All six backends override this;
     /// the default keeps external `Simulator` implementations compiling
     /// and reports [`CheckpointError::Unsupported`].
     fn snapshot_state(&self, _w: &mut SnapshotWriter) -> Result<(), CheckpointError> {

@@ -1,8 +1,7 @@
 //! Shared sparse-phase engine for the graph simulators.
 //!
-//! [`GraphSimulator`](super::GraphSimulator),
-//! [`BatchGraphSimulator`](super::BatchGraphSimulator) and
-//! [`ParGraphSimulator`](super::ParGraphSimulator) hand no-op-dominated
+//! [`GraphSimulator`](super::GraphSimulator) and
+//! [`BatchGraphSimulator`](super::BatchGraphSimulator) hand no-op-dominated
 //! stretches (endgames, low-conductance frontiers) to one
 //! [`SparseSkipper`]: exact geometric skips over the no-op runs, and each
 //! effective event drawn from the exact conditional law, O(1) per draw and

@@ -16,7 +16,7 @@
 //! applicable", never "measured zero". The per-backend availability table
 //! lives in [`usd_core::backend`](../../usd_core/backend/index.html)
 //! (mirroring the observation-granularity table in [`crate::observe`]);
-//! the short version: `scheduled`/`effective` are live on all seven
+//! the short version: `scheduled`/`effective` are live on all six
 //! backends, the block counters on `batch`/`batchgraph`, the sparse and
 //! phase counters on `graph`/`batchgraph`, the draw-kind counters wherever
 //! the engine itself performs the draws.

@@ -1,11 +1,10 @@
 //! Process-wide worker-thread-count resolution and the persistent
 //! [`WorkerPool`].
 //!
-//! Every parallel facility in the workspace — the experiment sweep runner
-//! in `usd-experiments`, the parallel hypergeometric row sampling the
-//! batch simulators use, and the sharded `pargraph` engine's domain
-//! fan-out — answers the question "how many worker threads?" the same
-//! way, in precedence order:
+//! Both parallel facilities in the workspace — the experiment sweep
+//! runner in `usd-experiments` and the parallel hypergeometric row
+//! sampling the batch simulator uses — answer the question "how many
+//! worker threads?" the same way, in precedence order:
 //!
 //! 1. the process-wide override set by [`set_thread_override`] (wired to
 //!    the binaries' `--threads` flag),
@@ -25,14 +24,14 @@
 //! derive deterministic per-task RNG streams (see
 //! [`multivariate_hypergeometric_streams`](crate::multinomial::multivariate_hypergeometric_streams)).
 //!
-//! [`WorkerPool`] is the shared execution substrate for the per-block
-//! parallel work inside a simulation run: a process-wide set of persistent
-//! workers parked on a condvar, so a hot loop that fans out every few
-//! hundred microseconds pays a wake-up, not a `thread::spawn` (the
-//! measured overhead that kept the scoped-spawn version of the
-//! hypergeometric fan-out sequential below a large work threshold).
-//! Scheduling never influences results: callers decide *what* runs from
-//! deterministic state, the pool only decides *where*.
+//! [`WorkerPool`] is the execution substrate for the per-block parallel
+//! work inside a simulation run: a process-wide set of persistent workers
+//! parked on a condvar, so a hot loop that fans out every few hundred
+//! microseconds pays a wake-up, not a `thread::spawn` (the measured
+//! overhead that kept the scoped-spawn version of the hypergeometric
+//! fan-out sequential below a large work threshold). Scheduling never
+//! influences results: callers decide *what* runs from deterministic
+//! state, the pool only decides *where*.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,10 +73,10 @@ const MAX_POOL_WORKERS: usize = 256;
 /// A queued unit of work: a type-erased pointer back into the submitting
 /// call's stack frame plus the handler that knows its concrete type.
 ///
-/// Safety contract: the submitting call ([`WorkerPool::run`] /
-/// [`WorkerPool::join`]) must not return until the job it pushed has been
-/// fully handled (every handler signals completion through the job's own
-/// synchronization), so the pointee outlives every access.
+/// Safety contract: the submitting call ([`WorkerPool::join`]) must not
+/// return until the job it pushed has been fully handled (the handler
+/// signals completion through the job's own synchronization), so the
+/// pointee outlives every access.
 #[derive(Clone, Copy)]
 struct JobRef {
     ptr: *const (),
@@ -97,22 +96,15 @@ struct PoolShared {
 
 /// A persistent worker pool for deterministic fan-out.
 ///
-/// Two entry points:
+/// The entry point is [`join`](WorkerPool::join): run two closures, the
+/// second inline and the first on a pool worker when one is free (stolen
+/// back and run inline otherwise), for recursive binary fan-out like the
+/// hypergeometric samplers' subtree splits.
 ///
-/// * [`run`](WorkerPool::run) — execute `f(0..tasks)` with up to `threads`
-///   participants (the caller is one of them). The task *index* is the
-///   unit of determinism: which thread runs which index is unspecified,
-///   so `f` must derive everything from the index (per-domain RNG
-///   streams, disjoint slices), never from execution order.
-/// * [`join`](WorkerPool::join) — run two closures, the second inline and
-///   the first on a pool worker when one is free (stolen back and run
-///   inline otherwise), for recursive binary fan-out like the
-///   hypergeometric samplers' subtree splits.
-///
-/// Both block until all submitted work has finished, which is what makes
-/// the borrowed-closure submission sound. Waits only ever park on work
-/// that is *actively executing* — a queued-but-unclaimed job is removed
-/// from the queue and run by the submitter instead — so the pool cannot
+/// It blocks until both closures have finished, which is what makes the
+/// borrowed-closure submission sound. Waits only ever park on work that
+/// is *actively executing* — a queued-but-unclaimed job is removed from
+/// the queue and run by the submitter instead — so the pool cannot
 /// deadlock even under recursive `join` from inside workers.
 ///
 /// The process-wide instance is [`WorkerPool::global`]; workers are
@@ -172,53 +164,6 @@ impl WorkerPool {
         }
     }
 
-    /// Execute `f(i)` for every `i in 0..tasks`, with up to `threads`
-    /// participants including the calling thread. Blocks until every task
-    /// has finished. `threads <= 1` (or a single task) runs inline with no
-    /// synchronization at all, so the single-threaded path is exactly the
-    /// sequential loop.
-    ///
-    /// Determinism contract: `f` must be a pure function of the task index
-    /// and of state it owns per-index (disjoint slices, derived RNG
-    /// streams). The pool guarantees every index runs exactly once and the
-    /// call does not return before the last one completes; it guarantees
-    /// nothing about which thread runs which index or in what order.
-    pub fn run(&self, threads: usize, tasks: usize, f: impl Fn(usize) + Sync) {
-        if threads <= 1 || tasks <= 1 {
-            for i in 0..tasks {
-                f(i);
-            }
-            return;
-        }
-        let helpers = threads.min(tasks) - 1;
-        self.ensure_workers(helpers);
-        let region = RegionJob {
-            f: &f,
-            next: AtomicUsize::new(0),
-            tasks,
-            outstanding: AtomicUsize::new(tasks + helpers),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-        };
-        let job = JobRef {
-            ptr: &region as *const RegionJob<'_> as *const (),
-            handle: handle_region,
-        };
-        for _ in 0..helpers {
-            self.push(job);
-        }
-        // The caller is participant 0: claim and run indices like any
-        // worker would.
-        region.claim_loop();
-        // Un-popped queue entries are useless now (all indices claimed or
-        // being run); reclaim them so the wait below only ever parks on
-        // *actively executing* tasks.
-        while self.steal_back(job) {
-            region.finish(1);
-        }
-        region.wait_outstanding();
-    }
-
     /// Run `fork` on a pool worker (when one picks it up in time — it is
     /// stolen back and run inline otherwise) while the calling thread runs
     /// `inline`. Returns when both have finished. The recursive-fan-out
@@ -246,59 +191,6 @@ impl WorkerPool {
     }
 }
 
-struct RegionJob<'f> {
-    f: &'f (dyn Fn(usize) + Sync),
-    next: AtomicUsize,
-    tasks: usize,
-    /// Unfinished tasks + unconsumed queue entries.
-    outstanding: AtomicUsize,
-    done: Mutex<()>,
-    done_cv: Condvar,
-}
-
-impl RegionJob<'_> {
-    fn finish(&self, n: usize) {
-        // Decrement under the lock the waiter checks `outstanding` under:
-        // it cannot see zero — and return, freeing this job from its stack
-        // frame — until this call has released the lock and stopped
-        // touching the job.
-        let _guard = self.done.lock().expect("job done lock poisoned");
-        if self.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn wait_outstanding(&self) {
-        let mut guard = self.done.lock().expect("job done lock poisoned");
-        while self.outstanding.load(Ordering::Acquire) > 0 {
-            guard = self.done_cv.wait(guard).expect("job done lock poisoned");
-        }
-    }
-
-    /// Claim and run indices until they run out.
-    fn claim_loop(&self) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.tasks {
-                return;
-            }
-            (self.f)(i);
-            self.finish(1);
-        }
-    }
-}
-
-/// Worker-side handler for a popped region entry: participate in the
-/// claim loop, then release the queue entry.
-#[allow(unsafe_code)]
-unsafe fn handle_region(ptr: *const ()) {
-    // SAFETY: the pointee outlives this call per the JobRef contract (run()
-    // waits for `outstanding` — which counts this queue entry — to drain).
-    let region = unsafe { &*(ptr as *const RegionJob<'_>) };
-    region.claim_loop();
-    region.finish(1);
-}
-
 struct JoinJob<F: FnOnce() + Send> {
     /// The forked closure; taken exactly once (by a worker or stolen back).
     f: Mutex<Option<F>>,
@@ -310,7 +202,10 @@ struct JoinJob<F: FnOnce() + Send> {
 
 impl<F: FnOnce() + Send> JoinJob<F> {
     fn finish(&self, n: usize) {
-        // Under the lock, as in `RegionJob::finish`.
+        // Decrement under the lock the waiter checks `outstanding` under:
+        // it cannot see zero — and return, freeing this job from its stack
+        // frame — until this call has released the lock and stopped
+        // touching the job.
         let _guard = self.done.lock().expect("job done lock poisoned");
         if self.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
             self.done_cv.notify_all();
@@ -376,43 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_run_executes_every_index_exactly_once() {
-        let pool = WorkerPool::global();
-        for threads in [1usize, 2, 8, 64] {
-            let tasks = 257;
-            let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(threads, tasks, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(
-                    h.load(Ordering::Relaxed),
-                    1,
-                    "index {i} at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pool_run_results_are_thread_count_invariant() {
-        // The canonical usage: every task derives its output from its
-        // index alone, written to a disjoint slot.
-        let pool = WorkerPool::global();
-        let reference: Vec<u64> = (0..100u64)
-            .map(|i| crate::rng::derive_seed(42, i))
-            .collect();
-        for threads in [1usize, 2, 8] {
-            let out: Vec<Mutex<u64>> = (0..100).map(|_| Mutex::new(0)).collect();
-            pool.run(threads, 100, |i| {
-                *out[i].lock().unwrap() = crate::rng::derive_seed(42, i as u64);
-            });
-            let got: Vec<u64> = out.iter().map(|m| *m.lock().unwrap()).collect();
-            assert_eq!(got, reference, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn pool_join_runs_both_halves() {
         let pool = WorkerPool::global();
         let a = AtomicUsize::new(0);
@@ -443,17 +301,5 @@ mod tests {
         let sum = AtomicUsize::new(0);
         recurse(WorkerPool::global(), 6, &sum);
         assert_eq!(sum.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn pool_run_zero_and_one_task_edge_cases() {
-        let pool = WorkerPool::global();
-        pool.run(8, 0, |_| panic!("no tasks to run"));
-        let hit = AtomicUsize::new(0);
-        pool.run(8, 1, |i| {
-            assert_eq!(i, 0);
-            hit.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
     }
 }

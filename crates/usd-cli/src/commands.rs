@@ -25,7 +25,7 @@ usd-sim — Undecided State Dynamics simulator
 
 commands:
   run    --n <u64> --k <usize> [--bias <u64> | --max-bias] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|pargraph|replica]
+         [--backend agent|count|batch|graph|batchgraph|replica]
          [--replicas <1..=64>] [--threads <t>]
          [--trace <file.usdt>]
          [--topology complete|cycle|torus|hypercube|regular[:d]|er[:avg]]
@@ -45,15 +45,12 @@ commands:
            summary; --replicas sets the lane count (default 64, replica
            backend only). Checkpoints of ensemble runs carry the lane
            count in their identity (backend 'replica:<lanes>').
-           --backend pargraph shards the interaction graph into spatial
-           domains advanced on a persistent worker pool; --threads caps
-           the worker threads of the thread-capable engines (batch,
-           pargraph; default: USD_THREADS env, else all cores).
-           Trajectories are bit-identical for any thread count, so
-           pargraph checkpoints resume under a different --threads.
+           --threads caps the worker threads of the batch engine's
+           hypergeometric fan-out (default: USD_THREADS env, else all
+           cores); trajectories are bit-identical for any thread count.
            --topology runs on an interaction graph instead of the clique
            (backend default becomes batchgraph — the block-leaping engine;
-           graph, pargraph, agent, and replica also work); --degree sets d
+           graph, agent, and replica also work); --degree sets d
            for regular/er; the
            population is snapped to the nearest feasible size for the
            family. --telemetry prints the engine's run report (counters,
@@ -79,7 +76,7 @@ commands:
            resumed run reproduces the uninterrupted run byte-for-byte
            (final state and timeline)
   sweep  --n <u64> [--seeds <u64>] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|pargraph|replica]
+         [--backend agent|count|batch|graph|batchgraph|replica]
            stabilization time across the admissible k grid vs the bounds
            (same backend default as run)
   bounds --n <u64> --k <usize>
@@ -465,7 +462,8 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         Some(t) if !caps.threads => {
             return Err(CliError(format!(
                 "--threads {t} has no effect on the {backend} backend \
-                 (thread-capable backends: batch, pargraph)"
+                 (thread-capable backends: {})",
+                Backend::names_where(|c| c.threads)
             )));
         }
         t => t,
@@ -532,7 +530,8 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         if !caps.topologies {
             return Err(CliError(format!(
                 "--topology requires a topology-capable backend \
-                 (agent, graph, batchgraph, pargraph, or replica), got {backend}"
+                 ({}), got {backend}",
+                Backend::names_where(|c| c.topologies)
             )));
         }
         if trace_path.is_some() {
@@ -569,10 +568,8 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if let Some(p) = &checkpoint_path {
         preflight_writable(p, "--checkpoint")?;
     }
-    if matches!(
-        backend,
-        Backend::Graph | Backend::BatchGraph | Backend::ParGraph
-    ) && topology.is_none()
+    if matches!(backend, Backend::Graph | Backend::BatchGraph)
+        && topology.is_none()
         && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
     {
         return Err(CliError(format!(
@@ -981,10 +978,8 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     if n < 16 {
         return Err(CliError("need --n >= 16".into()));
     }
-    if matches!(
-        backend,
-        Backend::Graph | Backend::BatchGraph | Backend::ParGraph
-    ) && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
+    if matches!(backend, Backend::Graph | Backend::BatchGraph)
+        && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
     {
         return Err(CliError(format!(
             "--backend {backend} sweeps the complete graph; n={n} exceeds the \
@@ -1311,6 +1306,13 @@ mod tests {
     #[test]
     fn run_rejects_unknown_backend_and_trace_combination() {
         assert!(cmd_run(&s(&["--n", "500", "--backend", "warp"])).is_err());
+        // The thread-capable list comes from the capabilities table.
+        let err = cmd_run(&s(&["--n", "500", "--backend", "count", "--threads", "2"])).unwrap_err();
+        assert!(
+            err.0.contains("(thread-capable backends: batch)"),
+            "{}",
+            err.0
+        );
         // The trace recorder is a ticker, so every clique backend records.
         let dir = std::env::temp_dir().join("usd_cli_test_batch_trace");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1351,6 +1353,12 @@ mod tests {
                     "{b}: {}",
                     err.0
                 );
+            }
+        }
+        for b in ["pargraph", "par-graph"] {
+            for cmd in [cmd_run, cmd_sweep] {
+                let err = cmd(&s(&["--n", "500", "--backend", b])).unwrap_err();
+                assert!(err.0.contains("removed: use batchgraph"), "{b}: {}", err.0);
             }
         }
     }
@@ -1394,6 +1402,7 @@ mod tests {
         for (name, tag) in [
             ("seq", snapshot_tags::USD_SEQ),
             ("skip", snapshot_tags::USD_SKIP),
+            ("pargraph", snapshot_tags::PAR_GRAPH),
         ] {
             // A run on the old default wrote identity `skip`; the
             // resolved default no longer matches it.

@@ -1,6 +1,6 @@
 //! Generic backend selection for USD runs.
 //!
-//! Seven exact engines can run the Undecided State Dynamics:
+//! Six exact engines can run the Undecided State Dynamics:
 //!
 //! | backend | engine | cost model |
 //! |---------|--------|------------|
@@ -9,7 +9,6 @@
 //! | `batch` | [`pop_proto::BatchSimulator`] | O(k²+log n) per ~√n interactions |
 //! | `graph` | [`pop_proto::GraphSimulator`] | O(d log m)/**effective** interaction |
 //! | `batchgraph` | [`pop_proto::BatchGraphSimulator`] | block-leaping O(1)/interaction, sparse O(d log m)/effective |
-//! | `pargraph` | [`pop_proto::ParGraphSimulator`] | multi-core block-leaping: position-derived draw blocks applied across spatial domains on the persistent worker pool |
 //! | `replica` | [`pop_proto::ReplicaSimulator`] | r ≤ 64 packed lanes, O(⌈log₂(k+1)⌉)/draw for **all** lanes |
 //!
 //! [`Backend`] names them (with `FromStr` for CLI flags);
@@ -19,17 +18,14 @@
 //! packed replica lanes, multi-thread execution, observation granularity,
 //! checkpointing — is declared in one place,
 //! [`Backend::capabilities`], which the argument-validation and
-//! construction paths consult. The `agent`, `graph`, `batchgraph`,
-//! `pargraph`, and `replica` backends run on non-clique interaction
+//! construction paths consult. The `agent`, `graph`, `batchgraph`, and
+//! `replica` backends run on non-clique interaction
 //! graphs ([`RunSpec::topology`](crate::RunSpec::topology) builds a
 //! [`TopologyFamily`] graph, places the initial configuration uniformly at
 //! random on its vertices, and runs the engine to graph silence). The
 //! `replica` backend is the ensemble engine: one pass advances up to 64
 //! independent replicas of the same configuration, with per-lane outcomes
-//! read back through [`EnsembleOutcome`](crate::EnsembleOutcome). The
-//! `pargraph` backend is the multi-core engine: its trajectories are
-//! bit-identical for any [`RunSpec::threads`](crate::RunSpec::threads)
-//! setting.
+//! read back through [`EnsembleOutcome`](crate::EnsembleOutcome).
 //!
 //! A run that names no backend gets a resolved one:
 //! [`Backend::clique_default`] on the clique (a pure function of n and the
@@ -51,7 +47,6 @@
 //! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws` (multivariate hypergeometric draws: exactly 1 per shuffle-paired batch, 2 + pairing rows per table-paired batch), `skip_draws`, `dense_steps`/`pair_draws` |
 //! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*` skipper stats, spans `dense`/`sparse` |
 //! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
-//! | `pargraph` | clocks, `blocks`/`block_draws`/`block_applied` (interior draws), `fallback_literal` (replayed boundary/conflict draws), `dense_steps`/`pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*`, spans `dense`/`sparse` |
 //! | `replica` | `scheduled`/`effective` (*lane-aggregate*: +popcount(live)/+popcount(changed) per draw), `dense_steps`/`pair_draws` (per *draw*) |
 //!
 //! `scheduled`/`effective` equal the engine's interaction clocks on every
@@ -77,7 +72,6 @@
 //! | `batch` | `skip_len` (geometric draws), `block_size` (applied per batch), `fallback_run` (collision literals) |
 //! | `graph` | `skip_len` (dense no-op runs + sparse geometric draws), `block_total` (sparse skipper) |
 //! | `batchgraph` | `skip_len`, `block_size` (matching blocks), `fallback_run` (dirty draws), `block_total` (sparse skipper) |
-//! | `pargraph` | `block_size` (interior draws applied per block), `fallback_run` (replayed draws per block), `skip_len`/`block_total` (sparse skipper only — dense no-op runs are not observable from the parallel application) |
 //! | `replica` | `skip_len` (runs of draws effective in **no** lane) |
 //!
 //! The live `sparse.*` stats are `events`, `skip_draws`, `event_draws`,
@@ -110,10 +104,6 @@ pub enum Backend {
     /// Batch-leaping graph simulator (matching-based multi-event blocks;
     /// the fast engine for effective-dominated topologies).
     BatchGraph,
-    /// Sharded multi-core graph simulator (position-derived draw blocks
-    /// applied across spatial domains on the persistent worker pool;
-    /// trajectories bit-identical for any thread count).
-    ParGraph,
     /// Bit-parallel replica engine: up to 64 independent replica runs
     /// packed one bit-plane word per agent, advanced together by one
     /// shared (pair, orientation) schedule — the ensemble engine.
@@ -122,18 +112,17 @@ pub enum Backend {
 
 impl Backend {
     /// All backends, in display order.
-    pub const ALL: [Backend; 7] = [
+    pub const ALL: [Backend; 6] = [
         Backend::Agent,
         Backend::Count,
         Backend::Batch,
         Backend::Graph,
         Backend::BatchGraph,
-        Backend::ParGraph,
         Backend::Replica,
     ];
 
     /// The flag-friendly name (`agent`, `count`, `batch`, `graph`,
-    /// `batchgraph`, `pargraph`, `replica`).
+    /// `batchgraph`, `replica`).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Agent => "agent",
@@ -141,7 +130,6 @@ impl Backend {
             Backend::Batch => "batch",
             Backend::Graph => "graph",
             Backend::BatchGraph => "batchgraph",
-            Backend::ParGraph => "pargraph",
             Backend::Replica => "replica",
         }
     }
@@ -153,12 +141,21 @@ impl Backend {
     pub fn per_agent_memory(&self) -> bool {
         matches!(
             self,
-            Backend::Agent
-                | Backend::Graph
-                | Backend::BatchGraph
-                | Backend::ParGraph
-                | Backend::Replica
+            Backend::Agent | Backend::Graph | Backend::BatchGraph | Backend::Replica
         )
+    }
+
+    /// The names of the backends whose [`capabilities`](Backend::capabilities)
+    /// satisfy `pred`, comma-separated in display order: the lists error
+    /// messages print, derived from the capabilities table so they cannot
+    /// drift from it.
+    pub fn names_where(pred: impl Fn(&Capabilities) -> bool) -> String {
+        Backend::ALL
+            .iter()
+            .filter(|b| pred(&b.capabilities()))
+            .map(|b| b.name())
+            .collect::<Vec<_>>()
+            .join(", ")
     }
 
     /// What this backend can do — the single declaration the validation
@@ -166,25 +163,21 @@ impl Backend {
     pub fn capabilities(&self) -> Capabilities {
         let granularity = match self {
             Backend::Agent | Backend::Count | Backend::Graph => ObservationGranularity::Event,
-            Backend::Batch | Backend::BatchGraph | Backend::ParGraph | Backend::Replica => {
+            Backend::Batch | Backend::BatchGraph | Backend::Replica => {
                 ObservationGranularity::Block
             }
         };
         Capabilities {
             topologies: matches!(
                 self,
-                Backend::Agent
-                    | Backend::Graph
-                    | Backend::BatchGraph
-                    | Backend::ParGraph
-                    | Backend::Replica
+                Backend::Agent | Backend::Graph | Backend::BatchGraph | Backend::Replica
             ),
             replicas: if matches!(self, Backend::Replica) {
                 pop_proto::simulator::MAX_LANES
             } else {
                 1
             },
-            threads: matches!(self, Backend::Batch | Backend::ParGraph),
+            threads: matches!(self, Backend::Batch),
             observation: granularity,
             checkpointing: true,
         }
@@ -268,11 +261,13 @@ impl std::str::FromStr for Backend {
             "batch" => Ok(Backend::Batch),
             "graph" | "graphwise" => Ok(Backend::Graph),
             "batchgraph" | "batch-graph" => Ok(Backend::BatchGraph),
-            "pargraph" | "par-graph" => Ok(Backend::ParGraph),
             "replica" | "ensemble" => Ok(Backend::Replica),
             "seq" | "sequential" | "skip" | "skip-ahead" => Err(format!(
                 "backend '{s}' was removed: use count for per-event runs, batch otherwise"
             )),
+            "pargraph" | "par-graph" => {
+                Err("backend 'pargraph' was removed: use batchgraph".to_string())
+            }
             other => Err(format!(
                 "unknown backend '{other}' (expected {})",
                 Backend::ALL.map(|b| b.name()).join("|")
@@ -290,13 +285,13 @@ pub const COMPLETE_GRAPH_MAX_N: u64 = 10_000;
 ///
 /// Every backend is a generic-substrate engine (the replica ensemble
 /// engine with its default 64 lanes), so observer-driven experiments
-/// select any of the seven interchangeably.
+/// select any of the six interchangeably.
 /// Delegates to [`RunSpec::build_simulator`](crate::RunSpec::build_simulator)
 /// — the one place backends register; clique construction draws no RNG
 /// (replica lane layouts come from an internal fixed-seed stream).
-/// [`Backend::Graph`], [`Backend::BatchGraph`], and [`Backend::ParGraph`]
-/// here mean the *complete* graph (their degenerate clique instance) and
-/// are capped at [`COMPLETE_GRAPH_MAX_N`] agents.
+/// [`Backend::Graph`] and [`Backend::BatchGraph`] here mean the
+/// *complete* graph (their degenerate clique instance) and are capped at
+/// [`COMPLETE_GRAPH_MAX_N`] agents.
 pub fn make_simulator(backend: Backend, config: &UsdConfig) -> Box<dyn Simulator> {
     // Clique construction is RNG-free for every backend; the throwaway
     // stream is never drawn from.
@@ -440,17 +435,15 @@ mod tests {
         }
         assert_eq!("graphwise".parse::<Backend>().unwrap(), Backend::Graph);
         assert_eq!("ensemble".parse::<Backend>().unwrap(), Backend::Replica);
-        assert_eq!("par-graph".parse::<Backend>().unwrap(), Backend::ParGraph);
         let unknown = "warp".parse::<Backend>().unwrap_err();
         assert!(
-            unknown.contains("agent|count|batch|graph|batchgraph|pargraph|replica"),
+            unknown.contains("agent|count|batch|graph|batchgraph|replica"),
             "{unknown}"
         );
         assert!(Backend::Agent.per_agent_memory());
         assert!(Backend::Graph.per_agent_memory());
         assert!(!Backend::Batch.per_agent_memory());
         assert!(Backend::BatchGraph.per_agent_memory());
-        assert!(Backend::ParGraph.per_agent_memory());
         assert!(Backend::Replica.per_agent_memory());
         assert_eq!(
             "batch-graph".parse::<Backend>().unwrap(),
@@ -467,6 +460,10 @@ mod tests {
                 err.contains("count for per-event runs") && err.contains("batch otherwise"),
                 "{name}: {err}"
             );
+        }
+        for name in ["pargraph", "par-graph"] {
+            let err = name.parse::<Backend>().unwrap_err();
+            assert_eq!(err, "backend 'pargraph' was removed: use batchgraph");
         }
     }
 
@@ -496,11 +493,7 @@ mod tests {
                 caps.topologies,
                 matches!(
                     b,
-                    Backend::Agent
-                        | Backend::Graph
-                        | Backend::BatchGraph
-                        | Backend::ParGraph
-                        | Backend::Replica
+                    Backend::Agent | Backend::Graph | Backend::BatchGraph | Backend::Replica
                 ),
                 "{b}"
             );
@@ -510,15 +503,16 @@ mod tests {
         }
         assert_eq!(Backend::Replica.capabilities().replicas, 64);
         assert_eq!(Backend::Agent.capabilities().replicas, 1);
-        // Thread-capable engines: the clique batch engine fans its
-        // hypergeometric streams out, and pargraph shards its domains.
+        // The one thread-capable engine: the clique batch engine fans its
+        // hypergeometric streams out.
         for b in Backend::ALL {
-            assert_eq!(
-                b.capabilities().threads,
-                matches!(b, Backend::Batch | Backend::ParGraph),
-                "{b}"
-            );
+            assert_eq!(b.capabilities().threads, b == Backend::Batch, "{b}");
         }
+        assert_eq!(Backend::names_where(|c| c.threads), "batch");
+        assert_eq!(
+            Backend::names_where(|c| c.topologies),
+            "agent, graph, batchgraph, replica"
+        );
         // Observation granularity mirrors the table in pop_proto::observe.
         for b in [Backend::Agent, Backend::Count, Backend::Graph] {
             assert_eq!(
@@ -527,12 +521,7 @@ mod tests {
                 "{b}"
             );
         }
-        for b in [
-            Backend::Batch,
-            Backend::BatchGraph,
-            Backend::ParGraph,
-            Backend::Replica,
-        ] {
+        for b in [Backend::Batch, Backend::BatchGraph, Backend::Replica] {
             assert_eq!(
                 b.capabilities().observation,
                 ObservationGranularity::Block,
@@ -778,7 +767,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "cannot run graph topologies \
-                               (topology-capable: agent, graph, batchgraph, pargraph, replica)")]
+                               (topology-capable: agent, graph, batchgraph, replica)")]
     fn topology_rejects_clique_only_backends() {
         let config = UsdConfig::decided(vec![4, 4]);
         let mut rng = SimRng::new(1);

@@ -26,7 +26,7 @@
 //! * [`init`] — initial-configuration families, including the paper's
 //!   lower-bound family (equal minorities, majority bias
 //!   β = O((√n/(k log n))^¼ · √(n log n))) and the Figure 1 family;
-//! * [`backend`] — uniform selection among the seven exact `pop-proto`
+//! * [`backend`] — uniform selection among the six exact `pop-proto`
 //!   engines (`agent`, `count`, the batch-leaping `batch`, the graph
 //!   engines and the `replica` ensemble engine), and
 //!   [`Backend::clique_default`], the engine a run that names none gets;

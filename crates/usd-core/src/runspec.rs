@@ -70,8 +70,8 @@ use crate::stabilization::StabilizationResult;
 use pop_proto::simulator::{shuffled_layout, MAX_LANES};
 use pop_proto::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Graph,
-    GraphScheduler, GraphSimulator, Observation, ParGraphSimulator, Protocol, ReplicaSimulator,
-    SimObserver, Simulator, StateWord, TopologyFamily, WideBatchGraphSimulator,
+    GraphScheduler, GraphSimulator, Observation, Protocol, ReplicaSimulator, SimObserver,
+    Simulator, StateWord, TopologyFamily, WideBatchGraphSimulator,
 };
 use sim_stats::rng::SimRng;
 use sim_stats::threads::resolve_threads;
@@ -184,23 +184,16 @@ impl<'a> RunSpec<'a> {
 
     /// Cap the worker threads of the thread-capable engines
     /// (`capabilities().threads`: the clique batch engine's
-    /// hypergeometric-stream fan-out and the pargraph engine's domain
-    /// shards). Defaults to the process-wide resolution at builder
-    /// construction — override > `USD_THREADS` > available parallelism —
-    /// so engines receive the value as plain data and never read the
-    /// environment themselves. Thread count is **bit-neutral** on every
-    /// engine: any value produces identical trajectories; only wall-clock
-    /// changes. Values are clamped to ≥ 1; thread-incapable backends
-    /// ignore it.
+    /// hypergeometric-stream fan-out). Defaults to the process-wide
+    /// resolution at builder construction — override > `USD_THREADS` >
+    /// available parallelism — so engines receive the value as plain data
+    /// and never read the environment themselves. Thread count is
+    /// **bit-neutral**: any value produces identical trajectories; only
+    /// wall-clock changes. Values are clamped to ≥ 1; thread-incapable
+    /// backends ignore it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// The resolved worker-thread cap this spec will hand to
-    /// thread-capable engines.
-    pub fn resolved_threads(&self) -> usize {
-        self.threads
     }
 
     /// Interaction budget: the run ends at silence or once the scheduled
@@ -295,14 +288,9 @@ impl<'a> RunSpec<'a> {
     fn build_graph(&self, family: TopologyFamily) -> Graph {
         let backend = self.engine();
         if !backend.capabilities().topologies {
-            let capable: Vec<&str> = Backend::ALL
-                .iter()
-                .filter(|b| b.capabilities().topologies)
-                .map(|b| b.name())
-                .collect();
             panic!(
                 "{backend} cannot run graph topologies (topology-capable: {})",
-                capable.join(", ")
+                Backend::names_where(|c| c.topologies)
             );
         }
         family.build(self.config.n() as usize, self.topo_seed)
@@ -323,7 +311,7 @@ impl<'a> RunSpec<'a> {
             Backend::Batch => {
                 Box::new(BatchSimulator::new(proto, &counts).with_threads(self.threads))
             }
-            Backend::Graph | Backend::BatchGraph | Backend::ParGraph => {
+            Backend::Graph | Backend::BatchGraph => {
                 // Degenerate clique instance: the complete graph,
                 // materialized as a Θ(n²) edge list — demo/ablation
                 // territory. Refuse sizes whose edge list would silently
@@ -339,15 +327,6 @@ impl<'a> RunSpec<'a> {
                 let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
                 if backend == Backend::Graph {
                     Box::new(GraphSimulator::from_config(proto, &graph, &counts))
-                } else if backend == Backend::ParGraph {
-                    // Canonical block layout, like the scalar graph
-                    // engine's `from_config` — clique construction stays
-                    // RNG-free.
-                    let mut states = Vec::with_capacity(counts.n() as usize);
-                    for (idx, &c) in counts.counts().iter().enumerate() {
-                        states.extend(std::iter::repeat_n(idx, c as usize));
-                    }
-                    Box::new(ParGraphSimulator::new(proto, &graph, states, self.threads))
                 } else if proto.num_states() <= <u8 as StateWord>::LIMIT {
                     Box::new(BatchGraphSimulator::from_config(proto, &graph, &counts))
                 } else {
@@ -400,13 +379,6 @@ impl<'a> RunSpec<'a> {
                 let states = shuffled_layout(&counts, rng);
                 Box::new(WideBatchGraphSimulator::with_states(proto, &graph, states))
             }
-            Backend::ParGraph => Box::new(ParGraphSimulator::from_config_shuffled(
-                proto,
-                &graph,
-                &counts,
-                rng,
-                self.threads,
-            )),
             Backend::Replica => {
                 let layouts: Vec<Vec<usize>> =
                     (0..lanes).map(|_| shuffled_layout(&counts, rng)).collect();

@@ -39,9 +39,15 @@ mod tests {
         assert!(validate_args(&parse(&[])).is_ok());
         assert!(validate_args(&parse(&["--backend", "graph"])).is_ok());
         assert!(validate_args(&parse(&["--backend", "batch"])).is_err());
-        assert!(validate_args(&parse(&["--backend", "count"])).is_err());
-        let removed = ExpArgs::parse(["--backend", "skip"].iter().map(|s| s.to_string()));
-        assert!(removed.is_err(), "removed backend names must not parse");
+        let err = validate_args(&parse(&["--backend", "count"])).unwrap_err();
+        assert!(
+            err.contains("(use agent, graph, batchgraph, replica)"),
+            "{err}"
+        );
+        for name in ["skip", "pargraph"] {
+            let removed = ExpArgs::parse(["--backend", name].iter().map(|s| s.to_string()));
+            assert!(removed.is_err(), "removed backend {name} must not parse");
+        }
         assert!(validate_args(&parse(&["--topology", "cycle", "--degree", "4"])).is_err());
         assert!(validate_args(&parse(&["--topology", "regular:8", "--degree", "4"])).is_ok());
     }

@@ -19,9 +19,8 @@
 //! explicitly. Thread count never changes results, only wall clock.
 //!
 //! The resolution itself lives in [`sim_stats::threads`] (re-exported
-//! here), so the parallel sampling primitives in the lower layers — the
-//! batch simulators' hypergeometric row fan-out and the sharded
-//! `pargraph` engine's domain workers — honor the same
+//! here), so the one parallel facility in the lower layers — the batch
+//! simulator's hypergeometric row fan-out — honors the same
 //! `--threads`/`USD_THREADS` discipline as the sweeps. Engine
 //! construction itself never consults the environment: `RunSpec::threads`
 //! resolves the count once at spec construction and passes it to the

@@ -72,8 +72,8 @@ pub fn validate_args(args: &ExpArgs) -> Result<(), String> {
     let backend = args.backend_or(Backend::BatchGraph);
     if !backend.capabilities().topologies {
         return Err(format!(
-            "--backend {backend} cannot run graph topologies \
-             (use graph, batchgraph, pargraph, agent, or replica)"
+            "--backend {backend} cannot run graph topologies (use {})",
+            Backend::names_where(|c| c.topologies)
         ));
     }
     if let (Some(family), Some(d)) = (args.topology, args.degree) {
@@ -509,8 +509,8 @@ pub fn topology_report(args: &ExpArgs) -> Report {
     let backend = args.backend_or(Backend::BatchGraph);
     assert!(
         backend.capabilities().topologies,
-        "--backend {backend} cannot run graph topologies \
-         (use graph, batchgraph, pargraph, agent, or replica)"
+        "--backend {backend} cannot run graph topologies (use {})",
+        Backend::names_where(|c| c.topologies)
     );
     let single_family = args.topology.is_some();
     let ns: Vec<u64> = if args.quick {

@@ -10,7 +10,7 @@
 //! * a generic **population-protocol substrate** ([`pop_proto`]) —
 //!   protocols, schedulers (uniform clique and graph-restricted), seeded
 //!   interaction-graph family generators (cycle, torus, hypercube, random
-//!   regular, Erdős–Rényi), and the seven exact simulators, including the
+//!   regular, Erdős–Rényi), and the six exact simulators, including the
 //!   batch-leaping clique engine and the active-edge graph engine;
 //! * the **Undecided State Dynamics** and its full analysis toolkit
 //!   ([`usd_core`]) — the paper's object of study, including the exact

@@ -10,9 +10,7 @@
 
 use pop_proto::checkpoint::{SnapshotReader, SnapshotWriter};
 use pop_proto::topology::TopologyFamily;
-use pop_proto::{
-    BatchGraphSimulator, GraphSimulator, ParGraphSimulator, Simulator, TimelineRecorder,
-};
+use pop_proto::{BatchGraphSimulator, GraphSimulator, Simulator, TimelineRecorder};
 use sim_stats::rng::SimRng;
 use usd_core::backend::{make_simulator, make_topology_simulator, Backend};
 use usd_core::config::UsdConfig;
@@ -205,7 +203,6 @@ fn endgame_run(backend: Backend, seed: u64, split: bool) -> RunOutput {
         let mut sim: Box<dyn Simulator> = match backend {
             Backend::Graph => Box::new(GraphSimulator::new(proto, &graph, states)),
             Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, &graph, states)),
-            Backend::ParGraph => Box::new(ParGraphSimulator::new(proto, &graph, states, 2)),
             other => panic!("{other} has no sparse skipper"),
         };
         sim.set_histograms(true);
@@ -261,7 +258,7 @@ fn endgame_run(backend: Backend, seed: u64, split: bool) -> RunOutput {
 
 #[test]
 fn endgame_resume_with_a_live_skipper_is_bit_identical() {
-    for backend in [Backend::Graph, Backend::BatchGraph, Backend::ParGraph] {
+    for backend in [Backend::Graph, Backend::BatchGraph] {
         let seed = 0xE9D ^ backend as u64;
         let reference = endgame_run(backend, seed, false);
         let resumed = endgame_run(backend, seed, true);

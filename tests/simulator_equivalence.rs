@@ -198,23 +198,25 @@ fn batch_elects_plurality_at_reference_rate() {
 }
 
 /// Run the batch engine on a k = 20 figure-1 instance at each worker-thread
-/// cap in {1, 2, 8} for `budget` interactions, assert the runs are
-/// bit-identical, and return the telemetry they share.
+/// cap in {1, 2, 8} for `budget` interactions, through the flag-facing
+/// `RunSpec::threads` setter, assert the runs are bit-identical, and
+/// return the telemetry they share.
 fn batch_runs_across_thread_counts(n: u64, budget: u64) -> pop_proto::EngineTelemetry {
     let k = 20usize;
     let config = InitialConfigBuilder::new(n, k).figure1();
     let mut runs = Vec::new();
     for threads in [1usize, 2, 8] {
-        let mut sim =
-            BatchSimulator::new(UndecidedStateDynamics::new(k), &config.to_count_config())
-                .with_threads(threads);
-        let mut rng = SimRng::new(42);
-        sim.run(&mut rng, budget, |_| false);
+        let (_, sim) = RunSpec::new(&config)
+            .backend(Backend::Batch)
+            .threads(threads)
+            .budget(budget)
+            .run_keeping(&mut SimRng::new(42));
+        let sim = sim.expect("a clique run keeps its engine");
         runs.push((
             sim.counts().to_vec(),
             sim.interactions(),
             sim.effective_interactions(),
-            *Simulator::telemetry(&sim),
+            *sim.telemetry(),
         ));
         assert!(runs[0].2 > 0, "no effective interactions simulated");
     }

@@ -306,17 +306,14 @@ fn graphwise_skip_clock_matches_agentwise_on_cycle() {
 }
 
 /// The engine under test on `graph`, started from per-agent `states`
-/// (`threads` only matters for `pargraph`; `replica` runs three lanes
-/// whose layouts are rotations of `states`).
+/// (`replica` runs three lanes whose layouts are rotations of `states`).
 fn lattice_engine(
     backend: Backend,
-    threads: usize,
     graph: &pop_proto::Graph,
     states: &[usize],
 ) -> Box<dyn pop_proto::Simulator> {
     use pop_proto::{
-        AgentSimulator, BatchGraphSimulator, GraphScheduler, GraphSimulator, ParGraphSimulator,
-        ReplicaSimulator,
+        AgentSimulator, BatchGraphSimulator, GraphScheduler, GraphSimulator, ReplicaSimulator,
     };
     let proto = UndecidedStateDynamics::new(2);
     let states = states.to_vec();
@@ -328,7 +325,6 @@ fn lattice_engine(
         )),
         Backend::Graph => Box::new(GraphSimulator::new(proto, graph, states)),
         Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, graph, states)),
-        Backend::ParGraph => Box::new(ParGraphSimulator::new(proto, graph, states, threads)),
         Backend::Replica => {
             let layouts: Vec<Vec<usize>> = (0..3)
                 .map(|lane| {
@@ -428,35 +424,30 @@ fn implicit_vs_explicit_lattice_bit_identical() {
     const BUDGET: u64 = 1_500_000;
     const CHUNK: u64 = 10_000;
     let engines = [
-        (Backend::Agent, 1),
-        (Backend::Graph, 1),
-        (Backend::BatchGraph, 1),
-        (Backend::ParGraph, 1),
-        (Backend::ParGraph, 2),
-        (Backend::Replica, 1),
+        Backend::Agent,
+        Backend::Graph,
+        Backend::BatchGraph,
+        Backend::Replica,
     ];
     for (label, implicit, states) in lattice_instances() {
         let stored = pop_proto::Graph::from_edges(implicit.n(), implicit.edges().collect());
         assert!(implicit.is_implicit() && !stored.is_implicit());
-        for (backend, threads) in engines {
+        for backend in engines {
             let seed = 0x1A77 ^ backend as u64;
             let run = |graph: &pop_proto::Graph| {
-                let mut sim = lattice_engine(backend, threads, graph, &states);
+                let mut sim = lattice_engine(backend, graph, &states);
                 let mut rng = SimRng::new(seed);
                 let path = drive_chunks(sim.as_mut(), &mut rng, BUDGET, CHUNK, |_| false);
                 (path, *sim.telemetry(), snapshot_bytes(sim.as_ref()))
             };
             let (path, telemetry, bytes) = run(&implicit);
             let (stored_path, stored_telemetry, stored_bytes) = run(&stored);
-            let what = format!("{label}: {backend} at t = {threads}");
+            let what = format!("{label}: {backend}");
             assert!(!path.is_empty(), "{what}: nothing ran");
             assert_eq!(path, stored_path, "{what}: clocks or counts diverged");
             assert_eq!(telemetry, stored_telemetry, "{what}: telemetry diverged");
             assert!(bytes == stored_bytes, "{what}: final snapshots differ");
-            let has_skipper = matches!(
-                backend,
-                Backend::Graph | Backend::BatchGraph | Backend::ParGraph
-            );
+            let has_skipper = matches!(backend, Backend::Graph | Backend::BatchGraph);
             if label.starts_with("torus 64") && has_skipper {
                 assert!(
                     telemetry.sparse_enters > 0,
@@ -472,20 +463,16 @@ fn implicit_vs_explicit_lattice_bit_identical() {
     const RESUME_CHUNK: u64 = 2_000;
     for (label, implicit, states) in lattice_instances().into_iter().skip(1) {
         let stored = pop_proto::Graph::from_edges(implicit.n(), implicit.edges().collect());
-        for (backend, threads) in [
-            (Backend::Graph, 1),
-            (Backend::BatchGraph, 1),
-            (Backend::ParGraph, 2),
-        ] {
+        for backend in [Backend::Graph, Backend::BatchGraph] {
             let seed = 0x5EED ^ backend as u64;
             let what = format!("{label}: {backend}");
-            let mut reference = lattice_engine(backend, threads, &implicit, &states);
+            let mut reference = lattice_engine(backend, &implicit, &states);
             let mut rng = SimRng::new(seed);
             drive_chunks(reference.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, |_| {
                 false
             });
 
-            let mut first = lattice_engine(backend, threads, &stored, &states);
+            let mut first = lattice_engine(backend, &stored, &states);
             let mut rng = SimRng::new(seed);
             drive_chunks(first.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, skipper_live);
             assert!(
@@ -493,7 +480,7 @@ fn implicit_vs_explicit_lattice_bit_identical() {
                 "{what}: no split point with a live skipper before the run ended"
             );
             let bytes = snapshot_bytes(first.as_ref());
-            let mut resumed = lattice_engine(backend, threads, &implicit, &states);
+            let mut resumed = lattice_engine(backend, &implicit, &states);
             resumed
                 .restore_state(&mut pop_proto::SnapshotReader::new(&bytes))
                 .expect("restore across forms");
