@@ -1,10 +1,11 @@
-//! Graphwise vs agentwise throughput across topology regimes.
+//! Graph-engine vs agentwise throughput across topology regimes.
 //!
-//! Both engines simulate the identical graph-restricted chain; what differs
+//! Every row simulates the identical graph-restricted chain; what differs
 //! is the cost model. The agentwise engine pays O(1) per **scheduled**
-//! interaction; the graphwise engine steps scheduled interactions at the
-//! same O(1) while the configuration is effective-dominated and escalates
-//! to its sparse skipper (O(d) per **effective** interaction) once no-ops
+//! interaction; the graph engine (`graph` = its per-event policy,
+//! `batchgraph` = its block policy, on one stream) pays O(1) per scheduled
+//! draw while the configuration is effective-dominated and escalates to
+//! its sparse skipper (O(d) per **effective** interaction) once no-ops
 //! dominate. The benches therefore measure *scheduled interactions
 //! per second* in the two regimes:
 //!
@@ -12,14 +13,12 @@
 //!   fraction 30–50%, nothing to skip, the engines should be comparable;
 //! * `noop-dominated` — USD endgame on a cycle (a lone undecided pocket in
 //!   an otherwise-converged ring): activity fraction ~1/m, where the
-//!   graphwise skipper advances the clock geometrically and the agentwise
+//!   graph engine's skipper advances the clock geometrically and the agentwise
 //!   engine grinds through every scheduled no-op. This is the regime behind
 //!   the order-of-magnitude wins on low-conductance topology sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pop_proto::{
-    AgentSimulator, BatchGraphSimulator, GraphScheduler, GraphSimulator, Simulator, TopologyFamily,
-};
+use pop_proto::{AgentSimulator, BatchGraphSimulator, GraphScheduler, Simulator, TopologyFamily};
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
 use usd_core::protocol::UndecidedStateDynamics;
@@ -76,7 +75,8 @@ fn bench_expander(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = SimRng::new(1);
             let states = pop_proto::simulator::shuffled_layout(&config, &mut rng);
-            let mut sim = GraphSimulator::new(UndecidedStateDynamics::new(2), g, states);
+            let mut sim =
+                BatchGraphSimulator::new(UndecidedStateDynamics::new(2), g, states).per_event();
             black_box(drive(&mut sim, &mut rng, target))
         })
     });
@@ -124,7 +124,8 @@ fn bench_noop_dominated(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = SimRng::new(2);
                 let mut sim =
-                    GraphSimulator::new(UndecidedStateDynamics::new(2), g, frontier_states(n));
+                    BatchGraphSimulator::new(UndecidedStateDynamics::new(2), g, frontier_states(n))
+                        .per_event();
                 black_box(drive(&mut sim, &mut rng, target))
             })
         },
@@ -163,7 +164,8 @@ fn bench_sparse_stabilize(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = SimRng::new(3);
                 let mut sim =
-                    GraphSimulator::new(UndecidedStateDynamics::new(2), g, frontier_states(n));
+                    BatchGraphSimulator::new(UndecidedStateDynamics::new(2), g, frontier_states(n))
+                        .per_event();
                 sim.run_to_silence(&mut rng, u64::MAX / 2);
                 black_box(sim.effective_interactions())
             })

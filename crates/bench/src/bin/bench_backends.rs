@@ -29,8 +29,7 @@
 //! aggregate throughput.
 
 use pop_proto::{
-    AgentSimulator, BatchGraphSimulator, Graph, GraphScheduler, GraphSimulator, Simulator,
-    TopologyFamily,
+    AgentSimulator, BatchGraphSimulator, Graph, GraphScheduler, Simulator, TopologyFamily,
 };
 use sim_stats::rng::SimRng;
 use usd_core::backend::Backend;
@@ -142,7 +141,7 @@ fn explicit_sim(backend: Backend, graph: &Graph, states: Vec<usize>) -> Box<dyn 
             GraphScheduler::new(graph.clone()),
             states,
         )),
-        Backend::Graph => Box::new(GraphSimulator::new(proto, graph, states)),
+        Backend::Graph => Box::new(BatchGraphSimulator::new(proto, graph, states).per_event()),
         Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, graph, states)),
         other => panic!("{other} cannot run graph topologies"),
     }

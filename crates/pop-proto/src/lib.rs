@@ -42,17 +42,21 @@
 //!   are monochromatic (see the `simulator::batched` module docs), while
 //!   arbitrary stop predicates are evaluated at batch boundaries.
 //!
-//! * [`simulator::GraphSimulator`] extends the leaping idea to
-//!   graph-restricted schedulers: it maintains per-agent states plus an
-//!   incrementally-updated Fenwick tree over each edge's *active* (non-no-op)
-//!   orientation count, skips geometrically over no-op-dominated stretches,
-//!   and pays O(d log m) per **effective** interaction — the fast exact
-//!   engine for [`topology`] experiments.
+//! * [`simulator::BatchGraphSimulator`] extends the leaping idea to
+//!   graph-restricted schedulers: per-agent states, the dense phase applied
+//!   as vertex-disjoint matchings of pre-drawn chunks (or one draw at a
+//!   time under its per-event policy, which reproduces the same trajectory
+//!   with exact per-event observation), and a sparse phase that skips
+//!   geometrically over no-op-dominated stretches through a pool of each
+//!   edge's *active* (non-no-op) orientations, paying O(d) per
+//!   **effective** interaction — the fast exact engine for [`topology`]
+//!   experiments.
 //!
 //! Rule of thumb: `agent` for per-agent statistics and as the graph-topology
 //! ground truth, `count` for mid-size exact runs and exact stop predicates,
-//! `batch` for large-n clique stabilization measurements, `graph` for
-//! non-clique topologies at scale.
+//! `batch` for large-n clique stabilization measurements, `batchgraph` for
+//! non-clique topologies at scale (`graph` when every effective event must
+//! be observed).
 //!
 //! Supporting modules: [`sampling`] (weighted samplers), [`graph`]
 //! (interaction graphs), [`topology`] (seeded graph family generators:
@@ -90,8 +94,7 @@ pub use sampling::{AliasTable, FenwickSampler};
 pub use scheduler::{CliqueScheduler, GraphScheduler, Scheduler};
 pub use simulator::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, BitwiseProtocol, CountSimulator,
-    GraphSimulator, InteractionRecord, ReplicaSimulator, Simulator, StateWord,
-    WideBatchGraphSimulator,
+    InteractionRecord, ReplicaSimulator, Simulator, StateWord, WideBatchGraphSimulator,
 };
 pub use stopping::{RunOutcome, StopReason, Stopper};
 pub use telemetry::timeline::{EventHistograms, TimelineRecorder, TimelineSample};

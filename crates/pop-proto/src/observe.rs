@@ -15,7 +15,7 @@
 //! | backend | boundary | `delta_effective` |
 //! |---------|----------|-------------------|
 //! | `agent`, `count` | every interaction | always ≤ 1 (**exact**) |
-//! | `graph` | every effective event (dense and sparse phase) | always 1 (**exact**) |
+//! | `graph` | every effective event (dense and sparse phase; `batchgraph`'s per-event policy) | always 1 (**exact**) |
 //! | `batch` | block boundary (~√n draws) | ≥ 1 (**checkpoint**) |
 //! | `batchgraph` | block boundary in *both* phases (~√n draws dense, ≤ 64 events sparse) | ≥ 1 (**checkpoint**) |
 //!
@@ -26,10 +26,11 @@
 //! sparse phase is block-leaping too, a `batchgraph` sparse boundary
 //! summarizes up to 64 effective events; crossing times measured through
 //! them are accurate to one block, and an intra-block excursion that
-//! retreats before the boundary is invisible. `graph` keeps its exact
-//! per-event boundaries in the sparse phase — the shared skipper's pool
-//! updates are O(1) per event, so exactness costs no throughput there.
-//! Observers
+//! retreats before the boundary is invisible. `graph` is the same engine
+//! under its per-event policy: it runs the `batchgraph` trajectory
+//! bit-identically and reports every one of its effective events, in the
+//! sparse phase too — the skipper's pool updates are O(1) per event, so
+//! exactness costs no throughput there. Observers
 //! that need a finer cadence on the leaping engines can bound the
 //! advancement stride via [`SimObserver::max_stride`] (at the cost of
 //! shorter leaps); [`Observation::is_exact`] tells the two regimes apart
@@ -51,8 +52,9 @@
 //! | backend | natural stride | cost of hitting a cadence mark |
 //! |---------|----------------|--------------------------------|
 //! | `agent`, `count` | 1 interaction | none (already per-interaction) |
-//! | `graph` | per event dense, block-leap sparse | truncates ≤ 1 sparse block per mark |
-//! | `batch`, `batchgraph` | ~√n-draw block | truncates ≤ 1 block per mark |
+//! | `graph` | one effective event, in both phases | dense: none (one draw at a time); sparse: truncates ≤ 1 geometric skip per mark |
+//! | `batch` | ~√n-draw block | truncates ≤ 1 block per mark |
+//! | `batchgraph` | ~√n-draw chunk dense, ≤ 64 events sparse | truncates ≤ 1 chunk or sparse block per mark |
 //!
 //! At the recorder's default cadence (`max(n, 65 536)` scheduled
 //! interactions per sample) one truncated block per mark is a vanishing

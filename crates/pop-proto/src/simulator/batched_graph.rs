@@ -1,84 +1,122 @@
-//! Batch-leaping exact simulator for graph-restricted schedulers.
+//! Exact simulator for graph-restricted schedulers: one engine, two
+//! execution policies, one random stream.
 //!
-//! # The matching-based multi-event idea
+//! # The scheduled stream
 //!
-//! Under [`GraphScheduler`](crate::scheduler::GraphScheduler) the scheduled
-//! sequence of (edge, orientation) draws is **i.i.d. uniform regardless of
-//! the configuration** — only the *transitions* depend on states. So, as in
-//! the clique engine ([`BatchSimulator`](crate::simulator::BatchSimulator)),
-//! whole blocks of the schedule can be sampled up front: as long as no
-//! scheduled edge touches a vertex already changed by an earlier *effective*
-//! interaction of the block, every interaction's participants still hold
-//! their block-start states, so the block's effective edges form a
-//! **matching** (pairwise vertex-disjoint active edges) whose transitions
-//! all commute and can be applied from block-start states. A draw that
-//! touches a changed vertex is instead simulated literally from the
-//! then-current states — the rejection-on-shared-endpoints fallback that
-//! keeps the law exactly the scheduler's.
+//! Under [`GraphScheduler`](crate::scheduler::GraphScheduler) every
+//! scheduled interaction picks a uniform edge and a uniform orientation.
+//! The engine draws both with a single [`SimRng::below`]`(2m)`: the edge
+//! is `v >> 1` and the low bit is the orientation. The draws are **i.i.d.
+//! regardless of the configuration** — only the *transitions* depend on
+//! states — and both policies below consume exactly one draw per
+//! scheduled interaction, in schedule order.
 //!
-//! The engine exploits this by processing the schedule in pre-generated
-//! blocks of ~√n draws (the birthday scale, at which the rejections are
-//! still rare):
+//! # Policies
 //!
-//! 1. one tight loop draws the raw schedule (pure RNG; a single
-//!    [`SimRng::below`] yields both the edge index and, in its low bit, the
-//!    orientation), a second derives the oriented endpoints — loads from a
-//!    stored edge list, or pure index arithmetic on the implicit cycle and
-//!    torus, with the form matched once per chunk — and a third gathers
-//!    their states: independent loads the CPU overlaps, the memory-level
-//!    parallelism a draw-at-a-time engine cannot express (its next address
-//!    depends on the previous load);
-//! 2. a scan applies the block in schedule order against a **dirty
-//!    bitmap** (vertex hashed to one bit, cleared at block end in
+//! The policy is fixed at construction. It decides when
+//! [`advance_changed`](BatchGraphSimulator::advance_changed) returns and
+//! what bookkeeping it keeps, never what it samples:
+//!
+//! * **block** ([`BatchGraphSimulator::new`], the `batchgraph` backend):
+//!   the dense phase scans pre-drawn chunks of ~√n draws as matchings
+//!   (below) and the sparse phase applies up to
+//!   [`SPARSE_BLOCK_EVENTS`](super::sparse) events per advancement.
+//!   Observers see block checkpoints.
+//! * **per-event** ([`BatchGraphSimulator::per_event`], the `graph`
+//!   backend): the dense phase applies one draw at a time through
+//!   [`step`](BatchGraphSimulator::step) and returns at the first
+//!   effective one, and the sparse phase applies one event per
+//!   advancement. Observers see every effective event.
+//!
+//! Under one seed the two policies apply the same draws in the same order,
+//! so their trajectories are **bit-identical**: equal clocks and counts at
+//! every boundary both report, the same sparse hand-off draw, and
+//! snapshots that resume under either policy. `tests/topology_equivalence.rs`
+//! pins this run by run.
+//!
+//! # The block scan
+//!
+//! While no scheduled edge touches a vertex already changed by an earlier
+//! *effective* interaction of the chunk, every interaction's participants
+//! still hold their chunk-start states, so the chunk's effective edges form
+//! a **matching** (pairwise vertex-disjoint active edges) whose transitions
+//! commute and can be applied from chunk-start states. The scan:
+//!
+//! 1. one tight loop draws the raw schedule (pure RNG), a second derives
+//!    the oriented endpoints — loads from a stored edge list, or pure index
+//!    arithmetic on the implicit cycle and torus, with the form matched
+//!    once per chunk — and a third gathers their states: independent loads
+//!    the CPU overlaps, the memory-level parallelism a draw-at-a-time loop
+//!    cannot express (its next address depends on the previous load);
+//! 2. a scan applies the chunk in schedule order against a **dirty
+//!    bitmap** (vertex hashed to one bit, cleared at chunk end in
 //!    O(changed vertices) time) that tracks every vertex changed since the
-//!    gather: draws with no dirty endpoint use their gathered block-start
+//!    gather: draws with no dirty endpoint use their gathered chunk-start
 //!    states — provably current — while dirty (or hash-colliding) draws
 //!    re-read current states and are simulated literally, marking whatever
 //!    they change.
 //!
 //! The bitmap has **no false negatives** (a changed vertex's bit is always
-//! set), so clean-classified draws are genuinely clean and the law is
-//! exact; hash false positives merely demote a clean draw to the literal
+//! set), so clean-classified draws are genuinely clean and every draw is
+//! applied to exactly the states the per-event policy would apply it to;
+//! hash false positives merely demote a clean draw to the literal
 //! fallback, which costs one re-read and nothing else. No-op draws never
 //! dirty their endpoints — a no-op leaves its participants' states
 //! untouched, so only *effective* interactions bound the matching.
 //!
 //! # Phases
 //!
-//! The block engine is the *effective-dominated* workhorse (USD bulk phase
+//! The dense phase is the *effective-dominated* workhorse (USD bulk phase
 //! on expanders: 30–55 % of draws effective). When activity collapses —
-//! endgames, low-conductance frontiers — almost every scanned draw is a
-//! no-op and scanning stops paying; a run of
-//! [`SPARSE_TRIGGER_NOOPS`](super::sparse) consecutive no-op draws
-//! escalates to the shared block-leaping sparse engine
-//! ([`SparseSkipper`](super::sparse)) that [`GraphSimulator`] uses too:
-//! exact geometric skips over no-op runs, effective events drawn from the
-//! exact weighted law by one uniform pick from an active-edge pool, and
-//! O(1) pool updates per changed edge. This engine drives the skipper a
-//! **block of effective events at a time** (up to
-//! [`SPARSE_BLOCK_EVENTS`](super::sparse) per advancement, the sparse
-//! twin of its dense block leaping), and the same hysteresis
-//! band hands control back to the dense block engine when the activity
-//! fraction recovers. Both phases simulate the same chain; the switch is
-//! purely a cost-model decision.
+//! endgames, low-conductance frontiers — almost every draw is a no-op; a
+//! run of [`SPARSE_TRIGGER_NOOPS`](super::sparse) consecutive no-op draws
+//! escalates to the **sparse phase**: the engine scans the graph once and
+//! hands the per-edge active-orientation weights (0, 1, or 2) to the
+//! [`SparseSkipper`](super::sparse). It skips each no-op run exactly and
+//! geometrically (success probability `W / 2m`, `W` the number of active
+//! orientations), draws the effective edge from the exact weighted law by
+//! one uniform pick from an active-edge pool, and updates the pool in O(1)
+//! per changed edge. When the activity fraction recovers past a hysteresis
+//! threshold the pool is dropped and the dense phase resumes. Both phases
+//! simulate the same chain; the switch is purely a cost-model decision.
+//!
+//! **The chunk cap.** The trigger counts consecutive no-op draws across
+//! chunks, and the skipper samples its own draws once it is live, so the
+//! hand-off must happen at the draw where the run reaches the trigger — a
+//! chunk that fired mid-scan would throw its remaining pre-drawn draws
+//! away and desynchronize the block policy from the per-event one. A chunk
+//! therefore holds at most `SPARSE_TRIGGER_NOOPS − noop_run` draws. If it
+//! has no effective draw, the run can reach the trigger only on its last
+//! draw; if it has one, the run restarts there with fewer than
+//! `SPARSE_TRIGGER_NOOPS` draws left. Either way no drawn draw is
+//! discarded, and both policies hand off at the same draw. The cap only
+//! shortens chunks that follow a long no-op run.
 //!
 //! # Exactness
 //!
-//! Every scanned draw is a literal scheduled interaction: clean draws use
-//! block-start states that provably equal current states, dirty draws use
-//! re-read current states, and the sparse phase inherits the shared
-//! skipper's exact geometric/conditional machinery. The induced chain on
-//! agent states is identical to [`GraphSimulator`]'s — verified by KS
-//! equivalence on the complete graph, a random 8-regular graph, the
-//! cycle, the torus, and the torus endgame in
-//! `tests/topology_equivalence.rs`, and by the matching property tests
-//! below.
+//! Every scanned or stepped draw is a literal scheduled interaction, and
+//! the sparse phase's geometric skip and conditional edge law are the
+//! exact laws of the embedded chain (see the `sparse` module). The induced
+//! chain on agent states is therefore identical to driving
+//! [`AgentSimulator`](crate::simulator::AgentSimulator) with a
+//! [`GraphScheduler`](crate::scheduler::GraphScheduler) — pinned by KS
+//! tests against `agent` in `tests/topology_equivalence.rs` and by the
+//! property tests below.
 //!
-//! One clock convention is inherited from the graphwise engine: silence
-//! stops the clock. A chunk whose last effective interaction silences the
+//! # Silence on graphs
+//!
+//! A configuration is silent for a graph-restricted scheduler iff `W = 0`
+//! — a *weaker* condition than clique silence (two clashing opinions that
+//! are not adjacent cannot interact), so on disconnected topologies the
+//! dynamics can freeze in a mixed configuration.
+//! [`is_silent`](BatchGraphSimulator::is_silent) is exact in the sparse
+//! phase and uses the sufficient count-level criterion in the dense phase;
+//! a frozen configuration that criterion misses trips the no-op trigger,
+//! which escalates to the sparse phase and certifies `W = 0`. Silence
+//! stops the clock: a chunk whose last effective interaction silences the
 //! configuration discards its trailing (provably no-op) draws from the
 //! clock, so stabilization times report the interaction *at which silence
-//! was reached*, exactly as the per-event engines do.
+//! was reached* under both policies.
 //!
 //! # State packing
 //!
@@ -88,7 +126,7 @@
 //! population the per-agent engines can hold), or the
 //! [`WideBatchGraphSimulator`] u16 fallback for alphabets up to 65 536
 //! states at twice the footprint. [`make_topology_simulator`] routes on
-//! `k` automatically, so large-alphabet protocols batch instead of being
+//! `k` automatically, so large-alphabet protocols run instead of being
 //! rejected.
 //!
 //! [`make_topology_simulator`]: ../../usd_core/backend/fn.make_topology_simulator.html
@@ -165,24 +203,26 @@ const CHUNK_MAX: usize = 4096;
 /// [`BatchGraphSimulator::with_config_shuffled`] through this alias.
 pub type WideBatchGraphSimulator<P> = BatchGraphSimulator<P, u16>;
 
-/// Batch-leaping simulator for graph-restricted schedulers.
+/// Exact simulator for graph-restricted schedulers, under the block or
+/// the per-event policy (see the module docs).
 ///
 /// Memory is O(n + m) plus O(√n) scan buffers on stored graphs. The
-/// implicit cycle and torus store no edges, so there the block phase holds
+/// implicit cycle and torus store no edges, so there the dense phase holds
 /// O(n) and the skipper's O(m) pool exists only while the sparse phase is
-/// live. The block phase costs O(1) per scheduled interaction with the
-/// per-draw constant driven down by batched RNG and overlapped gathers,
-/// and the sparse phase costs the shared skipper's O(d) per **effective**
-/// interaction.
-/// See the module docs for the block machinery and its exactness argument.
+/// live. The dense phase costs O(1) per scheduled interaction — under the
+/// block policy with the per-draw constant driven down by batched RNG and
+/// overlapped gathers — and the sparse phase O(d) per **effective**
+/// interaction, where `d` is the degree of the two agents that changed.
 ///
 /// Observation granularity
-/// ([`advance_observed`](crate::Simulator::advance_observed)):
-/// **checkpoint** in both phases — one observation summarizes every
-/// effective event of a ~√n-draw block (dense phase) or of an up-to-64-
-/// event sparse block (`SPARSE_BLOCK_EVENTS` in the private `sparse`
-/// module). Use the `graph` engine when exact per-event observation
-/// matters.
+/// ([`advance_observed`](crate::Simulator::advance_observed)): under the
+/// block policy, **checkpoint** in both phases — one observation
+/// summarizes every effective event of a ~√n-draw chunk (dense phase) or
+/// of an up-to-64-event sparse block (`SPARSE_BLOCK_EVENTS` in the private
+/// `sparse` module). Under the [`per_event`](Self::per_event) policy,
+/// **exact**: every advancement that changes the counts applies exactly
+/// one effective event, with the preceding no-op run folded into the
+/// scheduled delta.
 #[derive(Debug, Clone)]
 pub struct BatchGraphSimulator<P: Protocol, S: StateWord = u8> {
     protocol: P,
@@ -193,11 +233,16 @@ pub struct BatchGraphSimulator<P: Protocol, S: StateWord = u8> {
     states: Vec<S>,
     /// Per-state counts, kept in sync with `states`.
     counts: Vec<u64>,
-    /// Shared sparse-phase engine (`SparseSkipper`); live only in the
-    /// sparse phase.
+    /// Sparse-phase engine (`SparseSkipper`) over per-edge
+    /// active-orientation weights; live only in the sparse phase.
     sparse: Option<SparseSkipper>,
-    /// Consecutive no-op draws (sparse trigger, shared with graphwise).
+    /// Consecutive no-op draws of the dense phase (sparse trigger).
     noop_run: u32,
+    /// Execution policy: `true` returns at every effective event (the
+    /// `graph` backend), `false` leaps blocks (`batchgraph`). Set at
+    /// construction and not snapshotted, so a snapshot resumes under
+    /// either policy.
+    per_event: bool,
     k: usize,
     interactions: u64,
     effective_interactions: u64,
@@ -229,16 +274,19 @@ pub struct BatchGraphSimulator<P: Protocol, S: StateWord = u8> {
     block_events: Vec<(u32, u32)>,
     /// Engine telemetry: live counters here are `scheduled`/`effective`
     /// (mirroring the interaction clocks, *including* the silence rewind),
-    /// `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty
-    /// draws applied literally), `pair_draws`, `sparse_enters`/
-    /// `sparse_exits`, the harvested skipper stats, and the spans — with
-    /// the batch-specific convention `dense ⊇ gather + apply` (gather =
-    /// passes 1–3, apply = the matching scan, dense = the whole chunk, so
-    /// `dense − gather − apply` is the scan's bookkeeping overhead).
+    /// `pair_draws`, `sparse_enters`/`sparse_exits`, the harvested skipper
+    /// stats and the spans; the block policy adds
+    /// `blocks`/`block_draws`/`block_applied` and `fallback_literal`
+    /// (dirty draws applied literally), the per-event policy
+    /// `dense_steps`. Block-policy spans follow the convention
+    /// `dense ⊇ gather + apply` (gather = passes 1–3, apply = the matching
+    /// scan, dense = the whole chunk, so `dense − gather − apply` is the
+    /// scan's bookkeeping overhead).
     telemetry: EngineTelemetry,
-    /// Per-event histograms (opt-in): dense no-op runs, matching block
-    /// sizes, and per-chunk fallback runs recorded here; sparse fields
-    /// merged in from each skipper at phase exits and boundary reads.
+    /// Per-event histograms (opt-in): dense no-op runs, and under the
+    /// block policy matching block sizes and per-chunk fallback runs,
+    /// recorded here; sparse fields merged in from each skipper at phase
+    /// exits and boundary reads.
     hist: Option<Box<EventHistograms>>,
 }
 
@@ -291,6 +339,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
             counts,
             sparse: None,
             noop_run: 0,
+            per_event: false,
             k,
             interactions: 0,
             effective_interactions: 0,
@@ -310,8 +359,10 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     }
 
     /// Create from a count configuration with a uniformly shuffled agent
-    /// layout — the canonical initial law on non-clique topologies (see
-    /// [`GraphSimulator::from_config_shuffled`](super::GraphSimulator::from_config_shuffled)).
+    /// layout ([`shuffled_layout`]) — the canonical initial law on
+    /// non-clique topologies, where states are not exchangeable across
+    /// vertices and a block layout would correlate them with the
+    /// generator's vertex numbering.
     pub fn with_config_shuffled(
         protocol: P,
         graph: &Graph,
@@ -320,6 +371,16 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     ) -> Self {
         let states = shuffled_layout(config, rng);
         Self::with_states(protocol, graph, states)
+    }
+
+    /// Switch to the **per-event** policy: the dense phase steps one
+    /// scheduled draw at a time and returns at the first effective one,
+    /// and the sparse phase applies one event per advancement, so
+    /// observers see every effective event. The stream and the trajectory
+    /// are the block policy's (see the module docs).
+    pub fn per_event(mut self) -> Self {
+        self.per_event = true;
+        self
     }
 
     /// The protocol.
@@ -376,7 +437,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     }
 
     /// Total number of active orientations `W` (0 iff silent). O(1) in the
-    /// sparse phase; scans the edges in the block phase, where `W` is not
+    /// sparse phase; scans the edges in the dense phase, where `W` is not
     /// maintained.
     pub fn active_weight(&self) -> u64 {
         match &self.sparse {
@@ -386,10 +447,10 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     }
 
     /// Whether the configuration is silent *for this graph* (`W = 0`).
-    /// Sparse phase: exact. Block phase: the sufficient count-level
-    /// criterion, with frozen disconnected configurations caught by the
-    /// no-op-run escalation exactly as in
-    /// [`GraphSimulator::is_silent`](super::GraphSimulator::is_silent).
+    /// Sparse phase: exact. Dense phase: the sufficient count-level
+    /// criterion (clique silence implies graph silence); a frozen
+    /// configuration on a disconnected graph is caught by the no-op-run
+    /// escalation instead (see the module docs).
     pub fn is_silent(&self) -> bool {
         match &self.sparse {
             Some(s) => s.total() == 0,
@@ -409,7 +470,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
 
     /// Verify the sparse skipper (if live) against per-edge weights
     /// recomputed from the states — the pool invariants the property
-    /// tests pin. O(m); `Ok` when the block phase is active.
+    /// tests pin. O(m); `Ok` when the dense phase is active.
     #[doc(hidden)]
     pub fn validate_sparse_invariants(&self) -> Result<(), String> {
         match &self.sparse {
@@ -455,9 +516,9 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
 
     /// Apply `f` to the oriented pair `(i → j)` from **current** states;
     /// returns whether any state changed (reporting new incident weights
-    /// to the skipper when it is live). Used by the literal single step,
-    /// the dirty-endpoint fallback, and the sparse phase — not by the
-    /// block scan, which inlines the clean-draw fast path.
+    /// to the skipper when it is live). Used by the literal single step
+    /// and the sparse phase — not by the block scan, which inlines both
+    /// its clean and its dirty path.
     fn apply_oriented(&mut self, i: usize, j: usize) -> bool {
         let (si, sj) = (self.states[i].unpack(), self.states[j].unpack());
         if self.noop[si * self.k + sj] {
@@ -475,8 +536,11 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
             self.states[j] = tj;
             return true;
         }
-        // One endpoint at a time so each new weight is computed against a
-        // consistent snapshot (same argument as the graphwise engine).
+        // Refresh one endpoint at a time so each new weight is computed
+        // against a consistent snapshot: flip i first (j still old),
+        // refresh i's edges; then flip j and refresh. The shared edge
+        // (i, j) is seen by both refreshes and settles on its final weight
+        // with the second one.
         if ti.unpack() != si {
             self.states[i] = ti;
             self.refresh_incident(i, si);
@@ -529,19 +593,19 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         self.apply_oriented(i, j)
     }
 
-    /// Sparse-phase advancement, block-leaping: apply up to
-    /// [`SPARSE_BLOCK_EVENTS`] effective events (each preceded by its
-    /// exact geometric no-op skip) before returning, charging the
-    /// interaction clock once for the whole block. Stops early at the
-    /// horizon, at silence (the clock stops *at* the silencing event — the
-    /// per-event engines' convention, with no trailing skips drawn), or
-    /// when activity recovers past the hysteresis threshold. Returns
-    /// (interactions advanced, whether the counts changed). Precondition:
-    /// skipper live, `W > 0`, `max > 0`.
-    fn sparse_block(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
+    /// Sparse-phase advancement: apply up to `limit` effective events
+    /// (each preceded by its exact geometric no-op skip) before returning,
+    /// charging the interaction clock once for the whole block. Stops
+    /// early at the horizon, at silence (the clock stops *at* the
+    /// silencing event, with no trailing skips drawn), or when activity
+    /// recovers past the hysteresis threshold — the checks the caller
+    /// makes before the next call, so a block draws exactly what `limit`
+    /// one-event calls would. Returns (interactions advanced, whether the
+    /// counts changed). Precondition: skipper live, `W > 0`, `max > 0`.
+    fn sparse_block(&mut self, rng: &mut SimRng, max: u64, limit: u64) -> (u64, bool) {
         let mut advanced = 0u64;
         let mut events = 0u64;
-        while events < SPARSE_BLOCK_EVENTS && advanced < max {
+        while events < limit && advanced < max {
             let sparse = self.sparse.as_mut().expect("sparse block without skipper");
             if sparse.total() == 0 || sparse.should_exit_to_dense() {
                 break;
@@ -579,16 +643,44 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         (advanced, events > 0)
     }
 
-    /// Scan one pre-generated chunk of at most `max` scheduled draws.
-    /// Returns `(advanced, changed, trigger)` where `trigger` reports that
-    /// the consecutive-no-op escalation fired (the caller builds the
-    /// sparse skipper).
+    /// Per-event dense phase: literal draws through
+    /// [`step`](Self::step) until the first effective one, the horizon
+    /// `max`, or the no-op trigger. Returns `(advanced, changed, trigger)`
+    /// like [`chunk_scan`](Self::chunk_scan).
+    fn step_scan(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool, bool) {
+        let t0 = self.telemetry.clock.start();
+        let mut advanced = 0u64;
+        let (mut changed, mut trigger) = (false, false);
+        while advanced < max && !changed && !trigger {
+            advanced += 1;
+            if self.step(rng) {
+                if let Some(h) = &mut self.hist {
+                    h.skip_len.add_u64(self.noop_run as u64);
+                }
+                self.noop_run = 0;
+                changed = true;
+            } else {
+                self.noop_run += 1;
+                trigger = self.noop_run >= SPARSE_TRIGGER_NOOPS;
+            }
+        }
+        self.telemetry.spans.dense_ns += self.telemetry.clock.elapsed_ns(t0);
+        (advanced, changed, trigger)
+    }
+
+    /// Scan one pre-generated chunk of at most `max` scheduled draws,
+    /// capped so the no-op trigger can fire only on its last draw (see the
+    /// module docs). Returns `(advanced, changed, trigger)` where
+    /// `trigger` reports that the consecutive-no-op escalation fired (the
+    /// caller builds the sparse skipper).
     fn chunk_scan(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool, bool) {
         debug_assert!(max > 0);
         debug_assert!(self.sparse.is_none(), "chunk scan with a live skipper");
         let m2 = 2 * self.num_edges() as u64;
         let k = self.k;
-        let want = (self.chunk as u64).min(max) as usize;
+        let want = (self.chunk as u64)
+            .min(max)
+            .min(u64::from(SPARSE_TRIGGER_NOOPS - self.noop_run)) as usize;
         self.telemetry.blocks += 1;
         self.telemetry.block_draws += want as u64;
         self.telemetry.pair_draws += want as u64;
@@ -664,6 +756,8 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
             if noop[cell] {
                 noop_run += 1;
                 if noop_run >= SPARSE_TRIGGER_NOOPS {
+                    // Only ever on the chunk's last draw (the cap above).
+                    debug_assert_eq!(idx + 1, want, "trigger before the chunk's end");
                     trigger = true;
                     break;
                 }
@@ -737,18 +831,17 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     }
 
     /// Advance by at most `max` interactions using the cheapest exact
-    /// mechanism for the current activity level (block leaping or the
-    /// shared sparse skipper, itself block-leaping). Returns interactions
-    /// advanced and whether the counts changed. Once silence is
-    /// *certified* (sparse phase, `W = 0`) the clock stops: further calls
-    /// return `(0, false)`. In the block phase a silent-but-uncertified
-    /// configuration still draws genuine scheduled no-ops until the
-    /// no-op-run trigger escalates and certifies it (the same behaviour as
-    /// the graphwise dense phase), so the first call on such a
-    /// configuration can advance the clock by up to
-    /// ~`SPARSE_TRIGGER_NOOPS` interactions — drivers check `is_silent()`
-    /// before advancing, which both `run_until` and the stabilization
-    /// entry points do.
+    /// mechanism for the current activity level (the dense phase or the
+    /// sparse skipper), returning at the policy's granularity. Returns
+    /// interactions advanced and whether the counts changed. Once silence
+    /// is *certified* (sparse phase, `W = 0`) the clock stops: further
+    /// calls return `(0, false)`. In the dense phase a
+    /// silent-but-uncertified configuration still draws genuine scheduled
+    /// no-ops until the no-op-run trigger escalates and certifies it, so
+    /// the first call on such a configuration can advance the clock by up
+    /// to `SPARSE_TRIGGER_NOOPS` interactions — drivers check
+    /// `is_silent()` before advancing, which both `run_until` and the
+    /// stabilization entry points do.
     pub fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
         let out = self.advance_changed_impl(rng, max);
         // Harvest the skipper's telemetry at every advancement boundary so
@@ -769,20 +862,33 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         loop {
             if let Some(s) = &self.sparse {
                 if s.total() == 0 {
-                    // Silent: stop the clock (see the graphwise engine).
+                    // Silent: nothing can ever change. Stop the clock
+                    // instead of charging the horizon, so stabilization
+                    // times report when silence was *reached* — drivers
+                    // treat a short advancement as termination and confirm
+                    // via `is_silent`, which is exact here.
                     return (advanced, changed);
                 }
                 if s.should_exit_to_dense() {
-                    // Activity recovered: hand back to the block engine.
+                    // Activity recovered: hand back to the dense phase.
                     self.exit_sparse();
                 } else {
+                    let limit = if self.per_event {
+                        1
+                    } else {
+                        SPARSE_BLOCK_EVENTS
+                    };
                     let t0 = self.telemetry.clock.start();
-                    let (leapt, ch) = self.sparse_block(rng, max - advanced);
+                    let (leapt, ch) = self.sparse_block(rng, max - advanced, limit);
                     self.telemetry.spans.sparse_ns += self.telemetry.clock.elapsed_ns(t0);
                     return (advanced + leapt, changed || ch);
                 }
             }
-            let (leapt, ch, trigger) = self.chunk_scan(rng, max - advanced);
+            let (leapt, ch, trigger) = if self.per_event {
+                self.step_scan(rng, max - advanced)
+            } else {
+                self.chunk_scan(rng, max - advanced)
+            };
             advanced += leapt;
             changed |= ch;
             if trigger {
@@ -797,7 +903,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
             } else if ch || advanced >= max {
                 return (advanced, changed);
             }
-            // All-no-op block without a trigger yet: keep scanning so the
+            // All-no-op chunk without a trigger yet: keep scanning so the
             // escalation (or the horizon) is reached within this call.
         }
     }
@@ -836,17 +942,6 @@ impl<P: Protocol> BatchGraphSimulator<P> {
         rng: &mut SimRng,
     ) -> Self {
         Self::with_config_shuffled(protocol, graph, config, rng)
-    }
-
-    /// Create from a count configuration with a block layout. Only
-    /// appropriate when the layout is irrelevant (the complete graph);
-    /// prefer [`BatchGraphSimulator::from_config_shuffled`] otherwise.
-    pub fn from_config(protocol: P, graph: &Graph, config: &CountConfig) -> Self {
-        let mut states = Vec::with_capacity(config.n() as usize);
-        for (idx, &c) in config.counts().iter().enumerate() {
-            states.extend(std::iter::repeat_n(idx, c as usize));
-        }
-        Self::with_states(protocol, graph, states)
     }
 }
 
@@ -911,10 +1006,12 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
     }
 
     fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
-        // Graph structure, transition tables, and the chunk/bitmap scratch
-        // are constructor-derived (the scratch buffers are empty between
-        // advancements — chunk_scan always clears them); the mutable state
-        // is the packed agent states, clocks, no-op run, and the skipper.
+        // Graph structure, transition tables, the policy, and the
+        // chunk/bitmap scratch are constructor-derived (the scratch buffers
+        // are empty between advancements — chunk_scan always clears them);
+        // the mutable state is the packed agent states, clocks, no-op run,
+        // and the skipper (whose ordered pool is validated against the
+        // states on restore). Both policies write the same payload.
         let tag = if S::LIMIT <= 256 {
             snapshot_tags::BATCH_GRAPH
         } else {
@@ -978,6 +1075,14 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
         let interactions = r.get_u64()?;
         let effective_interactions = r.get_u64()?;
         let noop_run = r.get_u32()?;
+        // Every advancement ends below the trigger (reaching it enters the
+        // sparse phase and resets the run); a larger value would underflow
+        // the chunk cap.
+        if noop_run >= SPARSE_TRIGGER_NOOPS {
+            return Err(CheckpointError::Corrupt(format!(
+                "no-op run {noop_run} is not below the sparse trigger {SPARSE_TRIGGER_NOOPS}"
+            )));
+        }
         let telemetry = EngineTelemetry::read_snapshot(r)?;
         let hist = if r.get_bool()? {
             Some(Box::new(EventHistograms::read_snapshot(r)?))
@@ -1007,6 +1112,7 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
 mod tests {
     use super::*;
     use crate::protocol::OneWayEpidemic;
+    use crate::scheduler::GraphScheduler;
 
     fn epidemic_on(graph: &Graph, infected: usize) -> BatchGraphSimulator<OneWayEpidemic> {
         let mut states = vec![1usize; graph.n()];
@@ -1016,36 +1122,171 @@ mod tests {
         BatchGraphSimulator::new(OneWayEpidemic, graph, states)
     }
 
-    #[test]
-    fn epidemic_on_cycle_completes_and_counts_events() {
-        let g = Graph::cycle(50);
-        let mut sim = epidemic_on(&g, 1);
-        let mut rng = SimRng::new(1);
-        while !sim.is_silent() {
-            sim.advance_changed(&mut rng, u64::MAX / 2);
+    /// `sim` under both policies: block first, then per-event.
+    fn both<P: Protocol + Clone>(sim: BatchGraphSimulator<P>) -> [BatchGraphSimulator<P>; 2] {
+        [sim.clone(), sim.per_event()]
+    }
+
+    fn policy<P: Protocol>(sim: &BatchGraphSimulator<P>) -> &'static str {
+        if sim.per_event {
+            "per-event"
+        } else {
+            "block"
         }
-        assert_eq!(sim.counts(), &[50, 0]);
-        assert_eq!(sim.effective_interactions(), 49);
-        assert_eq!(sim.active_weight(), 0);
+    }
+
+    /// Every boundary of a run to silence that changed the counts:
+    /// `(clock, counts)`.
+    fn boundaries<P: Protocol>(
+        sim: &mut BatchGraphSimulator<P>,
+        rng: &mut SimRng,
+    ) -> Vec<(u64, Vec<u64>)> {
+        let mut path = Vec::new();
+        while !sim.is_silent() {
+            let (advanced, changed) = sim.advance_changed(rng, u64::MAX / 2);
+            if changed {
+                path.push((sim.interactions(), sim.counts().to_vec()));
+            }
+            if advanced == 0 {
+                break;
+            }
+        }
+        path
     }
 
     #[test]
-    fn block_clock_matches_single_step_clock_in_distribution() {
-        // Block leaping must preserve the total-interaction law: compare
-        // mean completion interactions via advance() and via step().
-        let reps = 300u64;
-        let mut block_mean = 0.0;
-        let mut step_mean = 0.0;
-        for seed in 0..reps {
-            let g = Graph::cycle(24);
-            let mut sim = epidemic_on(&g, 1);
-            let mut rng = SimRng::new(seed);
+    fn initial_active_weight_counts_boundary_orientations() {
+        // Path 0-1-2-3 with agent 0 infected: only edge (0,1) is active,
+        // in both orientations (epidemic is symmetric in effect).
+        let g = Graph::path(4);
+        for sim in both(epidemic_on(&g, 1)) {
+            assert_eq!(sim.active_weight(), 2, "{}", policy(&sim));
+            assert!(!sim.is_silent());
+        }
+    }
+
+    #[test]
+    fn epidemic_on_cycle_completes_and_counts_events() {
+        let g = Graph::cycle(50);
+        for mut sim in both(epidemic_on(&g, 1)) {
+            let mut rng = SimRng::new(1);
             while !sim.is_silent() {
                 sim.advance_changed(&mut rng, u64::MAX / 2);
             }
-            block_mean += sim.interactions() as f64;
+            assert_eq!(sim.counts(), &[50, 0]);
+            // One infection per susceptible agent.
+            assert_eq!(sim.effective_interactions(), 49);
+            assert_eq!(sim.active_weight(), 0);
+        }
+    }
 
+    /// Under one seed the two policies apply the same draws in the same
+    /// order: equal final clocks and counts, every per-event advancement
+    /// one event, and every block boundary showing the per-event path's
+    /// counts at the last event at or before its clock. Covers the dense
+    /// matching regime, the sparse skipper, and the hand-off between them.
+    #[test]
+    fn policies_run_bit_identical_trajectories() {
+        let mut patch = vec![1usize; 32 * 32];
+        for row in patch.chunks_mut(32).take(6) {
+            row[..6].fill(0);
+        }
+        let instances = [
+            ("cycle 2048", Graph::cycle(2_048), {
+                let mut s = vec![1usize; 2_048];
+                s[0] = 0;
+                s
+            }),
+            ("grid 6x6", Graph::grid(6, 6), {
+                let mut s = vec![1usize; 36];
+                s[..2].fill(0);
+                s
+            }),
+            ("torus 32x32 patch", Graph::torus(32), patch),
+            (
+                "regular:8 4096",
+                crate::topology::TopologyFamily::Regular { d: 8 }.build(4_096, 3),
+                (0..4_096).map(|v| (v % 3 == 0) as usize).collect(),
+            ),
+        ];
+        for (label, g, states) in instances {
+            let sim = BatchGraphSimulator::new(OneWayEpidemic, &g, states);
+            for seed in 0..20 {
+                let [mut block, mut event] = both(sim.clone());
+                let block_path = boundaries(&mut block, &mut SimRng::new(seed));
+                let event_path = boundaries(&mut event, &mut SimRng::new(seed));
+                let what = format!("{label}, seed {seed}");
+                assert_eq!(block.interactions(), event.interactions(), "{what}");
+                assert_eq!(block.counts(), event.counts(), "{what}");
+                assert_eq!(event_path.len() as u64, event.effective_interactions());
+                assert_eq!(
+                    block.effective_interactions(),
+                    event.effective_interactions(),
+                    "{what}"
+                );
+                for (clock, counts) in &block_path {
+                    let at = event_path.partition_point(|(c, _)| c <= clock);
+                    assert!(at > 0, "{what}: block boundary {clock} before any event");
+                    assert_eq!(&event_path[at - 1].1, counts, "{what}: clock {clock}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_matches_scheduler_law_on_interaction_counts() {
+        // Driving with single steps must give the same infection law as an
+        // AgentSimulator over the same GraphScheduler (here: compare mean
+        // completion interactions on a small cycle).
+        let reps = 200u64;
+        let mut step_mean = 0.0;
+        let mut agentwise_mean = 0.0;
+        for seed in 0..reps {
+            let g = Graph::cycle(16);
+            let mut sim = epidemic_on(&g, 1).per_event();
+            let mut rng = SimRng::new(seed);
+            while !sim.is_silent() {
+                sim.step(&mut rng);
+            }
+            step_mean += sim.interactions() as f64;
+
+            let mut states = vec![1usize; 16];
+            states[0] = 0;
+            let mut reference = crate::simulator::AgentSimulator::new(
+                OneWayEpidemic,
+                GraphScheduler::new(g),
+                states,
+            );
+            let mut rng = SimRng::new(seed + 10_000);
+            while reference.counts()[0] < 16 {
+                Simulator::step(&mut reference, &mut rng);
+            }
+            agentwise_mean += reference.interactions() as f64;
+        }
+        step_mean /= reps as f64;
+        agentwise_mean /= reps as f64;
+        let rel = (step_mean - agentwise_mean).abs() / agentwise_mean;
+        assert!(rel < 0.06, "step {step_mean} vs agentwise {agentwise_mean}");
+    }
+
+    #[test]
+    fn advance_clock_matches_single_step_clock_in_distribution() {
+        // Block leaping and the per-event policy's geometric skips must
+        // preserve the total-interaction law: compare mean completion
+        // interactions via advance() and via step().
+        let reps = 300u64;
+        let mut advance_mean = [0.0f64; 2];
+        let mut step_mean = 0.0;
+        for seed in 0..reps {
             let g = Graph::cycle(24);
+            for (slot, mut sim) in both(epidemic_on(&g, 1)).into_iter().enumerate() {
+                let mut rng = SimRng::new(seed);
+                while !sim.is_silent() {
+                    sim.advance_changed(&mut rng, u64::MAX / 2);
+                }
+                advance_mean[slot] += sim.interactions() as f64;
+            }
+
             let mut sim = epidemic_on(&g, 1);
             let mut rng = SimRng::new(seed + 777_777);
             while !sim.is_silent() {
@@ -1053,42 +1294,12 @@ mod tests {
             }
             step_mean += sim.interactions() as f64;
         }
-        block_mean /= reps as f64;
         step_mean /= reps as f64;
-        let rel = (block_mean - step_mean).abs() / step_mean;
-        assert!(rel < 0.06, "block {block_mean} vs step {step_mean}");
-    }
-
-    #[test]
-    fn matches_graphwise_engine_in_distribution() {
-        // Same chain as GraphSimulator: compare mean completion clocks on
-        // a sparse graph.
-        let reps = 250u64;
-        let g = Graph::grid(6, 6);
-        let mut batch_mean = 0.0;
-        let mut graph_mean = 0.0;
-        for seed in 0..reps {
-            let mut sim = epidemic_on(&g, 2);
-            let mut rng = SimRng::new(seed);
-            while !sim.is_silent() {
-                sim.advance_changed(&mut rng, u64::MAX / 2);
-            }
-            batch_mean += sim.interactions() as f64;
-
-            let mut states = vec![1usize; 36];
-            states[0] = 0;
-            states[1] = 0;
-            let mut reference = crate::simulator::GraphSimulator::new(OneWayEpidemic, &g, states);
-            let mut rng = SimRng::new(seed + 555_555);
-            while !reference.is_silent() {
-                reference.advance_changed(&mut rng, u64::MAX / 2);
-            }
-            graph_mean += reference.interactions() as f64;
+        for mean in advance_mean {
+            let mean = mean / reps as f64;
+            let rel = (mean - step_mean).abs() / step_mean;
+            assert!(rel < 0.06, "advance {mean} vs step {step_mean}");
         }
-        batch_mean /= reps as f64;
-        graph_mean /= reps as f64;
-        let rel = (batch_mean - graph_mean).abs() / graph_mean;
-        assert!(rel < 0.06, "batch {batch_mean} vs graphwise {graph_mean}");
     }
 
     #[test]
@@ -1122,63 +1333,72 @@ mod tests {
     #[test]
     fn advance_respects_max_and_truncates_exactly() {
         let g = Graph::cycle(1000);
-        let mut sim = epidemic_on(&g, 1);
-        let mut rng = SimRng::new(3);
-        for max in [1u64, 7, 100, 10_000] {
-            let before = sim.interactions();
-            let (advanced, _) = sim.advance_changed(&mut rng, max);
-            assert!(advanced >= 1 && advanced <= max, "advanced {advanced}");
-            assert_eq!(sim.interactions() - before, advanced);
+        for mut sim in both(epidemic_on(&g, 1)) {
+            let mut rng = SimRng::new(3);
+            for max in [1u64, 7, 100, 10_000] {
+                let before = sim.interactions();
+                let (advanced, _) = sim.advance_changed(&mut rng, max);
+                assert!(advanced >= 1 && advanced <= max, "advanced {advanced}");
+                assert_eq!(sim.interactions() - before, advanced);
+            }
         }
     }
 
     #[test]
     fn silent_configuration_stops_the_clock() {
         let g = Graph::cycle(10);
-        let mut sim = epidemic_on(&g, 10); // everyone infected: silent
-        assert!(sim.is_silent());
-        let mut rng = SimRng::new(4);
-        let (first, changed) = sim.advance_changed(&mut rng, 5_000);
-        assert!(!changed);
-        assert!(first <= 5_000);
-        let clock = sim.interactions();
-        let (second, changed) = sim.advance_changed(&mut rng, 5_000);
-        assert_eq!((second, changed), (0, false));
-        assert_eq!(sim.interactions(), clock);
-        assert_eq!(sim.effective_interactions(), 0);
+        // Everyone infected: silent.
+        for mut sim in both(epidemic_on(&g, 10)) {
+            assert!(sim.is_silent());
+            let mut rng = SimRng::new(4);
+            // The dense phase draws genuine (no-op) scheduled interactions
+            // until the trigger certifies silence; after that the clock
+            // stops for good, so repeated calls cannot inflate
+            // stabilization times.
+            let (first, changed) = sim.advance_changed(&mut rng, 5_000);
+            assert!(!changed);
+            assert!(first <= 5_000);
+            let clock = sim.interactions();
+            let (second, changed) = sim.advance_changed(&mut rng, 5_000);
+            assert_eq!((second, changed), (0, false), "{}", policy(&sim));
+            assert_eq!(sim.interactions(), clock);
+            assert_eq!(sim.effective_interactions(), 0);
+        }
     }
 
     #[test]
     fn disconnected_graph_freezes_with_mixed_counts() {
+        // Two components, infection only in one: the run must go silent
+        // with susceptibles remaining — the graph notion of silence.
         let g = Graph::from_edges(4, vec![(0, 1), (2, 3)]);
-        let mut states = vec![1usize; 4];
-        states[0] = 0;
-        let mut sim = BatchGraphSimulator::new(OneWayEpidemic, &g, states);
-        let mut rng = SimRng::new(5);
-        let mut guard = 0;
-        while !sim.is_silent() {
-            sim.advance_changed(&mut rng, u64::MAX / 2);
-            guard += 1;
-            assert!(guard < 100);
+        for mut sim in both(epidemic_on(&g, 1)) {
+            let mut rng = SimRng::new(5);
+            let mut guard = 0;
+            while !sim.is_silent() {
+                sim.advance_changed(&mut rng, u64::MAX / 2);
+                guard += 1;
+                assert!(guard < 100, "{}", policy(&sim));
+            }
+            assert_eq!(sim.counts(), &[2, 2]);
         }
-        assert_eq!(sim.counts(), &[2, 2]);
     }
 
     #[test]
     fn population_and_counts_conserved_across_blocks() {
         let g = crate::topology::TopologyFamily::Regular { d: 4 }.build(1_024, 1);
-        let mut sim = epidemic_on(&g, 16);
-        let mut rng = SimRng::new(6);
-        while !sim.is_silent() {
-            sim.advance_changed(&mut rng, u64::MAX / 2);
-            assert_eq!(sim.counts().iter().sum::<u64>(), 1_024);
-            let mut recount = vec![0u64; 2];
-            for v in 0..1_024 {
-                recount[sim.state_of_agent(v)] += 1;
+        for mut sim in both(epidemic_on(&g, 16)) {
+            let mut rng = SimRng::new(6);
+            while !sim.is_silent() {
+                sim.advance_changed(&mut rng, u64::MAX / 2);
+                assert_eq!(sim.counts().iter().sum::<u64>(), 1_024);
+                let mut recount = vec![0u64; 2];
+                for v in 0..1_024 {
+                    recount[sim.state_of_agent(v)] += 1;
+                }
+                assert_eq!(recount, sim.counts(), "states out of sync with counts");
             }
-            assert_eq!(recount, sim.counts(), "states out of sync with counts");
+            assert_eq!(sim.effective_interactions(), 1_024 - 16);
         }
-        assert_eq!(sim.effective_interactions(), 1_024 - 16);
     }
 
     #[test]
@@ -1209,24 +1429,28 @@ mod tests {
         // Drive a no-op-dominated instance (an epidemic frontier creeping
         // around a large cycle: W ≤ 4 of 2m orientations) so the run lives
         // in the sparse skipper, and verify the pool invariants after every
-        // advancement.
+        // advancement — after every event under the per-event policy.
         let g = Graph::cycle(2_048);
-        let mut sim = epidemic_on(&g, 1);
-        let mut rng = SimRng::new(11);
-        let mut sparse_advancements = 0u32;
-        while !sim.is_silent() {
-            sim.advance_changed(&mut rng, u64::MAX / 2);
-            sim.validate_sparse_invariants().unwrap();
-            if sim.sparse.is_some() {
-                sparse_advancements += 1;
+        for mut sim in both(epidemic_on(&g, 1)) {
+            let mut rng = SimRng::new(11);
+            let mut sparse_advancements = 0u32;
+            while !sim.is_silent() {
+                sim.advance_changed(&mut rng, u64::MAX / 2);
+                sim.validate_sparse_invariants().unwrap();
+                if sim.sparse.is_some() {
+                    sparse_advancements += 1;
+                }
             }
+            // The block policy leaps ~64 events per sparse advancement,
+            // so a 2047-event epidemic crosses it tens of times; the
+            // per-event policy checks nearly every event.
+            let want = if sim.per_event { 1_500 } else { 10 };
+            assert!(
+                sparse_advancements > want,
+                "{}: only {sparse_advancements} sparse advancements exercised",
+                policy(&sim)
+            );
         }
-        // The sparse phase leaps ~64 events per advancement, so a
-        // 2047-event epidemic crosses it tens of times.
-        assert!(
-            sparse_advancements > 10,
-            "only {sparse_advancements} sparse advancements exercised"
-        );
     }
 
     /// A k-state one-way "maximum spreads" protocol for exercising wide
@@ -1342,6 +1566,32 @@ mod tests {
     }
 
     #[test]
+    fn per_event_telemetry_mirrors_clocks_and_harvests_the_sparse_phase() {
+        // A creeping frontier spends nearly the whole run inside the
+        // sparse skipper; the telemetry must mirror the interaction clocks
+        // exactly and must have harvested the skipper's counters even
+        // though the run *ends* while the sparse phase is live. The
+        // per-event dense phase steps literally: no blocks.
+        let g = Graph::cycle(1_024);
+        let mut sim = epidemic_on(&g, 1).per_event();
+        let mut rng = SimRng::new(21);
+        while !sim.is_silent() {
+            sim.advance_changed(&mut rng, u64::MAX / 2);
+        }
+        let t = Simulator::telemetry(&sim);
+        assert_eq!(t.scheduled, sim.interactions());
+        assert_eq!(t.effective, sim.effective_interactions());
+        assert!(t.sparse_enters >= 1, "never escalated to sparse");
+        assert!(t.sparse.events > 0, "skipper stats were not harvested");
+        assert_eq!(t.sparse.event_draws, t.sparse.events);
+        assert!(t.sparse.updates_immediate > 0);
+        assert_eq!((t.blocks, t.block_draws), (0, 0));
+        assert_eq!(t.dense_steps, t.pair_draws, "every dense draw is a step");
+        assert!(t.dense_steps >= u64::from(SPARSE_TRIGGER_NOOPS));
+        assert_eq!(t.spans, crate::telemetry::SpanSet::new());
+    }
+
+    #[test]
     fn telemetry_block_accounting_matches_on_an_effective_dominated_run() {
         // An expander bulk phase is where the matching engine lives: most
         // applications must be clean (block matching), with the literal
@@ -1374,15 +1624,72 @@ mod tests {
         assert_eq!(t.pair_draws, t.block_draws, "all draws come from blocks");
     }
 
+    /// A payload with the no-op run at the trigger is corrupt: every
+    /// advancement ends below it, and restoring it would underflow the
+    /// chunk cap. One below the trigger restores.
+    #[test]
+    fn restore_rejects_a_noop_run_at_the_trigger() {
+        let g = Graph::cycle(8);
+        let payload = |noop_run: u32| {
+            let mut w = SnapshotWriter::new();
+            w.put_u8(snapshot_tags::BATCH_GRAPH);
+            snapshot_tags::write_config(&mut w, 8, 2);
+            w.put_u64(8);
+            for _ in 0..8 {
+                w.put_u32(1);
+            }
+            w.put_u64(5_000); // interactions
+            w.put_u64(0); // effective
+            w.put_u32(noop_run);
+            EngineTelemetry::new().write_snapshot(&mut w);
+            w.put_bool(false); // no histograms
+            w.put_bool(false); // no skipper
+            w.into_bytes()
+        };
+        for mut sim in both(epidemic_on(&g, 0)) {
+            let bytes = payload(SPARSE_TRIGGER_NOOPS);
+            let err = Simulator::restore_state(&mut sim, &mut SnapshotReader::new(&bytes));
+            assert!(
+                matches!(&err, Err(CheckpointError::Corrupt(m)) if m.contains("sparse trigger")),
+                "{err:?}"
+            );
+            let bytes = payload(SPARSE_TRIGGER_NOOPS - 1);
+            Simulator::restore_state(&mut sim, &mut SnapshotReader::new(&bytes)).unwrap();
+            assert_eq!(sim.interactions(), 5_000);
+            // One more no-op draw reaches the trigger and certifies silence.
+            let mut rng = SimRng::new(1);
+            assert_eq!(sim.advance_changed(&mut rng, 10), (1, false));
+            assert!(sim.sparse.is_some() && sim.is_silent(), "{}", policy(&sim));
+        }
+    }
+
     #[test]
     fn trait_object_usable() {
         let g = Graph::cycle(100);
-        let mut sim: Box<dyn Simulator> = Box::new(epidemic_on(&g, 5));
+        for sim in both(epidemic_on(&g, 5)) {
+            let mut sim: Box<dyn Simulator> = Box::new(sim);
+            let mut rng = SimRng::new(7);
+            let ran = sim.run_until(&mut rng, u64::MAX / 2, &mut |_| false);
+            assert!(ran > 0);
+            assert!(sim.is_silent());
+            assert_eq!(sim.counts(), &[100, 0]);
+        }
+    }
+
+    #[test]
+    fn shuffled_layout_preserves_counts() {
+        let cfg = CountConfig::from_counts(vec![10, 30, 60]);
         let mut rng = SimRng::new(7);
-        let ran = sim.run_until(&mut rng, u64::MAX / 2, &mut |_| false);
-        assert!(ran > 0);
-        assert!(sim.is_silent());
-        assert_eq!(sim.counts(), &[100, 0]);
+        let layout = shuffled_layout(&cfg, &mut rng);
+        assert_eq!(layout.len(), 100);
+        let mut counts = [0u64; 3];
+        for &s in &layout {
+            counts[s] += 1;
+        }
+        assert_eq!(&counts, &[10, 30, 60]);
+        // And it actually shuffles (block layout is astronomically
+        // unlikely to survive).
+        assert_ne!(layout, shuffled_layout(&cfg, &mut SimRng::new(8)));
     }
 
     #[test]

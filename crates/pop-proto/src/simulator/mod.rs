@@ -24,32 +24,30 @@
 //!   draws), so its cost is O(min(L, k²) draws + k²) per ~√n
 //!   interactions — sub-constant time per interaction, the enabler for
 //!   n ≥ 10⁸ runs. Clique only.
-//! * [`GraphSimulator`] — the graph-topology counterpart of the leaping
-//!   engines: per-agent states plus a pool of per-edge *active*
-//!   (non-no-op) orientations, skipping geometrically over no-op
-//!   stretches and paying O(d) per **effective** interaction. The
-//!   fast exact engine for no-op-dominated
-//!   [`GraphScheduler`](crate::scheduler::GraphScheduler) topologies.
-//! * [`BatchGraphSimulator`] — multi-event leaping on graphs: pre-generates
-//!   whole blocks of the (configuration-independent) scheduled draw
-//!   sequence, applies every draw whose edge is vertex-disjoint from the
-//!   block's earlier effective edges from block-start states (a matching),
-//!   and falls back to a literal step at the first shared endpoint. The
-//!   fast exact engine for *effective-dominated* graph regimes (expanders);
-//!   hands off to the shared sparse skipper (the same one
-//!   [`GraphSimulator`] uses, driven a block of events at a time) when
-//!   no-ops dominate. [`WideBatchGraphSimulator`] is its u16 state-packing
-//!   fallback for protocols with more than 256 states.
+//! * [`BatchGraphSimulator`] — the graph-topology engine
+//!   ([`GraphScheduler`](crate::scheduler::GraphScheduler)), under two
+//!   policies over one random stream with bit-identical trajectories. The
+//!   dense phase draws the (configuration-independent) schedule one
+//!   `below(2m)` per interaction; the **block** policy (`batchgraph`)
+//!   pre-generates chunks of it and applies every draw whose edge is
+//!   vertex-disjoint from the chunk's earlier effective edges from
+//!   chunk-start states (a matching), re-reading states at the first
+//!   shared endpoint, while the **per-event** policy (`graph`) steps one
+//!   draw at a time and returns at every effective event. When no-ops
+//!   dominate, both hand off to a sparse skipper: a pool of per-edge
+//!   *active* (non-no-op) orientations, skipping geometrically over no-op
+//!   stretches and paying O(d) per **effective** interaction.
+//!   [`WideBatchGraphSimulator`] is its u16 state-packing fallback for
+//!   protocols with more than 256 states.
 //! * [`ReplicaSimulator`] — the bit-parallel ensemble engine: up to 64
 //!   independent replicas of one instance, one bit-plane word per agent,
 //!   all advanced by a single shared (pair, orientation) schedule.
 //!
-//! The graph engines' sparse phases share one implementation (the private
-//! `sparse` module): an active-edge pool holding each edge once per active
-//! orientation, so one uniform pick draws an effective edge from the exact
-//! weighted law and a weight change is O(1) pushes or swap-removes, plus
-//! geometric no-op skips whose per-block aggregates are negative-binomial
-//! totals.
+//! The graph engine's sparse phase lives in the private `sparse` module:
+//! an active-edge pool holding each edge once per active orientation, so
+//! one uniform pick draws an effective edge from the exact weighted law
+//! and a weight change is O(1) pushes or swap-removes, plus geometric
+//! no-op skips whose per-block aggregates are negative-binomial totals.
 //!
 //! The [`Simulator`] trait unifies them so drivers, experiments, the
 //! CLI, and benches can select a backend generically; its
@@ -58,14 +56,13 @@
 //! configuration-changing advancement boundary, giving observer-driven
 //! experiments (lemma probes, trace recorders, crossing detectors) one
 //! backend-agnostic entry point — exact per-effective-event on the
-//! single-event engines, block-checkpoint on the leaping ones (see
-//! [`observe`](crate::observe)).
+//! single-event engines and policies, block-checkpoint on the leaping ones
+//! (see [`observe`](crate::observe)).
 
 mod agentwise;
 mod batched;
 mod batched_graph;
 mod countwise;
-mod graphwise;
 mod replica;
 mod sparse;
 
@@ -73,12 +70,22 @@ pub use agentwise::{AgentSimulator, InteractionRecord};
 pub use batched::BatchSimulator;
 pub use batched_graph::{BatchGraphSimulator, StateWord, WideBatchGraphSimulator};
 pub use countwise::CountSimulator;
-pub use graphwise::{shuffled_layout, GraphSimulator};
 pub use replica::{BitwiseProtocol, ReplicaSimulator, MAX_LANES, MAX_PLANES};
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
 use crate::observe::{Observation, SimObserver};
+
+/// Block layout for `config` shuffled uniformly — the canonical random
+/// placement of a count configuration onto graph vertices.
+pub fn shuffled_layout(config: &CountConfig, rng: &mut SimRng) -> Vec<usize> {
+    let mut states = Vec::with_capacity(config.n() as usize);
+    for (idx, &c) in config.counts().iter().enumerate() {
+        states.extend(std::iter::repeat_n(idx, c as usize));
+    }
+    rng.shuffle(&mut states);
+    states
+}
 
 /// Stable per-engine tags and header helpers for the snapshot format.
 ///
@@ -97,12 +104,16 @@ pub mod snapshot_tags {
     pub const COUNT: u8 = 2;
     /// [`BatchSimulator`](super::BatchSimulator).
     pub const BATCH: u8 = 3;
-    /// [`GraphSimulator`](super::GraphSimulator).
+    /// Reserved: the retired separate per-event graph engine
+    /// (`graphwise`). The `graph` backend writes
+    /// [`BATCH_GRAPH`]/[`WIDE_BATCH_GRAPH`]; a stray payload fails to
+    /// restore by name.
     pub const GRAPH: u8 = 4;
-    /// [`BatchGraphSimulator`](super::BatchGraphSimulator) (u8 states).
+    /// [`BatchGraphSimulator`](super::BatchGraphSimulator) (u8 states),
+    /// under either policy.
     pub const BATCH_GRAPH: u8 = 5;
     /// [`WideBatchGraphSimulator`](super::WideBatchGraphSimulator)
-    /// (u16 states).
+    /// (u16 states), under either policy.
     pub const WIDE_BATCH_GRAPH: u8 = 6;
     /// Reserved: the retired USD-specialized sequential engine (`seq`).
     /// No engine writes it; a stray payload fails to restore by name.
@@ -124,7 +135,7 @@ pub mod snapshot_tags {
             AGENT => "agent",
             COUNT => "count",
             BATCH => "batch",
-            GRAPH => "graph",
+            GRAPH => "graphwise",
             BATCH_GRAPH => "batchgraph",
             WIDE_BATCH_GRAPH => "batchgraph-wide",
             USD_SEQ => "seq",
@@ -395,9 +406,9 @@ pub trait Simulator {
     /// returns the number of interactions simulated.
     ///
     /// Observation granularity is the backend's advancement granularity —
-    /// exact per-effective-event on the single-event engines
-    /// (`agent`/`count`/`graph` and the USD wrappers), block-boundary
-    /// checkpoints on the leaping engines (`batch`/`batchgraph`); see the
+    /// exact per-effective-event on the single-event engines and policies
+    /// (`agent`/`count`/`graph`), block-boundary checkpoints on the leaping
+    /// ones (`batch`/`batchgraph`/`replica`); see the
     /// [`observe`](crate::observe) module docs for the per-backend table.
     /// [`SimObserver::max_stride`] bounds the scheduled interactions per
     /// advancement, forcing a finer checkpoint cadence on the leaping

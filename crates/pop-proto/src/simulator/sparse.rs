@@ -1,11 +1,10 @@
-//! Shared sparse-phase engine for the graph simulators.
+//! Sparse-phase engine of the graph simulator.
 //!
-//! [`GraphSimulator`](super::GraphSimulator) and
-//! [`BatchGraphSimulator`](super::BatchGraphSimulator) hand no-op-dominated
-//! stretches (endgames, low-conductance frontiers) to one
-//! [`SparseSkipper`]: exact geometric skips over the no-op runs, and each
-//! effective event drawn from the exact conditional law, O(1) per draw and
-//! per weight change.
+//! [`BatchGraphSimulator`](super::BatchGraphSimulator) hands
+//! no-op-dominated stretches (endgames, low-conductance frontiers) to a
+//! [`SparseSkipper`] under both of its policies: exact geometric skips
+//! over the no-op runs, and each effective event drawn from the exact
+//! conditional law, O(1) per draw and per weight change.
 //!
 //! # The active-edge pool
 //!
@@ -41,8 +40,8 @@
 //! "Sparse-phase batching" section.
 //!
 //! The phase-hysteresis constants ([`SPARSE_TRIGGER_NOOPS`],
-//! [`DENSE_ENTER_INV`]) live here too, so the engines cannot drift apart,
-//! and the skipper counts its draws and pool updates in [`SparseStats`],
+//! [`DENSE_ENTER_INV`]) live here too, beside the skipper they gate, and
+//! the skipper counts its draws and pool updates in [`SparseStats`],
 //! harvested by the owning engine via [`SparseSkipper::take_stats`].
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
@@ -50,7 +49,7 @@ use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::SparseStats;
 use sim_stats::rng::SimRng;
 
-/// Consecutive no-op draws in the dense/block phase that trigger the switch
+/// Consecutive no-op draws in the dense phase that trigger the switch
 /// to the sparse skipper. At activity fraction `f` the probability of this
 /// many consecutive no-ops is `(1 − f)^1024` — negligible above `f ≈ 1/64`,
 /// near-certain once the fraction truly collapses, so spurious O(m)
@@ -64,11 +63,11 @@ pub(crate) const SPARSE_TRIGGER_NOOPS: u32 = 1024;
 pub(crate) const DENSE_ENTER_INV: u64 = 32;
 
 /// Maximum effective events [`BatchGraphSimulator`](super::BatchGraphSimulator)
-/// applies per sparse advancement (its sparse-phase observation
-/// granularity — one block checkpoint summarizes up to this many events).
-/// [`GraphSimulator`](super::GraphSimulator) keeps its exact per-event
-/// granularity by advancing one event at a time. It is also the block
-/// length of the `block_total` histogram.
+/// applies per sparse advancement under its block policy (the sparse-phase
+/// observation granularity — one block checkpoint summarizes up to this
+/// many events). The per-event policy keeps its exact granularity by
+/// advancing one event at a time. It is also the block length of the
+/// `block_total` histogram.
 pub(crate) const SPARSE_BLOCK_EVENTS: u64 = 64;
 
 /// `slot` value of a copy that is not in the pool.

@@ -491,15 +491,15 @@ impl TimelineRecorder {
 mod tests {
     use super::*;
     use crate::protocol::OneWayEpidemic;
-    use crate::simulator::GraphSimulator;
+    use crate::simulator::BatchGraphSimulator;
     use crate::Graph;
     use sim_stats::rng::SimRng;
 
-    fn frontier_sim(n: usize) -> GraphSimulator<OneWayEpidemic> {
+    fn frontier_sim(n: usize) -> BatchGraphSimulator<OneWayEpidemic> {
         let g = Graph::cycle(n);
         let mut states = vec![1usize; n];
         states[0] = 0;
-        GraphSimulator::new(OneWayEpidemic, &g, states)
+        BatchGraphSimulator::new(OneWayEpidemic, &g, states).per_event()
     }
 
     /// Drive a run with the recorder, bounding each advancement with the

@@ -226,23 +226,25 @@ proptest! {
         }
     }
 
-    /// The graphwise engine conserves the population and keeps its silence
-    /// flag consistent under arbitrary protocols on arbitrary sparse
-    /// random graphs (both the dense stepping and, via tiny populations
-    /// with frozen stretches, the sparse escalation path).
+    /// The graph engine under its per-event policy (the `graph` backend)
+    /// conserves the population and keeps its silence flag consistent
+    /// under arbitrary protocols on arbitrary sparse random graphs (both
+    /// the dense stepping and, via tiny populations with frozen stretches,
+    /// the sparse escalation path).
     #[test]
     fn graphwise_conserves_population_on_random_graphs(
         (proto, counts) in (2usize..5).prop_flat_map(|m| (table_protocol(m), config_counts(m))),
         seed in any::<u64>(),
     ) {
-        use pop_proto::{GraphSimulator, TopologyFamily};
+        use pop_proto::{BatchGraphSimulator, TopologyFamily};
         let n: u64 = counts.iter().sum();
         let cfg = CountConfig::from_counts(counts);
         let fam = TopologyFamily::Cycle;
         let graph = fam.build(fam.snap_n(n as usize), 1);
         prop_assume!(graph.n() as u64 == n);
         let mut rng = SimRng::new(seed);
-        let mut sim = GraphSimulator::from_config_shuffled(proto, &graph, &cfg, &mut rng);
+        let mut sim =
+            BatchGraphSimulator::from_config_shuffled(proto, &graph, &cfg, &mut rng).per_event();
         for _ in 0..100 {
             let before = sim.interactions();
             let (advanced, _) = sim.advance_changed(&mut rng, 50);

@@ -4,7 +4,7 @@ use pop_proto::checkpoint::{SnapshotReader, SnapshotWriter};
 use pop_proto::telemetry::timeline::phase_tag;
 use pop_proto::telemetry::EngineTelemetry;
 use pop_proto::topology::TopologyFamily;
-use pop_proto::{EventHistograms, Simulator, TimelineRecorder};
+use pop_proto::{EventHistograms, Simulator, StateWord, TimelineRecorder};
 use sim_stats::rng::SimRng;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
@@ -577,6 +577,14 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
              (n(n-1)/2 edges); n={n} exceeds the cap of {} — pass --topology \
              for a sparse graph or use agent/count/batch for the clique",
             usd_core::backend::COMPLETE_GRAPH_MAX_N
+        )));
+    }
+    let state_limit = <u16 as StateWord>::LIMIT;
+    if matches!(backend, Backend::Graph | Backend::BatchGraph) && k + 1 > state_limit {
+        return Err(CliError(format!(
+            "--backend {backend} packs each agent's state in 16 bits: k={k} opinions \
+             need {} states, over the limit of {state_limit}",
+            k + 1
         )));
     }
 
@@ -1419,6 +1427,12 @@ mod tests {
                 "{err}"
             );
         }
+        // Tag 4 belonged to the retired stand-alone per-event engine; the
+        // `graph` backend runs the batch-graph engine's per-event policy,
+        // which refuses the payload by name.
+        write("graph", snapshot_tags::GRAPH);
+        let err = run(&["--backend", "graph"]);
+        assert!(err.contains("snapshot is for engine 'graphwise'"), "{err}");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(dir.join("removed.ckpt.prev"));
     }
@@ -1436,6 +1450,15 @@ mod tests {
         // not a panic.
         assert!(cmd_run(&s(&["--n", "2", "--k", "2"])).is_err());
         assert!(cmd_run(&s(&["--n", "10", "--k", "2", "--bias", "9"])).is_err());
+        // Alphabets past the graph engine's 16-bit state packing: exit 2
+        // naming the limit, on the named and on the resolved backend.
+        let wide = "--n 70002 --k 70000 --bias 0 --topology cycle";
+        for backend in ["--backend graph", "--backend batchgraph", ""] {
+            let args = format!("{wide} {backend}");
+            let args: Vec<&str> = args.split_whitespace().collect();
+            let err = cmd_run(&s(&args)).unwrap_err().0;
+            assert!(err.contains("over the limit of 65536"), "{err}");
+        }
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! Generic backend selection for USD runs.
 //!
-//! Six exact engines can run the Undecided State Dynamics:
+//! Six exact backends can run the Undecided State Dynamics:
 //!
 //! | backend | engine | cost model |
 //! |---------|--------|------------|
 //! | `agent` | [`pop_proto::AgentSimulator`] | O(1)/interaction, O(n) memory |
 //! | `count` | [`pop_proto::CountSimulator`] | O(log k)/interaction |
 //! | `batch` | [`pop_proto::BatchSimulator`] | O(k²+log n) per ~√n interactions |
-//! | `graph` | [`pop_proto::GraphSimulator`] | O(d log m)/**effective** interaction |
-//! | `batchgraph` | [`pop_proto::BatchGraphSimulator`] | block-leaping O(1)/interaction, sparse O(d log m)/effective |
+//! | `graph` | [`pop_proto::BatchGraphSimulator`], per-event policy | dense O(1)/draw, one draw at a time; sparse O(d)/**effective** interaction |
+//! | `batchgraph` | [`pop_proto::BatchGraphSimulator`], block policy | dense O(1)/draw in matching blocks; sparse O(d)/**effective** interaction |
 //! | `replica` | [`pop_proto::ReplicaSimulator`] | r ≤ 64 packed lanes, O(⌈log₂(k+1)⌉)/draw for **all** lanes |
+//!
+//! `graph` and `batchgraph` are two policies of one engine on one random
+//! stream: under a fixed seed they run bit-identical trajectories, and
+//! `graph` returns at every effective event where `batchgraph` returns
+//! per block.
 //!
 //! [`Backend`] names them (with `FromStr` for CLI flags);
 //! [`RunSpec`] runs any of them to stabilization behind
@@ -98,11 +103,12 @@ pub enum Backend {
     Count,
     /// Batch-leaping generic simulator (large n).
     Batch,
-    /// Active-edge graph simulator (graph topologies; the complete graph
-    /// is its degenerate clique instance).
+    /// The graph simulator under its per-event policy (graph topologies;
+    /// the complete graph is its degenerate clique instance): the
+    /// `batchgraph` trajectory, observed at every effective event.
     Graph,
-    /// Batch-leaping graph simulator (matching-based multi-event blocks;
-    /// the fast engine for effective-dominated topologies).
+    /// The graph simulator under its block policy (matching-based
+    /// multi-event blocks; the fast engine for graph topologies).
     BatchGraph,
     /// Bit-parallel replica engine: up to 64 independent replica runs
     /// packed one bit-plane word per agent, advanced together by one
@@ -135,9 +141,9 @@ impl Backend {
     }
 
     /// Whether the backend's memory footprint scales with n (the agentwise
-    /// and graphwise engines allocate per-agent — and, for the graph
-    /// engines, per-edge — state; the replica engine allocates
-    /// ⌈log₂(k+1)⌉ words per agent).
+    /// and graph engines allocate per-agent — and, for the graph engine,
+    /// per-edge — state; the replica engine allocates ⌈log₂(k+1)⌉ words
+    /// per agent).
     pub fn per_agent_memory(&self) -> bool {
         matches!(
             self,

@@ -27,8 +27,9 @@
 //!   lower-bound family (equal minorities, majority bias
 //!   β = O((√n/(k log n))^¼ · √(n log n))) and the Figure 1 family;
 //! * [`backend`] — uniform selection among the six exact `pop-proto`
-//!   engines (`agent`, `count`, the batch-leaping `batch`, the graph
-//!   engines and the `replica` ensemble engine), and
+//!   backends (`agent`, `count`, the batch-leaping `batch`, the graph
+//!   engine's per-event `graph` and block `batchgraph` policies, and the
+//!   `replica` ensemble engine), and
 //!   [`Backend::clique_default`], the engine a run that names none gets;
 //! * [`runspec`] — [`RunSpec`], the one entry point that builds and drives
 //!   any of them, for experiments, the CLI, examples and benches;

@@ -70,8 +70,8 @@ use crate::stabilization::StabilizationResult;
 use pop_proto::simulator::{shuffled_layout, MAX_LANES};
 use pop_proto::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Graph,
-    GraphScheduler, GraphSimulator, Observation, Protocol, ReplicaSimulator, SimObserver,
-    Simulator, StateWord, TopologyFamily, WideBatchGraphSimulator,
+    GraphScheduler, Observation, Protocol, ReplicaSimulator, SimObserver, Simulator, StateWord,
+    TopologyFamily,
 };
 use sim_stats::rng::SimRng;
 use sim_stats::threads::resolve_threads;
@@ -325,18 +325,14 @@ impl<'a> RunSpec<'a> {
                     self.config.n()
                 );
                 let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
-                if backend == Backend::Graph {
-                    Box::new(GraphSimulator::from_config(proto, &graph, &counts))
-                } else if proto.num_states() <= <u8 as StateWord>::LIMIT {
-                    Box::new(BatchGraphSimulator::from_config(proto, &graph, &counts))
-                } else {
-                    // u16 state-packing fallback for k > 256.
-                    let mut states = Vec::with_capacity(counts.n() as usize);
-                    for (idx, &c) in counts.counts().iter().enumerate() {
-                        states.extend(std::iter::repeat_n(idx, c as usize));
-                    }
-                    Box::new(WideBatchGraphSimulator::with_states(proto, &graph, states))
-                }
+                // Agents are exchangeable on the clique: the block layout.
+                let states = counts
+                    .counts()
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(idx, &c)| std::iter::repeat_n(idx, c as usize))
+                    .collect();
+                graph_engine(backend, proto, &graph, states)
             }
             Backend::Replica => {
                 let mut layout_rng = SimRng::new(REPLICA_CLIQUE_LAYOUT_SEED);
@@ -363,21 +359,8 @@ impl<'a> RunSpec<'a> {
                 GraphScheduler::new(graph),
                 shuffled_layout(&counts, rng),
             )),
-            Backend::Graph => {
-                let states = shuffled_layout(&counts, rng);
-                Box::new(GraphSimulator::new(proto, &graph, states))
-            }
-            // USD with k opinions has k + 1 states; alphabets past one
-            // byte route to the u16 state-packing fallback instead of
-            // being rejected (twice the state-array footprint, same
-            // engine).
-            Backend::BatchGraph if proto.num_states() <= <u8 as StateWord>::LIMIT => {
-                let states = shuffled_layout(&counts, rng);
-                Box::new(BatchGraphSimulator::new(proto, &graph, states))
-            }
-            Backend::BatchGraph => {
-                let states = shuffled_layout(&counts, rng);
-                Box::new(WideBatchGraphSimulator::with_states(proto, &graph, states))
+            Backend::Graph | Backend::BatchGraph => {
+                graph_engine(backend, proto, &graph, shuffled_layout(&counts, rng))
             }
             Backend::Replica => {
                 let layouts: Vec<Vec<usize>> =
@@ -515,6 +498,34 @@ impl<'a> RunSpec<'a> {
         let ticker = self.ticker.take();
         let observer = self.observer.take();
         drive_agent_graph_chunked(sim, k, rng, self.budget, plurality, ticker, observer)
+    }
+}
+
+/// The graph engine behind [`Backend::Graph`] (its per-event policy) and
+/// [`Backend::BatchGraph`] (its block policy) over explicit per-agent
+/// states. USD with k opinions has k + 1 states; alphabets past one byte
+/// route to the u16 state-packing fallback instead of being rejected
+/// (twice the state-array footprint, same engine).
+fn graph_engine(
+    backend: Backend,
+    proto: UndecidedStateDynamics,
+    graph: &Graph,
+    states: Vec<usize>,
+) -> Box<dyn Simulator> {
+    fn build<S: StateWord>(
+        per_event: bool,
+        proto: UndecidedStateDynamics,
+        graph: &Graph,
+        states: Vec<usize>,
+    ) -> Box<dyn Simulator> {
+        let sim = BatchGraphSimulator::<_, S>::with_states(proto, graph, states);
+        Box::new(if per_event { sim.per_event() } else { sim })
+    }
+    let per_event = backend == Backend::Graph;
+    if proto.num_states() <= <u8 as StateWord>::LIMIT {
+        build::<u8>(per_event, proto, graph, states)
+    } else {
+        build::<u16>(per_event, proto, graph, states)
     }
 }
 

@@ -13,8 +13,9 @@
 //! `--timeline-dir` additionally writes one flight-recorder JSONL per
 //! sweep cell (from the cell's representative run) into the directory.
 //! Invalid flag combinations (a clique-only `--backend`, `--degree` on a
-//! family that takes none, an unwritable `--timeline-dir`) exit with
-//! status 2 before any work runs.
+//! family that takes none, a `--k` past the graph engine's 16-bit state
+//! packing, an unwritable `--timeline-dir`) exit with status 2 before any
+//! work runs.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();
@@ -50,5 +51,14 @@ mod tests {
         }
         assert!(validate_args(&parse(&["--topology", "cycle", "--degree", "4"])).is_err());
         assert!(validate_args(&parse(&["--topology", "regular:8", "--degree", "4"])).is_ok());
+        // Alphabets past the graph engine's 16-bit state packing.
+        for backend in ["--backend graph", "--backend batchgraph", ""] {
+            let flags = format!("--k 70000 {backend}");
+            let flags: Vec<&str> = flags.split_whitespace().collect();
+            let err = validate_args(&parse(&flags)).unwrap_err();
+            assert!(err.contains("over the limit of 65536"), "{err}");
+        }
+        assert!(validate_args(&parse(&["--k", "65535"])).is_ok());
+        assert!(validate_args(&parse(&["--k", "70000", "--backend", "agent"])).is_ok());
     }
 }

@@ -21,8 +21,7 @@ use crate::cli::ExpArgs;
 use crate::report::Report;
 use crate::runner;
 use pop_proto::{
-    AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator,
-    GraphSimulator, Simulator,
+    AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Simulator,
 };
 use sim_stats::histogram::Histogram;
 use sim_stats::summary::Summary;
@@ -518,34 +517,40 @@ pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<Abla
         },
     ));
 
-    // GraphSimulator on the complete graph — the graphwise engine's
-    // degenerate clique instance (same Markov chain as all rows above).
+    // The graph engine's per-event policy (the `graph` backend) on the
+    // complete graph — its degenerate clique instance (same Markov chain as
+    // all rows above).
     let complete = pop_proto::TopologyFamily::Complete.build(n as usize, 0);
     let graph: Vec<u64> = runner::repeat(master_seed ^ 0xE5, seeds, |_r, rng| {
         let proto = UndecidedStateDynamics::new(k);
-        let mut sim =
-            GraphSimulator::from_config_shuffled(proto, &complete, &config.to_count_config(), rng);
+        let mut sim = BatchGraphSimulator::from_config_shuffled(
+            proto,
+            &complete,
+            &config.to_count_config(),
+            rng,
+        )
+        .per_event();
         let (t, _) = sim.run_to_silence(rng, budget);
         t
     });
     rows.push(make_ablation_row(
-        "GraphSimulator (complete)",
+        "BatchGraphSimulator per-event (complete)",
         &graph,
         hi,
         || {
             restart_throughput(master_seed, (n * 200).min(2_000_000), |rng| {
-                GraphSimulator::from_config_shuffled(
+                BatchGraphSimulator::from_config_shuffled(
                     UndecidedStateDynamics::new(k),
                     &complete,
                     &config.to_count_config(),
                     rng,
                 )
+                .per_event()
             })
         },
     ));
 
-    // BatchGraphSimulator on the complete graph — the block-leaping
-    // engine's degenerate clique instance.
+    // The same engine under its block policy (`batchgraph`).
     let batchgraph: Vec<u64> = runner::repeat(master_seed ^ 0xE6, seeds, |_r, rng| {
         let proto = UndecidedStateDynamics::new(k);
         let mut sim = BatchGraphSimulator::from_config_shuffled(
@@ -609,11 +614,12 @@ pub fn ablation_report(args: &ExpArgs) -> Report {
         fmt_thousands(n)
     ));
     report.text(
-        "All engines simulate the exact same Markov chain (the graphwise \
-         and batch-graph rows run on the complete graph, their degenerate \
-         clique instance); their stabilization-time distributions must \
-         agree (chi^2 per dof ~ 1) while throughputs differ (the point of \
-         the batch-leaping and active-edge designs).",
+        "All engines simulate the exact same Markov chain (the two \
+         BatchGraphSimulator rows, its per-event and block policies, run on \
+         the complete graph, their degenerate clique instance); their \
+         stabilization-time distributions must agree (chi^2 per dof ~ 1) \
+         while throughputs differ (the point of the batch-leaping and \
+         active-edge designs).",
     );
     let mut t = TextTable::new(&["engine", "mean interactions", "stderr", "interactions/s"]);
     for r in &rows {
@@ -717,8 +723,12 @@ mod tests {
     fn ablation_distributions_agree() {
         let rows = ablation_rows(800, 3, 60, 5);
         assert_eq!(rows.len(), 4);
-        assert!(rows.iter().any(|r| r.name.contains("GraphSimulator")));
-        assert!(rows.iter().any(|r| r.name.contains("BatchGraphSimulator")));
+        assert!(rows
+            .iter()
+            .any(|r| r.name == "BatchGraphSimulator per-event (complete)"));
+        assert!(rows
+            .iter()
+            .any(|r| r.name == "BatchGraphSimulator (complete)"));
         // Means within 15% of each other.
         let means: Vec<f64> = rows.iter().map(|r| r.time.mean()).collect();
         let max = means.iter().cloned().fold(f64::MIN, f64::max);

@@ -5,8 +5,8 @@
 //! restricted topologies: for each graph family × population size it runs
 //! the active-edge `graph` backend to graph silence and reports parallel
 //! stabilization time, the effective-interaction fraction (how no-op
-//! dominated the trajectory was — the quantity the graphwise engine skips
-//! over), the engine-telemetry rates of a representative run (the
+//! dominated the trajectory was — the quantity the graph engine's sparse
+//! skipper skips over), the engine-telemetry rates of a representative run (the
 //! retired sparse-sidecar cancel rate, now always 0, and the block
 //! engines' literal-fallback rate),
 //! and the plurality win rate. The `T / (k ln n)` column normalizes
@@ -74,6 +74,14 @@ pub fn validate_args(args: &ExpArgs) -> Result<(), String> {
         return Err(format!(
             "--backend {backend} cannot run graph topologies (use {})",
             Backend::names_where(|c| c.topologies)
+        ));
+    }
+    let (k, state_limit) = (args.k_or(2), <u16 as pop_proto::StateWord>::LIMIT);
+    if matches!(backend, Backend::Graph | Backend::BatchGraph) && k + 1 > state_limit {
+        return Err(format!(
+            "--backend {backend} packs each agent's state in 16 bits: --k {k} \
+             needs {} states, over the limit of {state_limit}",
+            k + 1
         ));
     }
     if let (Some(family), Some(d)) = (args.topology, args.degree) {

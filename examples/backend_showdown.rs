@@ -11,9 +11,11 @@
 //! clock per backend. With the default n = 2 000 000 the batch
 //! backend's sub-constant-per-interaction leaping is already visible; pass
 //! a larger n (it alone handles 10⁸+ comfortably) to watch the gap widen.
-//! The graphwise row materializes all C(n, 2) clique edges, so it sits out
-//! once that edge list stops being demo-sized (run with n ≤ 20 000 to see
-//! it; its real habitat is sparse topologies via `usd-sim run --topology`).
+//! The graph-engine rows (`graph`, `batchgraph`) materialize all C(n, 2)
+//! clique edges, so they sit out
+//! once that edge list stops being demo-sized (run with n ≤ 10 000 to see
+//! them; their real habitat is sparse topologies via `usd-sim run
+//! --topology`).
 
 use plurality_consensus::prelude::*;
 use usd_core::backend::Backend;
@@ -48,9 +50,9 @@ fn main() {
 
     for backend in Backend::ALL {
         // The agentwise engine allocates per-agent state; skip it once n
-        // makes that silly in a demo. The graphwise engine's degenerate
-        // clique instance materializes all C(n, 2) edges — demo-sized
-        // populations only.
+        // makes that silly in a demo. The graph engine's degenerate clique
+        // instance materializes all C(n, 2) edges — demo-sized populations
+        // only.
         if backend.capabilities().topologies
             && backend != Backend::Agent
             && n > usd_core::backend::COMPLETE_GRAPH_MAX_N

@@ -10,8 +10,9 @@
 //! * a generic **population-protocol substrate** ([`pop_proto`]) —
 //!   protocols, schedulers (uniform clique and graph-restricted), seeded
 //!   interaction-graph family generators (cycle, torus, hypercube, random
-//!   regular, Erdős–Rényi), and the six exact simulators, including the
-//!   batch-leaping clique engine and the active-edge graph engine;
+//!   regular, Erdős–Rényi), and the six exact simulation backends,
+//!   including the batch-leaping clique engine and the graph engine with
+//!   its per-event and block policies;
 //! * the **Undecided State Dynamics** and its full analysis toolkit
 //!   ([`usd_core`]) — the paper's object of study, including the exact
 //!   one-step drifts, thresholds, and bound curves from the proof;

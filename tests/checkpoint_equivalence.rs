@@ -10,7 +10,7 @@
 
 use pop_proto::checkpoint::{SnapshotReader, SnapshotWriter};
 use pop_proto::topology::TopologyFamily;
-use pop_proto::{BatchGraphSimulator, GraphSimulator, Simulator, TimelineRecorder};
+use pop_proto::{BatchGraphSimulator, Simulator, TimelineRecorder};
 use sim_stats::rng::SimRng;
 use usd_core::backend::{make_simulator, make_topology_simulator, Backend};
 use usd_core::config::UsdConfig;
@@ -161,7 +161,7 @@ fn assert_equivalent(backend: Backend, family: Option<TopologyFamily>, seed: u64
 }
 
 #[test]
-fn clique_resume_is_bit_identical_on_all_seven_backends() {
+fn clique_resume_is_bit_identical_on_every_backend() {
     for backend in Backend::ALL {
         assert_equivalent(backend, None, 0xC0FFEE ^ backend as u64);
     }
@@ -200,9 +200,10 @@ fn endgame_run(backend: Backend, seed: u64, split: bool) -> RunOutput {
     let make = || -> Box<dyn Simulator> {
         let proto = UndecidedStateDynamics::new(2);
         let states = states.clone();
+        let sim = BatchGraphSimulator::new(proto, &graph, states);
         let mut sim: Box<dyn Simulator> = match backend {
-            Backend::Graph => Box::new(GraphSimulator::new(proto, &graph, states)),
-            Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, &graph, states)),
+            Backend::Graph => Box::new(sim.per_event()),
+            Backend::BatchGraph => Box::new(sim),
             other => panic!("{other} has no sparse skipper"),
         };
         sim.set_histograms(true);

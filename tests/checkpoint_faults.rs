@@ -39,7 +39,7 @@ fn checkpoint_for(backend: Backend) -> RunCheckpoint {
 /// never a panic. Positions are drawn from the deterministic [`SimRng`]
 /// so the property sweep is reproducible.
 #[test]
-fn sealed_corruption_is_rejected_on_all_seven_backends() {
+fn sealed_corruption_is_rejected_on_every_backend() {
     let mut rng = SimRng::new(2024);
     for backend in Backend::ALL {
         let bytes = checkpoint_for(backend).to_bytes();
@@ -103,17 +103,26 @@ fn fuzzed_engine_payload_never_panics_restore() {
             );
         }
         // A payload written by a *different* backend is rejected by the
-        // engine tag, not misinterpreted.
+        // engine tag, not misinterpreted — except between `graph` and
+        // `batchgraph`, two policies of one engine whose payloads resume
+        // under either policy.
         for other in Backend::ALL {
             if other == backend {
                 continue;
             }
+            let one_engine = [backend, other]
+                .iter()
+                .all(|b| matches!(b, Backend::Graph | Backend::BatchGraph));
             let foreign = checkpoint_for(other).engine;
             let mut sim = make_simulator(backend, &config);
+            let restored = sim.restore_state(&mut SnapshotReader::new(&foreign));
+            let ok = match &restored {
+                Ok(()) => one_engine,
+                Err(e) => !one_engine && e.to_string().contains("snapshot is for engine"),
+            };
             assert!(
-                sim.restore_state(&mut SnapshotReader::new(&foreign))
-                    .is_err(),
-                "{} accepted a payload from {}",
+                ok,
+                "{} restoring a payload from {}: {restored:?}",
                 backend.name(),
                 other.name()
             );

@@ -9,7 +9,8 @@
 //!   population must be conserved at every observation;
 //! * **granularity**: the single-event engines report `delta_effective ==
 //!   1` at every boundary (exact semantics), the leaping engines report
-//!   block checkpoints;
+//!   block checkpoints — and `batchgraph`'s checkpoints sit exactly on the
+//!   per-event path of `graph`, its per-event policy, under one seed;
 //! * **cross-backend agreement** (distributional): the mean effective-event
 //!   count to stabilization and the mean final majority seen *through the
 //!   observer* agree between the literal `agent` reference and each other
@@ -33,6 +34,8 @@ struct ObservedRun {
     all_exact: bool,
     effective_counter: u64,
     interactions_counter: u64,
+    /// `(interactions, counts)` at every observation.
+    path: Vec<(u64, Vec<u64>)>,
 }
 
 /// Run `backend` to silence from the Figure-1 configuration, observing the
@@ -52,6 +55,7 @@ fn observed_run(backend: Backend, n: u64, k: usize, seed: u64) -> ObservedRun {
         all_exact: true,
         effective_counter: 0,
         interactions_counter: 0,
+        path: Vec::new(),
     };
     sim.advance_observed(&mut rng, u64::MAX / 2, &mut |obs: &Observation<'_>| {
         assert_eq!(
@@ -70,6 +74,7 @@ fn observed_run(backend: Backend, n: u64, k: usize, seed: u64) -> ObservedRun {
         out.final_counts = obs.counts.to_vec();
         out.effective_counter = obs.effective;
         out.interactions_counter = obs.interactions;
+        out.path.push((obs.interactions, obs.counts.to_vec()));
         true
     });
     assert!(sim.is_silent(), "{backend}: run did not stabilize");
@@ -122,6 +127,30 @@ fn single_event_backends_are_exact_and_leaping_backends_checkpoint() {
         "batch: never produced a multi-event checkpoint"
     );
     assert!(run.observations < run.sum_delta_effective);
+    // `graph` and `batchgraph` are the per-event and block policies of one
+    // engine on one stream: under one seed, every `batchgraph` checkpoint
+    // shows the counts of the `graph` path at the last event at or before
+    // its clock.
+    let exact = observed_run(Backend::Graph, 600, 3, 7);
+    let blocks = observed_run(Backend::BatchGraph, 600, 3, 7);
+    assert!(
+        !blocks.all_exact,
+        "batchgraph: never produced a multi-event checkpoint"
+    );
+    assert_eq!(blocks.interactions_counter, exact.interactions_counter);
+    assert_eq!(blocks.final_counts, exact.final_counts);
+    for (clock, counts) in &blocks.path {
+        let at = exact.path.partition_point(|(c, _)| c <= clock);
+        assert!(
+            at > 0,
+            "batchgraph checkpoint at {clock} precedes every event"
+        );
+        assert_eq!(
+            &exact.path[at - 1].1,
+            counts,
+            "batchgraph checkpoint at clock {clock} is off the graph path"
+        );
+    }
 }
 
 #[test]

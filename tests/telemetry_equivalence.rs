@@ -103,7 +103,7 @@ fn leaping_engines_decompose_effective_by_provenance() {
     // frontier: two opinion domains, only the boundaries active) actually
     // enters the sparse phase and harvests its skipper stats into the
     // telemetry — without breaking the clock identity.
-    use plurality_consensus::pop_proto::{GraphSimulator, Simulator};
+    use plurality_consensus::pop_proto::{BatchGraphSimulator, Simulator};
     use plurality_consensus::usd_core::protocol::UndecidedStateDynamics;
     let n = 2048usize;
     let graph = TopologyFamily::Cycle.build(n, 0);
@@ -111,7 +111,8 @@ fn leaping_engines_decompose_effective_by_provenance() {
     for s in states.iter_mut().skip(n / 2) {
         *s = 1;
     }
-    let mut sim = GraphSimulator::new(UndecidedStateDynamics::new(2), &graph, states);
+    let mut sim =
+        BatchGraphSimulator::new(UndecidedStateDynamics::new(2), &graph, states).per_event();
     let mut rng = SimRng::new(17);
     let (_, silent) = sim.run_to_silence(&mut rng, u64::MAX / 2);
     assert!(silent, "cycle frontier did not stabilize");

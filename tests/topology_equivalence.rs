@@ -1,15 +1,18 @@
-//! The graphwise active-edge engine and the batch-graph block-leaping
-//! engine simulate exactly the same graph-restricted Markov chain as the
-//! agentwise engine driven by a `GraphScheduler` — these tests compare the
-//! engines' USD stabilization-time *distributions* by two-sample
-//! Kolmogorov–Smirnov at α = 0.01 on the complete graph (the degenerate
-//! clique topology), a random 8-regular graph, and the torus, plus
-//! winner-rate agreement. Fixed seeds, no flaky assertions: the KS
-//! thresholds are distribution-level with 150+ samples per engine.
+//! The graph engine simulates exactly the same graph-restricted Markov
+//! chain as the agentwise engine driven by a `GraphScheduler` — these tests
+//! compare the two engines' USD stabilization-time *distributions* by
+//! two-sample Kolmogorov–Smirnov at α = 0.01 on the complete graph (the
+//! degenerate clique topology), a random 8-regular graph, the torus and the
+//! torus endgame, plus winner-rate agreement. Fixed seeds, no flaky
+//! assertions: the KS thresholds are distribution-level with 120+ samples
+//! per engine.
 //!
-//! The implicit torus and cycle are pinned by bit-identity instead: every
-//! graph engine runs the same trajectory on an implicit lattice and on its
-//! stored edge-list copy.
+//! Where streams are shared, the pins are bit-identity instead: the graph
+//! engine's two policies (`graph` per event, `batchgraph` per block) run
+//! the same trajectory under one seed (and so also agree in law on
+//! disjoint seeds, which the `batchgraph_vs_graphwise_*_ks` tests check),
+//! and every graph engine runs the same trajectory on an implicit lattice
+//! and on its stored edge-list copy.
 
 use plurality_consensus::prelude::*;
 use pop_proto::TopologyFamily;
@@ -65,7 +68,7 @@ fn assert_ks_equivalent(
     );
 }
 
-/// KS equivalence on the complete graph: the graphwise engine's degenerate
+/// KS equivalence on the complete graph: the graph engine's degenerate
 /// clique instance must reproduce the agentwise stabilization-time law.
 #[test]
 fn graphwise_vs_agentwise_complete_graph_ks() {
@@ -93,10 +96,58 @@ fn graphwise_vs_agentwise_random_8_regular_ks() {
     );
 }
 
-/// KS equivalence of the block-leaping engine against the graphwise
-/// reference on the complete graph (every draw at n = 400 hits the
-/// matching machinery: dense clique states mean collisions and fallbacks
-/// fire constantly).
+/// `graph` and `batchgraph` are the per-event and block policies of one
+/// engine on one random stream, so under a fixed seed they run the same
+/// trajectory: equal `RunSpec::run` results (interactions and outcome), and
+/// equal counts at every chunk boundary of a chunked drive. The instances
+/// cover the complete graph (dense clique states: matching collisions and
+/// fallbacks fire constantly), a random 8-regular graph (the
+/// effective-dominated regime), the torus (repeated dense ↔ sparse
+/// hand-offs) and the cycle (the run lives in the sparse skipper, whose
+/// blocks apply up to 64 events per advancement).
+#[test]
+fn graph_and_batchgraph_runs_are_bit_identical() {
+    const SEEDS: u64 = 50;
+    const CHUNK: u64 = 1_000;
+    let policies = [Backend::Graph, Backend::BatchGraph];
+    for (family, n, k) in [
+        (TopologyFamily::Complete, 400, 3),
+        (TopologyFamily::Regular { d: 8 }, 512, 2),
+        (TopologyFamily::Torus, 441, 2),
+        (TopologyFamily::Cycle, 96, 2),
+    ] {
+        let config = InitialConfigBuilder::new(n, k).figure1();
+        let spec = |backend: Backend, rep: u64| {
+            RunSpec::new(&config)
+                .backend(backend)
+                .topology(family)
+                .topo_seed(0xBEEF ^ rep)
+        };
+        for rep in 0..SEEDS {
+            let seed = 40_000 + rep;
+            let [graph, batchgraph] = policies.map(|backend| {
+                let result = spec(backend, rep).run(&mut SimRng::new(seed));
+                assert!(result.stabilized(), "{backend} rep {rep} on {family}");
+                (result.interactions, result.outcome)
+            });
+            assert_eq!(graph, batchgraph, "{family} rep {rep}: run results differ");
+            let [graph, batchgraph] = policies.map(|backend| {
+                let mut rng = SimRng::new(seed);
+                let mut sim = spec(backend, rep).build_simulator(&mut rng);
+                drive_chunks(sim.as_mut(), &mut rng, u64::MAX, CHUNK, |_| false)
+            });
+            assert!(!graph.is_empty(), "{family} rep {rep}: nothing ran");
+            assert_eq!(graph, batchgraph, "{family} rep {rep}: chunk paths differ");
+        }
+    }
+}
+
+// The two policies' in-law agreement on disjoint seed sets (`graph` on
+// seeds 40 000+, `batchgraph` on 80 000+), one test per instance of the
+// bit-identity pin above, which implies it.
+
+/// KS equivalence of the block policy against the per-event policy on the
+/// complete graph.
 #[test]
 fn batchgraph_vs_graphwise_complete_graph_ks() {
     assert_ks_equivalent(
@@ -109,8 +160,8 @@ fn batchgraph_vs_graphwise_complete_graph_ks() {
     );
 }
 
-/// KS equivalence of the block-leaping engine on a random 8-regular graph
-/// — the effective-dominated regime the engine was built for.
+/// KS equivalence of the block policy against the per-event policy on a
+/// random 8-regular graph.
 #[test]
 fn batchgraph_vs_graphwise_random_8_regular_ks() {
     assert_ks_equivalent(
@@ -123,9 +174,8 @@ fn batchgraph_vs_graphwise_random_8_regular_ks() {
     );
 }
 
-/// KS equivalence of the block-leaping engine on the torus — the
-/// low-conductance family where the run crosses the block ↔ sparse
-/// hand-off repeatedly, so the phase hysteresis is what is being tested.
+/// KS equivalence of the block policy against the per-event policy on the
+/// torus.
 #[test]
 fn batchgraph_vs_graphwise_torus_ks() {
     assert_ks_equivalent(
@@ -138,11 +188,8 @@ fn batchgraph_vs_graphwise_torus_ks() {
     );
 }
 
-/// KS equivalence of the block-leaping engine on the cycle — the most
-/// no-op-dominated family, where the whole run lives in the shared sparse
-/// skipper and its sparse blocks apply up to 64 events per advancement
-/// (PR 5). This re-pins the sparse-phase batching against the per-event
-/// graphwise reference.
+/// KS equivalence of the block policy against the per-event policy on the
+/// cycle.
 #[test]
 fn batchgraph_vs_graphwise_cycle_ks() {
     assert_ks_equivalent(
@@ -155,9 +202,8 @@ fn batchgraph_vs_graphwise_cycle_ks() {
     );
 }
 
-/// KS equivalence of the graphwise engine against the literal agentwise
-/// engine on the torus: with the deferred-update sparse skipper (PR 5)
-/// the graphwise sparse phase defers its Fenwick materialization, and
+/// KS equivalence of the graph engine against the literal agentwise
+/// engine on the torus: the run crosses the dense ↔ sparse hand-off, and
 /// this pins that the induced chain — and the skip-accounted interaction
 /// clock — still match the engine that simulates every scheduled draw.
 #[test]
@@ -172,19 +218,20 @@ fn graphwise_vs_agentwise_torus_ks() {
     );
 }
 
-/// KS equivalence of the sparse-skipper engines against the literal
+/// KS equivalence of the sparse-skipper engine against the literal
 /// agentwise engine on the **torus endgame** — one 4 × 4 minority patch on
 /// an otherwise-converged 128 × 128 torus, the benched scenario's shape.
 /// The initial activity fraction (≈ 32 of 65 536 orientations) trips the
 /// sparse trigger within a few thousand draws, so nearly every effective
-/// event of the `graph` and `batchgraph` runs is drawn by the shared
-/// sparse skipper. Both engines are compared against the same agentwise
-/// sample, each at α = 0.01: the skipper's active-edge pool may only change
-/// the cost of a draw, never the sampled trajectory law.
+/// event is drawn by the sparse skipper. `batchgraph` runs on `graph`'s
+/// seeds and must reproduce its sample exactly (one engine, two policies);
+/// that sample is then compared against the agentwise one at α = 0.01: the
+/// skipper's active-edge pool may only change the cost of a draw, never
+/// the sampled trajectory law.
 #[test]
 fn graphwise_vs_agentwise_torus_endgame_ks() {
     use plurality_consensus::pop_proto::{
-        AgentSimulator, BatchGraphSimulator, GraphScheduler, GraphSimulator, Simulator,
+        AgentSimulator, BatchGraphSimulator, GraphScheduler, Simulator,
     };
     use plurality_consensus::usd_core::protocol::UndecidedStateDynamics;
 
@@ -213,9 +260,9 @@ fn graphwise_vs_agentwise_torus_endgame_ks() {
                         GraphScheduler::new(graph.clone()),
                         endgame_states(),
                     )),
-                    Backend::Graph => {
-                        Box::new(GraphSimulator::new(proto, &graph, endgame_states()))
-                    }
+                    Backend::Graph => Box::new(
+                        BatchGraphSimulator::new(proto, &graph, endgame_states()).per_event(),
+                    ),
                     Backend::BatchGraph => {
                         Box::new(BatchGraphSimulator::new(proto, &graph, endgame_states()))
                     }
@@ -228,15 +275,17 @@ fn graphwise_vs_agentwise_torus_endgame_ks() {
             .collect()
     };
     let reference = samples(Backend::Agent, 120_000);
-    for (backend, seed_base) in [(Backend::Graph, 220_000), (Backend::BatchGraph, 320_000)] {
-        let candidate = samples(backend, seed_base);
-        let d = ks_statistic(&reference, &candidate);
-        let crit = ks_critical_value(reference.len(), candidate.len(), 0.01);
-        assert!(
-            d < crit,
-            "torus endgame: {backend} vs agent stabilization-time KS {d:.4} >= critical {crit:.4}"
-        );
-    }
+    let candidate = samples(Backend::Graph, 220_000);
+    assert!(
+        samples(Backend::BatchGraph, 220_000) == candidate,
+        "torus endgame: batchgraph and graph samples differ on the same seeds"
+    );
+    let d = ks_statistic(&reference, &candidate);
+    let crit = ks_critical_value(reference.len(), candidate.len(), 0.01);
+    assert!(
+        d < crit,
+        "torus endgame: graph/batchgraph vs agent stabilization-time KS {d:.4} >= critical {crit:.4}"
+    );
 }
 
 /// Winner distributions agree under a strong bias: both engines elect the
@@ -271,7 +320,7 @@ fn graphwise_and_agentwise_agree_on_winner_rate() {
     );
 }
 
-/// The graphwise clock is calibrated: mean stabilization interactions on a
+/// The graph engine's clock is calibrated: mean stabilization interactions on a
 /// no-op-heavy topology (the cycle) match the agentwise engine, which
 /// counts every scheduled interaction one by one. This exercises the
 /// sparse-phase geometric skip accounting specifically — the cycle spends
@@ -312,9 +361,7 @@ fn lattice_engine(
     graph: &pop_proto::Graph,
     states: &[usize],
 ) -> Box<dyn pop_proto::Simulator> {
-    use pop_proto::{
-        AgentSimulator, BatchGraphSimulator, GraphScheduler, GraphSimulator, ReplicaSimulator,
-    };
+    use pop_proto::{AgentSimulator, BatchGraphSimulator, GraphScheduler, ReplicaSimulator};
     let proto = UndecidedStateDynamics::new(2);
     let states = states.to_vec();
     match backend {
@@ -323,7 +370,7 @@ fn lattice_engine(
             GraphScheduler::new(graph.clone()),
             states,
         )),
-        Backend::Graph => Box::new(GraphSimulator::new(proto, graph, states)),
+        Backend::Graph => Box::new(BatchGraphSimulator::new(proto, graph, states).per_event()),
         Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, graph, states)),
         Backend::Replica => {
             let layouts: Vec<Vec<usize>> = (0..3)
@@ -418,7 +465,10 @@ fn lattice_instances() -> Vec<(&'static str, pop_proto::Graph, Vec<usize>)> {
 /// on its stored `Graph::from_edges` copy: identical clocks, counts at every
 /// chunk boundary, telemetry, and final snapshot bytes. A snapshot taken
 /// from the stored-graph engine while its sparse skipper is live must also
-/// resume on the implicit graph to a byte-identical finish.
+/// resume on the implicit graph to a byte-identical finish, and a snapshot
+/// taken under one policy of the graph engine (`graph`, `batchgraph`)
+/// while its skipper is live must finish with the same clocks and counts
+/// under the other.
 #[test]
 fn implicit_vs_explicit_lattice_bit_identical() {
     const BUDGET: u64 = 1_500_000;
@@ -490,6 +540,46 @@ fn implicit_vs_explicit_lattice_bit_identical() {
                 snapshot_bytes(resumed.as_ref()) == snapshot_bytes(reference.as_ref()),
                 "{what}: stored-to-implicit resume finished differently"
             );
+        }
+    }
+
+    // Cross-policy resume: both policies write one payload, so a run split
+    // while the skipper is live finishes identically under the other
+    // policy, in both directions. (Telemetry differs by design: block
+    // counters under one policy, dense steps under the other.)
+    for (label, implicit, states) in lattice_instances().into_iter().skip(1) {
+        for (from, to) in [
+            (Backend::Graph, Backend::BatchGraph),
+            (Backend::BatchGraph, Backend::Graph),
+        ] {
+            let seed = 0xC805 ^ from as u64;
+            let what = format!("{label}: {from} resumed as {to}");
+            let mut reference = lattice_engine(from, &implicit, &states);
+            let mut rng = SimRng::new(seed);
+            drive_chunks(reference.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, |_| {
+                false
+            });
+
+            let mut first = lattice_engine(from, &implicit, &states);
+            let mut rng = SimRng::new(seed);
+            drive_chunks(first.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, skipper_live);
+            assert!(
+                skipper_live(first.as_ref()) && first.interactions() < reference.interactions(),
+                "{what}: no split point with a live skipper before the run ended"
+            );
+            let bytes = snapshot_bytes(first.as_ref());
+            let mut resumed = lattice_engine(to, &implicit, &states);
+            resumed
+                .restore_state(&mut pop_proto::SnapshotReader::new(&bytes))
+                .expect("restore across policies");
+            drive_chunks(resumed.as_mut(), &mut rng, BUDGET, RESUME_CHUNK, |_| false);
+            assert_eq!(resumed.interactions(), reference.interactions(), "{what}");
+            assert_eq!(
+                resumed.effective_interactions(),
+                reference.effective_interactions(),
+                "{what}"
+            );
+            assert_eq!(resumed.counts(), reference.counts(), "{what}");
         }
     }
 }
