@@ -16,20 +16,21 @@
 //!
 //! # Simulation backends and their cost models
 //!
-//! Three exact backends simulate the same Markov chain on count
-//! configurations, unified behind the [`simulator::Simulator`] trait so
-//! drivers, experiments, the CLI (`--backend {agent,count,batch}`), and
-//! benches choose one generically:
+//! Five exact engines simulate the same Markov chain, unified behind the
+//! [`simulator::Simulator`] trait so drivers, experiments, the CLI
+//! (`--backend agent|count|batch|graph|batchgraph|replica`) and benches
+//! choose one generically:
 //!
 //! * [`simulator::AgentSimulator`] tracks every individual agent — the
-//!   literal model: O(1) work per interaction, O(n) memory. It is the
-//!   ground-truth oracle in equivalence tests and the only backend that
-//!   supports graph-restricted schedulers.
+//!   literal model: O(1) work per interaction, O(n) memory. It runs under
+//!   any [`Scheduler`], clique or graph-restricted, and is the ground-truth
+//!   oracle in equivalence tests, on graphs too.
 //! * [`simulator::CountSimulator`] tracks only the count of agents per state
 //!   and samples interacting *states* instead of interacting *agents*.
 //!   Because agents are anonymous and the scheduler is uniform, the induced
 //!   Markov chain on count configurations is identical; each interaction
 //!   costs O(log |Σ|) via Fenwick-tree sampling and memory is O(|Σ|).
+//!   Clique only.
 //! * [`simulator::BatchSimulator`] leaps over whole collision-free blocks
 //!   of ~√n interactions at once: it samples the multinomial split of
 //!   ordered state-pairs for the block (multivariate hypergeometric
@@ -40,8 +41,8 @@
 //!   and beyond feasible. Exact in distribution; stabilization times are
 //!   exact to the interaction for protocols whose silent configurations
 //!   are monochromatic (see the `simulator::batched` module docs), while
-//!   arbitrary stop predicates are evaluated at batch boundaries.
-//!
+//!   arbitrary stop predicates are evaluated at batch boundaries. Clique
+//!   only.
 //! * [`simulator::BatchGraphSimulator`] extends the leaping idea to
 //!   graph-restricted schedulers: per-agent states, the dense phase applied
 //!   as vertex-disjoint matchings of pre-drawn chunks (or one draw at a
@@ -51,21 +52,24 @@
 //!   edge's *active* (non-no-op) orientations, paying O(d) per
 //!   **effective** interaction — the fast exact engine for [`topology`]
 //!   experiments.
+//! * [`simulator::ReplicaSimulator`] packs up to 64 independent replicas
+//!   of one instance into one bit-plane word per agent and advances them
+//!   all with one shared schedule, on the clique or on a graph.
 //!
 //! Rule of thumb: `agent` for per-agent statistics and as the graph-topology
 //! ground truth, `count` for mid-size exact runs and exact stop predicates,
 //! `batch` for large-n clique stabilization measurements, `batchgraph` for
 //! non-clique topologies at scale (`graph` when every effective event must
-//! be observed).
+//! be observed), `replica` for ensembles.
 //!
 //! Supporting modules: [`sampling`] (weighted samplers), [`graph`]
 //! (interaction graphs), [`topology`] (seeded graph family generators:
 //! cycle, torus, hypercube, random regular, Erdős–Rényi, complete),
-//! [`stopping`] (stop conditions and the run driver), [`trace`] (snapshot
-//! recording), [`observe`] (the backend-agnostic observation layer behind
+//! [`observe`] (the backend-agnostic observation layer behind
 //! [`Simulator::advance_observed`]), [`telemetry`] (always-on engine
-//! counters and gated timing spans behind [`Simulator::telemetry`]), and
-//! [`metrics`] (parallel-time conversions).
+//! counters, gated timing spans and the flight recorder behind
+//! [`Simulator::telemetry`]), and [`checkpoint`] (the sealed snapshot
+//! format behind [`Simulator::snapshot_state`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,22 +77,18 @@
 pub mod checkpoint;
 pub mod config;
 pub mod graph;
-pub mod metrics;
 pub mod observe;
 pub mod protocol;
 pub mod sampling;
 pub mod scheduler;
 pub mod simulator;
-pub mod stopping;
 pub mod telemetry;
 pub mod topology;
-pub mod trace;
 
 pub use checkpoint::{CheckpointError, FaultPlan, SnapshotReader, SnapshotWriter};
 pub use config::CountConfig;
 pub use graph::Graph;
-pub use metrics::{interactions_for_parallel_time, parallel_time};
-pub use observe::{Observation, SimObserver, StridedObserver};
+pub use observe::{Observation, SimObserver};
 pub use protocol::{OneWayEpidemic, Protocol};
 pub use sampling::{AliasTable, FenwickSampler};
 pub use scheduler::{CliqueScheduler, GraphScheduler, Scheduler};
@@ -96,8 +96,6 @@ pub use simulator::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, BitwiseProtocol, CountSimulator,
     InteractionRecord, ReplicaSimulator, Simulator, StateWord, WideBatchGraphSimulator,
 };
-pub use stopping::{RunOutcome, StopReason, Stopper};
 pub use telemetry::timeline::{EventHistograms, TimelineRecorder, TimelineSample};
 pub use telemetry::{EngineTelemetry, SpanClock, SpanSet, SparseStats};
 pub use topology::TopologyFamily;
-pub use trace::TraceRecorder;

@@ -30,11 +30,13 @@
 //! under its per-event policy: it runs the `batchgraph` trajectory
 //! bit-identically and reports every one of its effective events, in the
 //! sparse phase too — the skipper's pool updates are O(1) per event, so
-//! exactness costs no throughput there. Observers
-//! that need a finer cadence on the leaping engines can bound the
-//! advancement stride via [`SimObserver::max_stride`] (at the cost of
-//! shorter leaps); [`Observation::is_exact`] tells the two regimes apart
-//! per boundary.
+//! exactness costs no throughput there. [`Observation::is_exact`] tells
+//! the two regimes apart per boundary.
+//!
+//! An observer that returns `false` ends the call at that boundary. Run
+//! drivers use this to stop a run on any quantity the observation carries:
+//! `usd_core::RunSpec` ends the run there, and the topology sweep (E14)
+//! meters its effective-work budget this way.
 //!
 //! # Timeline sampling cadence
 //!
@@ -100,55 +102,17 @@ impl Observation<'_> {
 /// Receiver of [`Observation`]s during an observed advancement.
 ///
 /// Implemented by any `FnMut(&Observation) -> bool` closure (return `true`
-/// to keep running, `false` to stop the advancement early); implement the
-/// trait manually to also bound the advancement stride.
+/// to keep running, `false` to stop the advancement early).
 pub trait SimObserver {
     /// Offered at every advancement boundary that changed the counts.
     /// Return `false` to end the `advance_observed` call early (budget and
     /// silence end it regardless).
     fn observe(&mut self, obs: &Observation<'_>) -> bool;
-
-    /// Optional cap on the scheduled interactions per advancement
-    /// (`None` = the backend's natural granularity). Lowering it forces
-    /// the leaping engines to cut blocks short, trading throughput for
-    /// observation cadence; it cannot make boundaries *coarser* than the
-    /// backend's natural ones.
-    fn max_stride(&self) -> Option<u64> {
-        None
-    }
 }
 
 impl<F: FnMut(&Observation<'_>) -> bool> SimObserver for F {
     fn observe(&mut self, obs: &Observation<'_>) -> bool {
         self(obs)
-    }
-}
-
-/// [`SimObserver`] adaptor fixing a maximum advancement stride around a
-/// closure — the cadence-bounded counterpart of the blanket closure impl
-/// (e.g. snapshot recorders that want at most ~one parallel round between
-/// checkpoints on the leaping engines).
-pub struct StridedObserver<F> {
-    stride: u64,
-    inner: F,
-}
-
-impl<F: FnMut(&Observation<'_>) -> bool> StridedObserver<F> {
-    /// Observe through `inner`, capping each advancement at `stride ≥ 1`
-    /// scheduled interactions.
-    pub fn new(stride: u64, inner: F) -> Self {
-        assert!(stride >= 1, "stride must be at least 1");
-        StridedObserver { stride, inner }
-    }
-}
-
-impl<F: FnMut(&Observation<'_>) -> bool> SimObserver for StridedObserver<F> {
-    fn observe(&mut self, obs: &Observation<'_>) -> bool {
-        (self.inner)(obs)
-    }
-
-    fn max_stride(&self) -> Option<u64> {
-        Some(self.stride)
     }
 }
 
@@ -176,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn closures_are_observers_and_strided_caps() {
+    fn closures_are_observers() {
         let mut seen = 0u64;
         let counts = [1u64, 1];
         let view = Observation {
@@ -192,18 +156,7 @@ mod tests {
                 true
             };
             assert!(SimObserver::observe(&mut obs, &view));
-            assert_eq!(SimObserver::max_stride(&obs), None);
         }
         assert_eq!(seen, 1);
-
-        let mut strided = StridedObserver::new(64, |_: &Observation<'_>| true);
-        assert_eq!(strided.max_stride(), Some(64));
-        assert!(strided.observe(&view));
-    }
-
-    #[test]
-    #[should_panic(expected = "stride must be at least 1")]
-    fn zero_stride_rejected() {
-        StridedObserver::new(0, |_: &Observation<'_>| true);
     }
 }

@@ -18,6 +18,12 @@ pub trait Scheduler {
 
     /// Pick the next ordered (initiator, responder) pair.
     fn next_pair(&mut self, rng: &mut SimRng) -> (usize, usize);
+
+    /// The interaction graph this scheduler draws edges from, or `None`
+    /// on the clique, where every pair of agents can interact.
+    fn interaction_graph(&self) -> Option<&Graph> {
+        None
+    }
 }
 
 /// Uniform random scheduler on the clique — the paper's communication model.
@@ -79,6 +85,10 @@ impl Scheduler for GraphScheduler {
         } else {
             (b as usize, a as usize)
         }
+    }
+
+    fn interaction_graph(&self) -> Option<&Graph> {
+        Some(&self.graph)
     }
 }
 

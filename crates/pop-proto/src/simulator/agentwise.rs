@@ -2,9 +2,10 @@
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
+use crate::observe::SimObserver;
 use crate::protocol::Protocol;
 use crate::scheduler::Scheduler;
-use crate::simulator::snapshot_tags;
+use crate::simulator::{observe_loop, snapshot_tags};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::rng::SimRng;
@@ -44,8 +45,21 @@ impl InteractionRecord {
 ///
 /// Keeps a state index per agent; each step asks the scheduler for an
 /// ordered pair and applies the protocol's transition. Works with any
-/// [`Scheduler`], including graph-restricted ones — this is the only
-/// simulator in the workspace that supports non-clique topologies.
+/// [`Scheduler`], clique or graph-restricted; on a graph it is the
+/// literal reference the graph engines are tested against.
+///
+/// Silence is exact on a graph too. On a disconnected interaction graph a
+/// configuration can freeze with mixed counts, which the count-level test
+/// cannot see. The engine therefore rescans the graph's edges for one that
+/// can still change a state at construction, in `restore_state` and at
+/// the end of every
+/// [`advance_observed`](crate::Simulator::advance_observed) call (which
+/// `run_until` and `run_to_silence` go through). The scan stops at the
+/// first active edge. A freeze is absorbing, so [`is_silent`] may lag
+/// behind a freeze between those points but never reports one that has
+/// not happened.
+///
+/// [`is_silent`]: AgentSimulator::is_silent
 ///
 /// Observation granularity
 /// ([`advance_observed`](crate::Simulator::advance_observed)): **exact** —
@@ -71,6 +85,9 @@ pub struct AgentSimulator<P: Protocol, S: Scheduler> {
     hist: Option<Box<EventHistograms>>,
     /// Consecutive no-op interactions (histogram recording only).
     noop_run: u64,
+    /// No edge of the scheduler's interaction graph can change a state, as
+    /// of the last [`rescan`](Self::rescan). Always `false` on the clique.
+    frozen: bool,
 }
 
 impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
@@ -87,7 +104,7 @@ impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
             assert!(s < protocol.num_states(), "state index {s} out of range");
             counts[s] += 1;
         }
-        AgentSimulator {
+        let mut sim = AgentSimulator {
             protocol,
             scheduler,
             states,
@@ -97,7 +114,10 @@ impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
             telemetry: EngineTelemetry::new(),
             hist: None,
             noop_run: 0,
-        }
+            frozen: false,
+        };
+        sim.rescan();
+        sim
     }
 
     /// Create from a count configuration, assigning agents to states in
@@ -221,9 +241,22 @@ impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
     }
 
     /// Whether the current configuration is silent (no interaction can
-    /// change it).
+    /// change it): silent counts, or a frozen interaction graph as of the
+    /// last rescan (see the type docs).
     pub fn is_silent(&self) -> bool {
-        self.protocol.is_silent(&self.counts)
+        self.frozen || self.protocol.is_silent(&self.counts)
+    }
+
+    /// Re-derive `frozen` by scanning the interaction graph for an edge
+    /// that can change a state in either orientation.
+    fn rescan(&mut self) {
+        let (protocol, states) = (&self.protocol, &self.states);
+        self.frozen = self.scheduler.interaction_graph().is_some_and(|graph| {
+            graph.edges().all(|(a, b)| {
+                let (sa, sb) = (states[a as usize], states[b as usize]);
+                protocol.is_noop(sa, sb) && protocol.is_noop(sb, sa)
+            })
+        });
     }
 }
 
@@ -254,6 +287,17 @@ impl<P: Protocol, S: Scheduler> crate::simulator::Simulator for AgentSimulator<P
 
     fn is_silent(&self) -> bool {
         AgentSimulator::is_silent(self)
+    }
+
+    fn advance_observed(
+        &mut self,
+        rng: &mut SimRng,
+        budget: u64,
+        observer: &mut dyn SimObserver,
+    ) -> u64 {
+        let ran = observe_loop(self, rng, budget, observer);
+        self.rescan();
+        ran
     }
 
     fn telemetry(&self) -> &EngineTelemetry {
@@ -333,6 +377,7 @@ impl<P: Protocol, S: Scheduler> crate::simulator::Simulator for AgentSimulator<P
         self.telemetry = telemetry;
         self.hist = hist;
         self.noop_run = noop_run;
+        self.rescan();
         Ok(())
     }
 }
@@ -340,8 +385,9 @@ impl<P: Protocol, S: Scheduler> crate::simulator::Simulator for AgentSimulator<P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::protocol::OneWayEpidemic;
-    use crate::scheduler::CliqueScheduler;
+    use crate::scheduler::{CliqueScheduler, GraphScheduler};
 
     fn epidemic_sim(n: usize, infected: usize) -> AgentSimulator<OneWayEpidemic, CliqueScheduler> {
         let mut states = vec![1usize; n];
@@ -443,5 +489,69 @@ mod tests {
     #[should_panic(expected = "scheduler population")]
     fn population_mismatch_panics() {
         AgentSimulator::new(OneWayEpidemic, CliqueScheduler::new(3), vec![0, 1]);
+    }
+
+    /// An epidemic on `graph` with agent 0 infected and everyone else
+    /// susceptible.
+    fn graph_epidemic(graph: Graph) -> AgentSimulator<OneWayEpidemic, GraphScheduler> {
+        let mut states = vec![1usize; graph.n()];
+        states[0] = 0;
+        AgentSimulator::new(OneWayEpidemic, GraphScheduler::new(graph), states)
+    }
+
+    /// Two disjoint 10-cycles: vertices 0–9 and 10–19.
+    fn two_cycles() -> Graph {
+        let edges = (0..20u32)
+            .map(|v| (v, v / 10 * 10 + (v + 1) % 10))
+            .collect();
+        Graph::from_edges(20, edges)
+    }
+
+    /// The infection fills the first cycle and can never reach the second,
+    /// so the configuration freezes with mixed counts. Count silence cannot
+    /// see that; the edge scan at the end of the call does, and a restored
+    /// or freshly constructed engine on the frozen layout sees it before
+    /// any call.
+    #[test]
+    fn frozen_disconnected_graph_reports_silence() {
+        let mut sim = graph_epidemic(two_cycles());
+        assert!(!sim.is_silent());
+        let mut rng = SimRng::new(1);
+        assert_eq!(
+            crate::Simulator::run_to_silence(&mut sim, &mut rng, 1 << 16),
+            (1 << 16, true)
+        );
+        assert_eq!(sim.counts(), &[10, 10]);
+
+        let mut w = SnapshotWriter::new();
+        crate::Simulator::snapshot_state(&sim, &mut w).unwrap();
+        let bytes = w.into_bytes();
+        let mut restored = graph_epidemic(two_cycles());
+        assert!(!restored.is_silent());
+        crate::Simulator::restore_state(&mut restored, &mut SnapshotReader::new(&bytes)).unwrap();
+        assert!(restored.is_silent());
+
+        let frozen = sim.states().to_vec();
+        let built = AgentSimulator::new(OneWayEpidemic, GraphScheduler::new(two_cycles()), frozen);
+        assert!(built.is_silent());
+    }
+
+    /// On a connected graph the scan never fires early: silence is reported
+    /// only once the infection has reached every agent, however often the
+    /// engine rescans.
+    #[test]
+    fn connected_graph_reports_silence_only_at_consensus() {
+        for seed in 0..20 {
+            let mut sim = graph_epidemic(Graph::cycle(20));
+            let mut rng = SimRng::new(seed);
+            while !sim.is_silent() {
+                crate::Simulator::run_until(&mut sim, &mut rng, 3, &mut |_| false);
+                assert!(
+                    !sim.is_silent() || sim.counts() == [20, 0],
+                    "seed {seed}: silent with counts {:?}",
+                    sim.counts()
+                );
+            }
+        }
     }
 }

@@ -255,6 +255,10 @@ pub trait Simulator {
     }
 
     /// Whether the configuration is silent (no interaction can change it).
+    /// On an interaction graph this includes a frozen mixed configuration
+    /// on a disconnected graph. [`AgentSimulator`] certifies such a freeze
+    /// at the end of each [`Simulator::advance_observed`] call, so a call
+    /// during which the graph freezes still runs on to its budget.
     fn is_silent(&self) -> bool;
 
     /// Engine telemetry accumulated over this simulator's lifetime: what
@@ -410,46 +414,54 @@ pub trait Simulator {
     /// (`agent`/`count`/`graph`), block-boundary checkpoints on the leaping
     /// ones (`batch`/`batchgraph`/`replica`); see the
     /// [`observe`](crate::observe) module docs for the per-backend table.
-    /// [`SimObserver::max_stride`] bounds the scheduled interactions per
-    /// advancement, forcing a finer checkpoint cadence on the leaping
-    /// engines.
     fn advance_observed(
         &mut self,
         rng: &mut SimRng,
         budget: u64,
         observer: &mut dyn SimObserver,
     ) -> u64 {
-        let start = self.interactions();
-        if self.is_silent() {
-            return 0;
+        observe_loop(self, rng, budget, observer)
+    }
+}
+
+/// The body of [`Simulator::advance_observed`]: the trait's default, and
+/// the shared loop an engine runs when it overrides the method to add
+/// bookkeeping around it.
+pub(crate) fn observe_loop<S: Simulator + ?Sized>(
+    sim: &mut S,
+    rng: &mut SimRng,
+    budget: u64,
+    observer: &mut dyn SimObserver,
+) -> u64 {
+    let start = sim.interactions();
+    if sim.is_silent() {
+        return 0;
+    }
+    let mut last_interactions = start;
+    let mut last_effective = sim.effective_interactions();
+    loop {
+        let done = sim.interactions() - start;
+        if done >= budget {
+            return done;
         }
-        let stride = observer.max_stride().unwrap_or(u64::MAX).max(1);
-        let mut last_interactions = start;
-        let mut last_effective = self.effective_interactions();
-        loop {
-            let done = self.interactions() - start;
-            if done >= budget {
-                return done;
-            }
-            let (advanced, changed) = self.advance_changed(rng, stride.min(budget - done));
-            if advanced == 0 {
-                return self.interactions() - start;
-            }
-            if changed {
-                let interactions = self.interactions();
-                let effective = self.effective_interactions();
-                let keep_going = observer.observe(&Observation {
-                    counts: self.counts(),
-                    interactions,
-                    effective,
-                    delta_interactions: interactions - last_interactions,
-                    delta_effective: effective - last_effective,
-                });
-                last_interactions = interactions;
-                last_effective = effective;
-                if !keep_going || self.is_silent() {
-                    return interactions - start;
-                }
+        let (advanced, changed) = sim.advance_changed(rng, budget - done);
+        if advanced == 0 {
+            return sim.interactions() - start;
+        }
+        if changed {
+            let interactions = sim.interactions();
+            let effective = sim.effective_interactions();
+            let keep_going = observer.observe(&Observation {
+                counts: sim.counts(),
+                interactions,
+                effective,
+                delta_interactions: interactions - last_interactions,
+                delta_effective: effective - last_effective,
+            });
+            last_interactions = interactions;
+            last_effective = effective;
+            if !keep_going || sim.is_silent() {
+                return interactions - start;
             }
         }
     }

@@ -458,9 +458,11 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
 
     /// One scheduled pair from the shared stream — exactly
     /// `GraphScheduler::next_pair` on graphs (uniform edge, then a
-    /// uniform orientation, consumed even for symmetric protocols —
-    /// stream parity with the scalar engines), uniform distinct agents
-    /// on the clique.
+    /// uniform orientation, consumed even for symmetric protocols), and
+    /// `CliqueScheduler::next_pair` (uniform distinct agents) on the
+    /// clique. That is stream parity with the scalar `agent` engine only:
+    /// the graph engine draws one `below(2m)` per interaction, a
+    /// different stream.
     #[inline]
     fn draw_pair(&self, rng: &mut SimRng) -> (usize, usize) {
         match &self.graph {

@@ -1,7 +1,10 @@
 //! Engine telemetry: what the *engine* did to simulate the protocol.
 //!
-//! The paper-facing metrics ([`crate::metrics`]) account for what the
-//! protocol did — interactions, parallel time, effective events. This
+//! The paper-facing clocks
+//! ([`Simulator::interactions`](crate::Simulator::interactions),
+//! [`parallel_time`](crate::Simulator::parallel_time),
+//! [`effective_interactions`](crate::Simulator::effective_interactions))
+//! account for what the protocol did. This
 //! module accounts for what the simulation engine did to produce them:
 //! phase transitions, block sizes drawn vs. applied, literal fallbacks,
 //! sparse-pool updates, log-cache hits, and RNG draw events by kind.

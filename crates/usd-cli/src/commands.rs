@@ -9,9 +9,7 @@ use sim_stats::rng::SimRng;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use std::path::{Path, PathBuf};
-use usd_core::backend::{
-    make_agent_topology_simulator, Backend, ObservationGranularity, RunTicker,
-};
+use usd_core::backend::{Backend, ObservationGranularity, RunTicker};
 use usd_core::checkpoint::RunCheckpoint;
 use usd_core::encode::Trajectory;
 use usd_core::init::InitialConfigBuilder;
@@ -676,71 +674,41 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
             written: 0,
         }),
     };
-    // Captured when a telemetry report was requested (the engine must
-    // outlive the stabilization drive, hence the keeping/in-place paths).
-    let mut telemetry: Option<EngineTelemetry> = None;
-    let mut histograms: Option<EventHistograms> = None;
-    // Per-lane outcomes of an ensemble run, read off the kept engine.
-    let mut ensemble: Option<EnsembleOutcome> = None;
-    let mut trajectory: Option<Trajectory> = None;
-    // Whether any chunk-boundary instrumentation is attached: a monitor
-    // forces the chunked drive loop; without one a clique run is a single
-    // uninterrupted `run_to_silence`, bit-identical to the plain path.
+    // One spec for every run. A monitor forces the chunked drive loop;
+    // without one a clique run is a single uninterrupted `run_to_silence`.
     let monitored = monitor.heartbeat.is_some()
         || monitor.recorder.is_some()
         || monitor.trace.is_some()
         || monitor.checkpoint.is_some();
-    let result = if let Some((ckpt, from)) = &resumed {
+    let mut spec = RunSpec::new(&config)
+        .backend(backend)
+        .replicas(lanes)
+        .span_timing(telemetry_format.is_some())
+        .histograms(want_histograms);
+    if let Some(t) = threads {
+        spec = spec.threads(t);
+    }
+    if let Some(family) = topology {
+        spec = spec.topology(family).topo_seed(topo_seed);
+    }
+    if monitored {
+        spec = spec.ticker(&mut monitor);
+    }
+    let (result, sim) = match &resumed {
         // Rebuild the simulator exactly as the original run did (the
         // constructors consume the same RNG draws — e.g. the shuffled
         // initial layout on topologies), restore the engine payload,
         // reposition the RNG at the saved stream position, and drive
-        // through the same chunked loops a checkpointed run uses: chunk
+        // through the chunked loop a checkpointed run uses: chunk
         // boundaries are a pure function of the absolute interaction
         // clock, so the resumed trajectory is the uninterrupted one.
-        let bad = |e: String| CliError(format!("--resume {}: {e}", from.display()));
-        let saved_rng = SimRng::from_state(ckpt.rng)
-            .ok_or_else(|| bad("checkpoint RNG state is all-zero".to_string()))?;
-        if let (Backend::Agent, Some(family)) = (backend, topology) {
-            let mut sim = make_agent_topology_simulator(&config, family, topo_seed, &mut rng);
-            let mut r = SnapshotReader::new(&ckpt.engine);
-            Simulator::restore_state(&mut sim, &mut r).map_err(|e| bad(e.to_string()))?;
-            rng = saved_rng;
-            if telemetry_format.is_some() {
-                Simulator::set_span_timing(&mut sim, true);
-            }
-            if want_histograms && Simulator::histograms(&sim).is_none() {
-                return Err(bad(
-                    "--histograms needs a checkpoint recorded with --histograms".to_string(),
-                ));
-            }
-            println!(
-                "resumed from {} at {} interactions",
-                from.display(),
-                fmt_thousands(Simulator::interactions(&sim)),
-            );
-            let result = RunSpec::new(&config)
-                .backend(backend)
-                .ticker(&mut monitor)
-                .drive_agent_graph(&mut sim, &mut rng);
-            if let Some(rec) = monitor.recorder.as_mut() {
-                rec.finish(&sim);
-            }
-            histograms = Simulator::histograms(&sim);
-            telemetry = Some(*Simulator::telemetry(&sim));
-            result
-        } else {
-            let mut build = RunSpec::new(&config).backend(backend).replicas(lanes);
-            if let Some(t) = threads {
-                build = build.threads(t);
-            }
-            let build = match topology {
-                Some(family) => build.topology(family).topo_seed(topo_seed),
-                None => build,
-            };
-            let mut sim: Box<dyn Simulator> = build.build_simulator(&mut rng);
-            let mut r = SnapshotReader::new(&ckpt.engine);
-            sim.restore_state(&mut r).map_err(|e| bad(e.to_string()))?;
+        Some((ckpt, from)) => {
+            let bad = |e: String| CliError(format!("--resume {}: {e}", from.display()));
+            let saved_rng = SimRng::from_state(ckpt.rng)
+                .ok_or_else(|| bad("checkpoint RNG state is all-zero".to_string()))?;
+            let mut sim = spec.build_simulator(&mut rng);
+            sim.restore_state(&mut SnapshotReader::new(&ckpt.engine))
+                .map_err(|e| bad(e.to_string()))?;
             rng = saved_rng;
             if telemetry_format.is_some() {
                 sim.set_span_timing(true);
@@ -755,89 +723,24 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 from.display(),
                 fmt_thousands(sim.interactions()),
             );
-            let result = RunSpec::new(&config)
-                .backend(backend)
-                .ticker(&mut monitor)
-                .drive(sim.as_mut(), &mut rng);
-            if let Some(rec) = monitor.recorder.as_mut() {
-                rec.finish(sim.as_ref());
-            }
-            histograms = sim.histograms();
-            telemetry = Some(*sim.telemetry());
-            if lanes > 1 {
-                ensemble = Some(EnsembleOutcome::from_simulator(
-                    sim.as_ref(),
-                    k,
-                    config.plurality(),
-                ));
-            }
-            result
+            (spec.drive(sim.as_mut(), &mut rng), Some(sim))
         }
-    } else if let Some(family) = topology {
-        if telemetry_format.is_some() || want_histograms || monitored || lanes > 1 {
-            let mut spec = RunSpec::new(&config)
-                .backend(backend)
-                .topology(family)
-                .topo_seed(topo_seed)
-                .replicas(lanes)
-                .span_timing(telemetry_format.is_some())
-                .histograms(want_histograms);
-            if let Some(t) = threads {
-                spec = spec.threads(t);
-            }
-            if monitored {
-                spec = spec.ticker(&mut monitor);
-            }
-            let (result, sim) = spec.run_keeping(&mut rng);
-            if let Some(s) = &sim {
-                if let Some(rec) = monitor.recorder.as_mut() {
-                    rec.finish(s.as_ref());
-                }
-                histograms = s.histograms();
-                if lanes > 1 {
-                    ensemble = Some(EnsembleOutcome::from_simulator(
-                        s.as_ref(),
-                        k,
-                        config.plurality(),
-                    ));
-                }
-            }
-            telemetry = Some(sim.map_or(EngineTelemetry::new(), |s| *s.telemetry()));
-            result
-        } else {
-            let mut spec = RunSpec::new(&config)
-                .backend(backend)
-                .topology(family)
-                .topo_seed(topo_seed);
-            if let Some(t) = threads {
-                spec = spec.threads(t);
-            }
-            spec.run(&mut rng)
-        }
-    } else if telemetry_format.is_some() || want_histograms || monitored || lanes > 1 {
-        let mut spec = RunSpec::new(&config)
-            .backend(backend)
-            .replicas(lanes)
-            .span_timing(telemetry_format.is_some())
-            .histograms(want_histograms);
-        if let Some(t) = threads {
-            spec = spec.threads(t);
-        }
-        if monitored {
-            // The ticker forces the chunked drive loop; without one the
-            // builder issues a single `run_to_silence`, so a telemetry-only
-            // run stays interaction-identical to the plain path below for
-            // the same seed.
-            spec = spec.ticker(&mut monitor);
-        }
-        let (result, sim) = spec.run_keeping(&mut rng);
-        let sim = sim.expect("clique runs always keep an engine");
+        None => spec.run_keeping(&mut rng),
+    };
+    // Every report reads the kept engine (there is none on an edgeless
+    // graph, where nothing ran).
+    let mut telemetry = EngineTelemetry::new();
+    let mut histograms: Option<EventHistograms> = None;
+    let mut trajectory: Option<Trajectory> = None;
+    // Per-lane outcomes of an ensemble run.
+    let mut ensemble: Option<EnsembleOutcome> = None;
+    if let Some(sim) = &sim {
         if let Some(rec) = monitor.recorder.as_mut() {
             rec.finish(sim.as_ref());
         }
         trajectory = monitor.trace.take().map(|t| t.finish(sim.as_ref()));
         histograms = sim.histograms();
-        telemetry = Some(*sim.telemetry());
+        telemetry = *sim.telemetry();
         if lanes > 1 {
             ensemble = Some(EnsembleOutcome::from_simulator(
                 sim.as_ref(),
@@ -845,14 +748,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 config.plurality(),
             ));
         }
-        result
-    } else {
-        let mut spec = RunSpec::new(&config).backend(backend);
-        if let Some(t) = threads {
-            spec = spec.threads(t);
-        }
-        spec.run(&mut rng)
-    };
+    }
     let elapsed = started.elapsed();
 
     match result.outcome {
@@ -915,11 +811,10 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
 
     if let Some(format) = telemetry_format {
-        let t = telemetry.unwrap_or_default();
         match format {
             TelemetryFormat::Table => {
                 println!("telemetry ({backend}):");
-                print!("{}", t.table());
+                print!("{}", telemetry.table());
             }
             TelemetryFormat::Json => {
                 println!(
@@ -932,7 +827,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
                         &result,
                         elapsed,
                         histograms.as_ref(),
-                        &t
+                        &telemetry
                     )
                 );
             }

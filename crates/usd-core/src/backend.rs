@@ -27,7 +27,10 @@
 //! `replica` backends run on non-clique interaction
 //! graphs ([`RunSpec::topology`](crate::RunSpec::topology) builds a
 //! [`TopologyFamily`] graph, places the initial configuration uniformly at
-//! random on its vertices, and runs the engine to graph silence). The
+//! random on its vertices, and runs the engine to graph silence, which
+//! every one of them certifies itself through
+//! [`Simulator::is_silent`] — frozen mixed configurations on disconnected
+//! graphs included — so one chunked loop drives them all). The
 //! `replica` backend is the ensemble engine: one pass advances up to 64
 //! independent replicas of the same configuration, with per-lane outcomes
 //! read back through [`EnsembleOutcome`](crate::EnsembleOutcome).
@@ -87,11 +90,9 @@
 //! backend.
 
 use crate::config::UsdConfig;
-use crate::protocol::UndecidedStateDynamics;
 use crate::runspec::RunSpec;
 use crate::stabilization::{ConsensusOutcome, StabilizationResult};
-use pop_proto::simulator::shuffled_layout;
-use pop_proto::{AgentSimulator, GraphScheduler, Simulator, TopologyFamily};
+use pop_proto::{Simulator, TopologyFamily};
 use sim_stats::rng::SimRng;
 
 /// A named USD simulation backend.
@@ -367,9 +368,9 @@ pub fn classify_counts(
     }
 }
 
-/// Chunk-boundary observer for the ticking run drivers.
+/// Chunk-boundary observer for `RunSpec`'s chunked drive loop.
 ///
-/// The drivers call [`RunTicker::tick`] with the live engine after every
+/// The loop calls [`RunTicker::tick`] with the live engine after every
 /// driving chunk, so observers can read the clocks *and* the engine's
 /// [`telemetry`](pop_proto::Simulator::telemetry) (the CLI's
 /// `--progress-every` heartbeat and the `--timeline` flight recorder both
@@ -391,7 +392,7 @@ pub trait RunTicker {
     fn tick(&mut self, sim: &dyn Simulator);
 
     /// Observe the engine *and the driver RNG* at a chunk boundary — the
-    /// checkpointing hook. Called by the chunked drivers immediately after
+    /// checkpointing hook. Called by the chunked loop immediately after
     /// [`tick`](RunTicker::tick) with the RNG positioned exactly where the
     /// next chunk will resume, so an implementation can persist a
     /// bit-identical resume point ([`snapshot_state`] plus the RNG stream
@@ -406,26 +407,6 @@ impl<F: FnMut(&dyn Simulator)> RunTicker for F {
     fn tick(&mut self, sim: &dyn Simulator) {
         self(sim)
     }
-}
-
-/// Construct the *concrete* agentwise simulator for a topology run —
-/// the engine [`make_topology_simulator`] boxes for [`Backend::Agent`],
-/// unboxed so callers that must interleave the exact frozen-configuration
-/// edge scan (see [`RunSpec::drive_agent_graph`](crate::RunSpec::drive_agent_graph))
-/// keep the concrete type. Consumes the same RNG draws as
-/// [`make_topology_simulator`] (the shuffled initial layout), so a
-/// resumed run reconstructs the identical stream position.
-pub fn make_agent_topology_simulator(
-    config: &UsdConfig,
-    family: TopologyFamily,
-    topo_seed: u64,
-    rng: &mut SimRng,
-) -> AgentSimulator<UndecidedStateDynamics, GraphScheduler> {
-    let proto = UndecidedStateDynamics::new(config.k());
-    let counts = config.to_count_config();
-    let graph = family.build(config.n() as usize, topo_seed);
-    let states = shuffled_layout(&counts, rng);
-    AgentSimulator::new(proto, GraphScheduler::new(graph), states)
 }
 
 #[cfg(test)]
@@ -689,7 +670,8 @@ mod tests {
     #[test]
     fn agent_backend_terminates_on_frozen_disconnected_topologies() {
         // A very sparse ER graph strands opinions in separate components;
-        // the agentwise path must detect the freeze via the edge scan
+        // every topology backend must detect the freeze (agent through
+        // the edge scan it runs after each observed advancement)
         // instead of grinding to the budget (the budget here would take
         // hours if the scan failed).
         let config = UsdConfig::decided(vec![150, 150]);

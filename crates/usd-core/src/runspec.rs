@@ -50,16 +50,20 @@
 //! [`make_topology_simulator`](crate::backend::make_topology_simulator)
 //! helpers delegate here. Resumed runs (engine restored from a
 //! [`RunCheckpoint`](crate::checkpoint::RunCheckpoint), clock mid-flight)
-//! re-enter the identical chunked drive loops through
-//! [`RunSpec::drive`] / [`RunSpec::drive_agent_graph`].
+//! re-enter the identical chunked drive loop through [`RunSpec::drive`].
 //!
 //! # Drive loops
 //!
-//! A clique run with no ticker and no observer is a single
-//! `run_to_silence` call. Attaching a ticker or observer switches to the
-//! `~max(4n, 2¹⁶)`-chunked loop. Topology runs always drive chunked, with
-//! [`Backend::Agent`] additionally interleaving the exact O(m)
-//! frozen-configuration edge scan.
+//! Two loops drive every run. A clique run with no ticker and no observer
+//! is a single `run_to_silence` call. Every other run — instrumented,
+//! on a topology, or resumed through [`RunSpec::drive`] — uses the
+//! `~max(4n, 2¹⁶)`-chunked loop, which ends the run at the first chunk
+//! boundary where [`Simulator::is_silent`] holds. Each engine certifies
+//! graph silence itself (a frozen mixed configuration on a disconnected
+//! graph counts): the graph engine and the replica engine's frozen-lane
+//! scan natively, and [`AgentSimulator`] by rescanning its interaction
+//! graph at the end of every observed advancement, so the chunk boundary
+//! after a freeze sees it.
 
 use crate::backend::{
     classify_counts, Backend, ObservationGranularity, RunTicker, COMPLETE_GRAPH_MAX_N,
@@ -227,10 +231,10 @@ impl<'a> RunSpec<'a> {
 
     /// Attach a count-change [`SimObserver`]: the run drives through
     /// [`Simulator::advance_observed`], so the observer sees every
-    /// counts-changing boundary at its chosen stride. An observer that
-    /// returns `false` ends the run at the next chunk boundary; if the
-    /// engine is not silent there, the result classifies as a timeout at
-    /// the stopping clock.
+    /// counts-changing boundary at the engine's granularity. An observer
+    /// that returns `false` ends the run at that boundary (the ticker
+    /// still ticks there); if the engine is not silent there, the result
+    /// classifies as a timeout at the stopping clock.
     pub fn observer(mut self, observer: &'a mut dyn SimObserver) -> Self {
         self.observer = Some(observer);
         self
@@ -389,9 +393,9 @@ impl<'a> RunSpec<'a> {
         let budget = self.budget;
         // Resolve before the observer is taken: it decides the default.
         self.backend = Some(self.engine());
-        let mut ticker = self.ticker.take();
-        let mut observer = self.observer.take();
-        match self.topology {
+        let ticker = self.ticker.take();
+        let observer = self.observer.take();
+        let mut sim = match self.topology {
             Some(family) => {
                 let graph = self.build_graph(family);
                 if graph.num_edges() == 0 {
@@ -400,75 +404,26 @@ impl<'a> RunSpec<'a> {
                     let result = classify_counts(counts.counts(), k, 0, true, plurality);
                     return (result, None);
                 }
-                if self.backend == Some(Backend::Agent) {
-                    // The agentwise engine needs its concrete type kept
-                    // through the drive: the count-level silence criterion
-                    // inside `run_to_silence` misses frozen configurations
-                    // on disconnected graphs, so its loop interleaves the
-                    // exact O(m) edge scan over its states.
-                    let proto = UndecidedStateDynamics::new(k);
-                    let counts = self.config.to_count_config();
-                    let states = shuffled_layout(&counts, rng);
-                    let mut sim = AgentSimulator::new(proto, GraphScheduler::new(graph), states);
-                    if self.span_timing {
-                        Simulator::set_span_timing(&mut sim, true);
-                    }
-                    if self.histograms {
-                        Simulator::set_histograms(&mut sim, true);
-                    }
-                    let result = drive_agent_graph_chunked(
-                        &mut sim,
-                        k,
-                        rng,
-                        budget,
-                        plurality,
-                        ticker.as_deref_mut(),
-                        observer.as_deref_mut(),
-                    );
-                    return (result, Some(Box::new(sim)));
-                }
-                let mut sim = self.build_on_graph(graph, rng);
-                if self.span_timing {
-                    sim.set_span_timing(true);
-                }
-                if self.histograms {
-                    sim.set_histograms(true);
-                }
-                // The graph engines (the replica engine included — its
-                // periodic frozen-lane scan retires stranded lanes) detect
-                // graph silence natively, so the generic chunked driver is
-                // exact.
-                let result = drive_chunked(
-                    sim.as_mut(),
-                    k,
-                    rng,
-                    budget,
-                    plurality,
-                    ticker.as_deref_mut(),
-                    observer.as_deref_mut(),
-                );
-                (result, Some(sim))
+                self.build_on_graph(graph, rng)
             }
-            None => {
-                let mut sim = self.build_clique();
-                if self.span_timing {
-                    sim.set_span_timing(true);
-                }
-                if self.histograms {
-                    sim.set_histograms(true);
-                }
-                let result = if ticker.is_some() || observer.is_some() {
-                    drive_chunked(sim.as_mut(), k, rng, budget, plurality, ticker, observer)
-                } else {
-                    // No instrumentation: a single uninterrupted
-                    // `run_to_silence` (chunk boundaries can truncate the
-                    // leaping backends' geometric skip draws, so this
-                    // distinction is observable).
-                    drive_plain(sim.as_mut(), k, rng, budget, plurality)
-                };
-                (result, Some(sim))
-            }
+            None => self.build_clique(),
+        };
+        if self.span_timing {
+            sim.set_span_timing(true);
         }
+        if self.histograms {
+            sim.set_histograms(true);
+        }
+        let result = if self.topology.is_none() && ticker.is_none() && observer.is_none() {
+            // No instrumentation on the clique: a single uninterrupted
+            // `run_to_silence` (chunk boundaries can truncate the leaping
+            // backends' geometric skip draws, so this distinction is
+            // observable).
+            drive_plain(sim.as_mut(), k, rng, budget, plurality)
+        } else {
+            drive_chunked(sim.as_mut(), k, rng, budget, plurality, ticker, observer)
+        };
+        (result, Some(sim))
     }
 
     /// Drive an *already-constructed* engine through the chunked loop this
@@ -483,21 +438,6 @@ impl<'a> RunSpec<'a> {
         let ticker = self.ticker.take();
         let observer = self.observer.take();
         drive_chunked(sim, k, rng, self.budget, plurality, ticker, observer)
-    }
-
-    /// [`drive`](RunSpec::drive) for the concrete agentwise engine on an
-    /// interaction graph, interleaving the exact frozen-configuration edge
-    /// scan the generic loop cannot perform through the trait object.
-    pub fn drive_agent_graph(
-        mut self,
-        sim: &mut AgentSimulator<UndecidedStateDynamics, GraphScheduler>,
-        rng: &mut SimRng,
-    ) -> StabilizationResult {
-        let k = self.config.k();
-        let plurality = self.config.plurality();
-        let ticker = self.ticker.take();
-        let observer = self.observer.take();
-        drive_agent_graph_chunked(sim, k, rng, self.budget, plurality, ticker, observer)
     }
 }
 
@@ -543,10 +483,6 @@ impl SimObserver for StopWatch<'_, '_> {
             self.stopped = true;
         }
         keep
-    }
-
-    fn max_stride(&self) -> Option<u64> {
-        self.inner.max_stride()
     }
 }
 
@@ -604,69 +540,6 @@ fn drive_chunked(
         }
     };
     classify_counts(sim.counts(), k, interactions, stabilized, initial_plurality)
-}
-
-/// Whether no edge of `graph` can change any state under `proto` — the
-/// exact graph-silence criterion, from explicit per-agent states.
-fn graph_silent(proto: &UndecidedStateDynamics, graph: &Graph, states: &[usize]) -> bool {
-    graph.edges().all(|(a, b)| {
-        let (sa, sb) = (states[a as usize], states[b as usize]);
-        proto.is_noop(sa, sb) && proto.is_noop(sb, sa)
-    })
-}
-
-/// Chunked drive of the concrete agentwise engine on an interaction graph
-/// with an optional ticker and observer. The count-level silence criterion
-/// inside `run_to_silence` misses frozen configurations on disconnected
-/// graphs, so chunk boundaries interleave the exact O(m) edge scan.
-fn drive_agent_graph_chunked(
-    sim: &mut AgentSimulator<UndecidedStateDynamics, GraphScheduler>,
-    k: usize,
-    rng: &mut SimRng,
-    budget: u64,
-    initial_plurality: Option<usize>,
-    mut ticker: Option<&mut (dyn RunTicker + '_)>,
-    mut observer: Option<&mut (dyn SimObserver + '_)>,
-) -> StabilizationResult {
-    let chunk = (4 * Simulator::population(sim)).max(1 << 16);
-    let mut stopped = false;
-    let (interactions, stabilized) = loop {
-        let done = Simulator::interactions(sim);
-        if Simulator::is_silent(sim)
-            || graph_silent(sim.protocol(), sim.scheduler().graph(), sim.states())
-        {
-            break (done, true);
-        }
-        if done >= budget || stopped {
-            break (done, false);
-        }
-        let horizon = ticker.as_deref().map_or(u64::MAX, |t| t.horizon(done));
-        let step = chunk.min(budget - done).min(horizon).max(1);
-        match observer.as_deref_mut() {
-            Some(obs) => {
-                let mut watch = StopWatch {
-                    inner: obs,
-                    stopped: false,
-                };
-                Simulator::advance_observed(sim, rng, step, &mut watch);
-                stopped = watch.stopped;
-            }
-            None => {
-                sim.run_to_silence(rng, step);
-            }
-        }
-        if let Some(t) = ticker.as_deref_mut() {
-            t.tick(sim);
-            t.checkpoint_tick(sim, rng);
-        }
-    };
-    classify_counts(
-        Simulator::counts(sim),
-        k,
-        interactions,
-        stabilized,
-        initial_plurality,
-    )
 }
 
 /// The outcome of one replica lane, classified exactly as a scalar run

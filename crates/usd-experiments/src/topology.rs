@@ -23,12 +23,10 @@ use crate::report::Report;
 use crate::runner;
 use pop_proto::telemetry::EngineTelemetry;
 use pop_proto::topology::TopologyFamily;
-use pop_proto::{Simulator, TimelineRecorder};
-use sim_stats::rng::SimRng;
+use pop_proto::{Observation, Simulator, TimelineRecorder};
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
-use usd_core::backend::{make_topology_simulator, Backend, RunTicker};
-use usd_core::config::UsdConfig;
+use usd_core::backend::{Backend, RunTicker};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::stabilization::ConsensusOutcome;
 use usd_core::{EnsembleOutcome, RunIdentity, RunSpec};
@@ -133,16 +131,16 @@ pub fn families(args: &ExpArgs) -> Vec<TopologyFamily> {
 }
 
 /// Default per-run work budget for sweep cells, in *engine work units*:
-/// effective interactions for the leaping backends (graph/batchgraph skip
+/// effective interactions for the graph engines (`graph`/`batchgraph` skip
 /// scheduled no-ops for free, so their scheduled cap stays at the
 /// astronomically generous n³ — in effect the cap escalates whenever the
-/// sparse skipper is active; both engines drive the *shared* sparse
+/// sparse skipper is active; both policies drive the *shared* sparse
 /// engine, whose cost is O(1) per effective event and per changed edge,
 /// so the effective meter is a tight proxy for wall time on the
-/// no-op-dominated families),
-/// scheduled interactions for the agentwise backend (which pays O(1) per
-/// scheduled draw, so metering anything else would not bound its wall
-/// time). This replaces the old hard
+/// no-op-dominated families), scheduled interactions for `agent` and for
+/// the `replica` ensemble pass (which pay O(1) per scheduled draw, so
+/// metering anything else would not bound their wall time). This replaces
+/// the old hard
 /// `default_n_cap` that silently dropped cycle and torus cells above
 /// 4k/16k: every family now runs at every sweep size and a cell that
 /// cannot stabilize within the budget reports an honest timeout instead
@@ -150,69 +148,19 @@ pub fn families(args: &ExpArgs) -> Vec<TopologyFamily> {
 /// engine work per run.
 pub const DEFAULT_EFFECTIVE_BUDGET: u64 = 50_000_000;
 
-/// Run `sim` to graph silence under a *phase-aware* budget: unlimited-ish
-/// scheduled interactions (`sched_budget`, the n³ ceiling — when the
-/// sparse skipper is active, scheduled no-ops are free and the cap is in
-/// effect escalated to it) but at most `eff_budget` effective
-/// interactions, the quantity that actually costs wall time. Returns the
-/// classified outcome and the interaction clock at the stopping point.
-fn stabilize_effective_budgeted(
-    sim: &mut dyn Simulator,
-    config: &UsdConfig,
-    rng: &mut SimRng,
-    sched_budget: u64,
-    eff_budget: u64,
-    mut recorder: Option<&mut TimelineRecorder>,
-) -> (ConsensusOutcome, u64) {
-    let k = config.k();
-    // Chunked driving so the effective meter is checked at a bounded
-    // cadence even while the engine leaps; an attached flight recorder
-    // additionally bounds chunks so samples land on its cadence marks.
-    let chunk = (4 * config.n()).max(1 << 16);
-    let silent = loop {
-        if sim.is_silent() {
-            break true;
-        }
-        let done = sim.interactions();
-        if done >= sched_budget || sim.effective_interactions() >= eff_budget {
-            break false;
-        }
-        let step = chunk
-            .min(sched_budget - done)
-            .min(recorder.as_ref().map_or(u64::MAX, |r| r.horizon(done)))
-            .max(1);
-        if sim.run_until(rng, step, &mut |_| false) == 0 {
-            break sim.is_silent();
-        }
-        if let Some(r) = recorder.as_mut() {
-            r.record_if_due(sim);
-        }
-    };
-    if let Some(r) = recorder {
-        r.finish(sim);
-    }
-    let counts = sim.counts();
-    let outcome = if !silent {
-        ConsensusOutcome::Timeout
-    } else if counts[..k].iter().all(|&c| c == 0) {
-        ConsensusOutcome::AllUndecided
-    } else if counts[k] == 0 && counts[..k].iter().filter(|&&c| c > 0).count() == 1 {
-        let winner = counts[..k]
-            .iter()
-            .position(|&c| c > 0)
-            .expect("a decided silent configuration has a winner");
-        ConsensusOutcome::Winner(winner)
-    } else {
-        ConsensusOutcome::Frozen
-    };
-    (outcome, sim.interactions())
-}
-
 /// Run one sweep cell: `seeds` independent stabilization runs of a
 /// topology-capable backend on fresh seeded graphs, under the phase-aware
-/// effective budget. With `record_timeline` the representative run also
+/// work budget. With `record_timeline` the representative run also
 /// carries a flight recorder at the default cadence and the cell returns
 /// its JSONL.
+///
+/// Every run goes through [`RunSpec::run_keeping`], to graph silence or
+/// the budget. The effective budget is an observer that ends the run at
+/// the first observation boundary at or past `eff_budget` effective
+/// interactions. Only the scheduled budget depends on the backend:
+/// `eff_budget` itself for `agent` (whose effective clock cannot pass its
+/// scheduled one) and the n³ ceiling otherwise. A `replica` cell runs one
+/// ensemble pass for its samples, metered on the scheduled clock.
 #[allow(clippy::too_many_arguments)]
 pub fn topology_cell(
     backend: Backend,
@@ -224,9 +172,7 @@ pub fn topology_cell(
     eff_budget: u64,
     record_timeline: bool,
 ) -> TopologyCell {
-    /// Flight recorder behind the [`RunTicker`] interface for the agent
-    /// backend's keeping driver (the other backends record inside
-    /// [`stabilize_effective_budgeted`]).
+    /// The optional flight recorder behind the [`RunTicker`] interface.
     struct RecorderTick<'a>(Option<&'a mut TimelineRecorder>);
     impl RunTicker for RecorderTick<'_> {
         fn horizon(&self, scheduled: u64) -> u64 {
@@ -241,48 +187,34 @@ pub fn topology_cell(
     let n = family.snap_n(n as usize) as u64;
     let config = InitialConfigBuilder::new(n, k).figure1();
     // Scheduled ceiling: low-conductance families pay up to ~n² parallel
-    // time (n³ interactions) over the clique's ~kn ln n; the leaping
-    // engines only pay per effective interaction, so this enormous cap
-    // costs nothing on no-op stretches (the effective budget is the real
-    // meter).
+    // time (n³ interactions) over the clique's ~kn ln n; the graph engines
+    // only pay per effective interaction, so this enormous cap costs
+    // nothing on no-op stretches (the effective budget is the real meter).
     let sched_budget = n.saturating_mul(n).saturating_mul(n).max(1 << 26);
-    // The agentwise engine pays per *scheduled* interaction and its
-    // count-level silence check misses frozen disconnected graphs, so it
-    // runs through the [`RunSpec`] topology driver (exact freeze
-    // detection via the edge scan) with the work budget applied to the
-    // scheduled clock — the only quantity that bounds its wall time. The
-    // keeping variant hands the engine back, so its effective count and
-    // telemetry are readable like the other backends'.
+    let budget = if backend == Backend::Agent {
+        eff_budget.min(sched_budget)
+    } else {
+        sched_budget
+    };
     let run_one = |rep: u64,
                    rng: &mut sim_stats::rng::SimRng,
                    recorder: Option<&mut TimelineRecorder>|
      -> (ConsensusOutcome, u64, EngineTelemetry) {
-        if backend == Backend::Agent {
-            let mut tick = RecorderTick(recorder);
-            let (result, sim) = RunSpec::new(&config)
-                .backend(backend)
-                .topology(family)
-                .topo_seed(master_seed ^ rep)
-                .budget(eff_budget.min(sched_budget))
-                .ticker(&mut tick)
-                .run_keeping(rng);
-            if let (Some(r), Some(s)) = (tick.0, &sim) {
-                r.finish(s.as_ref());
-            }
-            let telemetry = sim.map_or(EngineTelemetry::new(), |s| *s.telemetry());
-            (result.outcome, result.interactions, telemetry)
-        } else {
-            let mut sim = make_topology_simulator(backend, &config, family, master_seed ^ rep, rng);
-            let (outcome, interactions) = stabilize_effective_budgeted(
-                &mut *sim,
-                &config,
-                rng,
-                sched_budget,
-                eff_budget,
-                recorder,
-            );
-            (outcome, interactions, *sim.telemetry())
+        let mut tick = RecorderTick(recorder);
+        let mut meter = |obs: &Observation<'_>| obs.effective < eff_budget;
+        let (result, sim) = RunSpec::new(&config)
+            .backend(backend)
+            .topology(family)
+            .topo_seed(master_seed ^ rep)
+            .budget(budget)
+            .ticker(&mut tick)
+            .observer(&mut meter)
+            .run_keeping(rng);
+        if let (Some(r), Some(s)) = (tick.0, &sim) {
+            r.finish(s.as_ref());
         }
+        let telemetry = sim.map_or(EngineTelemetry::new(), |s| *s.telemetry());
+        (result.outcome, result.interactions, telemetry)
     };
     let outcomes = if backend.capabilities().replicas > 1 {
         // One bit-parallel ensemble pass replaces the per-seed scalar
@@ -781,20 +713,18 @@ mod tests {
 
     #[test]
     fn exhausted_effective_budget_reports_degenerate_timeouts() {
-        // A dead-heat cycle with a tiny effective budget cannot stabilize;
-        // the cell must say so instead of spinning.
-        let c = topology_cell(
-            Backend::Graph,
-            TopologyFamily::Cycle,
-            512,
-            2,
-            3,
-            5,
-            64,
-            false,
-        );
-        assert_eq!(c.degenerate_rate, 1.0, "budget exhaustion not reported");
-        assert!(c.parallel_mean.is_nan());
+        // A dead-heat cycle with a tiny work budget cannot stabilize; the
+        // cell must say so instead of spinning. `agent` meters the budget
+        // in scheduled draws, the graph engines through the effective
+        // observer.
+        for backend in [Backend::Agent, Backend::Graph, Backend::BatchGraph] {
+            let c = topology_cell(backend, TopologyFamily::Cycle, 512, 2, 3, 5, 64, false);
+            assert_eq!(
+                c.degenerate_rate, 1.0,
+                "{backend}: budget exhaustion not reported"
+            );
+            assert!(c.parallel_mean.is_nan(), "{backend}");
+        }
     }
 
     #[test]

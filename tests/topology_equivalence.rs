@@ -12,7 +12,9 @@
 //! the same trajectory under one seed (and so also agree in law on
 //! disjoint seeds, which the `batchgraph_vs_graphwise_*_ks` tests check),
 //! and every graph engine runs the same trajectory on an implicit lattice
-//! and on its stored edge-list copy.
+//! and on its stored edge-list copy. `agent`'s stop clocks under `RunSpec`
+//! are pinned seed by seed against the dedicated edge-scan driver it used
+//! before the engine certified frozen graphs itself.
 
 use plurality_consensus::prelude::*;
 use pop_proto::TopologyFamily;
@@ -352,6 +354,136 @@ fn graphwise_skip_clock_matches_agentwise_on_cycle() {
         means[0],
         means[1]
     );
+}
+
+/// Reference for `agent`'s stop clock on a graph: whether no edge of
+/// `graph` can change a state, from explicit per-agent states. This and
+/// [`reference_agent_graph_drive`] are the dedicated agent-on-graph driver
+/// `RunSpec` used before `AgentSimulator` certified graph silence itself.
+fn reference_graph_silent(
+    proto: &UndecidedStateDynamics,
+    graph: &pop_proto::Graph,
+    states: &[usize],
+) -> bool {
+    use pop_proto::Protocol;
+    graph.edges().all(|(a, b)| {
+        let (sa, sb) = (states[a as usize], states[b as usize]);
+        proto.is_noop(sa, sb) && proto.is_noop(sb, sa)
+    })
+}
+
+/// The `~max(4n, 2¹⁶)`-chunked drive with the O(m) edge scan interleaved
+/// at every chunk boundary (no observer).
+fn reference_agent_graph_drive(
+    sim: &mut pop_proto::AgentSimulator<UndecidedStateDynamics, pop_proto::GraphScheduler>,
+    k: usize,
+    rng: &mut SimRng,
+    budget: u64,
+    initial_plurality: Option<usize>,
+    mut ticker: Option<&mut dyn usd_core::backend::RunTicker>,
+) -> StabilizationResult {
+    use pop_proto::Simulator;
+    let chunk = (4 * Simulator::population(sim)).max(1 << 16);
+    let (interactions, stabilized) = loop {
+        let done = Simulator::interactions(sim);
+        if Simulator::is_silent(sim)
+            || reference_graph_silent(sim.protocol(), sim.scheduler().graph(), sim.states())
+        {
+            break (done, true);
+        }
+        if done >= budget {
+            break (done, false);
+        }
+        let horizon = ticker.as_deref().map_or(u64::MAX, |t| t.horizon(done));
+        let step = chunk.min(budget - done).min(horizon).max(1);
+        sim.run_to_silence(rng, step);
+        if let Some(t) = ticker.as_deref_mut() {
+            t.tick(sim);
+        }
+    };
+    usd_core::backend::classify_counts(
+        Simulator::counts(sim),
+        k,
+        interactions,
+        stabilized,
+        initial_plurality,
+    )
+}
+
+/// `RunSpec` drives `agent` on a graph through the chunked loop every
+/// engine shares, trusting the engine's own frozen-graph silence. It must
+/// stop exactly where the dedicated edge-scan driver above stops, seed by
+/// seed: the same result (outcome and clock) and the same final counts.
+/// The instances are disconnected (`er:0.8`, `er:1.5`, which freeze mixed)
+/// and connected (`regular:8`, `torus`) graphs at n = 600 on the CLI's
+/// default topology seed, each driven with and without a ticker that cuts
+/// chunks to 5,000 interactions. The budget of 2²² interactions bounds
+/// the heavy-tailed `er:1.5` freezes (a few seeds run past 10⁷), so the
+/// pin covers the budget stop as well as freezes and consensus.
+#[test]
+fn agent_graph_stop_clocks_match_the_edge_scan_driver() {
+    use pop_proto::simulator::shuffled_layout;
+    use pop_proto::{AgentSimulator, GraphScheduler, Simulator};
+    use usd_core::backend::RunTicker;
+
+    struct Every5000;
+    impl RunTicker for Every5000 {
+        fn horizon(&self, _scheduled: u64) -> u64 {
+            5_000
+        }
+        fn tick(&mut self, _sim: &dyn Simulator) {}
+    }
+    const BUDGET: u64 = 1 << 22;
+    let mut frozen = 0;
+    for family in [
+        TopologyFamily::ErdosRenyi { avg_degree: 0.8 },
+        TopologyFamily::ErdosRenyi { avg_degree: 1.5 },
+        TopologyFamily::Regular { d: 8 },
+        TopologyFamily::Torus,
+    ] {
+        let n = family.snap_n(600);
+        let config = InitialConfigBuilder::new(n as u64, 2).figure1();
+        for seed in 1..=20 {
+            for ticked in [false, true] {
+                let what = format!("{family} seed {seed} ticked {ticked}");
+                let mut rng = SimRng::new(seed);
+                let mut ticker = Every5000;
+                let spec = RunSpec::new(&config)
+                    .backend(Backend::Agent)
+                    .topology(family)
+                    .topo_seed(7)
+                    .budget(BUDGET);
+                let spec = if ticked {
+                    spec.ticker(&mut ticker)
+                } else {
+                    spec
+                };
+                let (result, sim) = spec.run_keeping(&mut rng);
+                let sim = sim.expect("the pinned instances have edges");
+
+                let mut rng = SimRng::new(seed);
+                let states = shuffled_layout(&config.to_count_config(), &mut rng);
+                let mut reference = AgentSimulator::new(
+                    UndecidedStateDynamics::new(2),
+                    GraphScheduler::new(family.build(n, 7)),
+                    states,
+                );
+                let mut ticker = Every5000;
+                let expected = reference_agent_graph_drive(
+                    &mut reference,
+                    2,
+                    &mut rng,
+                    BUDGET,
+                    config.plurality(),
+                    ticked.then_some(&mut ticker as &mut dyn RunTicker),
+                );
+                assert_eq!(result, expected, "{what}");
+                assert_eq!(sim.counts(), Simulator::counts(&reference), "{what}");
+                frozen += u32::from(result.outcome == ConsensusOutcome::Frozen);
+            }
+        }
+    }
+    assert!(frozen > 0, "no pinned run froze in a mixed configuration");
 }
 
 /// The engine under test on `graph`, started from per-agent `states`
