@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pop_proto::{AliasTable, FenwickSampler};
 use sim_stats::multinomial::{
     categorical_index, hypergeometric_pairing_table, multivariate_hypergeometric,
-    multivariate_hypergeometric_streams, shuffle_pairing_table,
+    multivariate_hypergeometric_streams, ScheduleSampler,
 };
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
@@ -168,50 +168,45 @@ fn table_path(rng: &mut SimRng, participants: &[u64], length: u64) -> u64 {
 }
 
 fn bench_pairing_paths(c: &mut Criterion) {
-    // The batch engine's two exact pairing paths on the same 2L
-    // participants: the initiator split plus the pairing table, against
-    // one shuffle of the participant slots. The engine shuffles when
-    // 2L ≤ 8k²: k = 2 at L = 16 sits on that crossover, L = 666 is the
-    // `clique-e6` block length, and k = 32 is the paper's large-k grid.
+    // The batch engine's two exact ways to draw a whole block of L
+    // interactions from a population of 10⁶ agents: the participant
+    // hypergeometric plus the table path, against the schedule sampler's
+    // 2L ordered draws. The engine takes the schedule path when 2L ≤ 8k²:
+    // k = 2 at L = 16 sits on that crossover, L = 666 is the `clique-e6`
+    // block length, and k = 32 is the paper's large-k grid.
     let mut group = c.benchmark_group("pairing_paths");
     const CALLS: u64 = 500;
+    const N: u64 = 1_000_000;
     group.throughput(Throughput::Elements(CALLS));
     for &k in &[2usize, 32] {
+        // An undecided-heavy plateau: half the agents in the last state,
+        // the rest spread over the others.
+        let mut pop = vec![N / 2 / (k as u64 - 1); k];
+        pop[k - 1] = N - pop[..k - 1].iter().sum::<u64>();
         for &length in &[16u64, 666] {
-            // An undecided-heavy plateau: half the participants in the
-            // last state, the rest spread over the others.
-            let mut participants = vec![length / (k as u64 - 1); k];
-            participants[k - 1] = 2 * length - participants[..k - 1].iter().sum::<u64>();
             let id = format!("k{k}/L{length}");
-            group.bench_with_input(
-                BenchmarkId::new("pairing_table", &id),
-                &participants,
-                |b, p| {
-                    b.iter(|| {
-                        let mut rng = SimRng::new(1);
-                        let mut acc = 0u64;
-                        for _ in 0..CALLS {
-                            acc ^= table_path(&mut rng, p, length);
-                        }
-                        black_box(acc)
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new("shuffle_pairing", &id),
-                &participants,
-                |b, p| {
-                    let mut slots = Vec::new();
-                    b.iter(|| {
-                        let mut rng = SimRng::new(1);
-                        let mut acc = 0u64;
-                        for _ in 0..CALLS {
-                            acc ^= shuffle_pairing_table(&mut rng, p, &mut slots)[0];
-                        }
-                        black_box(acc)
-                    })
-                },
-            );
+            group.bench_with_input(BenchmarkId::new("pairing_table", &id), &pop, |b, pop| {
+                b.iter(|| {
+                    let mut rng = SimRng::new(1);
+                    let mut acc = 0u64;
+                    for _ in 0..CALLS {
+                        let participants = multivariate_hypergeometric(&mut rng, pop, 2 * length);
+                        acc ^= table_path(&mut rng, &participants, length);
+                    }
+                    black_box(acc)
+                })
+            });
+            group.bench_with_input(BenchmarkId::new("schedule", &id), &pop, |b, pop| {
+                let (mut sampler, mut slots) = (ScheduleSampler::new(), Vec::new());
+                b.iter(|| {
+                    let mut rng = SimRng::new(1);
+                    let mut acc = 0u64;
+                    for _ in 0..CALLS {
+                        acc ^= sampler.sample(&mut rng, pop, 2 * length as usize, &mut slots)[0];
+                    }
+                    black_box(acc)
+                })
+            });
         }
     }
     group.finish();

@@ -14,31 +14,35 @@
 //!    `P[T > t] = n! / ((n−2t)! · (n(n−1))^t)`, sampled exactly by
 //!    inverse-CDF bisection on the log-survival function (log-gamma from
 //!    `sim-stats`). The horizon is truncated at a cap (see *Exactness*).
-//! 2. **Participants.** The `2L` distinct agents of the collision-free
-//!    prefix are a uniform without-replacement draw from the population:
-//!    their per-state counts follow a multivariate hypergeometric law.
-//! 3. **Pairing.** The uniform initiator→responder matching of the
-//!    participants is resolved into a table `M[i][j]` of ordered
-//!    state-pair counts — the "multinomial split" of the batch — by one of
-//!    two exact samplers of the same law, chosen from the block alone
-//!    (`2L` against `c·k²`, see [`SHUFFLE_PAIRING_C`]):
-//!    * *short blocks* shuffle the `2L` participant states and pair slot
-//!      `t` with slot `L + t` — O(L) work, no per-cell draws;
-//!    * *long blocks* draw which `L` participants initiate (another
-//!      hypergeometric split) and then the table row by row: the
-//!      sequential chain rule for k < 16, position-derived tree streams
-//!      (optionally threaded) for k ≥ 16 — O(k²) cells, cheap next to a
-//!      long block.
-//! 4. **Transitions.** Each `(i, j)` with `M[i][j] = m` applies
-//!    `f(i, j)` `m` times count-wise; no-op pairs only advance the clock.
-//! 5. **Collision interaction.** If `T` landed inside the cap, the
+//! 2. **Drawing the block.** The `2L` distinct agents of the
+//!    collision-free prefix are a uniform ordered draw without replacement
+//!    from the population. One of two exact samplers of that law is chosen
+//!    from the block alone (`2L` against `c·k²`, see [`SHORT_BLOCK_C`]):
+//!    * *short blocks* draw the agents one by one in schedule order
+//!      (initiator, responder, …) with [`ScheduleSampler`]: a uniform agent
+//!      index maps to its block-start state through a guide table over the
+//!      cumulative counts and is redrawn if that agent was already drawn —
+//!      O(L) draws, no hypergeometric split and no table;
+//!    * *long blocks* draw the participants' per-state counts (a
+//!      multivariate hypergeometric), which `L` of them initiate (another
+//!      hypergeometric split), and then the table `M[i][j]` of ordered
+//!      state-pair counts — the "multinomial split" of the batch — row by
+//!      row: the sequential chain rule for k < 16, position-derived tree
+//!      streams (optionally threaded) for k ≥ 16 — O(k²) cells, cheap next
+//!      to a long block.
+//! 3. **Transitions.** A short block applies `f(i, j)` to each drawn
+//!    pair; a long block applies each `(i, j)` with `M[i][j] = m` `m`
+//!    times. Either way the updates go to the counts, and no-op pairs only
+//!    advance the clock.
+//! 4. **Collision interaction.** If `T` landed inside the cap, the
 //!    colliding interaction is simulated individually from the exact
 //!    conditional law (at least one participant among the batch's agents,
 //!    whose post-transition states are known as counts).
 //!
-//! Each batch therefore costs O(min(L, k²) draws + k² + log n) for a
-//! block of L ≈ √n interactions: sub-constant work per interaction, and
-//! no more cells sampled than the block has interactions.
+//! Each batch therefore costs O(min(L, k²)) draws, an O(k²)-addition
+//! effective-weight scan and an O(log n) horizon bisection for a block of
+//! L ≈ √n interactions: sub-constant work per interaction, and never more
+//! draws than the block has agents.
 //!
 //! # No-op-dominated phases
 //!
@@ -78,7 +82,7 @@ use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::binomial::ln_factorial;
 use sim_stats::multinomial::{
-    hypergeometric_pairing_table, multivariate_hypergeometric, shuffle_pairing_table,
+    hypergeometric_pairing_table, multivariate_hypergeometric, ScheduleSampler,
 };
 use sim_stats::rng::SimRng;
 
@@ -94,38 +98,40 @@ const MIN_BATCH: u64 = 16;
 /// thread count either way.
 const PAIR_TABLE_MIN_K: usize = 16;
 
-/// Shuffle-pairing crossover `c`: a batch of `L` interactions over `k`
-/// states is paired by shuffling its participants
-/// ([`shuffle_pairing_table`], O(L)) when `2L ≤ c·k²`, and through the
-/// hypergeometric initiator split and pairing table (O(k²) cells) above.
+/// Short-block crossover `c`: a batch of `L` interactions over `k` states
+/// is drawn agent by agent in schedule order ([`ScheduleSampler`], O(L))
+/// when `2L ≤ c·k²`, and through the participant hypergeometric, the
+/// initiator split and the pairing table (O(k²) cells) above.
 ///
-/// Measured on a 2-vCPU x86-64 container (`--release`).
-/// `bench_sampling`'s `pairing_paths` group times one call of each path
-/// (shuffle vs initiator split + table): 0.21 vs 0.26 µs at k = 2, L = 16
-/// (2L = 8k², the rule's edge); 6.2 vs 1.0 µs at k = 2, L = 666; 0.40 vs
-/// 1.75 µs at k = 32, L = 16; 6.9 vs 101 µs at k = 32, L = 666. A finer
-/// grid of the same two paths (k = 2…63 states, L = 8…6000) puts the
-/// crossover at `2L/k²` ≈ 8–16 for 2 states, ≈ 14–28 for 3, ≈ 60 for 8
-/// and ≈ 80 for 12; against the k ≥ 16 tree-stream table the shuffle was
-/// still 1.8–4.5× faster at the longest block measured (`2L/k²` up to
-/// 47). `c = 8` is the largest power of two never slower on any measured
-/// cell. The rule reads only the block, so runs stay bit-identical for
-/// any thread count.
-const SHUFFLE_PAIRING_C: u64 = 8;
+/// Measured on a 2-vCPU x86-64 VM (`--release`): `bench_sampling`'s
+/// `pairing_paths` group draws whole blocks from a 10⁶-agent population,
+/// the participants plus the table path against the schedule sampler,
+/// per block: 0.48 vs 0.20 µs at k = 2, L = 16 (2L = 8k², the rule's
+/// edge); 1.4 vs 7.2 µs at k = 2, L = 666 (a long block, where the table
+/// wins); 15 vs 0.43 µs at k = 32, L = 16; 90 vs 7.8 µs at k = 32,
+/// L = 666. The participants plus a Fisher–Yates shuffle of their slots,
+/// the short path this sampler replaced, took 0.45, 5.6, 5.3 and 16 µs on
+/// the same cells, so the short path got faster on every cell the rule
+/// sends to it. `c = 8` is unchanged: the k = 2 cells put the crossover
+/// somewhere in 8 < 2L/k² < 333, and a retune waits for an in-regime
+/// benchmark workload. The rule reads only the block, so runs stay
+/// bit-identical for any thread count.
+const SHORT_BLOCK_C: u64 = 8;
 
 /// Whether a batch of `length` interactions over `k` states takes the
-/// shuffle path (see [`SHUFFLE_PAIRING_C`]).
+/// short path (see [`SHORT_BLOCK_C`]).
 #[inline]
-fn shuffle_pairs(length: u64, k: usize) -> bool {
-    2 * length <= SHUFFLE_PAIRING_C * (k * k) as u64
+fn short_block(length: u64, k: usize) -> bool {
+    2 * length <= SHORT_BLOCK_C * (k * k) as u64
 }
 
 /// Batch-leaping simulator for the uniform clique scheduler.
 ///
 /// See the module docs for the algorithm. Construction mirrors
 /// [`CountSimulator`](crate::simulator::CountSimulator); memory is O(k²)
-/// for the cached transition table, plus O(√n) shuffle scratch once a
-/// batch takes the shuffle path.
+/// for the cached transition table, plus the short path's scratch once a
+/// batch takes it: at most 8k² schedule slots (`2L ≤ 8k²`) and O(k)
+/// cumulative and guide entries.
 ///
 /// Observation granularity
 /// ([`advance_observed`](crate::Simulator::advance_observed)):
@@ -162,16 +168,19 @@ pub struct BatchSimulator<P: Protocol> {
     /// interactions applied count-wise inside batches),
     /// `fallback_literal` (effective collision interactions simulated
     /// individually), `table_draws` (multivariate hypergeometric draws:
-    /// exactly one per shuffled batch, two plus the pairing rows per
-    /// table batch),
+    /// none on a short batch, two plus the pairing rows on a long one),
     /// `skip_draws` (geometric skip-ahead draws), `dense_steps` and
     /// `pair_draws` (single-step and conditional-pair draws). No spans.
     telemetry: EngineTelemetry,
     /// Per-event histograms (opt-in): geometric skip lengths, per-batch
     /// effective block sizes, and collision fallbacks.
     hist: Option<Box<EventHistograms>>,
-    /// Scratch slots for [`shuffle_pairing_table`]: empty until the first
-    /// shuffled batch grows it, and meaningless between batches.
+    /// The short-block sampler's cumulative and guide buffers: empty
+    /// until the first short block grows them, and meaningless between
+    /// blocks.
+    schedule: ScheduleSampler,
+    /// A short block's 2L agent states in schedule order (initiator,
+    /// responder, …): scratch like `schedule`.
     pair_slots: Vec<u32>,
 }
 
@@ -210,6 +219,7 @@ impl<P: Protocol> BatchSimulator<P> {
             threads: sim_stats::threads::resolve_threads(),
             telemetry: EngineTelemetry::new(),
             hist: None,
+            schedule: ScheduleSampler::new(),
             pair_slots: Vec::new(),
         }
     }
@@ -322,23 +332,26 @@ impl<P: Protocol> BatchSimulator<P> {
     }
 
     /// Total weight of ordered *effective* (non-no-op) agent pairs, and of
-    /// all ordered pairs, as exact 128-bit integers.
+    /// all ordered pairs, as exact 128-bit integers: per row `i`, `cᵢ`
+    /// times the row's effective column total, less the `cᵢ` self-pairs an
+    /// effective diagonal `(i, i)` cannot form.
     fn effective_pair_weight(&self) -> (u128, u128) {
+        let k = self.k;
         let mut eff: u128 = 0;
         for (i, &ci) in self.counts.iter().enumerate() {
             if ci == 0 {
                 continue;
             }
-            for (j, &cj) in self.counts.iter().enumerate() {
-                if self.noop[i * self.k + j] {
-                    continue;
-                }
-                let pairs = if i == j {
-                    ci as u128 * (cj as u128 - 1)
-                } else {
-                    ci as u128 * cj as u128
-                };
-                eff += pairs;
+            let noop = &self.noop[i * k..(i + 1) * k];
+            let row: u64 = self
+                .counts
+                .iter()
+                .zip(noop)
+                .map(|(&cj, &skip)| if skip { 0 } else { cj })
+                .sum();
+            eff += ci as u128 * row as u128;
+            if !noop[i] {
+                eff -= ci as u128;
             }
         }
         let total = self.n as u128 * (self.n as u128 - 1);
@@ -447,23 +460,40 @@ impl<P: Protocol> BatchSimulator<P> {
         let applied_before = self.telemetry.block_applied;
         self.telemetry.blocks += 1;
         self.telemetry.block_draws += length;
-        // 2. Participants: 2L distinct agents, without replacement.
-        let participants = multivariate_hypergeometric(rng, &self.counts, 2 * length);
-        self.telemetry.table_draws += 1;
-        // Remove all participants; they re-enter with post-transition
-        // states.
-        for (c, &m) in self.counts.iter_mut().zip(participants.iter()) {
-            *c -= m;
-        }
         let mut post = vec![0u64; k];
-        if shuffle_pairs(length, k) {
-            // 3. A batch short next to the k² state pairs: one shuffle of
-            // the 2L participants yields the initiator split and the
-            // pairing table together, in O(L) instead of O(k²) draws.
-            let pairing = shuffle_pairing_table(rng, &participants, &mut self.pair_slots);
-            self.apply_cells(0, &pairing, &mut post);
+        if short_block(length, k) {
+            // 2–3. A block short next to the k² state pairs: draw its 2L
+            // agents one by one in schedule order (initiator, responder,
+            // …), then apply each drawn pair's transition — O(L) draws,
+            // no participant split and no table.
+            let drawn =
+                self.schedule
+                    .sample(rng, &self.counts, 2 * length as usize, &mut self.pair_slots);
+            for (c, &m) in self.counts.iter_mut().zip(drawn) {
+                *c -= m;
+            }
+            let mut effective = 0;
+            for pair in self.pair_slots.chunks_exact(2) {
+                let cell = pair[0] as usize * k + pair[1] as usize;
+                let (ti, tj) = self.table[cell];
+                post[ti as usize] += 1;
+                post[tj as usize] += 1;
+                effective += u64::from(!self.noop[cell]);
+            }
+            self.effective_interactions += effective;
+            self.telemetry.effective += effective;
+            self.telemetry.block_applied += effective;
         } else {
-            // 3. Initiator / responder split, then the pairing-table rows.
+            // 2. A long block: the per-state counts of its 2L distinct
+            // agents, drawn without replacement.
+            let participants = multivariate_hypergeometric(rng, &self.counts, 2 * length);
+            self.telemetry.table_draws += 1;
+            // Remove all participants; they re-enter with post-transition
+            // states.
+            for (c, &m) in self.counts.iter_mut().zip(participants.iter()) {
+                *c -= m;
+            }
+            // Initiator / responder split, then the pairing-table rows.
             let initiators = multivariate_hypergeometric(rng, &participants, length);
             self.telemetry.table_draws += 1;
             let mut responders: Vec<u64> = participants
@@ -525,10 +555,10 @@ impl<P: Protocol> BatchSimulator<P> {
         post
     }
 
-    /// Step 4: apply `f(i, j)` count-wise to a run of pairing-table cells
-    /// starting at row-major cell `first` — `cells[c]` interactions of the
-    /// ordered state pair at cell `first + c`, whose post-transition
-    /// states are added to `post`.
+    /// Step 3 of a long block: apply `f(i, j)` count-wise to a run of
+    /// pairing-table cells starting at row-major cell `first` — `cells[c]`
+    /// interactions of the ordered state pair at cell `first + c`, whose
+    /// post-transition states are added to `post`.
     fn apply_cells(&mut self, first: usize, cells: &[u64], post: &mut [u64]) {
         for (cell, &m) in (first..).zip(cells) {
             if m == 0 {
@@ -727,9 +757,9 @@ impl<P: Protocol> Simulator for BatchSimulator<P> {
     fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
         // Everything else in the struct (transition table, no-op mask,
         // log-factorial constants, thread count) is a pure function of the
-        // constructor arguments, and the shuffle slots are per-batch
-        // scratch, so counts + clocks + telemetry are the complete mutable
-        // state.
+        // constructor arguments, and the schedule sampler and its slots are
+        // per-batch scratch, so counts + clocks + telemetry are the
+        // complete mutable state.
         w.put_u8(snapshot_tags::BATCH);
         snapshot_tags::write_config(w, self.n, self.k);
         w.put_u64_slice(&self.counts);
@@ -920,15 +950,16 @@ mod tests {
 
     /// Advance `sim` up to `advances` times (stopping at silence),
     /// checking every batch's multivariate hypergeometric draws against
-    /// the pairing path the crossover rule sends it to. Returns the
-    /// `(shuffled, tabled)` batch counts.
+    /// the path the crossover rule sends it to: none on the short path,
+    /// the participants, the initiator split and the pairing rows on the
+    /// table path. Returns the `(short, tabled)` batch counts.
     fn drive_checking_table_draws<P: Protocol>(
         sim: &mut BatchSimulator<P>,
         rng: &mut SimRng,
         advances: u64,
     ) -> (u64, u64) {
         let k = sim.k as u64;
-        let (mut shuffled, mut tabled) = (0, 0);
+        let (mut short, mut tabled) = (0, 0);
         for _ in 0..advances {
             if sim.is_silent() {
                 break;
@@ -943,10 +974,10 @@ mod tests {
             }
             assert_eq!(after.blocks, before.blocks + 1);
             let length = after.block_draws - before.block_draws;
-            if shuffle_pairs(length, sim.k) {
-                // The participant draw; the shuffle does the rest.
-                assert_eq!(draws, 1, "shuffled batch of {length}");
-                shuffled += 1;
+            if short_block(length, sim.k) {
+                // The schedule sampler draws agents, not tables.
+                assert_eq!(draws, 0, "short batch of {length}");
+                short += 1;
             } else {
                 if sim.k >= PAIR_TABLE_MIN_K {
                     // Participants, initiators, one tree row per state.
@@ -959,7 +990,7 @@ mod tests {
                 tabled += 1;
             }
         }
-        (shuffled, tabled)
+        (short, tabled)
     }
 
     #[test]
@@ -970,19 +1001,19 @@ mod tests {
         // run's structure.
         let mut sim = epidemic(100_000, 100);
         let mut rng = SimRng::new(23);
-        let (shuffled, tabled) = drive_checking_table_draws(&mut sim, &mut rng, u64::MAX);
+        let (short, tabled) = drive_checking_table_draws(&mut sim, &mut rng, u64::MAX);
         assert!(sim.is_silent());
         let t = Simulator::telemetry(&sim);
         assert_eq!(t.scheduled, sim.interactions());
         assert_eq!(t.effective, sim.effective_interactions());
         assert!(t.blocks >= 1, "no batches leapt");
-        assert_eq!(t.blocks, shuffled + tabled);
+        assert_eq!(t.blocks, short + tabled);
         assert!(tabled >= 1, "two states: long batches take the table");
         assert!(t.block_draws >= t.blocks);
         assert!(t.skip_draws >= 1, "endgame never skipped");
-        // A shuffled batch costs exactly its participant draw; a table
-        // batch costs participants + initiators before any pairing rows.
-        assert!(t.table_draws >= shuffled + 2 * tabled);
+        // A short batch draws no table; a table batch draws participants
+        // and initiators before any pairing rows.
+        assert!(t.table_draws >= 2 * tabled);
         // Every effective interaction is a count-wise batch application, a
         // literal collision fallback, or a skip-ahead event.
         assert!(t.block_applied + t.fallback_literal <= t.effective);
@@ -993,7 +1024,7 @@ mod tests {
     fn each_pairing_path_draws_exactly_its_tables() {
         // Sixteen states at n = 10⁷: collision horizons (median ≈ 1870)
         // straddle the crossover 2L = 8·16², so one run takes both the
-        // shuffle and the tree table.
+        // short path and the tree table.
         let k = 16;
         let n = 10_000_000u64;
         let mut sim = BatchSimulator::new(
@@ -1001,28 +1032,154 @@ mod tests {
             &CountConfig::from_counts(vec![n / k as u64; k]),
         );
         let mut rng = SimRng::new(24);
-        let (shuffled, tabled) = drive_checking_table_draws(&mut sim, &mut rng, 300);
-        assert!(
-            shuffled > 0 && tabled > 0,
-            "{shuffled} shuffled, {tabled} tabled"
-        );
+        let (short, tabled) = drive_checking_table_draws(&mut sim, &mut rng, 300);
+        assert!(short > 0 && tabled > 0, "{short} short, {tabled} tabled");
         let t = Simulator::telemetry(&sim);
-        assert_eq!(t.table_draws, shuffled + (2 + k as u64) * tabled);
+        assert_eq!(t.table_draws, (2 + k as u64) * tabled);
 
         // At n = 10⁵ every batch is short next to k²: a whole run to
-        // silence is exactly one hypergeometric draw per batch.
+        // silence draws no table at all.
         let mut sim = BatchSimulator::new(
             MaxSpread { k },
             &CountConfig::from_counts(vec![100_000 / k as u64; k]),
         );
-        let (shuffled, tabled) = drive_checking_table_draws(&mut sim, &mut rng, u64::MAX);
+        let (short, tabled) = drive_checking_table_draws(&mut sim, &mut rng, u64::MAX);
         assert!(sim.is_silent());
         assert_eq!(sim.counts()[k - 1], 100_000);
         assert_eq!(tabled, 0);
         let t = Simulator::telemetry(&sim);
-        assert_eq!(t.table_draws, t.blocks);
-        assert_eq!(t.blocks, shuffled);
-        assert!(shuffled > 100, "only {shuffled} batches");
+        assert_eq!(t.table_draws, 0);
+        assert_eq!(t.blocks, short);
+        assert!(short > 100, "only {short} batches");
+    }
+
+    /// The undecided state dynamics on `k` opinions (state `k` undecided),
+    /// as `usd-core` defines it: a clash of two opinions leaves both
+    /// undecided, and an undecided agent adopts its partner's opinion.
+    #[derive(Debug, Clone, Copy)]
+    struct Usd {
+        k: usize,
+    }
+
+    impl Protocol for Usd {
+        type State = usize;
+        type Output = usize;
+
+        fn num_states(&self) -> usize {
+            self.k + 1
+        }
+
+        fn index_of(&self, state: usize) -> usize {
+            state
+        }
+
+        fn state_of(&self, index: usize) -> usize {
+            index
+        }
+
+        fn transition(&self, a: usize, b: usize) -> (usize, usize) {
+            match (a == self.k, b == self.k) {
+                _ if a == b => (a, b),
+                (true, _) => (b, b),
+                (_, true) => (a, a),
+                _ => (self.k, self.k),
+            }
+        }
+
+        fn output(&self, state: usize) -> usize {
+            state
+        }
+    }
+
+    /// Equal states rotate the responder (`(a, a) → (a, a + 1 mod k)`),
+    /// everything else is a no-op: every diagonal pair is effective.
+    #[derive(Debug, Clone, Copy)]
+    struct Rotate {
+        k: usize,
+    }
+
+    impl Protocol for Rotate {
+        type State = usize;
+        type Output = usize;
+
+        fn num_states(&self) -> usize {
+            self.k
+        }
+
+        fn index_of(&self, state: usize) -> usize {
+            state
+        }
+
+        fn state_of(&self, index: usize) -> usize {
+            index
+        }
+
+        fn transition(&self, a: usize, b: usize) -> (usize, usize) {
+            if a == b {
+                (a, (a + 1) % self.k)
+            } else {
+                (a, b)
+            }
+        }
+
+        fn output(&self, state: usize) -> usize {
+            state
+        }
+    }
+
+    /// The effective pair weight as the plain double loop over ordered
+    /// state pairs, `cᵢ(cⱼ − [i = j])` for every effective `(i, j)`.
+    fn pair_weight_by_cells<P: Protocol>(sim: &BatchSimulator<P>) -> u128 {
+        let mut eff = 0u128;
+        for (i, &ci) in sim.counts.iter().enumerate() {
+            for (j, &cj) in sim.counts.iter().enumerate() {
+                if ci > 0 && !sim.noop[i * sim.k + j] {
+                    eff += ci as u128 * (cj as u128 - u128::from(i == j));
+                }
+            }
+        }
+        eff
+    }
+
+    /// Check the row-sum weight against the double loop on `trials`
+    /// random configurations of `proto`: counts drawn from
+    /// {0, 1, 2, 7, 10⁹, random}, some forced to 1, so zeros, single
+    /// agents on effective diagonals and products past `u64` all occur.
+    fn check_pair_weight<P: Protocol + Clone>(proto: P, rng: &mut SimRng, trials: usize) {
+        let k = proto.num_states();
+        for _ in 0..trials {
+            let mut counts: Vec<u64> = (0..k)
+                .map(|_| match rng.below(6) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 2,
+                    3 => 7,
+                    4 => 1_000_000_000,
+                    _ => rng.below(1 << 40),
+                })
+                .collect();
+            if counts.iter().sum::<u64>() < 2 {
+                counts[0] += 2;
+            }
+            let sim = BatchSimulator::new(proto.clone(), &CountConfig::from_counts(counts));
+            let (eff, total) = sim.effective_pair_weight();
+            assert_eq!(eff, pair_weight_by_cells(&sim), "{:?}", sim.counts);
+            assert_eq!(total, sim.n as u128 * (sim.n as u128 - 1));
+        }
+    }
+
+    #[test]
+    fn row_sum_pair_weight_matches_the_cell_loop() {
+        let mut rng = SimRng::new(25);
+        check_pair_weight(OneWayEpidemic, &mut rng, 200);
+        check_pair_weight(Usd { k: 2 }, &mut rng, 500);
+        check_pair_weight(Usd { k: 9 }, &mut rng, 500);
+        check_pair_weight(MaxSpread { k: 6 }, &mut rng, 500);
+        check_pair_weight(Rotate { k: 5 }, &mut rng, 500);
+        // A single agent on an effective diagonal forms no self-pair.
+        let sim = BatchSimulator::new(Rotate { k: 3 }, &CountConfig::from_counts(vec![1, 1, 0]));
+        assert_eq!(sim.effective_pair_weight().0, 0);
+        assert!(sim.is_silent());
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   collision-free batch (no agent interacting twice), applying
 //!   transitions count-wise, and handling the first colliding interaction
 //!   exactly; no-op-dominated phases use geometric skip-ahead instead.
-//!   A block of L ≈ √n interactions is paired by shuffling its 2L
-//!   participants when it is short next to the k² state pairs (O(L)) and
-//!   through a hypergeometric pairing table when it is long (O(k²)
+//!   A block of L ≈ √n interactions short next to the k² state pairs
+//!   draws its 2L agents one by one in schedule order (O(L)); a long one
+//!   draws its participants and a hypergeometric pairing table (O(k²)
 //!   draws), so its cost is O(min(L, k²) draws + k²) per ~√n
 //!   interactions — sub-constant time per interaction, the enabler for
 //!   n ≥ 10⁸ runs. Clique only.

@@ -259,11 +259,11 @@ pub struct EngineTelemetry {
     /// clique engines' no-op leaps; sparse-phase skips are counted in
     /// [`EngineTelemetry::sparse`]).
     pub skip_draws: u64,
-    /// Multivariate hypergeometric draws sampled per batch. On `batch`:
-    /// one participant draw per batch, plus — for batches too long for the
-    /// participant shuffle — the initiator split and the pairing-table
-    /// rows (the chain rule's rows for k < 16, one tree row per state for
-    /// k ≥ 16). A batch paired by the shuffle costs exactly one.
+    /// Multivariate hypergeometric draws sampled per batch. On `batch`: a
+    /// short batch, drawn agent by agent in schedule order, costs none; a
+    /// long one costs the participant draw, the initiator split and the
+    /// pairing-table rows (the chain rule's rows for k < 16, one tree row
+    /// per state for k ≥ 16).
     pub table_draws: u64,
     /// Sparse-phase skipper counters (harvested; see [`SparseStats`]).
     pub sparse: SparseStats,

@@ -3,11 +3,12 @@
 //! These primitives back the initial-configuration builders (randomized
 //! opinion assignments), the Gossip-model round simulation, and the hot
 //! loop of the clique batch engine (`pop_proto::BatchSimulator`), which
-//! draws every batch's participants with [`multivariate_hypergeometric`]
-//! and pairs them with [`shuffle_pairing_table`] or
-//! [`hypergeometric_pairing_table`]. All samplers take a [`SimRng`] (or a
-//! master seed for the position-derived streams) and are exact: no normal
-//! approximations. The O(n) reference samplers ([`multinomial_counts`],
+//! draws a short block's agents one by one with [`ScheduleSampler`] and a
+//! long block's participants and pairing table with
+//! [`multivariate_hypergeometric`] and [`hypergeometric_pairing_table`].
+//! All samplers take a [`SimRng`] (or a master seed for the
+//! position-derived streams) and are exact: no normal approximations. The
+//! O(n) reference samplers ([`multinomial_counts`],
 //! [`sample_hypergeometric`]) stay out of the hot loop.
 
 use crate::rng::SimRng;
@@ -399,47 +400,149 @@ pub fn hypergeometric_pairing_table(
     out
 }
 
-/// Sample the same `k × k` row-major pairing table as
-/// [`hypergeometric_pairing_table`], starting one step earlier: from the
-/// batch's `participants` (`participants[s]` agents in state `s`, `2L` in
-/// all) before they are split into initiators and responders.
+/// Reusable buffers for drawing agents **without replacement, in order**,
+/// from a population held as per-state counts: the short-block sampler of
+/// the clique batch engine.
 ///
-/// The participants' states are written into `slots`, Fisher–Yates
-/// shuffled, and slot `t` (an initiator) is paired with slot `L + t` (its
-/// responder). Conditional on the participant multiset, the slot
-/// assignment is a uniform permutation, so the table has exactly the law
-/// of a hypergeometric initiator split followed by the hypergeometric
-/// pairing table — the two draws this one O(L) pass replaces. It beats
-/// the O(k²) table whenever the batch is short next to the alphabet; see
-/// the batch simulator for the crossover.
+/// The agents of state `s` are numbered `[e(s−1), e(s))`, `e` the
+/// cumulative counts. A draw maps a uniform agent index to its state
+/// through a guide table (the state holding the first index of each
+/// power-of-two bucket, then a forward scan), and is redrawn if it lands
+/// among the agents already drawn from that state — by exchangeability
+/// within a state, the lowest-numbered ones. Each accepted draw is
+/// therefore a uniform pick among the agents not yet drawn, so the
+/// sequence of states is an ordered uniform sample without replacement:
+/// read in consecutive pairs (initiator, responder), exactly the law of a
+/// collision-free prefix of the uniform clique schedule. It replaces the
+/// multivariate hypergeometric participant draw, the initiator split and
+/// the `k × k` pairing table at once, in O(k + draws) work.
 ///
-/// `slots` is scratch space: cleared, grown as needed, and left holding
-/// the shuffled states. Panics if the participant total is odd.
-pub fn shuffle_pairing_table(
-    rng: &mut SimRng,
-    participants: &[u64],
-    slots: &mut Vec<u32>,
-) -> Vec<u64> {
-    let total: u64 = participants.iter().sum();
-    assert!(
-        total.is_multiple_of(2),
-        "participants must pair up (odd total {total})"
-    );
-    let k = participants.len();
-    slots.clear();
-    for (state, &m) in participants.iter().enumerate() {
-        slots.extend(std::iter::repeat_n(state as u32, m as usize));
+/// While the population fits in 32 bits every generator output feeds two
+/// exact 32-bit Lemire variates; larger populations fall back to
+/// [`SimRng::below`]. The buffers grow on first use and carry nothing from
+/// one call to the next.
+#[derive(Debug, Clone, Default)]
+pub struct ScheduleSampler {
+    /// `ends[s]`: one past the highest agent index of state `s`.
+    ends: Vec<u64>,
+    /// `next[s]`: the lowest agent index of state `s` not yet drawn;
+    /// rewritten to the per-state drawn counts before [`Self::sample`]
+    /// returns.
+    next: Vec<u64>,
+    /// `guide[b]`: the state holding agent index `b << shift`.
+    guide: Vec<u32>,
+}
+
+/// Guide buckets per state (the bucket count is then rounded up to a power
+/// of two): with at least four buckets per state, at most a quarter of the
+/// buckets hold a state boundary, so most lookups land on their state
+/// directly.
+const GUIDE_BUCKETS_PER_STATE: usize = 4;
+
+impl ScheduleSampler {
+    /// An empty sampler; its buffers grow on the first [`Self::sample`].
+    pub fn new() -> Self {
+        Self::default()
     }
-    for i in (1..slots.len()).rev() {
-        let j = rng.below(i as u64 + 1) as usize;
-        slots.swap(i, j);
+
+    /// Draw `draws` distinct agents in order from the population with
+    /// `counts[s]` agents in state `s`, writing their states into `slots`
+    /// (cleared first; `slots[2t]` and `slots[2t + 1]` are the initiator
+    /// and responder of the `t`-th interaction when read as a schedule).
+    /// Returns the per-state number of agents drawn.
+    ///
+    /// Panics if `draws` exceeds the population.
+    pub fn sample(
+        &mut self,
+        rng: &mut SimRng,
+        counts: &[u64],
+        draws: usize,
+        slots: &mut Vec<u32>,
+    ) -> &[u64] {
+        self.ends.clear();
+        self.next.clear();
+        let mut total = 0u64;
+        for &c in counts {
+            self.next.push(total);
+            total += c;
+            self.ends.push(total);
+        }
+        assert!(
+            draws as u64 <= total,
+            "cannot draw more than the population"
+        );
+        slots.clear();
+        if draws > 0 {
+            let buckets = (GUIDE_BUCKETS_PER_STATE * counts.len()).next_power_of_two();
+            let index_bits = u64::BITS - (total - 1).leading_zeros();
+            let shift = index_bits.saturating_sub(buckets.trailing_zeros());
+            // State `s` owns the buckets whose first index it holds.
+            self.guide.clear();
+            self.guide.resize(((total - 1) >> shift) as usize + 1, 0);
+            for (s, (&start, &end)) in self.next.iter().zip(&self.ends).enumerate() {
+                let first = (start + (1 << shift) - 1) >> shift;
+                let last = end.div_ceil(1 << shift);
+                if first < last {
+                    self.guide[first as usize..last as usize].fill(s as u32);
+                }
+            }
+            slots.resize(draws, 0);
+            if let Ok(n32) = u32::try_from(total) {
+                let (mut word, mut halves) = (0u64, 0u32);
+                let mut half = || {
+                    if halves == 0 {
+                        word = rng.next();
+                        halves = 2;
+                    }
+                    halves -= 1;
+                    let h = word & 0xFFFF_FFFF;
+                    word >>= 32;
+                    h
+                };
+                // Lemire's multiply-shift on 32-bit words: exact, and the
+                // rejection threshold is computed only on the rare draws
+                // that might need it.
+                self.fill(shift, slots, || {
+                    let mut m = half() * total;
+                    if (m as u32) < n32 {
+                        let t = n32.wrapping_neg() % n32;
+                        while (m as u32) < t {
+                            m = half() * total;
+                        }
+                    }
+                    m >> 32
+                });
+            } else {
+                self.fill(shift, slots, || rng.below(total));
+            }
+        }
+        for ((next, &end), &c) in self.next.iter_mut().zip(&self.ends).zip(counts) {
+            *next -= end - c;
+        }
+        &self.next
     }
-    let (initiators, responders) = slots.split_at(slots.len() / 2);
-    let mut out = vec![0u64; k * k];
-    for (&a, &b) in initiators.iter().zip(responders) {
-        out[a as usize * k + b as usize] += 1;
+
+    /// The draw loop of [`Self::sample`]: one state per slot, from uniform
+    /// agent indices drawn by `uniform`.
+    fn fill(&mut self, shift: u32, slots: &mut [u32], mut uniform: impl FnMut() -> u64) {
+        for slot in slots {
+            let state = loop {
+                let u = uniform();
+                let mut s = self.guide[(u >> shift) as usize] as usize;
+                // One boundary in the bucket is common, two are rare: take
+                // the first step without a branch.
+                s += usize::from(self.ends[s] <= u);
+                while self.ends[s] <= u {
+                    s += 1;
+                }
+                if u >= self.next[s] {
+                    self.next[s] += 1;
+                    break s;
+                }
+            };
+            *slot = state as u32;
+        }
     }
-    out
 }
 
 /// Draw an ordered pair of **distinct** indices uniformly from `[0, n)`,
@@ -705,36 +808,6 @@ mod tests {
         hypergeometric_pairing_table(1, &[3], &[2], 1);
     }
 
-    #[test]
-    fn shuffle_pairing_margins_and_scratch_reuse() {
-        let participants = [40u64, 0, 25, 35, 100];
-        let mut rng = SimRng::new(41);
-        let mut slots = Vec::new();
-        for _ in 0..100 {
-            let t = shuffle_pairing_table(&mut rng, &participants, &mut slots);
-            assert_eq!(t.len(), 25);
-            assert_eq!(t.iter().sum::<u64>(), 100);
-            // Every participant is exactly one initiator or one responder.
-            for (s, &p) in participants.iter().enumerate() {
-                let row: u64 = t[s * 5..(s + 1) * 5].iter().sum();
-                let col: u64 = (0..5).map(|i| t[i * 5 + s]).sum();
-                assert_eq!(row + col, p, "state {s} margin");
-            }
-            assert_eq!(slots.len(), 200);
-        }
-        // The scratch is reused, never required to be empty on entry.
-        assert_eq!(
-            shuffle_pairing_table(&mut rng, &[0, 2, 0], &mut slots),
-            vec![0, 0, 0, 0, 1, 0, 0, 0, 0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "pair up")]
-    fn shuffle_pairing_odd_total_panics() {
-        shuffle_pairing_table(&mut SimRng::new(1), &[2, 1], &mut Vec::new());
-    }
-
     /// Every pairing table of a batch whose participants hold
     /// `participants[s]` agents in state `s`, with its exact probability
     /// `L!·∏ pₛ! / ((2L)!·∏ Mᵢⱼ!)`: the number of slot sequences with
@@ -795,10 +868,18 @@ mod tests {
             .collect()
     }
 
+    /// The α = 0.001 critical value of a chi-square with `df` degrees of
+    /// freedom, from the Wilson–Hilferty approximation.
+    fn chi_square_critical(df: usize) -> f64 {
+        let df = df as f64;
+        let z = 3.090_232; // standard-normal 0.999 quantile
+        let h = 2.0 / (9.0 * df);
+        df * (1.0 - h + z * h.sqrt()).powi(3)
+    }
+
     /// Pearson chi-square of `samples` against the exact `law`, with
     /// cells of expectation below 5 pooled; panics on a table outside the
-    /// law's support. Returns `(statistic, critical value at α = 0.001)`,
-    /// the critical value from the Wilson–Hilferty approximation.
+    /// law's support. Returns `(statistic, critical value at α = 0.001)`.
     fn chi_square_vs_law(law: &[(Vec<u64>, f64)], samples: &[Vec<u64>]) -> (f64, f64) {
         let index: std::collections::HashMap<&[u64], usize> = law
             .iter()
@@ -829,17 +910,40 @@ mod tests {
             .iter()
             .map(|&(e, o)| (o as f64 - e).powi(2) / e)
             .sum();
-        let df = (buckets.len() - 1) as f64;
-        let z = 3.090_232; // standard-normal 0.999 quantile
-        let h = 2.0 / (9.0 * df);
-        (stat, df * (1.0 - h + z * h.sqrt()).powi(3))
+        (stat, chi_square_critical(buckets.len() - 1))
+    }
+
+    /// The pairing table of `draws` agents drawn in schedule order from
+    /// `counts`: slots `2t` and `2t + 1` are the `t`-th pair. Also checks
+    /// the returned per-state drawn counts against the slots.
+    fn schedule_table(
+        sampler: &mut ScheduleSampler,
+        rng: &mut SimRng,
+        counts: &[u64],
+        draws: usize,
+        slots: &mut Vec<u32>,
+    ) -> Vec<u64> {
+        let k = counts.len();
+        let drawn = sampler.sample(rng, counts, draws, slots).to_vec();
+        assert_eq!(slots.len(), draws);
+        let mut tally = vec![0u64; k];
+        for &s in slots.iter() {
+            tally[s as usize] += 1;
+        }
+        assert_eq!(drawn, tally, "drawn counts disagree with the slots");
+        let mut table = vec![0u64; k * k];
+        for pair in slots.chunks_exact(2) {
+            table[pair[0] as usize * k + pair[1] as usize] += 1;
+        }
+        table
     }
 
     #[test]
     fn pairing_samplers_match_the_exact_table_law() {
         // Tiny 3-state margins (2L ≤ 10), where every table can be listed:
-        // the shuffle sampler and the hypergeometric initiator split plus
-        // pairing table must both follow the enumerated law.
+        // the schedule sampler drawing the whole population and the
+        // hypergeometric initiator split plus pairing table must both
+        // follow the enumerated law.
         let reps = 40_000;
         for (case, participants) in [[2u64, 3, 5], [1, 2, 1], [0, 4, 2], [3, 3, 2]]
             .iter()
@@ -850,9 +954,12 @@ mod tests {
             assert!((mass - 1.0).abs() < 1e-9, "{participants:?}: mass {mass}");
             let l = participants.iter().sum::<u64>() / 2;
             let mut rng = SimRng::new(900 + case as u64);
-            let mut slots = Vec::new();
-            let shuffled: Vec<Vec<u64>> = (0..reps)
-                .map(|_| shuffle_pairing_table(&mut rng, participants, &mut slots))
+            let (mut sampler, mut slots) = (ScheduleSampler::new(), Vec::new());
+            let scheduled: Vec<Vec<u64>> = (0..reps)
+                .map(|_| {
+                    let all = 2 * l as usize;
+                    schedule_table(&mut sampler, &mut rng, participants, all, &mut slots)
+                })
                 .collect();
             let tabled: Vec<Vec<u64>> = (0..reps)
                 .map(|_| {
@@ -865,7 +972,7 @@ mod tests {
                     hypergeometric_pairing_table(rng.next(), &initiators, &responders, 1)
                 })
                 .collect();
-            for (name, samples) in [("shuffle", &shuffled), ("table", &tabled)] {
+            for (name, samples) in [("schedule", &scheduled), ("table", &tabled)] {
                 let (stat, crit) = chi_square_vs_law(&law, samples);
                 assert!(
                     stat < crit,
@@ -873,6 +980,147 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The law of the pairing table of `draws` agents drawn without
+    /// replacement from `counts` and read as `draws / 2` ordered pairs:
+    /// [`exact_table_law`] of each participant multiset, mixed over the
+    /// multiset's multivariate hypergeometric law
+    /// `∏ C(cₛ, pₛ) / C(n, draws)`.
+    fn exact_schedule_law(counts: &[u64], draws: u64) -> Vec<(Vec<u64>, f64)> {
+        fn multisets(counts: &[u64], left: u64, p: &mut Vec<u64>, out: &mut Vec<Vec<u64>>) {
+            if p.len() == counts.len() {
+                if left == 0 {
+                    out.push(p.clone());
+                }
+                return;
+            }
+            for m in 0..=left.min(counts[p.len()]) {
+                p.push(m);
+                multisets(counts, left - m, p, out);
+                p.pop();
+            }
+        }
+        let mut all = Vec::new();
+        multisets(counts, draws, &mut Vec::new(), &mut all);
+        let n: u64 = counts.iter().sum();
+        let ln_c = crate::binomial::ln_binomial;
+        let mut law: std::collections::BTreeMap<Vec<u64>, f64> = Default::default();
+        for p in all {
+            let ln_w: f64 = counts
+                .iter()
+                .zip(&p)
+                .map(|(&c, &m)| ln_c(c, m))
+                .sum::<f64>()
+                - ln_c(n, draws);
+            for (table, q) in exact_table_law(&p) {
+                *law.entry(table).or_default() += ln_w.exp() * q;
+            }
+        }
+        law.into_iter().collect()
+    }
+
+    #[test]
+    fn schedule_sampler_matches_the_exact_table_law() {
+        // Tiny populations, where the mixture law can be listed: zero-count
+        // states (leading, inner and trailing), a count of 1, and blocks of
+        // 2L = n − 1 and 2L = n, where most draws land on agents already
+        // drawn and are redrawn.
+        let reps = 40_000;
+        let cases: [(&[u64], usize); 5] = [
+            (&[3, 0, 2, 2], 6),
+            (&[0, 4, 1, 3], 4),
+            (&[2, 1, 3, 0], 6),
+            (&[5, 2, 6], 4),
+            (&[1, 1, 1, 1], 4),
+        ];
+        for (case, &(counts, draws)) in cases.iter().enumerate() {
+            let law = exact_schedule_law(counts, draws as u64);
+            let mass: f64 = law.iter().map(|(_, p)| p).sum();
+            assert!((mass - 1.0).abs() < 1e-9, "{counts:?}: mass {mass}");
+            let mut rng = SimRng::new(950 + case as u64);
+            let (mut sampler, mut slots) = (ScheduleSampler::new(), Vec::new());
+            let samples: Vec<Vec<u64>> = (0..reps)
+                .map(|_| schedule_table(&mut sampler, &mut rng, counts, draws, &mut slots))
+                .collect();
+            let (stat, crit) = chi_square_vs_law(&law, &samples);
+            assert!(
+                stat < crit,
+                "{counts:?}, {draws} draws: chi-square {stat:.2} >= {crit:.2}"
+            );
+        }
+    }
+
+    #[test]
+    fn schedule_sampler_matches_the_table_path_across_guide_buckets() {
+        // n ≥ 2¹⁶ on 4 states: the guide's 16 buckets hold 2¹³ agents each,
+        // and one bucket straddles the empty state 1, the 3-agent state 2
+        // and the start of state 3, so lookups scan across boundaries. The
+        // tables must be homogeneous with the hypergeometric participants,
+        // initiator split and pairing table (two-sample chi-square, rare
+        // tables pooled).
+        let counts = [30_000u64, 0, 3, 40_000];
+        let (draws, l) = (12usize, 6u64);
+        let reps = 40_000;
+        let mut rng = SimRng::new(960);
+        let (mut sampler, mut slots) = (ScheduleSampler::new(), Vec::new());
+        let mut tallies: std::collections::BTreeMap<Vec<u64>, [u64; 2]> = Default::default();
+        for _ in 0..reps {
+            let t = schedule_table(&mut sampler, &mut rng, &counts, draws, &mut slots);
+            tallies.entry(t).or_default()[0] += 1;
+            let participants = multivariate_hypergeometric(&mut rng, &counts, 2 * l);
+            let initiators = multivariate_hypergeometric(&mut rng, &participants, l);
+            let responders: Vec<u64> = participants
+                .iter()
+                .zip(&initiators)
+                .map(|(p, a)| p - a)
+                .collect();
+            let t = hypergeometric_pairing_table(rng.next(), &initiators, &responders, 1);
+            tallies.entry(t).or_default()[1] += 1;
+        }
+        let (mut cells, mut pool) = (Vec::new(), [0u64; 2]);
+        for [a, b] in tallies.into_values() {
+            if a + b < 10 {
+                pool = [pool[0] + a, pool[1] + b];
+            } else {
+                cells.push([a, b]);
+            }
+        }
+        cells.push(pool);
+        // Equal sample sizes: Σ (a − b)² / (a + b).
+        let stat: f64 = cells
+            .iter()
+            .filter(|[a, b]| a + b > 0)
+            .map(|&[a, b]| (a as f64 - b as f64).powi(2) / (a + b) as f64)
+            .sum();
+        let crit = chi_square_critical(cells.len() - 1);
+        assert!(cells.len() > 20, "only {} table classes", cells.len());
+        assert!(stat < crit, "chi-square {stat:.2} >= {crit:.2}");
+    }
+
+    #[test]
+    fn schedule_sampler_reuses_its_buffers() {
+        let mut rng = SimRng::new(970);
+        let (mut sampler, mut slots) = (ScheduleSampler::new(), vec![7u32; 3]);
+        assert_eq!(
+            sampler.sample(&mut rng, &[4, 0, 5], 0, &mut slots),
+            &[0, 0, 0]
+        );
+        assert!(slots.is_empty());
+        // A smaller alphabet after a larger one: nothing carries over.
+        assert_eq!(sampler.sample(&mut rng, &[0, 2], 2, &mut slots), &[0, 2]);
+        assert_eq!(slots, [1, 1]);
+        // Past 2³² agents the sampler falls back to 64-bit draws.
+        let huge = [3u64 << 31, 1 << 31, 5];
+        let drawn = sampler.sample(&mut rng, &huge, 64, &mut slots).to_vec();
+        assert_eq!(drawn.iter().sum::<u64>(), 64);
+        assert!(drawn[0] > drawn[1], "{drawn:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "more than the population")]
+    fn schedule_sampler_overdraw_panics() {
+        ScheduleSampler::new().sample(&mut SimRng::new(1), &[1, 2], 4, &mut Vec::new());
     }
 
     #[test]

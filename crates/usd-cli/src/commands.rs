@@ -410,6 +410,57 @@ fn run_report_json(
     )
 }
 
+/// The outcome line of `usd-sim run`. An ensemble run's interaction clock
+/// is summed over its lanes, so the line says so and divides by
+/// lanes × n: its parallel time is the lane mean the ensemble line
+/// reports.
+fn outcome_line(
+    result: &usd_core::stabilization::StabilizationResult,
+    n: u64,
+    ensemble: Option<&EnsembleOutcome>,
+    elapsed: std::time::Duration,
+) -> String {
+    let (clock, parallel) = if let Some(ens) = ensemble {
+        let lanes = ens.len();
+        let per_lane = result.interactions as f64 / (lanes as f64 * n as f64);
+        (
+            format!(
+                "{} interactions summed over {lanes} lanes",
+                fmt_thousands(result.interactions)
+            ),
+            format!("{per_lane:.2} parallel time per lane"),
+        )
+    } else {
+        (
+            format!("{} interactions", fmt_thousands(result.interactions)),
+            format!("{:.2} parallel time", result.parallel_time(n)),
+        )
+    };
+    match result.outcome {
+        ConsensusOutcome::Winner(w) => format!(
+            "stabilized on opinion {} after {clock} ({parallel}); plurality won: {}; wall clock {elapsed:.2?}",
+            w + 1,
+            result.plurality_won(),
+        ),
+        ConsensusOutcome::AllUndecided => format!(
+            "absorbed in the all-undecided state after {clock}; wall clock {elapsed:.2?}"
+        ),
+        ConsensusOutcome::Frozen => {
+            // Lane-summed replica counts are a mixture whenever lanes
+            // disagree on the winner, even on a connected topology.
+            let why = if ensemble.is_some() {
+                "lane mixture -- see the ensemble line"
+            } else {
+                "disconnected topology"
+            };
+            format!(
+                "froze in a mixed configuration ({why}) after {clock}; wall clock {elapsed:.2?}"
+            )
+        }
+        ConsensusOutcome::Timeout => "budget exhausted".to_string(),
+    }
+}
+
 /// `usd-sim run`.
 pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["max-bias", "telemetry", "histograms"])?;
@@ -751,37 +802,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     let elapsed = started.elapsed();
 
-    match result.outcome {
-        ConsensusOutcome::Winner(w) => println!(
-            "stabilized on opinion {} after {} interactions ({:.2} parallel time); plurality won: {}; wall clock {:.2?}",
-            w + 1,
-            fmt_thousands(result.interactions),
-            result.parallel_time(n),
-            result.plurality_won(),
-            elapsed,
-        ),
-        ConsensusOutcome::AllUndecided => println!(
-            "absorbed in the all-undecided state after {} interactions; wall clock {:.2?}",
-            fmt_thousands(result.interactions),
-            elapsed,
-        ),
-        ConsensusOutcome::Frozen => {
-            // Lane-summed replica counts are a mixture whenever lanes
-            // disagree on the winner, even on a connected topology.
-            let why = if ensemble.is_some() {
-                "lane mixture -- see the ensemble line"
-            } else {
-                "disconnected topology"
-            };
-            println!(
-                "froze in a mixed configuration ({why}) after {} interactions; \
-                 wall clock {:.2?}",
-                fmt_thousands(result.interactions),
-                elapsed,
-            );
-        }
-        ConsensusOutcome::Timeout => println!("budget exhausted"),
-    }
+    println!("{}", outcome_line(&result, n, ensemble.as_ref(), elapsed));
 
     if let Some(ens) = &ensemble {
         // The aggregate outcome above classifies the lane-summed counts
@@ -1354,6 +1375,34 @@ mod tests {
             let err = cmd_run(&s(&args)).unwrap_err().0;
             assert!(err.contains("over the limit of 65536"), "{err}");
         }
+    }
+
+    #[test]
+    fn run_reports_a_replica_clock_as_the_lane_mean() {
+        // A 64-lane pass's aggregate clock is the sum of its lane clocks,
+        // so the line's per-lane parallel time must be the lane mean.
+        let args = "--n 20000 --k 2 --backend replica --max-bias --seed 4";
+        cmd_run(&s(&args.split_whitespace().collect::<Vec<_>>())).unwrap();
+        let n = 20_000;
+        let config = InitialConfigBuilder::new(n, 2).max_admissible_bias();
+        let (result, sim) = RunSpec::new(&config)
+            .backend(Backend::Replica)
+            .replicas(DEFAULT_REPLICAS)
+            .run_keeping(&mut SimRng::new(4));
+        let ens = EnsembleOutcome::from_simulator(sim.unwrap().as_ref(), 2, config.plurality());
+        let times = ens.stabilization_times();
+        assert_eq!(times.len(), 64, "every lane stabilizes");
+        assert_eq!(times.iter().sum::<f64>(), result.interactions as f64);
+        let lane_mean = Summary::of(&times).mean() / n as f64;
+        let line = outcome_line(&result, n, Some(&ens), std::time::Duration::ZERO);
+        let expect = format!(
+            "after {} interactions summed over 64 lanes ({lane_mean:.2} parallel time per lane)",
+            fmt_thousands(result.interactions)
+        );
+        assert!(line.contains(&expect), "{line}");
+        // A single-lane run keeps the plain clock.
+        let line = outcome_line(&result, n, None, std::time::Duration::ZERO);
+        assert!(line.contains(&format!("({:.2} parallel time)", result.parallel_time(n))));
     }
 
     #[test]

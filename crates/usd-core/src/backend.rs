@@ -52,7 +52,7 @@
 //! |---------|---------------|
 //! | `agent` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
 //! | `count` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
-//! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws` (multivariate hypergeometric draws: exactly 1 per shuffle-paired batch, 2 + pairing rows per table-paired batch), `skip_draws`, `dense_steps`/`pair_draws` |
+//! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws` (multivariate hypergeometric draws: 0 per short batch, drawn agent by agent; 2 + pairing rows per table-paired batch), `skip_draws`, `dense_steps`/`pair_draws` |
 //! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*` skipper stats, spans `dense`/`sparse` |
 //! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, the live `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
 //! | `replica` | `scheduled`/`effective` (*lane-aggregate*: +popcount(live)/+popcount(changed) per draw), `dense_steps`/`pair_draws` (per *draw*) |

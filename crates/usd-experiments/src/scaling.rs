@@ -165,16 +165,52 @@ pub fn thm35_report(args: &ExpArgs) -> Report {
         ]);
     }
     report.table("thm35", t);
-    if k_vals.len() >= 2 {
-        let fit = loglog_fit(&k_vals, &t_vals);
-        report.text(format!(
-            "log-log fit of T_parallel vs k: exponent {:.3} (R^2 {:.3}); \
-             the bounds predict an exponent of ~1 (both Omega(k·log) and \
-             O(k·log n) are linear in k up to the inner log).",
-            fit.slope, fit.r_squared
-        ));
+    if let Some(text) = exponent_comparison(n, &k_vals, &t_vals) {
+        report.text(text);
     }
     report
+}
+
+/// E6's exponent sentence: the log-log slope in k of the measured times
+/// `times` beside the slope of Theorem 3.5's lower-bound curve over the
+/// same k grid `ks` — the curve's own exponent, since its inner log bends
+/// it below 1. Each fit needs two points; the curve's are the k where it is
+/// positive (inside the theorem's regime). `None` for a single k.
+fn exponent_comparison(n: u64, ks: &[f64], times: &[f64]) -> Option<String> {
+    if ks.len() < 2 {
+        return None;
+    }
+    let fit = loglog_fit(ks, times);
+    let (curve_k, curve): (Vec<f64>, Vec<f64>) = ks
+        .iter()
+        .map(|&k| (k, Bounds::new(n, k as usize).lower_bound_parallel()))
+        .filter(|&(_, lower)| lower > 0.0)
+        .unzip();
+    let curve_text = if curve_k.len() < 2 {
+        "the lower-bound curve is positive at fewer than two of these k \
+         (outside Theorem 3.5's regime), so it has no exponent to compare"
+            .to_string()
+    } else {
+        let grid = if curve_k.len() == ks.len() {
+            "the same k grid".to_string()
+        } else {
+            format!(
+                "the {} of these {} k where it is positive",
+                curve_k.len(),
+                ks.len()
+            )
+        };
+        let c = loglog_fit(&curve_k, &curve);
+        format!(
+            "the lower-bound curve (k/25)·ln(sqrt(n)/(k ln n)) fitted over \
+             {grid} has exponent {:.3} (R^2 {:.3})",
+            c.slope, c.r_squared
+        )
+    };
+    Some(format!(
+        "log-log fit of T_parallel vs k: exponent {:.3} (R^2 {:.3}); {curve_text}.",
+        fit.slope, fit.r_squared
+    ))
 }
 
 /// E7 report (tightness band).
@@ -371,6 +407,34 @@ mod tests {
     }
 
     #[test]
+    fn exponent_sentence_fits_the_lower_bound_curve_over_the_measured_grid() {
+        // n = 10⁷, k = 2…24: the curve bends well below exponent 1.
+        let n = 10_000_000;
+        let ks: Vec<f64> = (2..=24).step_by(2).map(f64::from).collect();
+        let lower: Vec<f64> = ks
+            .iter()
+            .map(|&k| Bounds::new(n, k as usize).lower_bound_parallel())
+            .collect();
+        let curve = loglog_fit(&ks, &lower);
+        assert!((0.5..0.9).contains(&curve.slope), "{}", curve.slope);
+        let times: Vec<f64> = ks.iter().map(|k| 3.0 * k).collect();
+        let text = exponent_comparison(n, &ks, &times).unwrap();
+        assert!(text.starts_with("log-log fit of T_parallel vs k: exponent 1.000"));
+        let expect = format!("over the same k grid has exponent {:.3}", curve.slope);
+        assert!(text.contains(&expect), "{text}");
+        // k = 64 lies outside the regime at n = 10⁴ (zero curve): the
+        // curve's fit names the k it kept.
+        let text = exponent_comparison(10_000, &[2.0, 3.0, 64.0], &[1.0, 2.0, 3.0]).unwrap();
+        assert!(
+            text.contains("the 2 of these 3 k where it is positive"),
+            "{text}"
+        );
+        let text = exponent_comparison(10_000, &[64.0, 96.0], &[1.0, 2.0]).unwrap();
+        assert!(text.contains("no exponent to compare"), "{text}");
+        assert!(exponent_comparison(n, &[4.0], &[1.0]).is_none());
+    }
+
+    #[test]
     fn reports_render_quick() {
         let args = ExpArgs {
             n: 3_000,
@@ -378,7 +442,10 @@ mod tests {
             seeds: 2,
             ..ExpArgs::default()
         };
-        assert!(thm35_report(&args).render().contains("Theorem 3.5"));
+        let e6 = thm35_report(&args).render();
+        assert!(e6.contains("Theorem 3.5"));
+        assert!(e6.contains("lower-bound curve"), "{e6}");
+        assert!(!e6.contains("predict"), "{e6}");
         assert!(tightness_report(&args).render().contains("Tightness"));
         assert!(k2_report(&args).render().contains("k = 2"));
     }

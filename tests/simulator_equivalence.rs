@@ -120,7 +120,7 @@ where
 /// α = 0.01, 200 runs per backend — the batch simulator's headline
 /// correctness criterion. At k = 2 and 3 most batches take the
 /// hypergeometric pairing table; at k = 20 every batch is short next to
-/// the 21² state pairs and takes the participant shuffle.
+/// the 21² state pairs and is drawn agent by agent in schedule order.
 #[test]
 fn batch_vs_count_usd_stabilization_ks() {
     let n = 10_000u64;
@@ -226,17 +226,17 @@ fn batch_runs_across_thread_counts(n: u64, budget: u64) -> pop_proto::EngineTele
 }
 
 /// The batch engine's per-batch pairing is bit-neutral in the worker-thread
-/// cap: identical trajectories for any thread count. Which sampler pairs a
-/// batch — the participant shuffle for short batches, the
+/// cap: identical trajectories for any thread count. Which sampler draws a
+/// batch — the schedule-order agent draws for short batches, the
 /// position-derived tree-stream table (k ≥ 16) for long ones — depends
 /// only on the batch, never on the thread count. At n = 2·10⁵ every batch
-/// is short next to the 21² state pairs, so this leg pins the shuffle
-/// path: exactly one hypergeometric draw (the participants) per batch.
+/// is short next to the 21² state pairs, so this leg pins the short path:
+/// no hypergeometric draw at all.
 #[test]
 fn batch_pairing_rows_bit_identical_across_thread_counts() {
     let t = batch_runs_across_thread_counts(200_000, 30_000_000);
     assert!(t.blocks > 0);
-    assert_eq!(t.table_draws, t.blocks, "a batch left the shuffle path");
+    assert_eq!(t.table_draws, 0, "a batch left the short path");
 }
 
 /// The same bit-identity where the crossover picks the table: at n = 4·10⁸
