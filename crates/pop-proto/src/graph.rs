@@ -54,13 +54,20 @@ enum Form {
 /// Panic unless `n` vertices and `m` edges fit the engines' `u32` ids.
 fn check_width(n: usize, m: usize) {
     assert!(
-        n as u64 <= 1 << 32 && (m as u64).saturating_mul(2) <= u64::from(u32::MAX),
+        Graph::ids_fit(n as u64, m as u64),
         "graph too large for u32 ids: n = {n}, m = {m} (needs n <= 2^32 and 2m <= {})",
         u32::MAX
     );
 }
 
 impl Graph {
+    /// Whether `n` vertices and `m` edges fit the width ceiling every
+    /// constructor enforces (`n ≤ 2³²`, `2m ≤ u32::MAX`), so a caller can
+    /// refuse a graph before allocating it.
+    pub fn ids_fit(n: u64, m: u64) -> bool {
+        n <= 1 << 32 && m.saturating_mul(2) <= u64::from(u32::MAX)
+    }
+
     /// Build from an explicit edge list. Self-loops and out-of-range
     /// endpoints are rejected; duplicate edges are kept (they bias the
     /// scheduler toward that pair, which callers may intend).

@@ -122,12 +122,32 @@ impl TopologyFamily {
                 }
             }
             TopologyFamily::Regular { d } => {
-                let n = n.max(d + 1);
-                if n * d % 2 == 1 {
-                    n + 1 // odd n with odd d: bump to make n·d even
+                let n = n.max(d.saturating_add(1));
+                if n % 2 == 1 && d % 2 == 1 {
+                    n.saturating_add(1) // odd n with odd d: bump to make n·d even
                 } else {
                     n
                 }
+            }
+        }
+    }
+
+    /// The most edges a graph of this family on `n` vertices can have,
+    /// worked out without building it (saturating). Exact for every family
+    /// but `er`, whose binomial edge count is bounded by its mean plus
+    /// 8√mean (at least 8 standard deviations; near the `u32` id ceiling
+    /// the tail past it is below 10⁻¹³), capped at C(n, 2).
+    pub fn max_edges(&self, n: u64) -> u64 {
+        let pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
+        match *self {
+            TopologyFamily::Complete => pairs,
+            TopologyFamily::Cycle => n,
+            TopologyFamily::Torus => n.saturating_mul(2),
+            TopologyFamily::Hypercube => n.saturating_mul(u64::from(n.max(1).ilog2())) / 2,
+            TopologyFamily::Regular { d } => n.saturating_mul(d as u64) / 2,
+            TopologyFamily::ErdosRenyi { avg_degree } => {
+                let mean = pairs as f64 * (avg_degree / (n as f64 - 1.0)).clamp(0.0, 1.0);
+                ((mean + 8.0 * mean.sqrt()).ceil() as u64).min(pairs)
             }
         }
     }
@@ -502,8 +522,20 @@ mod tests {
                 let g = fam.build(snapped, 7);
                 assert_eq!(g.n(), snapped);
                 assert_eq!(fam.snap_n(snapped), snapped, "{fam} snap not idempotent");
+                // The pre-build edge count is exact, and a bound for `er`.
+                let (m, bound) = (g.num_edges() as u64, fam.max_edges(snapped as u64));
+                match fam {
+                    TopologyFamily::ErdosRenyi { .. } => assert!(m <= bound, "{fam} n={n}"),
+                    _ => assert_eq!(m, bound, "{fam} n={snapped}"),
+                }
             }
         }
+        // Sizes past every id ceiling saturate instead of overflowing.
+        assert_eq!(TopologyFamily::Complete.max_edges(u64::MAX), u64::MAX / 2);
+        assert_eq!(
+            TopologyFamily::Regular { d: usize::MAX }.snap_n(5),
+            usize::MAX
+        );
         assert_eq!(TopologyFamily::Torus.snap_n(1000), 961); // 31²
         assert_eq!(TopologyFamily::Hypercube.snap_n(1000), 512);
         assert_eq!(TopologyFamily::Regular { d: 3 }.snap_n(99), 100); // parity

@@ -1,15 +1,14 @@
-//! Categorical, multinomial, and hypergeometric sampling.
+//! Categorical and hypergeometric sampling.
 //!
-//! These primitives back the initial-configuration builders (randomized
-//! opinion assignments), the Gossip-model round simulation, and the hot
-//! loop of the clique batch engine (`pop_proto::BatchSimulator`), which
-//! draws a short block's agents one by one with [`ScheduleSampler`] and a
-//! long block's participants and pairing table with
-//! [`multivariate_hypergeometric`] and [`hypergeometric_pairing_table`].
-//! All samplers take a [`SimRng`] (or a master seed for the
-//! position-derived streams) and are exact: no normal approximations. The
-//! O(n) reference samplers ([`multinomial_counts`],
-//! [`sample_hypergeometric`]) stay out of the hot loop.
+//! These primitives back the hot loop of the clique batch engine
+//! (`pop_proto::BatchSimulator`), which draws a short block's agents one
+//! by one with [`ScheduleSampler`] and a long block's participants and
+//! pairing table with [`multivariate_hypergeometric`] and
+//! [`hypergeometric_pairing_table`]. All samplers take a [`SimRng`] (or a
+//! master seed for the position-derived streams) and are exact: no normal
+//! approximations. The O(draws) urn sampler [`sample_hypergeometric`]
+//! stays out of the hot loop: it is the small-draw branch of
+//! [`sample_hypergeometric_fast`](crate::binomial::sample_hypergeometric_fast).
 
 use crate::rng::SimRng;
 
@@ -27,45 +26,6 @@ pub fn categorical_index(rng: &mut SimRng, weights: &[u64]) -> usize {
         r -= w;
     }
     unreachable!("categorical scan exhausted weights");
-}
-
-/// Sample a category index proportional to float `weights` (linear scan).
-///
-/// Panics on negative weights or a non-positive total.
-pub fn categorical_index_f64(rng: &mut SimRng, weights: &[f64]) -> usize {
-    let mut total = 0.0;
-    for &w in weights {
-        assert!(w >= 0.0, "negative weight {w}");
-        total += w;
-    }
-    assert!(total > 0.0, "categorical with non-positive total weight");
-    let r = rng.f64() * total;
-    let mut acc = 0.0;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w;
-        if r < acc {
-            return i;
-        }
-    }
-    // Floating point edge: return last category with positive weight.
-    weights
-        .iter()
-        .rposition(|&w| w > 0.0)
-        .expect("positive total implies a positive weight")
-}
-
-/// Exact multinomial sample: distribute `n` trials over categories with the
-/// given integer `weights`, by O(n) repeated categorical draws.
-///
-/// This is intentionally the simple exact algorithm: it is used only for
-/// building initial configurations (once per run), never in the interaction
-/// loop.
-pub fn multinomial_counts(rng: &mut SimRng, n: u64, weights: &[u64]) -> Vec<u64> {
-    let mut counts = vec![0u64; weights.len()];
-    for _ in 0..n {
-        counts[categorical_index(rng, weights)] += 1;
-    }
-    counts
 }
 
 /// Exact hypergeometric sample: number of "successes" when drawing `draws`
@@ -87,37 +47,6 @@ pub fn sample_hypergeometric(rng: &mut SimRng, total: u64, successes: u64, draws
         remaining_total -= 1;
     }
     got
-}
-
-/// Exact multinomial sample in O(k) binomial draws instead of O(n)
-/// categorical draws: category `i` receives
-/// `Binomial(remaining trials, wᵢ / remaining weight)` conditioned on the
-/// earlier categories — the standard conditional-binomial decomposition.
-///
-/// Identical in distribution to [`multinomial_counts`]; use this for large
-/// `n` (the batch simulator and bulk initial configurations).
-pub fn multinomial_counts_fast(rng: &mut SimRng, n: u64, weights: &[u64]) -> Vec<u64> {
-    let mut total: u64 = weights.iter().sum();
-    assert!(total > 0, "multinomial with all-zero weights");
-    let mut counts = vec![0u64; weights.len()];
-    let mut remaining = n;
-    for (i, &w) in weights.iter().enumerate() {
-        if remaining == 0 {
-            break;
-        }
-        if w == 0 {
-            continue;
-        }
-        if w == total {
-            counts[i] = remaining;
-            break;
-        }
-        let draw = crate::binomial::sample_binomial(rng, remaining, w as f64 / total as f64);
-        counts[i] = draw;
-        remaining -= draw;
-        total -= w;
-    }
-    counts
 }
 
 /// Chunk width for the blocked chain-rule walk in
@@ -577,59 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn categorical_f64_respects_weights() {
-        let mut rng = SimRng::new(2);
-        let weights = [0.25, 0.75];
-        let mut counts = [0u64; 2];
-        for _ in 0..40_000 {
-            counts[categorical_index_f64(&mut rng, &weights)] += 1;
-        }
-        let frac = counts[1] as f64 / 40_000.0;
-        assert!((frac - 0.75).abs() < 0.02, "frac {frac}");
-    }
-
-    #[test]
     #[should_panic(expected = "all-zero")]
     fn categorical_zero_weights_panics() {
         let mut rng = SimRng::new(3);
         categorical_index(&mut rng, &[0, 0]);
-    }
-
-    #[test]
-    fn multinomial_conserves_total_and_matches_proportions() {
-        let mut rng = SimRng::new(4);
-        let counts = multinomial_counts(&mut rng, 60_000, &[1, 2, 3]);
-        assert_eq!(counts.iter().sum::<u64>(), 60_000);
-        assert!((counts[0] as f64 - 10_000.0).abs() < 600.0);
-        assert!((counts[1] as f64 - 20_000.0).abs() < 800.0);
-        assert!((counts[2] as f64 - 30_000.0).abs() < 900.0);
-    }
-
-    #[test]
-    fn multinomial_fast_conserves_total_and_matches_proportions() {
-        let mut rng = SimRng::new(14);
-        let counts = multinomial_counts_fast(&mut rng, 600_000, &[1, 0, 2, 3]);
-        assert_eq!(counts.iter().sum::<u64>(), 600_000);
-        assert_eq!(counts[1], 0);
-        assert!((counts[0] as f64 - 100_000.0).abs() < 2_500.0, "{counts:?}");
-        assert!((counts[2] as f64 - 200_000.0).abs() < 3_500.0, "{counts:?}");
-        assert!((counts[3] as f64 - 300_000.0).abs() < 4_000.0, "{counts:?}");
-    }
-
-    #[test]
-    fn multinomial_fast_matches_slow_distribution() {
-        // Compare first-category marginals of the two algorithms via KS.
-        let reps = 30_000;
-        let mut fast = Vec::with_capacity(reps);
-        let mut slow = Vec::with_capacity(reps);
-        let mut rng = SimRng::new(15);
-        for _ in 0..reps {
-            fast.push(multinomial_counts_fast(&mut rng, 200, &[2, 3, 5])[0] as f64);
-            slow.push(multinomial_counts(&mut rng, 200, &[2, 3, 5])[0] as f64);
-        }
-        let d = crate::ks::ks_statistic(&fast, &slow);
-        let crit = crate::ks::ks_critical_value(reps, reps, 0.001);
-        assert!(d < crit, "KS {d} >= crit {crit}");
     }
 
     #[test]

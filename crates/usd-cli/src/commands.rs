@@ -4,7 +4,7 @@ use pop_proto::checkpoint::{SnapshotReader, SnapshotWriter};
 use pop_proto::telemetry::timeline::phase_tag;
 use pop_proto::telemetry::EngineTelemetry;
 use pop_proto::topology::TopologyFamily;
-use pop_proto::{EventHistograms, Simulator, StateWord, TimelineRecorder};
+use pop_proto::{EventHistograms, Simulator, TimelineRecorder};
 use sim_stats::rng::SimRng;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
@@ -42,7 +42,9 @@ commands:
            per bit of a machine word) and prints a per-lane ensemble
            summary; --replicas sets the lane count (default 64, replica
            backend only). Checkpoints of ensemble runs carry the lane
-           count in their identity (backend 'replica:<lanes>').
+           count in their identity (backend 'replica:<lanes>'), and runs
+           on regular/er graphs carry --topo-seed (a resume onto another
+           graph is refused).
            --threads caps the worker threads of the batch engine's
            hypergeometric fan-out (default: USD_THREADS env, else all
            cores); trajectories are bit-identical for any thread count.
@@ -74,9 +76,10 @@ commands:
            resumed run reproduces the uninterrupted run byte-for-byte
            (final state and timeline)
   sweep  --n <u64> [--seeds <u64>] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|replica]
+         [--backend agent|count|batch|graph|batchgraph]
            stabilization time across the admissible k grid vs the bounds
-           (same backend default as run)
+           (same backend default as run; one run per seed, so the replica
+           ensemble engine is refused)
   bounds --n <u64> --k <usize>
            print the paper's bound curves for (n, k)
   trace  <file.usdt>
@@ -372,13 +375,16 @@ fn print_histograms(backend: Backend, hist: &EventHistograms) {
 
 /// One-line schema-stable JSON run report (`run --telemetry=json`): the
 /// instance, the outcome, the optional `--histograms` quantiles, and the
-/// engine's telemetry object (always the last key).
+/// engine's telemetry object (always the last key). An ensemble run's
+/// `interactions` sums its `lanes` lane clocks, so `parallel_time` divides
+/// by lanes × n: the lane mean, as on the outcome line.
 #[allow(clippy::too_many_arguments)]
 fn run_report_json(
     backend: Backend,
     n: u64,
     k: usize,
     seed: u64,
+    lanes: u32,
     result: &usd_core::stabilization::StabilizationResult,
     elapsed: std::time::Duration,
     histograms: Option<&EventHistograms>,
@@ -395,7 +401,7 @@ fn run_report_json(
     });
     format!(
         "{{\"backend\":\"{}\",\"n\":{},\"k\":{},\"seed\":{},\
-         \"outcome\":\"{}\",\"interactions\":{},\"parallel_time\":{:.6},\
+         \"outcome\":\"{}\",\"lanes\":{lanes},\"interactions\":{},\"parallel_time\":{:.6},\
          \"wall_ms\":{:.3},{}\"telemetry\":{}}}",
         backend.name(),
         n,
@@ -403,7 +409,7 @@ fn run_report_json(
         seed,
         outcome,
         result.interactions,
-        result.parallel_time(n),
+        result.interactions as f64 / (f64::from(lanes) * n as f64),
         elapsed.as_secs_f64() * 1e3,
         histograms,
         telemetry.to_json(),
@@ -485,25 +491,11 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         Backend::clique_default(n, ObservationGranularity::Block)
     });
     let caps = backend.capabilities();
-    let lanes: u32 = match flags.get::<u32>("replicas")? {
-        Some(0) => {
-            return Err(CliError("--replicas must be at least 1".to_string()));
-        }
-        Some(r) if r > DEFAULT_REPLICAS => {
-            return Err(CliError(format!(
-                "--replicas {r} exceeds the {DEFAULT_REPLICAS}-lane word width"
-            )));
-        }
-        Some(r) if r > caps.replicas => {
-            return Err(CliError(format!(
-                "--replicas {r} requires --backend replica (the {backend} \
-                 backend runs a single lane)"
-            )));
-        }
-        Some(r) => r,
-        None if caps.replicas > 1 => DEFAULT_REPLICAS,
-        None => 1,
-    };
+    let lanes: u32 = flags.get("replicas")?.unwrap_or(if caps.replicas > 1 {
+        DEFAULT_REPLICAS
+    } else {
+        1
+    });
     let threads: Option<usize> = match flags.get::<usize>("threads")? {
         Some(0) => {
             return Err(CliError("--threads must be at least 1".to_string()));
@@ -524,6 +516,16 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         format!("{}:{lanes}", backend.name())
     } else {
         backend.name().to_string()
+    };
+    // Topology identity likewise: the families whose graph is drawn from
+    // --topo-seed append it, so a checkpoint never resumes onto another
+    // graph.
+    let topo_id = match topology {
+        Some(f @ (TopologyFamily::Regular { .. } | TopologyFamily::ErdosRenyi { .. })) => {
+            format!("{f}, topo-seed {topo_seed}")
+        }
+        Some(f) => f.name(),
+        None => String::new(),
     };
     let trace_path: Option<String> = flags.get("trace")?;
     let telemetry_format = match flags.get_opt("telemetry") {
@@ -576,13 +578,6 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let resume_path: Option<String> = flags.get("resume")?;
     let want_histograms = flags.has("histograms");
     if let Some(family) = topology {
-        if !caps.topologies {
-            return Err(CliError(format!(
-                "--topology requires a topology-capable backend \
-                 ({}), got {backend}",
-                Backend::names_where(|c| c.topologies)
-            )));
-        }
         if trace_path.is_some() {
             return Err(CliError(
                 "trace recording is clique-only (drop --topology)".to_string(),
@@ -594,9 +589,9 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
             n = snapped;
         }
     }
-    if n < 2 || k < 1 || (k as u64) > n {
-        return Err(CliError(format!("invalid instance n={n}, k={k}")));
-    }
+    backend
+        .check(n, k, lanes, topology)
+        .map_err(|e| CliError(e.to_string()))?;
     if trace_path.is_some() && lanes > 1 {
         return Err(CliError(format!(
             "--trace records one trajectory; the {backend} run packs {lanes} lanes \
@@ -616,25 +611,6 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(p) = &checkpoint_path {
         preflight_writable(p, "--checkpoint")?;
-    }
-    if matches!(backend, Backend::Graph | Backend::BatchGraph)
-        && topology.is_none()
-        && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
-    {
-        return Err(CliError(format!(
-            "--backend {backend} without --topology runs the complete graph \
-             (n(n-1)/2 edges); n={n} exceeds the cap of {} — pass --topology \
-             for a sparse graph or use agent/count/batch for the clique",
-            usd_core::backend::COMPLETE_GRAPH_MAX_N
-        )));
-    }
-    let state_limit = <u16 as StateWord>::LIMIT;
-    if matches!(backend, Backend::Graph | Backend::BatchGraph) && k + 1 > state_limit {
-        return Err(CliError(format!(
-            "--backend {backend} packs each agent's state in 16 bits: k={k} opinions \
-             need {} states, over the limit of {state_limit}",
-            k + 1
-        )));
     }
 
     let builder = InitialConfigBuilder::new(n, k);
@@ -669,8 +645,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         Some(p) => {
             let (ckpt, from) = RunCheckpoint::load(Path::new(p))
                 .map_err(|e| CliError(format!("--resume {p}: {e}")))?;
-            let topo_name = topology.map(|f| f.name()).unwrap_or_default();
-            ckpt.check_identity(&backend_id, n, k as u32, seed, &topo_name)
+            ckpt.check_identity(&backend_id, n, k as u32, seed, &topo_id)
                 .map_err(|e| CliError(format!("--resume {p}: {e}")))?;
             Some((ckpt, from))
         }
@@ -721,7 +696,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
             n,
             k: k as u32,
             seed,
-            topology: topology.map(|f| f.name()).unwrap_or_default(),
+            topology: topo_id.clone(),
             written: 0,
         }),
     };
@@ -845,6 +820,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
                         n,
                         k,
                         seed,
+                        lanes,
                         &result,
                         elapsed,
                         histograms.as_ref(),
@@ -902,17 +878,17 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     if n < 16 {
         return Err(CliError("need --n >= 16".into()));
     }
-    if matches!(backend, Backend::Graph | Backend::BatchGraph)
-        && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
-    {
+    if backend.capabilities().replicas > 1 {
         return Err(CliError(format!(
-            "--backend {backend} sweeps the complete graph; n={n} exceeds the \
-             cap of {}",
-            usd_core::backend::COMPLETE_GRAPH_MAX_N
+            "sweep reads one run per seed, and --backend {backend} sums its lanes into one \
+             pass; ensemble lanes are read by `usd-sim run --backend replica` and topology_sweep"
         )));
     }
-
     let max_k = ((n as f64).sqrt() / (n as f64).ln()).floor().max(3.0) as usize;
+    backend
+        .check(n, max_k, 1, None)
+        .map_err(|e| CliError(e.to_string()))?;
+
     let mut t = TextTable::new(&["k", "T parallel", "lower", "T/lower", "upper", "T/upper"]);
     let mut k = 3usize;
     while k <= max_k {
@@ -1353,9 +1329,48 @@ mod tests {
         let _ = std::fs::remove_file(dir.join("removed.ckpt.prev"));
     }
 
+    /// `regular` and `er` graphs are drawn from --topo-seed, so a
+    /// checkpoint refuses to resume onto a graph drawn from another seed.
+    #[test]
+    fn resume_refuses_a_different_topology_seed() {
+        let dir = std::env::temp_dir().join(format!("usd_cli_topo_seed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("c.ckpt");
+        let path = ckpt.to_str().unwrap();
+        let run = "--n 40000 --k 2 --seed 5 --topology regular:4 --backend agent";
+        let args = |extra: &str| {
+            s(&format!("{run} {extra}")
+                .split_whitespace()
+                .collect::<Vec<_>>())
+        };
+        cmd_run(&args(&format!(
+            "--checkpoint {path} --checkpoint-every 200000"
+        )))
+        .unwrap();
+        cmd_run(&args(&format!("--resume {path}"))).unwrap();
+        let err = cmd_run(&args(&format!("--resume {path} --topo-seed 8")))
+            .unwrap_err()
+            .0;
+        assert!(
+            err.contains("topology 'regular:4, topo-seed 7' (flags say 'regular:4, topo-seed 8')"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn sweep_command_runs_small() {
         cmd_sweep(&s(&["--n", "2000", "--seeds", "1"])).unwrap();
+        // A 64-lane pass sums its lanes' clocks: not one run per seed.
+        let err = cmd_sweep(&s(&["--n", "5000", "--seeds", "1", "--backend", "replica"]))
+            .unwrap_err()
+            .0;
+        assert!(
+            err.contains("`usd-sim run --backend replica` and topology_sweep"),
+            "{err}"
+        );
+        let err = cmd_sweep(&s(&["--n", "20000", "--backend", "graph"])).unwrap_err();
+        assert!(err.0.contains("exceeds the 10000 cap"), "{}", err.0);
     }
 
     #[test]
@@ -1374,6 +1389,28 @@ mod tests {
             let args: Vec<&str> = args.split_whitespace().collect();
             let err = cmd_run(&s(&args)).unwrap_err().0;
             assert!(err.contains("over the limit of 65536"), "{err}");
+        }
+        // Refused before anything is built: a cycle past the u32 edge ids,
+        // a replica alphabet past 16 bit planes, and a complete topology
+        // whose edge list alone would take 40 GB.
+        for (args, why) in [
+            (
+                "--n 3000000000 --k 2 --topology cycle --backend graph",
+                "past the u32 id ceiling",
+            ),
+            (
+                "--n 200000 --k 70000 --backend replica --bias 0 --replicas 2",
+                "over the limit of 65536",
+            ),
+            (
+                "--n 100000 --k 2 --topology complete",
+                "past the u32 id ceiling",
+            ),
+        ] {
+            let err = cmd_run(&s(&args.split_whitespace().collect::<Vec<_>>()))
+                .unwrap_err()
+                .0;
+            assert!(err.contains(why), "{args}: {err}");
         }
     }
 
@@ -1400,6 +1437,24 @@ mod tests {
             fmt_thousands(result.interactions)
         );
         assert!(line.contains(&expect), "{line}");
+        // The JSON report names the lane count and carries the lane mean.
+        let telemetry = EngineTelemetry::new();
+        let zero = std::time::Duration::ZERO;
+        let json = run_report_json(
+            Backend::Replica,
+            n,
+            2,
+            4,
+            64,
+            &result,
+            zero,
+            None,
+            &telemetry,
+        );
+        let field = json.split("\"parallel_time\":").nth(1).unwrap();
+        let parallel: f64 = field.split(',').next().unwrap().parse().unwrap();
+        assert!((parallel - lane_mean).abs() < 1e-5, "{json}");
+        assert!(json.contains(",\"lanes\":64,"), "{json}");
         // A single-lane run keeps the plain clock.
         let line = outcome_line(&result, n, None, std::time::Duration::ZERO);
         assert!(line.contains(&format!("({:.2} parallel time)", result.parallel_time(n))));

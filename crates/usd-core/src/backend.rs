@@ -20,10 +20,11 @@
 //! [`RunSpec`] runs any of them to stabilization behind
 //! one entry point, so experiments, the CLI, examples, and benches select
 //! an engine generically. What each backend can do — graph topologies,
-//! packed replica lanes, multi-thread execution, observation granularity,
-//! checkpointing — is declared in one place,
-//! [`Backend::capabilities`], which the argument-validation and
-//! construction paths consult. The `agent`, `graph`, `batchgraph`, and
+//! packed replica lanes, multi-thread execution, observation granularity —
+//! is declared in one place, [`Backend::capabilities`], and whether a run
+//! can be built at all is decided in one place, [`Backend::check`], which
+//! the binaries call before any work and [`RunSpec`]'s build paths call
+//! before constructing an engine. The `agent`, `graph`, `batchgraph`, and
 //! `replica` backends run on non-clique interaction
 //! graphs ([`RunSpec::topology`](crate::RunSpec::topology) builds a
 //! [`TopologyFamily`] graph, places the initial configuration uniformly at
@@ -92,7 +93,8 @@
 use crate::config::UsdConfig;
 use crate::runspec::RunSpec;
 use crate::stabilization::{ConsensusOutcome, StabilizationResult};
-use pop_proto::{Simulator, TopologyFamily};
+use pop_proto::simulator::MAX_PLANES;
+use pop_proto::{Graph, Simulator, StateWord, TopologyFamily};
 use sim_stats::rng::SimRng;
 
 /// A named USD simulation backend.
@@ -186,8 +188,97 @@ impl Backend {
             },
             threads: matches!(self, Backend::Batch),
             observation: granularity,
-            checkpointing: true,
         }
+    }
+
+    /// Whether this backend can build a run of `k` opinions over `n` agents
+    /// packed `lanes` to a pass, on the clique (`topology` `None`) or on a
+    /// `topology` graph of exactly `n` vertices: the one admissibility
+    /// decision. It takes plain inputs, so a binary can call it before it
+    /// builds a configuration and exit 2 on `Err`; [`RunSpec`]'s build paths
+    /// call it with their resolved backend and lane count and panic with its
+    /// message. It allocates only for the message of an `Err`. The rules:
+    ///
+    /// - n ≥ 2 and 1 ≤ k ≤ n;
+    /// - 1 ≤ lanes ≤ `capabilities().replicas`;
+    /// - at most 65,536 states (k + 1) on `graph` and `batchgraph` (16-bit
+    ///   state words) and on `replica` (16 bit planes);
+    /// - on the clique, `graph` and `batchgraph` only up to
+    ///   [`COMPLETE_GRAPH_MAX_N`] agents: they materialize the complete
+    ///   graph;
+    /// - a topology only on a topology-capable backend, with vertex and
+    ///   orientation ids that fit `u32` ([`Graph::ids_fit`] on
+    ///   [`TopologyFamily::max_edges`], worked out before anything is
+    ///   allocated; for `er`, whose edge count is random, that bound
+    ///   carries a tail margin), at a size [`TopologyFamily::snap_n`]
+    ///   leaves unchanged.
+    pub fn check(
+        self,
+        n: u64,
+        k: usize,
+        lanes: u32,
+        topology: Option<TopologyFamily>,
+    ) -> Result<(), SpecError> {
+        let refuse = |msg: String| Err(SpecError(msg));
+        if n < 2 || k < 1 || k as u64 > n {
+            return refuse(format!(
+                "invalid instance n = {n}, k = {k} (a run needs n >= 2 and 1 <= k <= n)"
+            ));
+        }
+        let caps = self.capabilities();
+        if lanes < 1 {
+            return refuse("a run needs at least one replica lane".to_string());
+        }
+        if lanes > caps.replicas {
+            return refuse(format!(
+                "{self} cannot pack {lanes} replica lanes into one engine pass \
+                 (its capabilities().replicas ceiling is {})",
+                caps.replicas
+            ));
+        }
+        let state_limit = match self {
+            Backend::Graph | Backend::BatchGraph => <u16 as StateWord>::LIMIT,
+            Backend::Replica => 1 << MAX_PLANES,
+            Backend::Agent | Backend::Count | Backend::Batch => usize::MAX,
+        };
+        if k >= state_limit {
+            return refuse(format!(
+                "{self} packs each agent's state in 16 bits: k = {k} opinions need {} \
+                 states, over the limit of {state_limit}",
+                k as u64 + 1
+            ));
+        }
+        let Some(family) = topology else {
+            if matches!(self, Backend::Graph | Backend::BatchGraph) && n > COMPLETE_GRAPH_MAX_N {
+                return refuse(format!(
+                    "{self} on the clique materializes the complete graph's n(n-1)/2 edges: \
+                     n = {n} exceeds the {COMPLETE_GRAPH_MAX_N} cap (run a sparse topology, \
+                     or agent, count or batch on the clique)"
+                ));
+            }
+            return Ok(());
+        };
+        if !caps.topologies {
+            return refuse(format!(
+                "{self} cannot run graph topologies (topology-capable: {})",
+                Backend::names_where(|c| c.topologies)
+            ));
+        }
+        let edges = family.max_edges(n);
+        if !Graph::ids_fit(n, edges) {
+            return refuse(format!(
+                "the {family} graph on n = {n} vertices has up to {edges} edges, past the \
+                 u32 id ceiling (n <= 2^32 and 2m <= {})",
+                u32::MAX
+            ));
+        }
+        let snapped = family.snap_n(n as usize) as u64;
+        if snapped != n {
+            return refuse(format!(
+                "n = {n} is not a feasible {family} size (the nearest is {snapped})"
+            ));
+        }
+        Ok(())
     }
 
     /// The clique engine a run that names no backend gets: a pure function
@@ -228,9 +319,9 @@ pub enum ObservationGranularity {
 
 /// What a [`Backend`] can do, declared in one place.
 ///
-/// Argument validation (the CLI's exit-2 paths) and the [`RunSpec`]
-/// construction panics all route through this struct, so adding a
-/// backend means filling in one table instead of auditing call sites.
+/// [`Backend::check`] reads its topology and lane fields, so adding a
+/// backend means filling in one table (and the check's state limit)
+/// instead of auditing call sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capabilities {
     /// Runs on non-clique interaction graphs
@@ -245,12 +336,19 @@ pub struct Capabilities {
     /// Observation granularity of
     /// [`advance_observed`](pop_proto::Simulator::advance_observed).
     pub observation: ObservationGranularity,
-    /// Supports [`snapshot_state`](pop_proto::Simulator::snapshot_state) /
-    /// [`restore_state`](pop_proto::Simulator::restore_state) round-trips
-    /// (all current backends do; declared so a future backend without
-    /// them fails validation instead of corrupting a resume).
-    pub checkpointing: bool,
 }
+
+/// Why [`Backend::check`] refused a run: one line naming the broken rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError(pub String);
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -283,9 +381,10 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Largest population for which [`make_simulator`] will materialize the
-/// complete graph for [`Backend::Graph`] (~10⁸/2 edges ≈ 1.2 GB of edge
-/// list + adjacency at the cap).
+/// Largest population for which [`Backend::check`] admits [`Backend::Graph`]
+/// and [`Backend::BatchGraph`] on the clique, which they run as the
+/// materialized complete graph (~10⁸/2 edges ≈ 1.2 GB of edge list +
+/// adjacency at the cap).
 pub const COMPLETE_GRAPH_MAX_N: u64 = 10_000;
 
 /// Construct a generic-substrate simulator for `config` as a trait object.
@@ -312,10 +411,9 @@ pub fn make_simulator(backend: Backend, config: &UsdConfig) -> Box<dyn Simulator
 /// The graph is built deterministically from `(family, n, topo_seed)` and
 /// the initial configuration is placed uniformly at random on its vertices
 /// (drawing from `rng`; one shuffled layout per lane for
-/// [`Backend::Replica`], lane 0 first). Only the topology-capable backends
-/// are accepted (see [`Backend::capabilities`]); the population
-/// must already be feasible for the family (see
-/// [`TopologyFamily::snap_n`]). Delegates to
+/// [`Backend::Replica`], lane 0 first). Panics unless [`Backend::check`]
+/// admits the run: a topology-capable backend, and a population already
+/// feasible for the family (see [`TopologyFamily::snap_n`]). Delegates to
 /// [`RunSpec::build_simulator`](crate::RunSpec::build_simulator).
 pub fn make_topology_simulator(
     backend: Backend,
@@ -485,7 +583,6 @@ mod tests {
                 "{b}"
             );
             assert_eq!(caps.replicas > 1, b == Backend::Replica, "{b}");
-            assert!(caps.checkpointing, "{b}: every current engine snapshots");
             assert!(caps.replicas >= 1, "{b}");
         }
         assert_eq!(Backend::Replica.capabilities().replicas, 64);
@@ -741,6 +838,102 @@ mod tests {
             }
             let (_, sim) = spec.run_keeping(&mut SimRng::new(2));
             assert_eq!(engine_tag(sim), tag, "n = {n}, observed = {observed}");
+        }
+    }
+
+    /// [`Backend::check`] over `Backend::ALL` × the clique and every
+    /// family × edge sizes, opinion counts and lane counts. Where the
+    /// instance is small enough to build (n ≤ 300, 1 ≤ k ≤ n),
+    /// `build_simulator` panics exactly when the check refuses, and every
+    /// admitted run drives at budgets 0 and 1,000 without panicking.
+    /// Larger inputs go through the check alone.
+    #[test]
+    fn check_refuses_exactly_the_runs_that_cannot_build() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use TopologyFamily::{Complete, Cycle, ErdosRenyi, Hypercube, Regular, Torus};
+        let cap = COMPLETE_GRAPH_MAX_N;
+        let families = [
+            Complete,
+            Cycle,
+            Torus,
+            Hypercube,
+            Regular { d: 4 },
+            ErdosRenyi { avg_degree: 8.0 },
+        ];
+        let topologies: Vec<_> = std::iter::once(None).chain(families.map(Some)).collect();
+        let mut admitted = 0;
+        for b in Backend::ALL {
+            for &topology in &topologies {
+                for n in [0u64, 1, 2, 3, 256, 300, cap, cap + 1] {
+                    for k in [1, n as usize, n as usize + 1, 65_535, 65_536] {
+                        for lanes in [0, 1, 2, 64, 65] {
+                            let verdict = b.check(n, k, lanes, topology);
+                            if k == 0 || k as u64 > n {
+                                assert!(verdict.is_err(), "{b} n={n} k={k}");
+                            }
+                            if k == 0 || k as u64 > n || n > 300 {
+                                continue;
+                            }
+                            let (base, rem) = (n / k as u64, n % k as u64);
+                            let counts = (0..k as u64).map(|i| base + u64::from(i < rem));
+                            let config = UsdConfig::decided(counts.collect());
+                            let spec = || {
+                                let spec = RunSpec::new(&config).backend(b).replicas(lanes);
+                                match topology {
+                                    Some(family) => spec.topology(family).topo_seed(3),
+                                    None => spec,
+                                }
+                            };
+                            let build = || spec().build_simulator(&mut SimRng::new(1));
+                            let builds = catch_unwind(AssertUnwindSafe(build)).is_ok();
+                            let case = format!("{b} n={n} k={k} lanes={lanes} {topology:?}");
+                            assert_eq!(builds, verdict.is_ok(), "{case}: {verdict:?}");
+                            if builds {
+                                admitted += 1;
+                                for budget in [0, 1_000] {
+                                    spec().budget(budget).run(&mut SimRng::new(2));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(admitted > 100, "only {admitted} small runs admitted");
+        // Check only: sizes past the engines' limits, or too large to build.
+        let on_graph = |b: Backend| matches!(b, Backend::Graph | Backend::BatchGraph);
+        let packed = |b: Backend| on_graph(b) || b == Backend::Replica;
+        for b in Backend::ALL {
+            let topo = b.capabilities().topologies;
+            // The complete-graph cap on the clique.
+            assert!(b.check(cap, 2, 1, None).is_ok(), "{b}");
+            assert_eq!(b.check(cap + 1, 2, 1, None).is_ok(), !on_graph(b), "{b}");
+            // The 16-bit state packing, on a cycle where topologies run.
+            let place = if topo { Some(Cycle) } else { None };
+            let wide = 1 << 17;
+            assert!(b.check(wide, 65_535, 1, place).is_ok(), "{b}");
+            assert_eq!(b.check(wide, 65_536, 1, place).is_ok(), !packed(b), "{b}");
+            // The u32 id ceiling: 2m <= u32::MAX, m = n on the cycle, 2n on
+            // the torus, n(n-1)/2 on the complete graph, and the mean 4n
+            // plus 8√(4n) on er:8 (at n = 536,800,000 the mean alone fits).
+            for (family, fits, wider) in [
+                (Cycle, (1 << 31) - 1, 1 << 31),
+                (Cycle, (1 << 31) - 1, 3_000_000_000),
+                (Torus, 32_767 * 32_767, 32_768 * 32_768),
+                (Complete, 65_536, 65_537),
+                (ErdosRenyi { avg_degree: 8.0 }, 536_000_000, 536_800_000),
+            ] {
+                assert_eq!(
+                    b.check(fits, 2, 1, Some(family)).is_ok(),
+                    topo,
+                    "{b} {family}"
+                );
+                let err = b.check(wider, 2, 1, Some(family)).unwrap_err();
+                assert!(
+                    !topo || err.0.contains("u32 id ceiling"),
+                    "{b} {family}: {err}"
+                );
+            }
         }
     }
 

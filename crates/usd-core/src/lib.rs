@@ -69,6 +69,7 @@ pub use analysis::{
 };
 pub use backend::{
     make_simulator, make_topology_simulator, Backend, Capabilities, ObservationGranularity,
+    SpecError,
 };
 pub use checkpoint::{RunCheckpoint, RunIdentity};
 pub use config::UsdConfig;

@@ -52,6 +52,19 @@
 //! [`RunCheckpoint`](crate::checkpoint::RunCheckpoint), clock mid-flight)
 //! re-enter the identical chunked drive loop through [`RunSpec::drive`].
 //!
+//! # Admission
+//!
+//! The setters never panic. [`Backend::check`] decides whether a spec can
+//! be built, and holds every rule: instance shape, lane count, state
+//! packing, the complete-graph cap, topology capability, feasible size
+//! and the graph's `u32` id width. [`build_simulator`](RunSpec::build_simulator)
+//! and [`run_keeping`](RunSpec::run_keeping) (so [`run`](RunSpec::run)
+//! too) call it with the resolved backend and lane count before building
+//! anything, and panic with its message on `Err`; [`drive`](RunSpec::drive)
+//! takes an engine already built. The binaries call [`Backend::check`] on
+//! their plain inputs first and exit 2 on `Err`, so no flag reaches these
+//! panics.
+//!
 //! # Drive loops
 //!
 //! Two loops drive every run. A clique run with no ticker and no observer
@@ -65,13 +78,11 @@
 //! graph at the end of every observed advancement, so the chunk boundary
 //! after a freeze sees it.
 
-use crate::backend::{
-    classify_counts, Backend, ObservationGranularity, RunTicker, COMPLETE_GRAPH_MAX_N,
-};
+use crate::backend::{classify_counts, Backend, ObservationGranularity, RunTicker};
 use crate::config::UsdConfig;
 use crate::protocol::UndecidedStateDynamics;
 use crate::stabilization::StabilizationResult;
-use pop_proto::simulator::{shuffled_layout, MAX_LANES};
+use pop_proto::simulator::shuffled_layout;
 use pop_proto::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Graph,
     GraphScheduler, Observation, Protocol, ReplicaSimulator, SimObserver, Simulator, StateWord,
@@ -163,8 +174,7 @@ impl<'a> RunSpec<'a> {
     /// Run on a [`TopologyFamily`] graph instead of the clique. The graph
     /// is deterministic in `(family, n, topo_seed)`; the initial layout is
     /// placed uniformly at random on its vertices (drawing from the run
-    /// RNG). Only topology-capable backends are accepted
-    /// ([`Backend::capabilities`]).
+    /// RNG). [`Backend::check`] admits topology-capable backends only.
     pub fn topology(mut self, family: TopologyFamily) -> Self {
         self.topology = Some(family);
         self
@@ -178,9 +188,9 @@ impl<'a> RunSpec<'a> {
 
     /// Pack `replicas` independent lanes of the same configuration into
     /// one engine pass (1 ≤ r ≤ 64). Only [`Backend::Replica`] packs
-    /// lanes (`capabilities().replicas`); every other backend accepts
-    /// exactly 1. Defaults to [`DEFAULT_REPLICAS`] for the replica
-    /// backend and 1 otherwise.
+    /// lanes (`capabilities().replicas`); [`Backend::check`] admits
+    /// exactly 1 on every other backend. Defaults to [`DEFAULT_REPLICAS`]
+    /// for the replica backend and 1 otherwise.
     pub fn replicas(mut self, replicas: u32) -> Self {
         self.replicas = Some(replicas);
         self
@@ -240,35 +250,25 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// The resolved lane count: [`replicas`](RunSpec::replicas) if set
-    /// (validated against the backend's `capabilities().replicas`
-    /// ceiling), else [`DEFAULT_REPLICAS`] for [`Backend::Replica`] and 1
-    /// otherwise.
+    /// The resolved lane count: [`replicas`](RunSpec::replicas) if set,
+    /// else [`DEFAULT_REPLICAS`] for [`Backend::Replica`] and 1 otherwise.
     pub fn lanes(&self) -> u32 {
-        let backend = self.engine();
         match self.replicas {
-            None => {
-                if backend == Backend::Replica {
-                    DEFAULT_REPLICAS
-                } else {
-                    1
-                }
-            }
-            Some(r) => {
-                assert!(r >= 1, "a run needs at least one replica lane");
-                assert!(
-                    r as usize <= MAX_LANES as usize,
-                    "{r} replica lanes exceed the {MAX_LANES}-lane word width"
-                );
-                let ceiling = backend.capabilities().replicas;
-                assert!(
-                    r <= ceiling,
-                    "{backend} cannot pack {r} replica lanes into one engine pass \
-                     (its capabilities().replicas ceiling is {ceiling})"
-                );
-                r
-            }
+            Some(r) => r,
+            None if self.engine() == Backend::Replica => DEFAULT_REPLICAS,
+            None => 1,
         }
+    }
+
+    /// The resolved engine and lane count, admitted by [`Backend::check`]:
+    /// panics with the check's message on a run the engines cannot build.
+    fn admit(&self) -> (Backend, u32) {
+        let (backend, lanes) = (self.engine(), self.lanes());
+        let (n, k) = (self.config.n(), self.config.k());
+        if let Err(e) = backend.check(n, k, lanes, self.topology) {
+            panic!("{e}");
+        }
+        (backend, lanes)
     }
 
     /// Construct the engine this spec describes, without driving it — the
@@ -278,31 +278,19 @@ impl<'a> RunSpec<'a> {
     /// `REPLICA_CLIQUE_LAYOUT_SEED`'s docs); topology construction
     /// draws the shuffled initial layout(s) — lane 0 first for replica
     /// runs, so a scalar run from the same stream starts identically.
+    /// Panics unless [`Backend::check`] admits the spec.
     pub fn build_simulator(&self, rng: &mut SimRng) -> Box<dyn Simulator> {
+        let (backend, lanes) = self.admit();
         match self.topology {
-            None => self.build_clique(),
+            None => self.build_clique(backend, lanes),
             Some(family) => {
-                let graph = self.build_graph(family);
-                self.build_on_graph(graph, rng)
+                let graph = family.build(self.config.n() as usize, self.topo_seed);
+                self.build_on_graph(backend, lanes, graph, rng)
             }
         }
     }
 
-    /// Build the topology graph, refusing a backend that cannot run one.
-    fn build_graph(&self, family: TopologyFamily) -> Graph {
-        let backend = self.engine();
-        if !backend.capabilities().topologies {
-            panic!(
-                "{backend} cannot run graph topologies (topology-capable: {})",
-                Backend::names_where(|c| c.topologies)
-            );
-        }
-        family.build(self.config.n() as usize, self.topo_seed)
-    }
-
-    fn build_clique(&self) -> Box<dyn Simulator> {
-        let lanes = self.lanes();
-        let backend = self.engine();
+    fn build_clique(&self, backend: Backend, lanes: u32) -> Box<dyn Simulator> {
         let proto = UndecidedStateDynamics::new(self.config.k());
         let counts = self.config.to_count_config();
         match backend {
@@ -318,16 +306,7 @@ impl<'a> RunSpec<'a> {
             Backend::Graph | Backend::BatchGraph => {
                 // Degenerate clique instance: the complete graph,
                 // materialized as a Θ(n²) edge list — demo/ablation
-                // territory. Refuse sizes whose edge list would silently
-                // eat gigabytes; sparse topologies at large n go through
-                // `RunSpec::topology`.
-                assert!(
-                    self.config.n() <= COMPLETE_GRAPH_MAX_N,
-                    "backend '{backend}' on the complete graph materializes n(n-1)/2 edges; \
-                     n = {} exceeds the {COMPLETE_GRAPH_MAX_N} cap (use --topology for \
-                     sparse graphs, or agent/count/batch for the clique)",
-                    self.config.n()
-                );
+                // territory, capped by `Backend::check`.
                 let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
                 // Agents are exchangeable on the clique: the block layout.
                 let states = counts
@@ -352,9 +331,13 @@ impl<'a> RunSpec<'a> {
         }
     }
 
-    fn build_on_graph(&self, graph: Graph, rng: &mut SimRng) -> Box<dyn Simulator> {
-        let lanes = self.lanes();
-        let backend = self.engine();
+    fn build_on_graph(
+        &self,
+        backend: Backend,
+        lanes: u32,
+        graph: Graph,
+        rng: &mut SimRng,
+    ) -> Box<dyn Simulator> {
         let proto = UndecidedStateDynamics::new(self.config.k());
         let counts = self.config.to_count_config();
         match backend {
@@ -371,7 +354,7 @@ impl<'a> RunSpec<'a> {
                     (0..lanes).map(|_| shuffled_layout(&counts, rng)).collect();
                 Box::new(ReplicaSimulator::new_graph(proto, graph, &layouts))
             }
-            _ => unreachable!("capabilities().topologies admitted {backend}"),
+            _ => unreachable!("Backend::check admitted {backend} on a topology"),
         }
     }
 
@@ -384,6 +367,7 @@ impl<'a> RunSpec<'a> {
     /// state — telemetry, histograms, per-lane outcomes — survives the
     /// drive. The engine slot is `None` only for an edgeless topology
     /// graph (very sparse `er`): trivially silent, nothing to construct.
+    /// Panics unless [`Backend::check`] admits the spec.
     pub fn run_keeping(
         mut self,
         rng: &mut SimRng,
@@ -392,21 +376,21 @@ impl<'a> RunSpec<'a> {
         let plurality = self.config.plurality();
         let budget = self.budget;
         // Resolve before the observer is taken: it decides the default.
-        self.backend = Some(self.engine());
+        let (backend, lanes) = self.admit();
         let ticker = self.ticker.take();
         let observer = self.observer.take();
         let mut sim = match self.topology {
             Some(family) => {
-                let graph = self.build_graph(family);
+                let graph = family.build(self.config.n() as usize, self.topo_seed);
                 if graph.num_edges() == 0 {
                     // Edgeless graph: nothing can ever interact.
                     let counts = self.config.to_count_config();
                     let result = classify_counts(counts.counts(), k, 0, true, plurality);
                     return (result, None);
                 }
-                self.build_on_graph(graph, rng)
+                self.build_on_graph(backend, lanes, graph, rng)
             }
-            None => self.build_clique(),
+            None => self.build_clique(backend, lanes),
         };
         if self.span_timing {
             sim.set_span_timing(true);

@@ -87,7 +87,6 @@ pub fn barrier_cell(
 pub fn barrier_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n.min(20_000), 4_000);
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => {
@@ -96,6 +95,7 @@ pub fn barrier_report(args: &ExpArgs) -> Report {
             ks
         }
     };
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         barrier_cell(backend, n, k, seeds, args.seed)
     });

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p usd-experiments --bin topology_sweep -- \
 //!     [--n <max>] [--k <opinions>] [--seeds <reps>] [--topology <family>]
-//!     [--degree <d>] [--backend <graph|batchgraph|agent>] [--threads <t>]
+//!     [--degree <d>] [--backend <graph|batchgraph|agent|replica>] [--threads <t>]
 //!     [--quick] [--csv out.csv] [--timeline-dir <dir>]
 //! ```
 //!
@@ -12,10 +12,10 @@
 //! `usd_experiments::topology` module docs for the measured columns.
 //! `--timeline-dir` additionally writes one flight-recorder JSONL per
 //! sweep cell (from the cell's representative run) into the directory.
-//! Invalid flag combinations (a clique-only `--backend`, `--degree` on a
-//! family that takes none, a `--k` past the graph engine's 16-bit state
-//! packing, an unwritable `--timeline-dir`) exit with status 2 before any
-//! work runs.
+//! Invalid flag combinations (`--degree` on a family that takes none, an
+//! unwritable `--timeline-dir`, and any cell `Backend::check` refuses: a
+//! clique-only `--backend`, a `--k` past the 16-bit state packing or past
+//! a cell's population) exit with status 2 before any work runs.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();
@@ -42,7 +42,7 @@ mod tests {
         assert!(validate_args(&parse(&["--backend", "batch"])).is_err());
         let err = validate_args(&parse(&["--backend", "count"])).unwrap_err();
         assert!(
-            err.contains("(use agent, graph, batchgraph, replica)"),
+            err.contains("(topology-capable: agent, graph, batchgraph, replica)"),
             "{err}"
         );
         for name in ["skip", "pargraph"] {
@@ -51,14 +51,18 @@ mod tests {
         }
         assert!(validate_args(&parse(&["--topology", "cycle", "--degree", "4"])).is_err());
         assert!(validate_args(&parse(&["--topology", "regular:8", "--degree", "4"])).is_ok());
-        // Alphabets past the graph engine's 16-bit state packing.
-        for backend in ["--backend graph", "--backend batchgraph", ""] {
-            let flags = format!("--k 70000 {backend}");
+        // Every cell is checked before the first runs: k = 300 fits the
+        // quick grid's n = 1,024 cells but not its n = 256 ones, and
+        // k = 70,000 (past the 16-bit state packing too) fits no cell.
+        for flags in [
+            "--quick --k 300 --seeds 1",
+            "--k 70000 --backend graph",
+            "--k 70000 --backend agent",
+        ] {
             let flags: Vec<&str> = flags.split_whitespace().collect();
             let err = validate_args(&parse(&flags)).unwrap_err();
-            assert!(err.contains("over the limit of 65536"), "{err}");
+            assert!(err.contains("invalid instance n = "), "{err}");
         }
-        assert!(validate_args(&parse(&["--k", "65535"])).is_ok());
-        assert!(validate_args(&parse(&["--k", "70000", "--backend", "agent"])).is_ok());
+        assert!(validate_args(&parse(&["--quick", "--k", "200"])).is_ok());
     }
 }

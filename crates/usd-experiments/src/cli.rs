@@ -15,10 +15,9 @@
 //! --degree <d>     degree parameter for regular/er families
 //! --backend <b>    simulation backend, where the experiment honors it
 //!                  (fig1, the lemma probes E3/E4/E5, the scaling sweeps
-//!                  E6/E7/E10, E8, E11, and E13: any generic backend;
-//!                  topology_sweep: any backend whose
-//!                  `capabilities().topologies` holds — agent, graph,
-//!                  batchgraph, replica)
+//!                  E6/E7/E10, E8, E11, and E13: any single-lane backend;
+//!                  topology_sweep: any topology-capable backend — agent,
+//!                  graph, batchgraph, replica)
 //! --timeline-dir <dir>
 //!                  write one flight-recorder JSONL per sweep cell from
 //!                  the cell's representative run (topology_sweep only)
@@ -199,23 +198,33 @@ impl ExpArgs {
         self.backend.unwrap_or(default)
     }
 
-    /// [`ExpArgs::backend_or`] for clique experiments running at
-    /// population `n`: validates the choice via
-    /// [`validate_clique_backend`] and exits(2) with the error message
-    /// when the run could only panic later — the [`ExpArgs::from_env`]
-    /// convention for flag errors, intended for the binary-backed report
-    /// entry points. Library embedders that must not have their process
-    /// terminated should pre-validate via [`validate_clique_backend`]
-    /// before calling a report function.
-    pub fn clique_backend_or(&self, default: Backend, n: u64) -> Backend {
+    /// [`ExpArgs::backend_or`] for a clique experiment over `n` agents at
+    /// each opinion count in `ks`. Exits 2 with a one-line message — the
+    /// [`ExpArgs::from_env`] convention for flag errors, intended for the
+    /// binary-backed report entry points — before any run starts, when
+    /// [`Backend::check`] refuses one of the runs or when the backend packs
+    /// replica lanes: these reports read one run's clock and counts per
+    /// sample, and an ensemble pass sums its lanes. Library embedders that
+    /// must not have their process terminated call [`Backend::check`]
+    /// before a report function.
+    pub fn clique_backend_or(&self, default: Backend, n: u64, ks: &[usize]) -> Backend {
         let backend = self.backend_or(default);
-        match validate_clique_backend(backend, n) {
-            Ok(()) => backend,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
+        let verdict = if backend.capabilities().replicas > 1 {
+            Err(format!(
+                "--backend {backend} sums its lanes into one pass, and this experiment reads \
+                 one run per sample; ensemble lanes are read by `usd-sim run --backend \
+                 replica` and topology_sweep"
+            ))
+        } else {
+            ks.iter()
+                .try_for_each(|&k| backend.check(n, k, 1, None))
+                .map_err(|e| e.to_string())
+        };
+        if let Err(msg) = verdict {
+            eprintln!("{msg}");
+            std::process::exit(2);
         }
+        backend
     }
 
     /// Quick-mode reduction helper: `value` normally, `quick` when --quick.
@@ -226,23 +235,6 @@ impl ExpArgs {
             value
         }
     }
-}
-
-/// Validate a backend choice for a *clique* experiment at population `n`:
-/// the graph engines here mean the complete graph, whose Θ(n²) edge list
-/// is capped at [`usd_core::backend::COMPLETE_GRAPH_MAX_N`] agents.
-/// Binaries call this (via [`ExpArgs::clique_backend_or`]) up front and
-/// exit non-zero instead of panicking mid-run.
-pub fn validate_clique_backend(backend: Backend, n: u64) -> Result<(), String> {
-    let cap = usd_core::backend::COMPLETE_GRAPH_MAX_N;
-    if matches!(backend, Backend::Graph | Backend::BatchGraph) && n > cap {
-        return Err(format!(
-            "--backend {backend} runs the complete graph in this experiment \
-             (n(n-1)/2 edges); n = {n} exceeds the {cap} cap — pass --n {cap} \
-             or less (or --quick), or use topology_sweep for sparse graphs"
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -309,17 +301,6 @@ mod tests {
         assert!(parse(&["--degree", "x"]).is_err());
         let a = parse(&["--topology", "hypercube"]).unwrap();
         assert_eq!(a.topology, Some(TopologyFamily::Hypercube));
-    }
-
-    #[test]
-    fn clique_backend_validation() {
-        use usd_core::backend::COMPLETE_GRAPH_MAX_N;
-        assert!(validate_clique_backend(Backend::Graph, COMPLETE_GRAPH_MAX_N).is_ok());
-        assert!(validate_clique_backend(Backend::Graph, COMPLETE_GRAPH_MAX_N + 1).is_err());
-        assert!(validate_clique_backend(Backend::BatchGraph, 1_000_000).is_err());
-        // Non-graph backends have no cap.
-        assert!(validate_clique_backend(Backend::Batch, u64::MAX / 2).is_ok());
-        assert!(validate_clique_backend(Backend::Count, 1_000_000).is_ok());
     }
 
     #[test]

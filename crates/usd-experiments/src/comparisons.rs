@@ -108,7 +108,7 @@ pub fn bias_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(8_000));
     let k = args.k_or(8.min((n / 100) as usize).max(2));
     let seeds = args.unless_quick(args.seeds.max(10), 3);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &[k]);
     let grid = bias_grid(n, k);
     let cells = runner::sweep(args.seed, grid, |_, &b, _| {
         bias_cell(backend, n, k, b, seeds, args.seed)
@@ -388,7 +388,8 @@ impl NoU for UsdConfig {
 pub fn baseline_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n.min(10_000), 2_000);
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
+    let ks: Vec<usize> = [2, 5].into_iter().filter(|&k| k as u64 * 4 <= n).collect();
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &ks);
     let mut report = Report::new();
     report.heading(format!(
         "E11 / Baseline comparison at the Figure-1 bias, n={}, backend={backend}",
@@ -400,10 +401,7 @@ pub fn baseline_report(args: &ExpArgs) -> Report {
          time; the 4-state protocol is always-correct but slow; \
          Gossip-model dynamics stabilize in rounds (n interactions each).",
     );
-    for k in [2usize, 5] {
-        if (k as u64) * 4 > n {
-            continue;
-        }
+    for k in ks {
         let rows = baseline_rows(backend, n, k, seeds, args.seed ^ (k as u64));
         let mut t = TextTable::new(&["protocol", "unit", "mean time", "plurality wins"]);
         for r in &rows {

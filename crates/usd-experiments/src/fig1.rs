@@ -294,7 +294,7 @@ pub fn fig1_left_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(20_000));
     let k = args.k_or(theory::figure1_k(n));
     let default = Backend::clique_default(n, ObservationGranularity::Event);
-    let backend = args.clique_backend_or(default, n);
+    let backend = args.clique_backend_or(default, n, &[k]);
     let run = simulate_fig1_run_with(n, k, args.seed, default_budget(n, k), backend);
     let mut report = Report::new();
     report.heading(format!(
@@ -339,7 +339,7 @@ pub fn fig1_right_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(20_000));
     let k = args.k_or(theory::figure1_k(n));
     let default = Backend::clique_default(n, ObservationGranularity::Event);
-    let backend = args.clique_backend_or(default, n);
+    let backend = args.clique_backend_or(default, n, &[k]);
     let run = simulate_fig1_run_with(n, k, args.seed, default_budget(n, k), backend);
     let mut report = Report::new();
     report.heading(format!(

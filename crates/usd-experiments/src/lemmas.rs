@@ -109,11 +109,11 @@ pub fn lemma31_cell(
 pub fn lemma31_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(10_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => default_k_grid(n),
     };
+    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         lemma31_cell(backend, n, k, seeds, args.seed)
     });
@@ -239,11 +239,11 @@ pub fn lemma33_cell(
 pub fn lemma33_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(10_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => default_k_grid(n),
     };
+    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         lemma33_cell(backend, n, k, seeds, args.seed)
     });
@@ -377,11 +377,11 @@ pub fn lemma34_cell(
 pub fn lemma34_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(10_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => default_k_grid(n),
     };
+    let backend = args.clique_backend_or(Backend::clique_default(n, Event), n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         lemma34_cell(backend, n, k, seeds, args.seed)
     });

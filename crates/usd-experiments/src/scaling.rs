@@ -105,11 +105,11 @@ pub fn scaling_k_grid(n: u64) -> Vec<usize> {
 pub fn thm35_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(8_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => scaling_k_grid(n),
     };
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         measure_cell(backend, n, k, seeds, args.seed)
     });
@@ -217,11 +217,11 @@ fn exponent_comparison(n: u64, ks: &[f64], times: &[f64]) -> Option<String> {
 pub fn tightness_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n, args.n.min(8_000));
     let seeds = args.unless_quick(args.seeds, 2);
-    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n);
     let ks = match args.k {
         Some(k) => vec![k],
         None => scaling_k_grid(n),
     };
+    let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         measure_cell(backend, n, k, seeds, args.seed)
     });
@@ -282,7 +282,7 @@ pub fn tightness_report(args: &ExpArgs) -> Report {
 pub fn k2_report(args: &ExpArgs) -> Report {
     let seeds = args.unless_quick(args.seeds.max(5), 3);
     let max_n = args.unless_quick(args.n.max(64_000), 8_000);
-    let backend = args.clique_backend_or(Backend::clique_default(max_n, Block), max_n);
+    let backend = args.clique_backend_or(Backend::clique_default(max_n, Block), max_n, &[2]);
     // Geometric n grid from 1000 up to max_n.
     let mut ns = Vec::new();
     let mut n = 1_000u64;

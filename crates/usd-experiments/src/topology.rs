@@ -61,26 +61,19 @@ pub struct TopologyCell {
     pub timeline: Option<String>,
 }
 
-/// Validate an E14 flag combination before running anything: the backend
-/// must be topology-capable and `--degree` must target a
-/// degree-parameterized family. Binaries call this up front and exit
+/// Validate an E14 flag combination before running anything: `--degree`
+/// must target a degree-parameterized family, and [`Backend::check`] must
+/// admit every cell of the sweep. Binaries call this up front and exit
 /// non-zero on `Err` instead of silently falling back (or panicking deep
 /// inside the sweep).
 pub fn validate_args(args: &ExpArgs) -> Result<(), String> {
     let backend = args.backend_or(Backend::BatchGraph);
-    if !backend.capabilities().topologies {
-        return Err(format!(
-            "--backend {backend} cannot run graph topologies (use {})",
-            Backend::names_where(|c| c.topologies)
-        ));
-    }
-    let (k, state_limit) = (args.k_or(2), <u16 as pop_proto::StateWord>::LIMIT);
-    if matches!(backend, Backend::Graph | Backend::BatchGraph) && k + 1 > state_limit {
-        return Err(format!(
-            "--backend {backend} packs each agent's state in 16 bits: --k {k} \
-             needs {} states, over the limit of {state_limit}",
-            k + 1
-        ));
+    for (family, n) in grid(args) {
+        let n = family.snap_n(n as usize) as u64;
+        // A replica cell packs seeds.clamp(1, 64) lanes: always admitted.
+        backend
+            .check(n, args.k_or(2), 1, Some(family))
+            .map_err(|e| e.to_string())?;
     }
     if let (Some(family), Some(d)) = (args.topology, args.degree) {
         if !family.takes_degree() {
@@ -443,15 +436,9 @@ fn load_cell(
     })
 }
 
-/// E14 report: families × population sizes.
-pub fn topology_report(args: &ExpArgs) -> Report {
-    let k = args.k_or(2);
-    let backend = args.backend_or(Backend::BatchGraph);
-    assert!(
-        backend.capabilities().topologies,
-        "--backend {backend} cannot run graph topologies (use {})",
-        Backend::names_where(|c| c.topologies)
-    );
+/// The sweep's (family, nominal n) cells in report order: families ×
+/// population sizes.
+fn grid(args: &ExpArgs) -> Vec<(TopologyFamily, u64)> {
     let single_family = args.topology.is_some();
     let ns: Vec<u64> = if args.quick {
         vec![256, 1024]
@@ -473,6 +460,18 @@ pub fn topology_report(args: &ExpArgs) -> Report {
         }
         ns
     };
+    families(args)
+        .into_iter()
+        .flat_map(|f| ns.iter().map(move |&n| (f, n)))
+        .collect()
+}
+
+/// E14 report: families × population sizes. Call [`validate_args`] first:
+/// a cell it would refuse panics inside the sweep.
+pub fn topology_report(args: &ExpArgs) -> Report {
+    let k = args.k_or(2);
+    let backend = args.backend_or(Backend::BatchGraph);
+    let single_family = args.topology.is_some();
     let seeds = args.unless_quick(args.seeds.max(5), 3);
     // An explicit --topology is an explicit ask: uncapped effective work.
     let eff_budget = if single_family {
@@ -480,11 +479,7 @@ pub fn topology_report(args: &ExpArgs) -> Report {
     } else {
         args.unless_quick(DEFAULT_EFFECTIVE_BUDGET, 1 << 22)
     };
-    let fams = families(args);
-    let cells: Vec<(TopologyFamily, u64)> = fams
-        .iter()
-        .flat_map(|&f| ns.iter().map(move |&n| (f, n)))
-        .collect();
+    let cells = grid(args);
     let record_timeline = args.timeline_dir.is_some();
     // Resolved once for the whole sweep, exactly as the runner resolves
     // its worker count — persisted cells are valid only for this value.

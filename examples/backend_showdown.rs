@@ -11,11 +11,13 @@
 //! clock per backend. With the default n = 2 000 000 the batch
 //! backend's sub-constant-per-interaction leaping is already visible; pass
 //! a larger n (it alone handles 10⁸+ comfortably) to watch the gap widen.
-//! The graph-engine rows (`graph`, `batchgraph`) materialize all C(n, 2)
-//! clique edges, so they sit out
-//! once that edge list stops being demo-sized (run with n ≤ 10 000 to see
-//! them; their real habitat is sparse topologies via `usd-sim run
-//! --topology`).
+//! A backend `Backend::check` refuses prints a "skipped" row with its
+//! reason: the graph-engine rows (`graph`, `batchgraph`) materialize all
+//! C(n, 2) clique edges, so they sit out once that edge list stops being
+//! demo-sized (run with n ≤ 10 000 to see them; their real habitat is
+//! sparse topologies via `usd-sim run --topology`). The replica row packs
+//! 64 lanes into one pass: its interaction count sums the lanes, and its
+//! parallel time is the lane mean.
 
 use plurality_consensus::prelude::*;
 use usd_core::backend::Backend;
@@ -49,24 +51,21 @@ fn main() {
     );
 
     for backend in Backend::ALL {
-        // The agentwise engine allocates per-agent state; skip it once n
-        // makes that silly in a demo. The graph engine's degenerate clique
-        // instance materializes all C(n, 2) edges — demo-sized populations
-        // only.
-        if backend.capabilities().topologies
-            && backend != Backend::Agent
-            && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
-        {
-            println!("{:<8} {:>16}", backend.name(), "(skipped: O(n^2) edges)");
+        let spec = RunSpec::new(&config).backend(backend);
+        let lanes = spec.lanes();
+        if let Err(e) = backend.check(n, k, lanes, None) {
+            println!("{:<8} (skipped: {e})", backend.name());
             continue;
         }
+        // The per-agent engines allocate O(n) state; skip them once n
+        // makes that silly in a demo.
         if backend.per_agent_memory() && n > 20_000_000 {
             println!("{:<8} {:>16}", backend.name(), "(skipped: O(n) memory)");
             continue;
         }
         let mut rng = SimRng::new(7);
         let start = std::time::Instant::now();
-        let result = RunSpec::new(&config).backend(backend).run(&mut rng);
+        let result = spec.run(&mut rng);
         let wall = start.elapsed();
         let winner = match result.outcome {
             ConsensusOutcome::Winner(w) => format!("opinion {}", w + 1),
@@ -74,13 +73,17 @@ fn main() {
             ConsensusOutcome::Frozen => "frozen".to_string(),
             ConsensusOutcome::Timeout => "timeout".to_string(),
         };
+        let summed = if lanes > 1 {
+            format!(" (interactions summed over {lanes} lanes, time per lane)")
+        } else {
+            String::new()
+        };
         println!(
-            "{:<8} {:>16} {:>12.2} {:>12.2?} {}",
+            "{:<8} {:>16} {:>12.2} {:>12.2?} {winner}{summed}",
             backend.name(),
             result.interactions,
-            result.parallel_time(n),
+            result.interactions as f64 / (f64::from(lanes) * n as f64),
             wall,
-            winner
         );
         rows.push(format!(
             "  {{\"backend\":\"{}\",\"topology\":\"clique\",\"n\":{n},\"mode\":\"stabilize\",\
