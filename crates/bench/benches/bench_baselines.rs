@@ -2,7 +2,7 @@
 //! models) or a fixed block of interactions (PP models) costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pop_proto::{CountConfig, CountSimulator};
+use pop_proto::{CountConfig, CountSimulator, Simulator};
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
 use usd_baselines::{FourStateMajority, GossipUsd, SynchronizedUsd, ThreeMajority, VoterDynamics};

@@ -40,7 +40,7 @@ fn drive<S: Simulator>(mut sim: S, rng: &mut SimRng, target: u64) -> u64 {
         if done >= target || sim.is_silent() {
             return done;
         }
-        if sim.advance(rng, target - done) == 0 {
+        if sim.advance_changed(rng, target - done).0 == 0 {
             return done;
         }
     }

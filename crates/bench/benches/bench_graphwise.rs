@@ -43,7 +43,7 @@ fn drive<S: Simulator>(sim: &mut S, rng: &mut SimRng, target: u64) -> u64 {
         if done >= target || sim.is_silent() {
             return done;
         }
-        if sim.advance(rng, target - done) == 0 {
+        if sim.advance_changed(rng, target - done).0 == 0 {
             return done;
         }
     }

@@ -1,15 +1,13 @@
-//! Categorical-sampling structures: Fenwick vs linear scan vs alias table.
-//!
-//! The simulation hot path samples from mutating count distributions, so
-//! the Fenwick tree's O(log k) update+sample is the design point; the
-//! alias table (O(1) sample, O(k) rebuild) only wins for static
-//! distributions — exactly the crossover this bench shows.
+//! Sampling structures of the simulation hot path: the Fenwick tree's
+//! O(log k) sample (static weights) and sample-plus-update (the count
+//! engine's mutating distribution), and the batch engine's hypergeometric
+//! splits, pairing tables and schedule-order block draws.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pop_proto::{AliasTable, FenwickSampler};
+use pop_proto::FenwickSampler;
 use sim_stats::multinomial::{
-    categorical_index, hypergeometric_pairing_table, multivariate_hypergeometric,
-    multivariate_hypergeometric_streams, ScheduleSampler,
+    hypergeometric_pairing_table, multivariate_hypergeometric, multivariate_hypergeometric_streams,
+    ScheduleSampler,
 };
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
@@ -25,16 +23,6 @@ fn bench_static_sampling(c: &mut Criterion) {
     group.throughput(Throughput::Elements(SAMPLES));
     for &k in &[8usize, 64, 512] {
         let w = weights(k);
-        group.bench_with_input(BenchmarkId::new("linear_scan", k), &w, |b, w| {
-            b.iter(|| {
-                let mut rng = SimRng::new(1);
-                let mut acc = 0usize;
-                for _ in 0..SAMPLES {
-                    acc ^= categorical_index(&mut rng, w);
-                }
-                black_box(acc)
-            })
-        });
         group.bench_with_input(BenchmarkId::new("fenwick", k), &w, |b, w| {
             let f = FenwickSampler::new(w);
             b.iter(|| {
@@ -42,18 +30,6 @@ fn bench_static_sampling(c: &mut Criterion) {
                 let mut acc = 0usize;
                 for _ in 0..SAMPLES {
                     acc ^= f.sample(&mut rng);
-                }
-                black_box(acc)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("alias", k), &w, |b, w| {
-            let wf: Vec<f64> = w.iter().map(|&x| x as f64).collect();
-            let t = AliasTable::new(&wf);
-            b.iter(|| {
-                let mut rng = SimRng::new(1);
-                let mut acc = 0usize;
-                for _ in 0..SAMPLES {
-                    acc ^= t.sample(&mut rng);
                 }
                 black_box(acc)
             })
@@ -80,20 +56,6 @@ fn bench_dynamic_sampling(c: &mut Criterion) {
                     f.add((i + 1) % f.len(), 1);
                 }
                 black_box(f.total())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("alias_rebuild", k), &w, |b, w| {
-            b.iter(|| {
-                let mut wf: Vec<f64> = w.iter().map(|&x| x as f64).collect();
-                let mut rng = SimRng::new(1);
-                // Rebuilding per update is the honest alias-table cost in a
-                // dynamic setting; cap iterations to keep the bench sane.
-                for _ in 0..(SAMPLES / 100).max(1) {
-                    let t = AliasTable::new(&wf);
-                    let i = t.sample(&mut rng);
-                    wf[i] += 1.0;
-                }
-                black_box(wf[0])
             })
         });
     }

@@ -171,7 +171,7 @@ fn cycle_frontier_row(backend: Backend, n: usize, target: u64) -> Row {
         if done >= target || sim.is_silent() {
             break;
         }
-        if sim.advance(&mut rng, target - done) == 0 {
+        if sim.advance_changed(&mut rng, target - done).0 == 0 {
             break;
         }
     }

@@ -395,17 +395,18 @@ fn assert_timeline(doc: &str) -> Result<usize, Vec<String>> {
 fn assert_checkpoint(bytes: &[u8]) -> Result<String, String> {
     let ckpt = usd_core::RunCheckpoint::from_bytes(bytes)
         .map_err(|e| format!("invalid checkpoint: {e}"))?;
+    let id = &ckpt.identity;
     Ok(format!(
         "valid checkpoint: backend={} n={} k={} seed={} topology={} \
          recorder={} engine-payload={}B sealed={}B",
-        ckpt.backend,
-        ckpt.n,
-        ckpt.k,
-        ckpt.seed,
-        if ckpt.topology.is_empty() {
+        id.backend,
+        id.n,
+        id.k,
+        id.seed,
+        if id.topology.is_empty() {
             "clique"
         } else {
-            &ckpt.topology
+            &id.topology
         },
         if ckpt.recorder.is_some() { "yes" } else { "no" },
         ckpt.engine.len(),
@@ -1129,13 +1130,9 @@ mod tests {
         let mut rng = sim_stats::rng::SimRng::new(5);
         sim.run_until(&mut rng, 400, &mut |_| false);
         let mut w = SnapshotWriter::new();
-        sim.snapshot_state(&mut w).unwrap();
+        sim.snapshot_state(&mut w);
         let ckpt = usd_core::RunCheckpoint {
-            backend: "count".into(),
-            n: 100,
-            k: 2,
-            seed: 5,
-            topology: String::new(),
+            identity: usd_core::RunIdentity::new("count", 100, 2, 5, ""),
             rng: rng.state(),
             recorder: None,
             engine: w.into_bytes(),

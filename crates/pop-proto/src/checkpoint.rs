@@ -67,8 +67,10 @@ pub enum CheckpointError {
     /// The body decoded structurally but fails a semantic validity check
     /// (configuration mismatch, inconsistent sparse pool, invalid RNG state…).
     Corrupt(String),
-    /// The simulator backend does not implement snapshot/restore.
-    Unsupported,
+    /// The checkpoint is intact but was written by a different run: its
+    /// run-identity echo disagrees with the caller's request, naming every
+    /// mismatching field.
+    IdentityMismatch(String),
     /// An underlying file operation failed.
     Io(String),
 }
@@ -86,11 +88,8 @@ impl fmt::Display for CheckpointError {
                 "checkpoint checksum mismatch (header {expected:#010x}, body {actual:#010x})"
             ),
             CheckpointError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
-            CheckpointError::Unsupported => {
-                write!(
-                    f,
-                    "this simulator backend does not support snapshot/restore"
-                )
+            CheckpointError::IdentityMismatch(msg) => {
+                write!(f, "checkpoint was written by a different run: {msg}")
             }
             CheckpointError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
         }

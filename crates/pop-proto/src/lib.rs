@@ -90,7 +90,7 @@ pub use config::CountConfig;
 pub use graph::Graph;
 pub use observe::{Observation, SimObserver};
 pub use protocol::{OneWayEpidemic, Protocol};
-pub use sampling::{AliasTable, FenwickSampler};
+pub use sampling::FenwickSampler;
 pub use scheduler::{CliqueScheduler, GraphScheduler, Scheduler};
 pub use simulator::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, BitwiseProtocol, CountSimulator,

@@ -1,12 +1,9 @@
 //! Weighted sampling structures for the simulation hot path.
 //!
-//! * [`FenwickSampler`] — a Fenwick (binary indexed) tree over integer
-//!   weights supporting O(log m) point updates and O(log m) inverse-CDF
-//!   sampling. This is what makes the count-based simulator's interaction
-//!   step O(log |Σ|) even while counts change on every step.
-//! * [`AliasTable`] — Walker/Vose alias method for O(1) sampling from a
-//!   **static** distribution; used for bulk initial-opinion assignment and
-//!   as a bench comparison point.
+//! [`FenwickSampler`] is a Fenwick (binary indexed) tree over integer
+//! weights supporting O(log m) point updates and O(log m) inverse-CDF
+//! sampling. This is what makes the count-based simulator's interaction
+//! step O(log |Σ|) even while counts change on every step.
 
 use sim_stats::rng::SimRng;
 
@@ -161,76 +158,6 @@ impl FenwickSampler {
     }
 }
 
-/// Walker/Vose alias table for O(1) sampling from a fixed distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AliasTable {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    /// Build from non-negative weights (at least one positive).
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "alias table needs categories");
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && weights.iter().all(|&w| w >= 0.0),
-            "alias table needs non-negative weights with positive total"
-        );
-        let m = weights.len();
-        let mut prob = vec![0.0; m];
-        let mut alias = vec![0usize; m];
-        let scaled: Vec<f64> = weights.iter().map(|&w| w * m as f64 / total).collect();
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        let mut rest = scaled.clone();
-        for (i, &p) in scaled.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            prob[s] = rest[s];
-            alias[s] = l;
-            rest[l] = (rest[l] + rest[s]) - 1.0;
-            if rest[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        for &i in small.iter().chain(large.iter()) {
-            prob[i] = 1.0;
-        }
-        AliasTable { prob, alias }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// O(1) sample.
-    #[inline]
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let i = rng.index(self.prob.len());
-        if rng.f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,40 +280,5 @@ mod tests {
         }
         let ratio = counts[1] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.35, "ratio {ratio}");
-    }
-
-    #[test]
-    fn alias_matches_weights() {
-        let mut rng = SimRng::new(13);
-        let t = AliasTable::new(&[0.1, 0.2, 0.3, 0.4]);
-        assert_eq!(t.len(), 4);
-        let n = 200_000;
-        let mut counts = [0u64; 4];
-        for _ in 0..n {
-            counts[t.sample(&mut rng)] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let expect = (i + 1) as f64 / 10.0;
-            let frac = c as f64 / n as f64;
-            assert!((frac - expect).abs() < 0.01, "cat {i}: {frac} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn alias_handles_degenerate_single_category() {
-        let mut rng = SimRng::new(14);
-        let t = AliasTable::new(&[5.0]);
-        for _ in 0..10 {
-            assert_eq!(t.sample(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    fn alias_zero_weight_categories_never_sampled() {
-        let mut rng = SimRng::new(15);
-        let t = AliasTable::new(&[0.0, 1.0, 0.0]);
-        for _ in 0..1000 {
-            assert_eq!(t.sample(&mut rng), 1);
-        }
     }
 }

@@ -5,7 +5,7 @@ use crate::config::CountConfig;
 use crate::observe::SimObserver;
 use crate::protocol::Protocol;
 use crate::scheduler::Scheduler;
-use crate::simulator::{observe_loop, snapshot_tags};
+use crate::simulator::{observe_loop, snapshot_tags, Simulator};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::rng::SimRng;
@@ -59,7 +59,7 @@ impl InteractionRecord {
 /// behind a freeze between those points but never reports one that has
 /// not happened.
 ///
-/// [`is_silent`]: AgentSimulator::is_silent
+/// [`is_silent`]: Simulator::is_silent
 ///
 /// Observation granularity
 /// ([`advance_observed`](crate::Simulator::advance_observed)): **exact** —
@@ -143,44 +143,9 @@ impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
         &self.scheduler
     }
 
-    /// Number of agents.
-    pub fn population(&self) -> usize {
-        self.states.len()
-    }
-
     /// Per-agent state indices.
     pub fn states(&self) -> &[usize] {
         &self.states
-    }
-
-    /// Per-state counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Current count configuration (copies the counts).
-    pub fn config(&self) -> CountConfig {
-        CountConfig::from_counts(self.counts.clone())
-    }
-
-    /// Total interactions simulated.
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Interactions that changed some agent's state.
-    pub fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
-    }
-
-    /// Parallel time elapsed (= interactions / n).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.states.len() as f64
-    }
-
-    /// Run one interaction; returns `true` if it changed any state.
-    pub fn step(&mut self, rng: &mut SimRng) -> bool {
-        self.step_recorded(rng).changed()
     }
 
     /// Run one interaction and report exactly what happened (which agents
@@ -222,31 +187,6 @@ impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
         }
     }
 
-    /// Run `budget` interactions (or until `stop` returns true, checked
-    /// after every interaction). Returns the number of interactions run.
-    pub fn run(
-        &mut self,
-        rng: &mut SimRng,
-        budget: u64,
-        mut stop: impl FnMut(&Self) -> bool,
-    ) -> u64 {
-        let start = self.interactions;
-        while self.interactions - start < budget {
-            self.step(rng);
-            if stop(self) {
-                break;
-            }
-        }
-        self.interactions - start
-    }
-
-    /// Whether the current configuration is silent (no interaction can
-    /// change it): silent counts, or a frozen interaction graph as of the
-    /// last rescan (see the type docs).
-    pub fn is_silent(&self) -> bool {
-        self.frozen || self.protocol.is_silent(&self.counts)
-    }
-
     /// Re-derive `frozen` by scanning the interaction graph for an edge
     /// that can change a state in either orientation.
     fn rescan(&mut self) {
@@ -260,7 +200,7 @@ impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
     }
 }
 
-impl<P: Protocol, S: Scheduler> crate::simulator::Simulator for AgentSimulator<P, S> {
+impl<P: Protocol, S: Scheduler> Simulator for AgentSimulator<P, S> {
     fn population(&self) -> u64 {
         self.states.len() as u64
     }
@@ -282,11 +222,13 @@ impl<P: Protocol, S: Scheduler> crate::simulator::Simulator for AgentSimulator<P
     }
 
     fn step(&mut self, rng: &mut SimRng) -> bool {
-        AgentSimulator::step(self, rng)
+        self.step_recorded(rng).changed()
     }
 
+    /// Silent counts, or a frozen interaction graph as of the last rescan
+    /// (see the type docs).
     fn is_silent(&self) -> bool {
-        AgentSimulator::is_silent(self)
+        self.frozen || self.protocol.is_silent(&self.counts)
     }
 
     fn advance_observed(
@@ -317,7 +259,7 @@ impl<P: Protocol, S: Scheduler> crate::simulator::Simulator for AgentSimulator<P
         self.hist.as_deref().cloned()
     }
 
-    fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
+    fn snapshot_state(&self, w: &mut SnapshotWriter) {
         w.put_u8(snapshot_tags::AGENT);
         snapshot_tags::write_config(w, self.states.len() as u64, self.counts.len());
         w.put_u64(self.states.len() as u64);
@@ -335,7 +277,6 @@ impl<P: Protocol, S: Scheduler> crate::simulator::Simulator for AgentSimulator<P
             None => w.put_bool(false),
         }
         w.put_u64(self.noop_run);
-        Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
@@ -439,7 +380,7 @@ mod tests {
     fn run_with_stop_condition() {
         let mut sim = epidemic_sim(20, 1);
         let mut rng = SimRng::new(3);
-        let ran = sim.run(&mut rng, 1_000_000, |s| s.counts()[0] >= 10);
+        let ran = sim.run_until(&mut rng, 1_000_000, &mut |c| c[0] >= 10);
         assert!(sim.counts()[0] >= 10);
         assert!(ran < 1_000_000);
     }
@@ -517,18 +458,17 @@ mod tests {
         let mut sim = graph_epidemic(two_cycles());
         assert!(!sim.is_silent());
         let mut rng = SimRng::new(1);
-        assert_eq!(
-            crate::Simulator::run_to_silence(&mut sim, &mut rng, 1 << 16),
-            (1 << 16, true)
-        );
+        assert_eq!(sim.run_to_silence(&mut rng, 1 << 16), (1 << 16, true));
         assert_eq!(sim.counts(), &[10, 10]);
 
         let mut w = SnapshotWriter::new();
-        crate::Simulator::snapshot_state(&sim, &mut w).unwrap();
+        sim.snapshot_state(&mut w);
         let bytes = w.into_bytes();
         let mut restored = graph_epidemic(two_cycles());
         assert!(!restored.is_silent());
-        crate::Simulator::restore_state(&mut restored, &mut SnapshotReader::new(&bytes)).unwrap();
+        restored
+            .restore_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
         assert!(restored.is_silent());
 
         let frozen = sim.states().to_vec();
@@ -545,7 +485,7 @@ mod tests {
             let mut sim = graph_epidemic(Graph::cycle(20));
             let mut rng = SimRng::new(seed);
             while !sim.is_silent() {
-                crate::Simulator::run_until(&mut sim, &mut rng, 3, &mut |_| false);
+                sim.run_until(&mut rng, 3, &mut |_| false);
                 assert!(
                     !sim.is_silent() || sim.counts() == [20, 0],
                     "seed {seed}: silent with counts {:?}",

@@ -239,54 +239,6 @@ impl<P: Protocol> BatchSimulator<P> {
         &self.protocol
     }
 
-    /// Population size.
-    pub fn population(&self) -> u64 {
-        self.n
-    }
-
-    /// Per-state counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Current count configuration (copies counts).
-    pub fn config(&self) -> CountConfig {
-        CountConfig::from_counts(self.counts.clone())
-    }
-
-    /// Total interactions simulated.
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Interactions that changed the configuration.
-    pub fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
-    }
-
-    /// Parallel time elapsed (= interactions / n).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.n as f64
-    }
-
-    /// Whether the configuration is silent.
-    pub fn is_silent(&self) -> bool {
-        for (i, &ci) in self.counts.iter().enumerate() {
-            if ci == 0 {
-                continue;
-            }
-            for (j, &cj) in self.counts.iter().enumerate() {
-                if cj == 0 || (i == j && ci < 2) {
-                    continue;
-                }
-                if !self.noop[i * self.k + j] {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Sample a state index ∝ `weights` by linear scan (k is small).
     #[inline]
     fn pick_state(weights: &[u64], rng: &mut SimRng, total: u64) -> usize {
@@ -315,20 +267,6 @@ impl<P: Protocol> BatchSimulator<P> {
         self.effective_interactions += 1;
         self.telemetry.effective += 1;
         true
-    }
-
-    /// Simulate exactly one interaction (the `CountSimulator` law, via
-    /// linear-scan sampling); returns whether it changed the configuration.
-    pub fn step(&mut self, rng: &mut SimRng) -> bool {
-        self.interactions += 1;
-        self.telemetry.scheduled += 1;
-        self.telemetry.dense_steps += 1;
-        self.telemetry.pair_draws += 1;
-        let si = Self::pick_state(&self.counts, rng, self.n);
-        self.counts[si] -= 1;
-        let sj = Self::pick_state(&self.counts, rng, self.n - 1);
-        self.counts[si] += 1;
-        self.apply_pair(si, sj)
     }
 
     /// Total weight of ordered *effective* (non-no-op) agent pairs, and of
@@ -625,18 +563,46 @@ impl<P: Protocol> BatchSimulator<P> {
             }
         }
     }
+}
 
-    /// Advance by at most `max` interactions using the cheapest exact
-    /// mechanism for the current configuration (batch leap, geometric
-    /// skip, or a single step). Returns interactions advanced.
-    pub fn advance(&mut self, rng: &mut SimRng, max: u64) -> u64 {
-        self.advance_changed(rng, max).0
+impl<P: Protocol> Simulator for BatchSimulator<P> {
+    fn population(&self) -> u64 {
+        self.n
     }
 
-    /// [`BatchSimulator::advance`], additionally reporting whether the
-    /// counts changed — run drivers use the flag to skip stop/silence
-    /// re-evaluation after provably-no-op advancements.
-    pub fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
+    fn num_states(&self) -> usize {
+        self.k
+    }
+
+    fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn effective_interactions(&self) -> u64 {
+        self.effective_interactions
+    }
+
+    /// Simulate exactly one interaction (the `CountSimulator` law, via
+    /// linear-scan sampling); returns whether it changed the configuration.
+    fn step(&mut self, rng: &mut SimRng) -> bool {
+        self.interactions += 1;
+        self.telemetry.scheduled += 1;
+        self.telemetry.dense_steps += 1;
+        self.telemetry.pair_draws += 1;
+        let si = Self::pick_state(&self.counts, rng, self.n);
+        self.counts[si] -= 1;
+        let sj = Self::pick_state(&self.counts, rng, self.n - 1);
+        self.counts[si] += 1;
+        self.apply_pair(si, sj)
+    }
+
+    /// The cheapest exact mechanism for the current configuration: a
+    /// batch leap, a geometric skip, or a single step.
+    fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
         if max == 0 {
             return (0, false);
         }
@@ -676,66 +642,21 @@ impl<P: Protocol> BatchSimulator<P> {
         (advanced, self.effective_interactions > effective_before)
     }
 
-    /// Run until `stop` returns true on the counts, silence, or `budget`
-    /// interactions; returns interactions simulated by this call. See
-    /// [`Simulator::run_until`] for the boundary-evaluation contract.
-    pub fn run(
-        &mut self,
-        rng: &mut SimRng,
-        budget: u64,
-        mut stop: impl FnMut(&Self) -> bool,
-    ) -> u64 {
-        let start = self.interactions;
-        if stop(self) || self.is_silent() {
-            return 0;
-        }
-        loop {
-            let done = self.interactions - start;
-            if done >= budget {
-                return done;
-            }
-            let (advanced, changed) = self.advance_changed(rng, budget - done);
-            if advanced == 0 {
-                return done;
-            }
-            if changed && (stop(self) || self.is_silent()) {
-                return self.interactions - start;
-            }
-        }
-    }
-}
-
-impl<P: Protocol> Simulator for BatchSimulator<P> {
-    fn population(&self) -> u64 {
-        self.n
-    }
-
-    fn num_states(&self) -> usize {
-        self.k
-    }
-
-    fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
-    }
-
-    fn step(&mut self, rng: &mut SimRng) -> bool {
-        BatchSimulator::step(self, rng)
-    }
-
-    fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
-        BatchSimulator::advance_changed(self, rng, max)
-    }
-
     fn is_silent(&self) -> bool {
-        BatchSimulator::is_silent(self)
+        for (i, &ci) in self.counts.iter().enumerate() {
+            if ci == 0 {
+                continue;
+            }
+            for (j, &cj) in self.counts.iter().enumerate() {
+                if cj == 0 || (i == j && ci < 2) {
+                    continue;
+                }
+                if !self.noop[i * self.k + j] {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     fn telemetry(&self) -> &EngineTelemetry {
@@ -754,7 +675,7 @@ impl<P: Protocol> Simulator for BatchSimulator<P> {
         self.hist.as_deref().cloned()
     }
 
-    fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
+    fn snapshot_state(&self, w: &mut SnapshotWriter) {
         // Everything else in the struct (transition table, no-op mask,
         // log-factorial constants, thread count) is a pure function of the
         // constructor arguments, and the schedule sampler and its slots are
@@ -773,7 +694,6 @@ impl<P: Protocol> Simulator for BatchSimulator<P> {
             }
             None => w.put_bool(false),
         }
-        Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
@@ -826,7 +746,7 @@ mod tests {
         let mut sim = epidemic(10_000, 100);
         let mut rng = SimRng::new(1);
         while !sim.is_silent() {
-            sim.advance(&mut rng, u64::MAX / 2);
+            sim.advance_changed(&mut rng, u64::MAX / 2);
             assert_eq!(sim.counts().iter().sum::<u64>(), 10_000);
             assert!(sim.interactions() < 100_000_000, "runaway epidemic");
         }
@@ -852,7 +772,7 @@ mod tests {
         let mut rng = SimRng::new(3);
         for max in [1u64, 7, 100, 1_000] {
             let before = sim.interactions();
-            let advanced = sim.advance(&mut rng, max);
+            let (advanced, _) = sim.advance_changed(&mut rng, max);
             assert!(
                 advanced >= 1 && advanced <= max,
                 "advanced {advanced} vs max {max}"
@@ -866,7 +786,7 @@ mod tests {
         let mut sim = epidemic(100, 100); // all infected: silent
         assert!(sim.is_silent());
         let mut rng = SimRng::new(4);
-        let advanced = sim.advance(&mut rng, 12_345);
+        let (advanced, _) = sim.advance_changed(&mut rng, 12_345);
         assert_eq!(advanced, 12_345);
         assert_eq!(sim.interactions(), 12_345);
         assert_eq!(sim.effective_interactions(), 0);
@@ -877,7 +797,7 @@ mod tests {
         let mut sim = epidemic(100_000, 10);
         let mut rng = SimRng::new(5);
         while !sim.is_silent() {
-            sim.advance(&mut rng, u64::MAX / 2);
+            sim.advance_changed(&mut rng, u64::MAX / 2);
         }
         // Each infection is one effective interaction.
         assert_eq!(sim.effective_interactions(), 100_000 - 10);
@@ -892,7 +812,7 @@ mod tests {
             let mut sim = epidemic(n, 1);
             let mut rng = SimRng::new(seed);
             while !sim.is_silent() {
-                sim.advance(&mut rng, u64::MAX / 2);
+                sim.advance_changed(&mut rng, u64::MAX / 2);
             }
             total += sim.interactions() as f64;
         }
@@ -909,7 +829,7 @@ mod tests {
     fn run_stops_at_predicate_boundary() {
         let mut sim = epidemic(10_000, 1);
         let mut rng = SimRng::new(6);
-        sim.run(&mut rng, u64::MAX / 2, |s| s.counts()[0] >= 5_000);
+        sim.run_until(&mut rng, u64::MAX / 2, &mut |c| c[0] >= 5_000);
         assert!(sim.counts()[0] >= 5_000);
         assert!(sim.counts()[0] < 10_000, "stop must fire before completion");
     }
@@ -965,7 +885,7 @@ mod tests {
                 break;
             }
             let before = sim.telemetry;
-            sim.advance(rng, u64::MAX / 2);
+            sim.advance_changed(rng, u64::MAX / 2);
             let after = sim.telemetry;
             let draws = after.table_draws - before.table_draws;
             if after.blocks == before.blocks {
@@ -1003,7 +923,7 @@ mod tests {
         let mut rng = SimRng::new(23);
         let (short, tabled) = drive_checking_table_draws(&mut sim, &mut rng, u64::MAX);
         assert!(sim.is_silent());
-        let t = Simulator::telemetry(&sim);
+        let t = sim.telemetry();
         assert_eq!(t.scheduled, sim.interactions());
         assert_eq!(t.effective, sim.effective_interactions());
         assert!(t.blocks >= 1, "no batches leapt");
@@ -1034,7 +954,7 @@ mod tests {
         let mut rng = SimRng::new(24);
         let (short, tabled) = drive_checking_table_draws(&mut sim, &mut rng, 300);
         assert!(short > 0 && tabled > 0, "{short} short, {tabled} tabled");
-        let t = Simulator::telemetry(&sim);
+        let t = sim.telemetry();
         assert_eq!(t.table_draws, (2 + k as u64) * tabled);
 
         // At n = 10⁵ every batch is short next to k²: a whole run to
@@ -1047,7 +967,7 @@ mod tests {
         assert!(sim.is_silent());
         assert_eq!(sim.counts()[k - 1], 100_000);
         assert_eq!(tabled, 0);
-        let t = Simulator::telemetry(&sim);
+        let t = sim.telemetry();
         assert_eq!(t.table_draws, 0);
         assert_eq!(t.blocks, short);
         assert!(short > 100, "only {short} batches");

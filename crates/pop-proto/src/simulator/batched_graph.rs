@@ -388,11 +388,6 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         &self.protocol
     }
 
-    /// Number of agents.
-    pub fn population(&self) -> usize {
-        self.states.len()
-    }
-
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.adjacency.num_edges()
@@ -401,31 +396,6 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// The state index of one agent.
     pub fn state_of_agent(&self, v: usize) -> usize {
         self.states[v].unpack()
-    }
-
-    /// Per-state counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Current count configuration (copies counts).
-    pub fn config(&self) -> CountConfig {
-        CountConfig::from_counts(self.counts.clone())
-    }
-
-    /// Total interactions simulated (including no-ops).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Interactions that changed the configuration.
-    pub fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
-    }
-
-    /// Parallel time elapsed (= interactions / n).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.states.len() as f64
     }
 
     /// Oriented `(initiator, responder)` endpoint pairs of the most recent
@@ -443,18 +413,6 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         match &self.sparse {
             Some(s) => s.total(),
             None => (0..self.num_edges()).map(|e| self.edge_weight(e)).sum(),
-        }
-    }
-
-    /// Whether the configuration is silent *for this graph* (`W = 0`).
-    /// Sparse phase: exact. Dense phase: the sufficient count-level
-    /// criterion (clique silence implies graph silence); a frozen
-    /// configuration on a disconnected graph is caught by the no-op-run
-    /// escalation instead (see the module docs).
-    pub fn is_silent(&self) -> bool {
-        match &self.sparse {
-            Some(s) => s.total() == 0,
-            None => self.protocol.is_silent(&self.counts),
         }
     }
 
@@ -573,24 +531,6 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
             self.telemetry.sparse_exits += 1;
         }
         self.noop_run = 0;
-    }
-
-    /// Simulate exactly one scheduled interaction (uniform edge, uniform
-    /// orientation — the literal scheduler law); returns whether it changed
-    /// the configuration.
-    pub fn step(&mut self, rng: &mut SimRng) -> bool {
-        self.interactions += 1;
-        self.telemetry.scheduled += 1;
-        self.telemetry.dense_steps += 1;
-        self.telemetry.pair_draws += 1;
-        let v = rng.below(2 * self.num_edges() as u64);
-        let (a, b) = self.adjacency.endpoints((v >> 1) as usize);
-        let (i, j) = if v & 1 == 0 {
-            (a as usize, b as usize)
-        } else {
-            (b as usize, a as usize)
-        };
-        self.apply_oriented(i, j)
     }
 
     /// Sparse-phase advancement: apply up to `limit` effective events
@@ -830,29 +770,6 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         (advanced, changed, trigger)
     }
 
-    /// Advance by at most `max` interactions using the cheapest exact
-    /// mechanism for the current activity level (the dense phase or the
-    /// sparse skipper), returning at the policy's granularity. Returns
-    /// interactions advanced and whether the counts changed. Once silence
-    /// is *certified* (sparse phase, `W = 0`) the clock stops: further
-    /// calls return `(0, false)`. In the dense phase a
-    /// silent-but-uncertified configuration still draws genuine scheduled
-    /// no-ops until the no-op-run trigger escalates and certifies it, so
-    /// the first call on such a configuration can advance the clock by up
-    /// to `SPARSE_TRIGGER_NOOPS` interactions — drivers check
-    /// `is_silent()` before advancing, which both `run_until` and the
-    /// stabilization entry points do.
-    pub fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
-        let out = self.advance_changed_impl(rng, max);
-        // Harvest the skipper's telemetry at every advancement boundary so
-        // the engine's totals are current even while the sparse phase is
-        // live (runs routinely *end* inside it).
-        if let Some(s) = &mut self.sparse {
-            self.telemetry.sparse.absorb(s.take_stats());
-        }
-        out
-    }
-
     fn advance_changed_impl(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
         if max == 0 {
             return (0, false);
@@ -966,16 +883,57 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
         self.effective_interactions
     }
 
+    /// Simulate exactly one scheduled interaction (uniform edge, uniform
+    /// orientation — the literal scheduler law); returns whether it changed
+    /// the configuration.
     fn step(&mut self, rng: &mut SimRng) -> bool {
-        BatchGraphSimulator::step(self, rng)
+        self.interactions += 1;
+        self.telemetry.scheduled += 1;
+        self.telemetry.dense_steps += 1;
+        self.telemetry.pair_draws += 1;
+        let v = rng.below(2 * self.num_edges() as u64);
+        let (a, b) = self.adjacency.endpoints((v >> 1) as usize);
+        let (i, j) = if v & 1 == 0 {
+            (a as usize, b as usize)
+        } else {
+            (b as usize, a as usize)
+        };
+        self.apply_oriented(i, j)
     }
 
+    /// Advance by at most `max` interactions using the cheapest exact
+    /// mechanism for the current activity level (the dense phase or the
+    /// sparse skipper), returning at the policy's granularity. Returns
+    /// interactions advanced and whether the counts changed. Once silence
+    /// is *certified* (sparse phase, `W = 0`) the clock stops: further
+    /// calls return `(0, false)`. In the dense phase a
+    /// silent-but-uncertified configuration still draws genuine scheduled
+    /// no-ops until the no-op-run trigger escalates and certifies it, so
+    /// the first call on such a configuration can advance the clock by up
+    /// to `SPARSE_TRIGGER_NOOPS` interactions — drivers check
+    /// `is_silent()` before advancing, which both `run_until` and the
+    /// stabilization entry points do.
     fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
-        BatchGraphSimulator::advance_changed(self, rng, max)
+        let out = self.advance_changed_impl(rng, max);
+        // Harvest the skipper's telemetry at every advancement boundary so
+        // the engine's totals are current even while the sparse phase is
+        // live (runs routinely *end* inside it).
+        if let Some(s) = &mut self.sparse {
+            self.telemetry.sparse.absorb(s.take_stats());
+        }
+        out
     }
 
+    /// Whether the configuration is silent *for this graph* (`W = 0`).
+    /// Sparse phase: exact. Dense phase: the sufficient count-level
+    /// criterion (clique silence implies graph silence); a frozen
+    /// configuration on a disconnected graph is caught by the no-op-run
+    /// escalation instead (see the module docs).
     fn is_silent(&self) -> bool {
-        BatchGraphSimulator::is_silent(self)
+        match &self.sparse {
+            Some(s) => s.total() == 0,
+            None => self.protocol.is_silent(&self.counts),
+        }
     }
 
     fn telemetry(&self) -> &EngineTelemetry {
@@ -1005,7 +963,7 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
         Some(h)
     }
 
-    fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
+    fn snapshot_state(&self, w: &mut SnapshotWriter) {
         // Graph structure, transition tables, the policy, and the
         // chunk/bitmap scratch are constructor-derived (the scratch buffers
         // are empty between advancements — chunk_scan always clears them);
@@ -1041,7 +999,6 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
             }
             None => w.put_bool(false),
         }
-        Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
@@ -1259,7 +1216,7 @@ mod tests {
             );
             let mut rng = SimRng::new(seed + 10_000);
             while reference.counts()[0] < 16 {
-                Simulator::step(&mut reference, &mut rng);
+                reference.step(&mut rng);
             }
             agentwise_mean += reference.interactions() as f64;
         }
@@ -1273,7 +1230,7 @@ mod tests {
     fn advance_clock_matches_single_step_clock_in_distribution() {
         // Block leaping and the per-event policy's geometric skips must
         // preserve the total-interaction law: compare mean completion
-        // interactions via advance() and via step().
+        // interactions via advance_changed() and via step().
         let reps = 300u64;
         let mut advance_mean = [0.0f64; 2];
         let mut step_mean = 0.0;
@@ -1548,7 +1505,7 @@ mod tests {
         while !sim.is_silent() {
             sim.advance_changed(&mut rng, u64::MAX / 2);
         }
-        let t = Simulator::telemetry(&sim);
+        let t = sim.telemetry();
         assert_eq!(t.scheduled, sim.interactions());
         assert_eq!(t.effective, sim.effective_interactions());
         assert!(t.blocks >= 1, "no dense blocks scanned");
@@ -1578,7 +1535,7 @@ mod tests {
         while !sim.is_silent() {
             sim.advance_changed(&mut rng, u64::MAX / 2);
         }
-        let t = Simulator::telemetry(&sim);
+        let t = sim.telemetry();
         assert_eq!(t.scheduled, sim.interactions());
         assert_eq!(t.effective, sim.effective_interactions());
         assert!(t.sparse_enters >= 1, "never escalated to sparse");
@@ -1607,7 +1564,7 @@ mod tests {
         while !sim.is_silent() {
             sim.advance_changed(&mut rng, u64::MAX / 2);
         }
-        let t = Simulator::telemetry(&sim);
+        let t = sim.telemetry();
         assert_eq!(t.scheduled, sim.interactions());
         assert_eq!(t.effective, sim.effective_interactions());
         assert_eq!(
@@ -1648,13 +1605,13 @@ mod tests {
         };
         for mut sim in both(epidemic_on(&g, 0)) {
             let bytes = payload(SPARSE_TRIGGER_NOOPS);
-            let err = Simulator::restore_state(&mut sim, &mut SnapshotReader::new(&bytes));
+            let err = sim.restore_state(&mut SnapshotReader::new(&bytes));
             assert!(
                 matches!(&err, Err(CheckpointError::Corrupt(m)) if m.contains("sparse trigger")),
                 "{err:?}"
             );
             let bytes = payload(SPARSE_TRIGGER_NOOPS - 1);
-            Simulator::restore_state(&mut sim, &mut SnapshotReader::new(&bytes)).unwrap();
+            sim.restore_state(&mut SnapshotReader::new(&bytes)).unwrap();
             assert_eq!(sim.interactions(), 5_000);
             // One more no-op draw reaches the trigger and certifies silence.
             let mut rng = SimRng::new(1);

@@ -4,7 +4,7 @@ use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
 use crate::protocol::Protocol;
 use crate::sampling::FenwickSampler;
-use crate::simulator::snapshot_tags;
+use crate::simulator::{snapshot_tags, Simulator};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::rng::SimRng;
@@ -70,39 +70,30 @@ impl<P: Protocol> CountSimulator<P> {
     pub fn protocol(&self) -> &P {
         &self.protocol
     }
+}
 
-    /// Population size.
-    pub fn population(&self) -> u64 {
+impl<P: Protocol> Simulator for CountSimulator<P> {
+    fn population(&self) -> u64 {
         self.n
     }
 
-    /// Per-state counts.
-    pub fn counts(&self) -> &[u64] {
+    fn num_states(&self) -> usize {
+        self.sampler.len()
+    }
+
+    fn counts(&self) -> &[u64] {
         self.sampler.weights()
     }
 
-    /// Current count configuration (copies counts).
-    pub fn config(&self) -> CountConfig {
-        CountConfig::from_counts(self.counts().to_vec())
-    }
-
-    /// Total interactions simulated.
-    pub fn interactions(&self) -> u64 {
+    fn interactions(&self) -> u64 {
         self.interactions
     }
 
-    /// Interactions that changed the configuration.
-    pub fn effective_interactions(&self) -> u64 {
+    fn effective_interactions(&self) -> u64 {
         self.effective_interactions
     }
 
-    /// Parallel time elapsed (= interactions / n).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.n as f64
-    }
-
-    /// Run one interaction; returns `true` if it changed the configuration.
-    pub fn step(&mut self, rng: &mut SimRng) -> bool {
+    fn step(&mut self, rng: &mut SimRng) -> bool {
         self.interactions += 1;
         self.telemetry.scheduled += 1;
         self.telemetry.dense_steps += 1;
@@ -130,57 +121,8 @@ impl<P: Protocol> CountSimulator<P> {
         true
     }
 
-    /// Run `budget` interactions or until `stop` returns true (checked after
-    /// every interaction). Returns the number of interactions run.
-    pub fn run(
-        &mut self,
-        rng: &mut SimRng,
-        budget: u64,
-        mut stop: impl FnMut(&Self) -> bool,
-    ) -> u64 {
-        let start = self.interactions;
-        while self.interactions - start < budget {
-            self.step(rng);
-            if stop(self) {
-                break;
-            }
-        }
-        self.interactions - start
-    }
-
-    /// Whether the configuration is silent.
-    pub fn is_silent(&self) -> bool {
-        self.protocol.is_silent(self.counts())
-    }
-}
-
-impl<P: Protocol> crate::simulator::Simulator for CountSimulator<P> {
-    fn population(&self) -> u64 {
-        self.n
-    }
-
-    fn num_states(&self) -> usize {
-        self.sampler.len()
-    }
-
-    fn counts(&self) -> &[u64] {
-        CountSimulator::counts(self)
-    }
-
-    fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
-    }
-
-    fn step(&mut self, rng: &mut SimRng) -> bool {
-        CountSimulator::step(self, rng)
-    }
-
     fn is_silent(&self) -> bool {
-        CountSimulator::is_silent(self)
+        self.protocol.is_silent(self.counts())
     }
 
     fn telemetry(&self) -> &EngineTelemetry {
@@ -200,7 +142,7 @@ impl<P: Protocol> crate::simulator::Simulator for CountSimulator<P> {
         self.hist.as_deref().cloned()
     }
 
-    fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
+    fn snapshot_state(&self, w: &mut SnapshotWriter) {
         w.put_u8(snapshot_tags::COUNT);
         w.put_u64(self.n);
         w.put_u32(self.sampler.len() as u32);
@@ -216,7 +158,6 @@ impl<P: Protocol> crate::simulator::Simulator for CountSimulator<P> {
             None => w.put_bool(false),
         }
         w.put_u64(self.noop_run);
-        Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
@@ -280,7 +221,7 @@ mod tests {
     fn epidemic_reaches_silence() {
         let mut sim = epidemic(200, 1);
         let mut rng = SimRng::new(7);
-        sim.run(&mut rng, 10_000_000, |s| s.is_silent());
+        sim.run_to_silence(&mut rng, 10_000_000);
         assert_eq!(sim.counts(), &[200, 0]);
     }
 
@@ -293,7 +234,7 @@ mod tests {
         for seed in 0..10 {
             let mut sim = epidemic(n, 1);
             let mut rng = SimRng::new(seed);
-            sim.run(&mut rng, 100_000_000, |s| s.counts()[1] == 0);
+            sim.run_until(&mut rng, 100_000_000, &mut |c| c[1] == 0);
             total += sim.interactions();
         }
         let mean = total as f64 / 10.0;
@@ -319,7 +260,7 @@ mod tests {
     fn stop_predicate_halts_run() {
         let mut sim = epidemic(100, 1);
         let mut rng = SimRng::new(9);
-        sim.run(&mut rng, u64::MAX, |s| s.counts()[0] >= 50);
+        sim.run_until(&mut rng, u64::MAX, &mut |c| c[0] >= 50);
         assert!(sim.counts()[0] >= 50);
         assert!(sim.counts()[0] < 100, "should stop well before completion");
     }

@@ -200,15 +200,15 @@ use sim_stats::rng::SimRng;
 /// # Advancement granularity
 ///
 /// [`Simulator::step`] always simulates exactly one interaction.
-/// [`Simulator::advance`] lets a backend move the interaction clock by many
-/// interactions in one call when it can do so exactly (batch leaping,
-/// geometric no-op skipping); single-interaction backends default to one
-/// step. [`Simulator::run_until`] consequently evaluates its stop predicate
-/// at advancement boundaries: for `CountSimulator`/`AgentSimulator` that is
-/// after every interaction; for `BatchSimulator` it is after every batch,
-/// except that the batch backend shrinks its leaps near silence so that
-/// stabilization times stay exact (see the `batched` module docs for the
-/// precise guarantee).
+/// [`Simulator::advance_changed`] lets a backend move the interaction
+/// clock by many interactions in one call when it can do so exactly (batch
+/// leaping, geometric no-op skipping); single-interaction backends default
+/// to one step. [`Simulator::run_until`] consequently evaluates its stop
+/// predicate at advancement boundaries: for `CountSimulator`/
+/// `AgentSimulator` that is after every interaction; for `BatchSimulator`
+/// it is after every batch, except that the batch backend shrinks its
+/// leaps near silence so that stabilization times stay exact (see the
+/// `batched` module docs for the precise guarantee).
 pub trait Simulator {
     /// Population size `n`.
     fn population(&self) -> u64;
@@ -233,19 +233,14 @@ pub trait Simulator {
     /// returning how many were simulated (0 when `max == 0`, or when a
     /// backend certifies the configuration silent and stops the clock —
     /// callers treat 0 as termination and confirm via
-    /// [`Simulator::is_silent`]).
+    /// [`Simulator::is_silent`]) and whether the counts changed. Drivers
+    /// use the flag to skip re-evaluating stop predicates and the
+    /// (O(|Σ|²)) silence check after advancements that provably left the
+    /// configuration untouched — both are pure functions of the counts, so
+    /// nothing can have changed their value.
     ///
-    /// The default advances one interaction via [`Simulator::step`];
-    /// leaping backends override [`Simulator::advance_changed`].
-    fn advance(&mut self, rng: &mut SimRng, max: u64) -> u64 {
-        self.advance_changed(rng, max).0
-    }
-
-    /// [`Simulator::advance`] that also reports whether the counts changed
-    /// during the advancement. Drivers use the flag to skip re-evaluating
-    /// stop predicates and the (O(|Σ|²)) silence check after advancements
-    /// that provably left the configuration untouched — both are pure
-    /// functions of the counts, so nothing can have changed their value.
+    /// The default advances one interaction via [`Simulator::step`]; the
+    /// leaping backends override it.
     fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
         if max == 0 {
             return (0, false);
@@ -263,14 +258,10 @@ pub trait Simulator {
 
     /// Engine telemetry accumulated over this simulator's lifetime: what
     /// the *engine* did (phases, blocks, draws, flushes, fallbacks) to
-    /// simulate what the counters above report the *protocol* did. All
-    /// six backends override this; the default returns a shared all-zero
-    /// instance so external `Simulator` implementations keep compiling.
+    /// simulate what the counters above report the *protocol* did.
     /// Counters a backend has no mechanism for stay zero — see the
     /// per-backend table in `usd_core::backend`.
-    fn telemetry(&self) -> &EngineTelemetry {
-        EngineTelemetry::disabled()
-    }
+    fn telemetry(&self) -> &EngineTelemetry;
 
     /// Enable or disable coarse per-phase wall-clock spans in
     /// [`Simulator::telemetry`]. A no-op unless the engine records spans
@@ -281,20 +272,17 @@ pub trait Simulator {
 
     /// Enable or disable per-event histogram recording
     /// ([`EventHistograms`]): skip lengths, block totals/sizes, fallback
-    /// runs. Off by default — the harvest sites then
-    /// cost one branch on a `None` — and a no-op on engines without
-    /// instrumented quantities. Enabling mid-run starts fresh histograms;
-    /// disabling discards them.
-    fn set_histograms(&mut self, _enabled: bool) {}
+    /// runs. Off by default — the harvest sites then cost one branch on a
+    /// `None`. Enabling mid-run starts fresh histograms; disabling
+    /// discards them.
+    fn set_histograms(&mut self, enabled: bool);
 
     /// The per-event histograms recorded since
     /// [`Simulator::set_histograms`] enabled them, merged across the
     /// engine's phases (e.g. dense matching blocks plus every sparse
-    /// skipper incarnation). `None` when recording is off or the engine
-    /// records nothing. Returned by value for object safety.
-    fn histograms(&self) -> Option<EventHistograms> {
-        None
-    }
+    /// skipper incarnation). `None` when recording is off. Returned by
+    /// value for object safety.
+    fn histograms(&self) -> Option<EventHistograms>;
 
     /// Serialize the engine's complete resume-relevant state — agent
     /// states or occupation counts, interaction clocks, phase/hysteresis
@@ -303,12 +291,8 @@ pub trait Simulator {
     /// [`Simulator::restore_state`] on a freshly constructed simulator of
     /// the same configuration reproduces the uninterrupted run
     /// byte-for-byte (the RNG is owned by the driver and snapshotted
-    /// separately via `SimRng::state`). All six backends override this;
-    /// the default keeps external `Simulator` implementations compiling
-    /// and reports [`CheckpointError::Unsupported`].
-    fn snapshot_state(&self, _w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
-        Err(CheckpointError::Unsupported)
-    }
+    /// separately via `SimRng::state`). Writing cannot fail.
+    fn snapshot_state(&self, w: &mut SnapshotWriter);
 
     /// Restore state written by [`Simulator::snapshot_state`] into this
     /// simulator, which must have been constructed with the same
@@ -316,9 +300,7 @@ pub trait Simulator {
     /// mismatches and structurally invalid payloads return
     /// [`CheckpointError::Corrupt`] — never a panic, never silently wrong
     /// state; on error the simulator must be discarded.
-    fn restore_state(&mut self, _r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
-        Err(CheckpointError::Unsupported)
-    }
+    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError>;
 
     /// Number of independent replica lanes this simulator advances under
     /// its shared schedule. Scalar engines run exactly one; the

@@ -47,7 +47,7 @@
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::graph::Graph;
 use crate::protocol::{OneWayEpidemic, Protocol};
-use crate::simulator::snapshot_tags;
+use crate::simulator::{snapshot_tags, Simulator};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::multinomial::distinct_pair;
@@ -59,13 +59,6 @@ pub const MAX_PLANES: usize = 16;
 
 /// Hard lane cap: one bit per lane in a `u64`.
 pub const MAX_LANES: u32 = 64;
-
-/// State-count ceiling for the bit-parallel count bookkeeping in
-/// [`ReplicaSimulator::draw_step`]: up to this many states, per-state
-/// lane-equality masks (O(states × planes) bitwise ops per draw) beat the
-/// per-changed-lane gather/decode loop; beyond it the engine falls back
-/// to the scalar path, whose cost does not scale with the state count.
-const MASK_STATES: usize = 16;
 
 /// Field width of the packed per-lane counter fast path: one `u64` holds a
 /// lane's (up to) three state counts in 21-bit fields, so a changed lane
@@ -389,11 +382,6 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
         &self.protocol
     }
 
-    /// Number of replica lanes.
-    pub fn lane_count(&self) -> u32 {
-        self.lanes
-    }
-
     /// Agents per replica (`population()` is `lanes × n`).
     pub fn agents_per_lane(&self) -> usize {
         self.n
@@ -402,23 +390,6 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
     /// The lane-retirement bitmap: bit `l` set while lane `l` runs.
     pub fn live_mask(&self) -> u64 {
         self.live
-    }
-
-    /// Shared scheduled draws so far — every lane's private interaction
-    /// clock (live or retired-at-that-time).
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
-    /// Lane `l`'s per-state counts (dense state indexing).
-    pub fn counts_of_lane(&self, lane: u32) -> Vec<u64> {
-        let states = self.counts.len();
-        let l = lane as usize;
-        if self.packed {
-            self.unpack_lane(l)[..states].to_vec()
-        } else {
-            self.lane_counts[l * states..(l + 1) * states].to_vec()
-        }
     }
 
     /// Unpack lane `l`'s packed counts into a dense array (packed path
@@ -431,14 +402,6 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
             *o = (c >> (PACKED_FIELD_BITS * st)) & PACKED_FIELD_MASK;
         }
         out
-    }
-
-    /// The shared-draw clock at which lane `l` stabilized (count-silent or
-    /// frozen-retired), or `None` while it runs. Comparable one-to-one
-    /// with a scalar run's interaction clock.
-    pub fn stabilized_at(&self, lane: u32) -> Option<u64> {
-        let t = self.stab_time[lane as usize];
-        (t != u64::MAX).then_some(t)
     }
 
     /// Decode lane `l`'s full per-agent state vector (dense indices).
@@ -481,73 +444,6 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
         }
     }
 
-    /// One shared scheduled draw: advances every live lane by one
-    /// interaction. Returns whether any lane changed.
-    pub fn draw_step(&mut self, rng: &mut SimRng) -> bool {
-        let (i, j) = self.draw_pair(rng);
-        debug_assert_ne!(i, j);
-        self.draws += 1;
-        let live = self.live;
-        let live_lanes = live.count_ones() as u64;
-        self.interactions += live_lanes;
-        self.telemetry.scheduled += live_lanes;
-        self.telemetry.dense_steps += 1;
-        self.telemetry.pair_draws += 1;
-        // Lanes where a state count decremented to zero this draw — the
-        // only lanes that can have newly become silent, for protocols
-        // with `silence_needs_zeroed_count`.
-        let mut zero_hit = 0u64;
-        // Plane-count dispatch: the const-width paths keep both agents'
-        // columns in registers, unroll every plane loop, and skip the
-        // write-back on all-lane no-op draws (the common case).
-        let changed = match self.planes {
-            1 => self.apply_draw::<1>(i, j, live, &mut zero_hit),
-            2 => self.apply_draw::<2>(i, j, live, &mut zero_hit),
-            3 => self.apply_draw::<3>(i, j, live, &mut zero_hit),
-            4 => self.apply_draw::<4>(i, j, live, &mut zero_hit),
-            _ => self.apply_draw_wide(i, j, live, &mut zero_hit),
-        };
-        if changed != 0 {
-            let ch = changed.count_ones() as u64;
-            self.effective += ch;
-            self.telemetry.effective += ch;
-            if let Some(h) = &mut self.hist {
-                h.skip_len.add_u64(self.noop_run);
-            }
-            self.noop_run = 0;
-            // Only a changed lane can have newly become count-silent —
-            // and for protocols where silence needs a freshly emptied
-            // count, only a lane that zeroed a count this draw.
-            let mut rest = if self.protocol.silence_needs_zeroed_count() {
-                zero_hit & self.live
-            } else {
-                changed
-            };
-            let states = self.counts.len();
-            while rest != 0 {
-                let l = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let silent = if self.packed {
-                    let buf = self.unpack_lane(l);
-                    self.protocol.is_silent(&buf[..states])
-                } else {
-                    self.protocol
-                        .is_silent(&self.lane_counts[l * states..(l + 1) * states])
-                };
-                if silent {
-                    self.live &= !(1u64 << l);
-                    self.stab_time[l] = self.draws;
-                }
-            }
-        } else if self.hist.is_some() {
-            self.noop_run += 1;
-        }
-        if self.needs_scan && self.draws >= self.next_scan {
-            self.frozen_scan();
-        }
-        changed != 0
-    }
-
     /// Const-width transition + bookkeeping for one drawn pair: gather
     /// both agents' `S` plane words into registers, apply the protocol to
     /// all live lanes, and — only when some lane changed — write back and
@@ -581,7 +477,7 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
             return changed;
         }
         let states = self.counts.len();
-        debug_assert!(states <= MASK_STATES, "codes fit in S planes");
+        debug_assert!(states <= 1 << S, "codes fit in S planes");
         // Bit-parallel bookkeeping: per endpoint, the lanes whose code
         // actually moved, then per state an equality mask over the
         // planes. Aggregate counts are popcount deltas; per-lane counts
@@ -701,8 +597,10 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
     }
 
     /// Slice-width twin of [`ReplicaSimulator::apply_draw`] for protocols
-    /// with more than 4 planes, including the per-changed-lane
-    /// gather/decode fallback for state counts past [`MASK_STATES`].
+    /// with more than 4 planes. Dense codes need more than 16 states to
+    /// fill 5 planes, where `apply_draw`'s per-state lane masks
+    /// (O(states × planes) bitwise ops per draw) lose to a per-changed-lane
+    /// gather/decode, whose cost does not scale with the state count.
     fn apply_draw_wide(&mut self, i: usize, j: usize, live: u64, zero_hit: &mut u64) -> u64 {
         let s = self.planes;
         let (ia, ib) = (i * s, j * s);
@@ -725,74 +623,39 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
         let mut new_b = [0u64; MAX_PLANES];
         new_a[..s].copy_from_slice(wa);
         new_b[..s].copy_from_slice(wb);
+        // Decode each changed lane's old and new codes and update the
+        // count vectors per lane.
         let states = self.counts.len();
-        if states <= MASK_STATES {
-            let (mut a_diff, mut b_diff) = (0u64, 0u64);
+        let mut rest = changed;
+        while rest != 0 {
+            let l = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let (mut oa, mut ob, mut na, mut nb) = (0u64, 0u64, 0u64, 0u64);
             for p in 0..s {
-                a_diff |= old_a[p] ^ new_a[p];
-                b_diff |= old_b[p] ^ new_b[p];
+                oa |= ((old_a[p] >> l) & 1) << p;
+                ob |= ((old_b[p] >> l) & 1) << p;
+                na |= ((new_a[p] >> l) & 1) << p;
+                nb |= ((new_b[p] >> l) & 1) << p;
             }
-            for st in 0..states {
-                let code = self.protocol.encode(st);
-                let (mut oa, mut na) = (a_diff, a_diff);
-                let (mut ob, mut nb) = (b_diff, b_diff);
-                for p in 0..s {
-                    let sel = ((code >> p) & 1).wrapping_neg();
-                    oa &= !(old_a[p] ^ sel);
-                    na &= !(new_a[p] ^ sel);
-                    ob &= !(old_b[p] ^ sel);
-                    nb &= !(new_b[p] ^ sel);
-                }
-                let gained = (na.count_ones() + nb.count_ones()) as u64;
-                let lost = (oa.count_ones() + ob.count_ones()) as u64;
-                self.counts[st] += gained;
-                self.counts[st] -= lost;
-                // Branchless single pass per state — see apply_draw.
-                let mut m = na | nb | oa | ob;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let inc = ((na >> l) & 1) + ((nb >> l) & 1);
-                    let dec = ((oa >> l) & 1) + ((ob >> l) & 1);
-                    let c = &mut self.lane_counts[l * states + st];
-                    *c = c.wrapping_add(inc).wrapping_sub(dec);
-                    *zero_hit |= u64::from(*c == 0) << l;
+            let base = l * states;
+            if oa != na {
+                let (from, to) = (self.protocol.decode(oa), self.protocol.decode(na));
+                self.lane_counts[base + from] -= 1;
+                self.lane_counts[base + to] += 1;
+                self.counts[from] -= 1;
+                self.counts[to] += 1;
+                if self.lane_counts[base + from] == 0 {
+                    *zero_hit |= 1u64 << l;
                 }
             }
-        } else {
-            // Wide-state fallback: decode each changed lane's old and new
-            // codes and update the count vectors per lane.
-            let mut rest = changed;
-            while rest != 0 {
-                let l = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let (mut oa, mut ob, mut na, mut nb) = (0u64, 0u64, 0u64, 0u64);
-                for p in 0..s {
-                    oa |= ((old_a[p] >> l) & 1) << p;
-                    ob |= ((old_b[p] >> l) & 1) << p;
-                    na |= ((new_a[p] >> l) & 1) << p;
-                    nb |= ((new_b[p] >> l) & 1) << p;
-                }
-                let base = l * states;
-                if oa != na {
-                    let (from, to) = (self.protocol.decode(oa), self.protocol.decode(na));
-                    self.lane_counts[base + from] -= 1;
-                    self.lane_counts[base + to] += 1;
-                    self.counts[from] -= 1;
-                    self.counts[to] += 1;
-                    if self.lane_counts[base + from] == 0 {
-                        *zero_hit |= 1u64 << l;
-                    }
-                }
-                if ob != nb {
-                    let (from, to) = (self.protocol.decode(ob), self.protocol.decode(nb));
-                    self.lane_counts[base + from] -= 1;
-                    self.lane_counts[base + to] += 1;
-                    self.counts[from] -= 1;
-                    self.counts[to] += 1;
-                    if self.lane_counts[base + from] == 0 {
-                        *zero_hit |= 1u64 << l;
-                    }
+            if ob != nb {
+                let (from, to) = (self.protocol.decode(ob), self.protocol.decode(nb));
+                self.lane_counts[base + from] -= 1;
+                self.lane_counts[base + to] += 1;
+                self.counts[from] -= 1;
+                self.counts[to] += 1;
+                if self.lane_counts[base + from] == 0 {
+                    *zero_hit |= 1u64 << l;
                 }
             }
         }
@@ -830,7 +693,7 @@ impl<P: BitwiseProtocol> ReplicaSimulator<P> {
     }
 }
 
-impl<P: BitwiseProtocol> crate::simulator::Simulator for ReplicaSimulator<P> {
+impl<P: BitwiseProtocol> Simulator for ReplicaSimulator<P> {
     fn population(&self) -> u64 {
         self.lanes as u64 * self.n as u64
     }
@@ -851,8 +714,71 @@ impl<P: BitwiseProtocol> crate::simulator::Simulator for ReplicaSimulator<P> {
         self.effective
     }
 
+    /// One shared scheduled draw: advances every live lane by one
+    /// interaction. Returns whether any lane changed.
     fn step(&mut self, rng: &mut SimRng) -> bool {
-        self.draw_step(rng)
+        let (i, j) = self.draw_pair(rng);
+        debug_assert_ne!(i, j);
+        self.draws += 1;
+        let live = self.live;
+        let live_lanes = live.count_ones() as u64;
+        self.interactions += live_lanes;
+        self.telemetry.scheduled += live_lanes;
+        self.telemetry.dense_steps += 1;
+        self.telemetry.pair_draws += 1;
+        // Lanes where a state count decremented to zero this draw — the
+        // only lanes that can have newly become silent, for protocols
+        // with `silence_needs_zeroed_count`.
+        let mut zero_hit = 0u64;
+        // Plane-count dispatch: the const-width paths keep both agents'
+        // columns in registers, unroll every plane loop, and skip the
+        // write-back on all-lane no-op draws (the common case).
+        let changed = match self.planes {
+            1 => self.apply_draw::<1>(i, j, live, &mut zero_hit),
+            2 => self.apply_draw::<2>(i, j, live, &mut zero_hit),
+            3 => self.apply_draw::<3>(i, j, live, &mut zero_hit),
+            4 => self.apply_draw::<4>(i, j, live, &mut zero_hit),
+            _ => self.apply_draw_wide(i, j, live, &mut zero_hit),
+        };
+        if changed != 0 {
+            let ch = changed.count_ones() as u64;
+            self.effective += ch;
+            self.telemetry.effective += ch;
+            if let Some(h) = &mut self.hist {
+                h.skip_len.add_u64(self.noop_run);
+            }
+            self.noop_run = 0;
+            // Only a changed lane can have newly become count-silent —
+            // and for protocols where silence needs a freshly emptied
+            // count, only a lane that zeroed a count this draw.
+            let mut rest = if self.protocol.silence_needs_zeroed_count() {
+                zero_hit & self.live
+            } else {
+                changed
+            };
+            let states = self.counts.len();
+            while rest != 0 {
+                let l = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let silent = if self.packed {
+                    let buf = self.unpack_lane(l);
+                    self.protocol.is_silent(&buf[..states])
+                } else {
+                    self.protocol
+                        .is_silent(&self.lane_counts[l * states..(l + 1) * states])
+                };
+                if silent {
+                    self.live &= !(1u64 << l);
+                    self.stab_time[l] = self.draws;
+                }
+            }
+        } else if self.hist.is_some() {
+            self.noop_run += 1;
+        }
+        if self.needs_scan && self.draws >= self.next_scan {
+            self.frozen_scan();
+        }
+        changed != 0
     }
 
     fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
@@ -860,7 +786,7 @@ impl<P: BitwiseProtocol> crate::simulator::Simulator for ReplicaSimulator<P> {
             return (0, false);
         }
         let before = self.interactions;
-        let changed = self.draw_step(rng);
+        let changed = self.step(rng);
         (self.interactions - before, changed)
     }
 
@@ -869,14 +795,14 @@ impl<P: BitwiseProtocol> crate::simulator::Simulator for ReplicaSimulator<P> {
     }
 
     /// Monomorphic stabilization loop: `run_to_silence` has no observer to
-    /// feed, so drive [`ReplicaSimulator::draw_step`] directly instead of
+    /// feed, so drive [`Simulator::step`] directly instead of
     /// going through the generic observation driver — on a boxed simulator
     /// that skips two dynamic dispatches per draw plus the per-changed-draw
     /// `Observation` plumbing, a measurable share of a ~150 ns draw.
     fn run_to_silence(&mut self, rng: &mut SimRng, budget: u64) -> (u64, bool) {
         let start = self.interactions;
         while self.live != 0 && self.interactions - start < budget {
-            self.draw_step(rng);
+            self.step(rng);
         }
         (self.interactions, self.live == 0)
     }
@@ -899,18 +825,28 @@ impl<P: BitwiseProtocol> crate::simulator::Simulator for ReplicaSimulator<P> {
     }
 
     fn lane_counts(&self, lane: u32) -> Vec<u64> {
-        self.counts_of_lane(lane)
+        let states = self.counts.len();
+        let l = lane as usize;
+        if self.packed {
+            self.unpack_lane(l)[..states].to_vec()
+        } else {
+            self.lane_counts[l * states..(l + 1) * states].to_vec()
+        }
     }
 
+    /// The shared-draw clock at which the lane stabilized (count-silent or
+    /// frozen-retired): comparable one-to-one with a scalar run's
+    /// interaction clock.
     fn lane_stabilized_at(&self, lane: u32) -> Option<u64> {
-        self.stabilized_at(lane)
+        let t = self.stab_time[lane as usize];
+        (t != u64::MAX).then_some(t)
     }
 
     fn lane_clock(&self) -> u64 {
         self.draws
     }
 
-    fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
+    fn snapshot_state(&self, w: &mut SnapshotWriter) {
         w.put_u8(snapshot_tags::REPLICA);
         snapshot_tags::write_config(w, self.population(), self.counts.len());
         w.put_u32(self.lanes);
@@ -952,7 +888,6 @@ impl<P: BitwiseProtocol> crate::simulator::Simulator for ReplicaSimulator<P> {
             None => w.put_bool(false),
         }
         w.put_u64(self.noop_run);
-        Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
@@ -1070,10 +1005,10 @@ mod tests {
         let mut rng_r = SimRng::new(77);
         let mut rng_s = SimRng::new(77);
         for _ in 0..5_000 {
-            replica.draw_step(&mut rng_r);
+            replica.step(&mut rng_r);
             scalar.step(&mut rng_s);
             assert_eq!(replica.lane_states(0), scalar.states());
-            assert_eq!(replica.counts_of_lane(0), scalar.counts());
+            assert_eq!(replica.lane_counts(0), scalar.counts());
             if replica.is_silent() {
                 break;
             }
@@ -1088,18 +1023,17 @@ mod tests {
         let mut rng = SimRng::new(3);
         let mut prev_live = sim.live_mask();
         while !sim.is_silent() {
-            sim.draw_step(&mut rng);
+            sim.step(&mut rng);
             let live = sim.live_mask();
             assert_eq!(live & !prev_live, 0, "a retired lane came back");
             prev_live = live;
         }
         for lane in 0..16 {
-            assert_eq!(sim.counts_of_lane(lane), &[n as u64, 0]);
-            let t = sim.stabilized_at(lane).expect("lane stabilized");
-            assert!(t > 0 && t <= sim.draws());
+            assert_eq!(sim.lane_counts(lane), &[n as u64, 0]);
+            let t = sim.lane_stabilized_at(lane).expect("lane stabilized");
+            assert!(t > 0 && t <= sim.lane_clock());
         }
         assert_eq!(sim.counts(), &[16 * n as u64, 0]);
-        assert_eq!(sim.lane_stabilized_at(0), sim.stabilized_at(0));
     }
 
     #[test]
@@ -1110,10 +1044,10 @@ mod tests {
         let mut rng = SimRng::new(8);
         let mut frozen: Vec<Option<Vec<u64>>> = vec![None; 4];
         for _ in 0..200_000 {
-            sim.draw_step(&mut rng);
+            sim.step(&mut rng);
             for lane in 0..4u32 {
-                if sim.stabilized_at(lane).is_some() {
-                    let counts = sim.counts_of_lane(lane).to_vec();
+                if sim.lane_stabilized_at(lane).is_some() {
+                    let counts = sim.lane_counts(lane).to_vec();
                     match &frozen[lane as usize] {
                         None => frozen[lane as usize] = Some(counts),
                         Some(expect) => assert_eq!(&counts, expect, "lane {lane} moved"),
@@ -1134,18 +1068,15 @@ mod tests {
         let mut sim = ReplicaSimulator::new_clique(OneWayEpidemic, n, &layouts);
         let mut rng = SimRng::new(4);
         for _ in 0..50 {
-            sim.draw_step(&mut rng);
+            sim.step(&mut rng);
         }
         // All three lanes live for 50 draws (infection can't finish in 50
         // draws from 5 infected here, and can't die out).
-        assert_eq!(Simulator::interactions(&sim), 150);
-        assert_eq!(sim.telemetry().scheduled, Simulator::interactions(&sim));
-        assert_eq!(
-            sim.telemetry().effective,
-            Simulator::effective_interactions(&sim)
-        );
+        assert_eq!(sim.interactions(), 150);
+        assert_eq!(sim.telemetry().scheduled, sim.interactions());
+        assert_eq!(sim.telemetry().effective, sim.effective_interactions());
         assert_eq!(sim.telemetry().pair_draws, 50);
-        assert_eq!(Simulator::population(&sim), 75);
+        assert_eq!(sim.population(), 75);
     }
 
     #[test]
@@ -1164,7 +1095,7 @@ mod tests {
         let mut rng_r = SimRng::new(19);
         let mut rng_s = SimRng::new(19);
         for _ in 0..2_000 {
-            replica.draw_step(&mut rng_r);
+            replica.step(&mut rng_r);
             scalar.step(&mut rng_s);
             assert_eq!(replica.lane_states(0), scalar.states());
         }
@@ -1187,13 +1118,13 @@ mod tests {
         let mut rng = SimRng::new(6);
         let mut steps = 0u64;
         while !sim.is_silent() && steps < 10_000_000 {
-            sim.draw_step(&mut rng);
+            sim.step(&mut rng);
             steps += 1;
         }
         assert!(sim.is_silent(), "frozen lanes were never retired");
         for lane in 0..2 {
-            assert_eq!(sim.counts_of_lane(lane), &[3, 3], "lane {lane}");
-            assert!(sim.stabilized_at(lane).is_some());
+            assert_eq!(sim.lane_counts(lane), &[3, 3], "lane {lane}");
+            assert!(sim.lane_stabilized_at(lane).is_some());
         }
     }
 
@@ -1212,8 +1143,8 @@ mod tests {
             vec![1, 0, 1, 1], // mixed: live
         ];
         let sim = ReplicaSimulator::new_clique(OneWayEpidemic, 4, &layouts);
-        assert_eq!(sim.stabilized_at(0), Some(0));
-        assert_eq!(sim.stabilized_at(1), None);
+        assert_eq!(sim.lane_stabilized_at(0), Some(0));
+        assert_eq!(sim.lane_stabilized_at(1), None);
         assert_eq!(sim.live_mask(), 0b10);
     }
 
@@ -1224,10 +1155,10 @@ mod tests {
         let mut sim = ReplicaSimulator::new_clique(OneWayEpidemic, n, &layouts);
         let mut rng = SimRng::new(31);
         for _ in 0..500 {
-            sim.draw_step(&mut rng);
+            sim.step(&mut rng);
         }
         let mut w = SnapshotWriter::new();
-        sim.snapshot_state(&mut w).unwrap();
+        sim.snapshot_state(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = ReplicaSimulator::new_clique(OneWayEpidemic, n, &layouts);
         let mut r = SnapshotReader::new(&bytes);
@@ -1235,18 +1166,15 @@ mod tests {
         // Drive both forward with the same stream: identical trajectories.
         let mut rng2 = rng.clone();
         for _ in 0..500 {
-            sim.draw_step(&mut rng);
-            fresh.draw_step(&mut rng2);
+            sim.step(&mut rng);
+            fresh.step(&mut rng2);
         }
         assert_eq!(sim.live_mask(), fresh.live_mask());
         assert_eq!(sim.counts(), fresh.counts());
-        assert_eq!(
-            Simulator::interactions(&sim),
-            Simulator::interactions(&fresh)
-        );
+        assert_eq!(sim.interactions(), fresh.interactions());
         for lane in 0..8 {
             assert_eq!(sim.lane_states(lane), fresh.lane_states(lane));
-            assert_eq!(sim.stabilized_at(lane), fresh.stabilized_at(lane));
+            assert_eq!(sim.lane_stabilized_at(lane), fresh.lane_stabilized_at(lane));
         }
     }
 
@@ -1255,9 +1183,9 @@ mod tests {
         let layouts = epidemic_layouts(10, 2, 4, 1);
         let mut sim = ReplicaSimulator::new_clique(OneWayEpidemic, 10, &layouts);
         let mut rng = SimRng::new(2);
-        sim.draw_step(&mut rng);
+        sim.step(&mut rng);
         let mut w = SnapshotWriter::new();
-        sim.snapshot_state(&mut w).unwrap();
+        sim.snapshot_state(&mut w);
         let bytes = w.into_bytes();
         let other_layouts = epidemic_layouts(10, 2, 8, 1);
         let mut other = ReplicaSimulator::new_clique(OneWayEpidemic, 10, &other_layouts);

@@ -273,11 +273,6 @@ pub struct EngineTelemetry {
     pub clock: SpanClock,
 }
 
-/// The shared all-zero telemetry returned by the default
-/// [`Simulator::telemetry`](crate::Simulator::telemetry) for engines that
-/// predate (or opt out of) instrumentation.
-static DISABLED: EngineTelemetry = EngineTelemetry::new();
-
 impl EngineTelemetry {
     /// All-zero counters with a disabled clock (`const`).
     pub const fn new() -> Self {
@@ -298,11 +293,6 @@ impl EngineTelemetry {
             spans: SpanSet::new(),
             clock: SpanClock::new(),
         }
-    }
-
-    /// The static all-zero instance (default trait implementation).
-    pub fn disabled() -> &'static EngineTelemetry {
-        &DISABLED
     }
 
     /// Counter-wise difference `self − earlier` over every monotone
@@ -568,7 +558,7 @@ mod tests {
 
     #[test]
     fn disabled_is_all_zero() {
-        let t = EngineTelemetry::disabled();
+        let t = EngineTelemetry::new();
         assert_eq!(t.scheduled, 0);
         assert_eq!(t.effective_fraction(), 0.0);
         assert_eq!(t.cancel_rate(), 0.0);

@@ -508,13 +508,13 @@ mod tests {
         let mut sim = frontier_sim(n);
         let mut rec = TimelineRecorder::new(cadence);
         let mut rng = SimRng::new(seed);
-        while !Simulator::is_silent(&sim) {
-            let horizon = rec.horizon(Simulator::interactions(&sim));
-            Simulator::advance(&mut sim, &mut rng, horizon);
+        while !sim.is_silent() {
+            let horizon = rec.horizon(sim.interactions());
+            sim.advance_changed(&mut rng, horizon);
             rec.record_if_due(&sim);
         }
         rec.finish(&sim);
-        let t = *Simulator::telemetry(&sim);
+        let t = *sim.telemetry();
         (rec, t)
     }
 
@@ -663,7 +663,7 @@ mod tests {
         let mut sim = frontier_sim(128);
         let mut rec = TimelineRecorder::new(1 << 30);
         let mut rng = SimRng::new(9);
-        Simulator::advance(&mut sim, &mut rng, 500);
+        sim.advance_changed(&mut rng, 500);
         assert!(!rec.record_if_due(&sim), "mark not reached yet");
         rec.finish(&sim);
         assert_eq!(rec.samples().len(), 1, "partial window recorded");

@@ -5,7 +5,9 @@
 //! population and agree with each other on reachable support, and the
 //! Fenwick sampler agrees with a linear scan on arbitrary weight vectors.
 
-use pop_proto::{AgentSimulator, CliqueScheduler, CountConfig, CountSimulator, Protocol};
+use pop_proto::{
+    AgentSimulator, CliqueScheduler, CountConfig, CountSimulator, Protocol, Simulator,
+};
 use proptest::prelude::*;
 use sim_stats::rng::SimRng;
 
@@ -283,12 +285,12 @@ fn agentwise_and_countwise_epidemic_distributions_agree() {
         let mut a =
             AgentSimulator::from_config(OneWayEpidemic, CliqueScheduler::new(n as usize), &cfg);
         let mut rng = SimRng::new(seed);
-        a.run(&mut rng, 10_000_000, |s| s.counts()[1] == 0);
+        a.run_until(&mut rng, 10_000_000, &mut |counts| counts[1] == 0);
         agent_mean += a.interactions() as f64;
 
         let mut c = CountSimulator::new(OneWayEpidemic, &cfg);
         let mut rng = SimRng::new(seed + 10_000);
-        c.run(&mut rng, 10_000_000, |s| s.counts()[1] == 0);
+        c.run_until(&mut rng, 10_000_000, &mut |counts| counts[1] == 0);
         count_mean += c.interactions() as f64;
     }
     agent_mean /= reps as f64;

@@ -14,7 +14,7 @@
 //!   simulator-equivalence experiments;
 //! * [`regression`] — ordinary least squares and log–log scaling fits, used
 //!   to extract empirical exponents from stabilization-time sweeps;
-//! * [`multinomial`] — categorical and hypergeometric sampling
+//! * [`multinomial`] — hypergeometric sampling
 //!   (an O(draws) urn sampler plus the batch engine's block samplers);
 //! * [`binomial`] — exact binomial and hypergeometric samplers with
 //!   inverse-CDF and BTPE-style rejection paths, the statistical substrate
@@ -51,8 +51,8 @@ pub use binomial::{
 pub use histogram::{Histogram, LogHistogram};
 pub use ks::{ks_critical_value, ks_reject, ks_statistic};
 pub use multinomial::{
-    categorical_index, hypergeometric_pairing_table, multivariate_hypergeometric,
-    multivariate_hypergeometric_streams, sample_hypergeometric, ScheduleSampler,
+    hypergeometric_pairing_table, multivariate_hypergeometric, multivariate_hypergeometric_streams,
+    sample_hypergeometric, ScheduleSampler,
 };
 pub use plot::AsciiChart;
 pub use regression::{loglog_fit, ols_fit, LinearFit};

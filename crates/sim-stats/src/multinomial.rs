@@ -1,4 +1,4 @@
-//! Categorical and hypergeometric sampling.
+//! Hypergeometric sampling.
 //!
 //! These primitives back the hot loop of the clique batch engine
 //! (`pop_proto::BatchSimulator`), which draws a short block's agents one
@@ -11,22 +11,6 @@
 //! [`sample_hypergeometric_fast`](crate::binomial::sample_hypergeometric_fast).
 
 use crate::rng::SimRng;
-
-/// Sample a category index proportional to `weights` (linear scan).
-///
-/// Panics if all weights are zero or any weight is negative.
-pub fn categorical_index(rng: &mut SimRng, weights: &[u64]) -> usize {
-    let total: u64 = weights.iter().sum();
-    assert!(total > 0, "categorical with all-zero weights");
-    let mut r = rng.below(total);
-    for (i, &w) in weights.iter().enumerate() {
-        if r < w {
-            return i;
-        }
-        r -= w;
-    }
-    unreachable!("categorical scan exhausted weights");
-}
 
 /// Exact hypergeometric sample: number of "successes" when drawing `draws`
 /// items without replacement from a population of `total` items of which
@@ -491,26 +475,6 @@ pub fn distinct_pair(rng: &mut SimRng, n: u64) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn categorical_respects_weights() {
-        let mut rng = SimRng::new(1);
-        let weights = [1u64, 0, 3];
-        let mut counts = [0u64; 3];
-        for _ in 0..40_000 {
-            counts[categorical_index(&mut rng, &weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "all-zero")]
-    fn categorical_zero_weights_panics() {
-        let mut rng = SimRng::new(3);
-        categorical_index(&mut rng, &[0, 0]);
-    }
 
     #[test]
     fn multivariate_hypergeometric_invariants() {

@@ -127,7 +127,7 @@ impl Protocol for FourStateMajority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pop_proto::{CountConfig, CountSimulator};
+    use pop_proto::{CountConfig, CountSimulator, Simulator};
     use sim_stats::rng::SimRng;
 
     fn initial(a: u64, b: u64) -> CountConfig {
@@ -161,7 +161,7 @@ mod tests {
         for seed in 0..5 {
             let mut sim = CountSimulator::new(FourStateMajority, &initial(26, 25));
             let mut rng = SimRng::new(seed);
-            sim.run(&mut rng, 50_000_000, |s| s.is_silent());
+            sim.run_to_silence(&mut rng, 50_000_000);
             assert!(sim.is_silent(), "did not stabilize (seed {seed})");
             let counts = sim.counts();
             let (a_side, b_side) = FourStateMajority::sides(counts);
@@ -177,7 +177,7 @@ mod tests {
     fn b_majority_wins_symmetrically() {
         let mut sim = CountSimulator::new(FourStateMajority, &initial(10, 40));
         let mut rng = SimRng::new(42);
-        sim.run(&mut rng, 50_000_000, |s| s.is_silent());
+        sim.run_to_silence(&mut rng, 50_000_000);
         let (a_side, b_side) = FourStateMajority::sides(sim.counts());
         assert_eq!(b_side, 50);
         assert_eq!(a_side, 0);
@@ -188,9 +188,8 @@ mod tests {
         let mut sim = CountSimulator::new(FourStateMajority, &initial(20, 20));
         let mut rng = SimRng::new(7);
         // Run until no strong tokens remain (the tie endpoint).
-        sim.run(&mut rng, 50_000_000, |s| {
-            s.counts()[FourStateMajority::STRONG_A] == 0
-                && s.counts()[FourStateMajority::STRONG_B] == 0
+        sim.run_until(&mut rng, 50_000_000, &mut |c| {
+            c[FourStateMajority::STRONG_A] == 0 && c[FourStateMajority::STRONG_B] == 0
         });
         assert_eq!(sim.counts()[FourStateMajority::STRONG_A], 0);
         assert_eq!(sim.counts()[FourStateMajority::STRONG_B], 0);

@@ -59,7 +59,7 @@ impl Protocol for VoterDynamics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pop_proto::{CountConfig, CountSimulator};
+    use pop_proto::{CountConfig, CountSimulator, Simulator};
     use sim_stats::rng::SimRng;
 
     #[test]
@@ -70,7 +70,7 @@ mod tests {
                 &CountConfig::from_counts(vec![20, 15, 15]),
             );
             let mut rng = SimRng::new(seed);
-            sim.run(&mut rng, 10_000_000, |s| s.is_silent());
+            sim.run_to_silence(&mut rng, 10_000_000);
             assert!(sim.is_silent());
             assert!(sim.config().consensus_state().is_some());
         }
@@ -88,7 +88,7 @@ mod tests {
                 &CountConfig::from_counts(vec![30, 10]),
             );
             let mut rng = SimRng::new(seed);
-            sim.run(&mut rng, 10_000_000, |s| s.is_silent());
+            sim.run_to_silence(&mut rng, 10_000_000);
             if sim.config().consensus_state() == Some(0) {
                 wins += 1;
             }
@@ -116,7 +116,7 @@ mod tests {
                 &CountConfig::from_counts(vec![30, 10]),
             );
             let mut rng = SimRng::new(seed + 1_000);
-            sim.run(&mut rng, 10_000_000, |s| s.is_silent());
+            sim.run_to_silence(&mut rng, 10_000_000);
             if sim.config().consensus_state() == Some(1) {
                 minority_wins += 1;
             }

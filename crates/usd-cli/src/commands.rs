@@ -10,7 +10,7 @@ use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use std::path::{Path, PathBuf};
 use usd_core::backend::{Backend, ObservationGranularity, RunTicker};
-use usd_core::checkpoint::RunCheckpoint;
+use usd_core::checkpoint::{RunCheckpoint, RunIdentity};
 use usd_core::encode::Trajectory;
 use usd_core::init::InitialConfigBuilder;
 use usd_core::stabilization::ConsensusOutcome;
@@ -239,13 +239,8 @@ struct CheckpointSink {
     /// boundary initializes it from the live clock (which on resumed runs
     /// is mid-flight).
     next: Option<u64>,
-    /// Backend identity string as persisted — the backend name, with the
-    /// lane count appended (`replica:<lanes>`) for ensemble runs.
-    backend: String,
-    n: u64,
-    k: u32,
-    seed: u64,
-    topology: String,
+    /// The run identity every checkpoint carries.
+    identity: RunIdentity,
     written: u64,
 }
 
@@ -306,16 +301,9 @@ impl RunTicker for RunMonitor {
         }
         c.next = Some((clock / c.every + 1).saturating_mul(c.every));
         let mut w = SnapshotWriter::new();
-        if let Err(e) = sim.snapshot_state(&mut w) {
-            eprintln!("usd-sim: checkpoint skipped: {e}");
-            return;
-        }
+        sim.snapshot_state(&mut w);
         let ckpt = RunCheckpoint {
-            backend: c.backend.clone(),
-            n: c.n,
-            k: c.k,
-            seed: c.seed,
-            topology: c.topology.clone(),
+            identity: c.identity.clone(),
             rng: rng.state(),
             recorder: self.recorder.clone(),
             engine: w.into_bytes(),
@@ -509,17 +497,16 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
         t => t,
     };
-    // Backend identity as persisted in checkpoints and echoed on resume:
-    // ensemble runs append the lane count so a checkpoint from a 64-lane
-    // run can never resume a 32-lane one.
+    // The run identity persisted in checkpoints and echoed on resume.
+    // Ensemble runs append the lane count to the backend, so a checkpoint
+    // from a 64-lane run can never resume a 32-lane one; the families
+    // whose graph is drawn from --topo-seed append it to the topology, so
+    // a checkpoint never resumes onto another graph.
     let backend_id = if lanes > 1 {
         format!("{}:{lanes}", backend.name())
     } else {
         backend.name().to_string()
     };
-    // Topology identity likewise: the families whose graph is drawn from
-    // --topo-seed append it, so a checkpoint never resumes onto another
-    // graph.
     let topo_id = match topology {
         Some(f @ (TopologyFamily::Regular { .. } | TopologyFamily::ErdosRenyi { .. })) => {
             format!("{f}, topo-seed {topo_seed}")
@@ -527,6 +514,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         Some(f) => f.name(),
         None => String::new(),
     };
+    let identity = RunIdentity::new(backend_id, n, k as u32, seed, topo_id);
     let trace_path: Option<String> = flags.get("trace")?;
     let telemetry_format = match flags.get_opt("telemetry") {
         None => None,
@@ -624,12 +612,8 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let config = match requested_bias {
         None => builder.max_admissible_bias(),
         Some(b) => {
-            if b.saturating_add(k as u64) > n {
-                return Err(CliError(format!(
-                    "bias {b} leaves no room for {k} nonempty opinions at n={n} \
-                     (need bias + k <= n; try --bias 0 or a larger --n)"
-                )));
-            }
+            InitialConfigBuilder::check_bias(n, k, b)
+                .map_err(|e| CliError(format!("{e}; try --bias 0 or a larger --n")))?;
             builder.equal_minorities(b)
         }
     };
@@ -645,7 +629,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         Some(p) => {
             let (ckpt, from) = RunCheckpoint::load(Path::new(p))
                 .map_err(|e| CliError(format!("--resume {p}: {e}")))?;
-            ckpt.check_identity(&backend_id, n, k as u32, seed, &topo_id)
+            ckpt.check_identity(&identity)
                 .map_err(|e| CliError(format!("--resume {p}: {e}")))?;
             Some((ckpt, from))
         }
@@ -692,11 +676,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
             path: PathBuf::from(p),
             every: checkpoint_every.unwrap_or_else(|| (16 * n).max(1 << 22)),
             next: None,
-            backend: backend_id.clone(),
-            n,
-            k: k as u32,
-            seed,
-            topology: topo_id.clone(),
+            identity,
             written: 0,
         }),
     };
@@ -1281,11 +1261,7 @@ mod tests {
         };
         let write = |backend: &str, tag: u8| {
             RunCheckpoint {
-                backend: backend.into(),
-                n: 2_000,
-                k: 3,
-                seed: 5,
-                topology: String::new(),
+                identity: RunIdentity::new(backend, 2_000, 3, 5, ""),
                 rng: SimRng::new(1).state(),
                 recorder: None,
                 engine: payload(tag),
@@ -1355,6 +1331,12 @@ mod tests {
             err.contains("topology 'regular:4, topo-seed 7' (flags say 'regular:4, topo-seed 8')"),
             "{err}"
         );
+        // The file is intact: only the flags differ.
+        assert!(
+            err.contains("checkpoint was written by a different run"),
+            "{err}"
+        );
+        assert!(!err.contains("corrupt"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

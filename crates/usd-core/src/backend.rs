@@ -815,7 +815,7 @@ mod tests {
         use pop_proto::Observation;
         let engine_tag = |sim: Option<Box<dyn Simulator>>| {
             let mut w = SnapshotWriter::new();
-            sim.expect("an engine ran").snapshot_state(&mut w).unwrap();
+            sim.expect("an engine ran").snapshot_state(&mut w);
             w.into_bytes()[0]
         };
         let config = UsdConfig::decided(vec![600, 424]);

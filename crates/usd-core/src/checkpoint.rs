@@ -113,17 +113,8 @@ impl std::fmt::Display for RunIdentity {
 /// A complete, resumable snapshot of a single `usd-sim run`.
 #[derive(Debug, Clone)]
 pub struct RunCheckpoint {
-    /// Backend flag name (`agent`, `count`, `batch`, `graph`,
-    /// `batchgraph`; `replica:<lanes>` for ensembles).
-    pub backend: String,
-    /// Population size.
-    pub n: u64,
-    /// Opinion count k (the engines hold k + 1 states).
-    pub k: u32,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Topology family name (e.g. `regular:8`); empty for clique runs.
-    pub topology: String,
+    /// The run this checkpoint belongs to, echoed back on resume.
+    pub identity: RunIdentity,
     /// Driver RNG stream position (Xoshiro256++ state words).
     pub rng: [u64; 4],
     /// The `--timeline` flight recorder, when the run samples one.
@@ -137,12 +128,13 @@ pub struct RunCheckpoint {
 impl RunCheckpoint {
     /// Serialize and seal (magic + version + CRC header).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let id = &self.identity;
         let mut w = SnapshotWriter::new();
-        w.put_str(&self.backend);
-        w.put_u64(self.n);
-        w.put_u32(self.k);
-        w.put_u64(self.seed);
-        w.put_str(&self.topology);
+        w.put_str(&id.backend);
+        w.put_u64(id.n);
+        w.put_u32(id.k);
+        w.put_u64(id.seed);
+        w.put_str(&id.topology);
         for word in self.rng {
             w.put_u64(word);
         }
@@ -169,7 +161,7 @@ impl RunCheckpoint {
         let n = r.get_u64()?;
         let k = r.get_u32()?;
         let seed = r.get_u64()?;
-        let topology = r.get_string()?;
+        let identity = RunIdentity::new(backend, n, k, seed, r.get_string()?);
         let mut rng = [0u64; 4];
         for word in &mut rng {
             *word = r.get_u64()?;
@@ -187,11 +179,7 @@ impl RunCheckpoint {
         let engine = r.get_bytes()?.to_vec();
         r.expect_end()?;
         Ok(RunCheckpoint {
-            backend,
-            n,
-            k,
-            seed,
-            topology,
+            identity,
             rng,
             recorder,
             engine,
@@ -233,37 +221,15 @@ impl RunCheckpoint {
         }
     }
 
-    /// The identity echo this checkpoint carries, as a [`RunIdentity`].
-    pub fn identity(&self) -> RunIdentity {
-        RunIdentity::new(
-            self.backend.clone(),
-            self.n,
-            self.k,
-            self.seed,
-            self.topology.clone(),
-        )
-    }
-
-    /// Validate the run-identity echo against the caller's flags; the
-    /// error message names every mismatching field (delegates to
-    /// [`RunIdentity::mismatches`]).
-    pub fn check_identity(
-        &self,
-        backend: &str,
-        n: u64,
-        k: u32,
-        seed: u64,
-        topology: &str,
-    ) -> Result<(), CheckpointError> {
-        let flags = RunIdentity::new(backend, n, k, seed, topology);
-        let mismatches = self.identity().mismatches(&flags);
+    /// Validate the run-identity echo against the run the caller's flags
+    /// describe: [`CheckpointError::IdentityMismatch`] names every
+    /// mismatching field (see [`RunIdentity::mismatches`]).
+    pub fn check_identity(&self, flags: &RunIdentity) -> Result<(), CheckpointError> {
+        let mismatches = self.identity.mismatches(flags);
         if mismatches.is_empty() {
             Ok(())
         } else {
-            Err(CheckpointError::Corrupt(format!(
-                "checkpoint was written by a different run: {}",
-                mismatches.join(", ")
-            )))
+            Err(CheckpointError::IdentityMismatch(mismatches.join(", ")))
         }
     }
 }
@@ -279,13 +245,9 @@ mod tests {
         let mut rng = SimRng::new(9);
         sim.run_to_silence(&mut rng, 500);
         let mut w = SnapshotWriter::new();
-        sim.snapshot_state(&mut w).unwrap();
+        sim.snapshot_state(&mut w);
         RunCheckpoint {
-            backend: "count".into(),
-            n: 100,
-            k: 2,
-            seed: 9,
-            topology: String::new(),
+            identity: RunIdentity::new("count", 100, 2, 9, ""),
             rng: rng.state(),
             recorder: None,
             engine: w.into_bytes(),
@@ -297,9 +259,10 @@ mod tests {
         let ckpt = sample();
         let bytes = ckpt.to_bytes();
         let back = RunCheckpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(back.backend, "count");
-        assert_eq!((back.n, back.k, back.seed), (100, 2, 9));
-        assert_eq!(back.topology, "");
+        assert_eq!(back.identity.backend, "count");
+        let id = &back.identity;
+        assert_eq!((id.n, id.k, id.seed), (100, 2, 9));
+        assert_eq!(back.identity.topology, "");
         assert_eq!(back.rng, ckpt.rng);
         assert!(back.recorder.is_none());
         assert_eq!(back.engine, ckpt.engine);
@@ -326,9 +289,11 @@ mod tests {
     #[test]
     fn identity_mismatch_names_the_field() {
         let ckpt = sample();
-        assert!(ckpt.check_identity("count", 100, 2, 9, "").is_ok());
+        assert!(ckpt
+            .check_identity(&RunIdentity::new("count", 100, 2, 9, ""))
+            .is_ok());
         let err = ckpt
-            .check_identity("graph", 100, 2, 9, "cycle")
+            .check_identity(&RunIdentity::new("graph", 100, 2, 9, "cycle"))
             .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("backend"), "{msg}");

@@ -9,6 +9,7 @@
 //! All logarithms are natural, matching the convention under which the
 //! paper's Figure 1 parameters (n = 10⁶ → k = 27) come out right.
 
+use crate::backend::SpecError;
 use crate::config::UsdConfig;
 use crate::theory;
 use sim_stats::rng::SimRng;
@@ -48,19 +49,33 @@ impl InitialConfigBuilder {
     /// `rem = (n − bias) mod k`, produces
     /// x₀ = base + bias + rem, x₁ = … = x_{k−1} = base.
     ///
-    /// Panics if `bias + k > n` (no room for nonempty minorities).
+    /// Panics with [`InitialConfigBuilder::check_bias`]'s message if
+    /// `bias + k > n` (no room for nonempty minorities).
     pub fn equal_minorities(&self, bias: u64) -> UsdConfig {
-        assert!(
-            bias.saturating_add(self.k as u64) <= self.n,
-            "bias {bias} too large for n={} k={}",
-            self.n,
-            self.k
-        );
+        if let Err(e) = Self::check_bias(self.n, self.k, bias) {
+            panic!("{e}");
+        }
         let base = (self.n - bias) / self.k as u64;
         let rem = (self.n - bias) % self.k as u64;
         let mut x = vec![base; self.k];
         x[0] = base + bias + rem;
         UsdConfig::decided(x)
+    }
+
+    /// Whether [`equal_minorities`](Self::equal_minorities)`(bias)` can
+    /// build over `n` agents and `k` opinions: the bias must leave every
+    /// minority at least one agent (`bias + k ≤ n`). It takes plain inputs,
+    /// so a binary can call it once [`Backend::check`](crate::Backend::check)
+    /// admits `(n, k)` and exit 2 on `Err`; [`figure1`](Self::figure1)
+    /// needs it at `bias = theory::sqrt_n_log_n(n)`.
+    pub fn check_bias(n: u64, k: usize, bias: u64) -> Result<(), SpecError> {
+        if bias > n || n - bias < k as u64 {
+            return Err(SpecError(format!(
+                "bias {bias} leaves no room for {k} nonempty opinions at n = {n} \
+                 (a run needs bias + k <= n)"
+            )));
+        }
+        Ok(())
     }
 
     /// The Figure 1 configuration: equal minorities with bias √(n ln n).
@@ -236,6 +251,23 @@ mod tests {
     #[should_panic(expected = "bias")]
     fn oversized_bias_rejected() {
         InitialConfigBuilder::new(10, 3).equal_minorities(9);
+    }
+
+    #[test]
+    fn check_bias_admits_exactly_the_biases_that_build() {
+        for n in 2..12u64 {
+            for k in 1..=n as usize {
+                for bias in 0..=n + 1 {
+                    let admitted = InitialConfigBuilder::check_bias(n, k, bias).is_ok();
+                    assert_eq!(admitted, bias + k as u64 <= n, "n={n} k={k} bias={bias}");
+                    if admitted {
+                        let c = InitialConfigBuilder::new(n, k).equal_minorities(bias);
+                        assert!(c.opinions().iter().all(|&x| x >= 1), "n={n} k={k}");
+                    }
+                }
+            }
+        }
+        assert!(InitialConfigBuilder::check_bias(u64::MAX, 2, u64::MAX).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! enumeration for arbitrary configurations, binary trajectory round-trips,
 //! and agreement between the clique engines running the same protocol.
 
-use pop_proto::{CountSimulator, Protocol};
+use pop_proto::{CountSimulator, Protocol, Simulator};
 use proptest::prelude::*;
 use sim_stats::rng::SimRng;
 use usd_core::analysis::{
@@ -187,8 +187,7 @@ fn three_engines_agree_on_mean_stabilization_time() {
         let proto = UndecidedStateDynamics::new(config.k());
         let mut generic = CountSimulator::new(proto, &config.to_count_config());
         let mut rng = SimRng::new(seed);
-        generic.run(&mut rng, 100_000_000, |s| {
-            let counts = s.counts();
+        generic.run_until(&mut rng, 100_000_000, &mut |counts| {
             let u = counts[counts.len() - 1];
             u == n
                 || (u == 0

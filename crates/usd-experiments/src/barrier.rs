@@ -19,7 +19,7 @@
 //! law immediately, but pay a multiplicative log n toll that dominates
 //! at realistic sizes — a quantitative sharpening of the open question.
 
-use crate::cli::ExpArgs;
+use crate::cli::{require_figure1, ExpArgs};
 use crate::report::Report;
 use crate::runner;
 use sim_stats::regression::loglog_fit;
@@ -96,6 +96,7 @@ pub fn barrier_report(args: &ExpArgs) -> Report {
         }
     };
     let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &ks);
+    require_figure1(n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         barrier_cell(backend, n, k, seeds, args.seed)
     });

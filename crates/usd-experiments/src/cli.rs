@@ -32,6 +32,8 @@
 
 use pop_proto::topology::TopologyFamily;
 use usd_core::backend::Backend;
+use usd_core::init::InitialConfigBuilder;
+use usd_core::theory;
 
 /// Parsed experiment arguments with per-experiment defaults filled in by
 /// the caller.
@@ -159,6 +161,9 @@ impl ExpArgs {
         if out.n < 2 {
             return Err("--n must be at least 2".to_string());
         }
+        if out.k == Some(0) {
+            return Err("--k must be at least 1".to_string());
+        }
         if out.seeds == 0 {
             return Err("--seeds must be positive".to_string());
         }
@@ -205,11 +210,12 @@ impl ExpArgs {
     /// [`Backend::check`] refuses one of the runs or when the backend packs
     /// replica lanes: these reports read one run's clock and counts per
     /// sample, and an ensemble pass sums its lanes. Library embedders that
-    /// must not have their process terminated call [`Backend::check`]
-    /// before a report function.
+    /// must not have their process terminated call [`Backend::check`] (and,
+    /// for a Figure-1 report, [`InitialConfigBuilder::check_bias`]) before a
+    /// report function.
     pub fn clique_backend_or(&self, default: Backend, n: u64, ks: &[usize]) -> Backend {
         let backend = self.backend_or(default);
-        let verdict = if backend.capabilities().replicas > 1 {
+        exit_on(if backend.capabilities().replicas > 1 {
             Err(format!(
                 "--backend {backend} sums its lanes into one pass, and this experiment reads \
                  one run per sample; ensemble lanes are read by `usd-sim run --backend \
@@ -219,11 +225,7 @@ impl ExpArgs {
             ks.iter()
                 .try_for_each(|&k| backend.check(n, k, 1, None))
                 .map_err(|e| e.to_string())
-        };
-        if let Err(msg) = verdict {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+        });
         backend
     }
 
@@ -234,6 +236,29 @@ impl ExpArgs {
         } else {
             value
         }
+    }
+}
+
+/// Exit 2 with a one-line message, before any run starts, unless the
+/// Figure-1 configuration (equal minorities, bias √(n ln n)) builds over `n`
+/// agents at every opinion count in `ks`
+/// ([`InitialConfigBuilder::check_bias`]). Reports that take a backend call
+/// it after [`ExpArgs::clique_backend_or`].
+pub fn require_figure1(n: u64, ks: &[usize]) {
+    let bias = theory::sqrt_n_log_n(n);
+    exit_on(
+        ks.iter()
+            .try_for_each(|&k| InitialConfigBuilder::check_bias(n, k, bias))
+            .map_err(|e| e.to_string()),
+    );
+}
+
+/// Print `verdict`'s message and exit 2 on `Err`: the
+/// [`ExpArgs::from_env`] convention for flag errors.
+fn exit_on(verdict: Result<(), String>) {
+    if let Err(msg) = verdict {
+        eprintln!("{msg}");
+        std::process::exit(2);
     }
 }
 
@@ -331,6 +356,7 @@ mod tests {
     fn bad_number_rejected() {
         assert!(parse(&["--n", "abc"]).is_err());
         assert!(parse(&["--n", "1"]).is_err());
+        assert!(parse(&["--k", "0"]).is_err());
         assert!(parse(&["--seeds", "0"]).is_err());
     }
 

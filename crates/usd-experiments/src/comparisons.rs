@@ -17,7 +17,7 @@
 //! the engine comparison) and E9 needs the literal per-agent model for its
 //! per-node flip statistic, so both pin their engines.
 
-use crate::cli::ExpArgs;
+use crate::cli::{require_figure1, ExpArgs};
 use crate::report::Report;
 use crate::runner;
 use pop_proto::{
@@ -72,7 +72,7 @@ pub fn bias_grid(n: u64, k: usize) -> Vec<u64> {
     .collect();
     grid.sort_unstable();
     grid.dedup();
-    grid.retain(|&b| b + (k as u64) <= n);
+    grid.retain(|&b| InitialConfigBuilder::check_bias(n, k, b).is_ok());
     grid
 }
 
@@ -238,6 +238,7 @@ pub fn gossip_report(args: &ExpArgs) -> Report {
         Some(k) => vec![k],
         None => vec![2, 4, 8],
     };
+    require_figure1(n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         gossip_cell(n, k, seeds, args.seed)
     });
@@ -320,7 +321,7 @@ pub fn baseline_rows(
     // Voter dynamics.
     let voter: Vec<(f64, bool)> = runner::repeat(master_seed ^ 2, seeds, |_r, rng| {
         let mut sim = CountSimulator::new(VoterDynamics::new(k), &config.to_count_config_no_u());
-        sim.run(rng, 500 * n * n, |s| s.is_silent());
+        sim.run_to_silence(rng, 500 * n * n);
         let won = sim.config().consensus_state() == Some(0);
         (sim.parallel_time(), won)
     });
@@ -347,7 +348,7 @@ pub fn baseline_rows(
         let four: Vec<(f64, bool)> = runner::repeat(master_seed ^ 5, seeds, |_r, rng| {
             let init = pop_proto::CountConfig::from_counts(vec![config.x(0), config.x(1), 0, 0]);
             let mut sim = CountSimulator::new(FourStateMajority, &init);
-            sim.run(rng, 500 * n * n, |s| s.is_silent());
+            sim.run_to_silence(rng, 500 * n * n);
             let (a, b) = FourStateMajority::sides(sim.counts());
             (sim.parallel_time(), a == n && b == 0)
         });
@@ -390,6 +391,7 @@ pub fn baseline_report(args: &ExpArgs) -> Report {
     let seeds = args.unless_quick(args.seeds, 2);
     let ks: Vec<usize> = [2, 5].into_iter().filter(|&k| k as u64 * 4 <= n).collect();
     let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &ks);
+    require_figure1(n, &ks);
     let mut report = Report::new();
     report.heading(format!(
         "E11 / Baseline comparison at the Figure-1 bias, n={}, backend={backend}",
@@ -449,7 +451,7 @@ fn restart_throughput<S: Simulator>(
     let mut done = 0u64;
     while done + sim.interactions() < target {
         let before = sim.interactions();
-        if Simulator::advance(&mut sim, &mut rng, target - done - before) == 0 || sim.is_silent() {
+        if sim.advance_changed(&mut rng, target - done - before).0 == 0 || sim.is_silent() {
             done += sim.interactions();
             sim = rebuild(&mut rng);
         }
@@ -470,8 +472,7 @@ pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<Abla
     let generic: Vec<u64> = runner::repeat(master_seed ^ 0xE3, seeds, |_r, rng| {
         let proto = UndecidedStateDynamics::new(k);
         let mut sim = CountSimulator::new(proto, &config.to_count_config());
-        sim.run(rng, budget, |s| {
-            let counts = s.counts();
+        sim.run_until(rng, budget, &mut |counts| {
             let total: u64 = counts.iter().sum();
             counts[k] == total
                 || (counts[k] == 0 && counts[..k].iter().filter(|&&c| c > 0).count() <= 1)
@@ -604,6 +605,7 @@ pub fn ablation_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n.min(5_000), 1_500);
     let k = args.k_or(4);
     let seeds = args.unless_quick(args.seeds.max(40), 10);
+    require_figure1(n, &[k]);
     let rows = ablation_rows(n, k, seeds, args.seed);
 
     let mut report = Report::new();

@@ -10,7 +10,7 @@
 //! Defaults here use n = 100,000 so the binaries finish in seconds; pass
 //! `--n 1000000` for the paper's exact setup.
 
-use crate::cli::ExpArgs;
+use crate::cli::{require_figure1, ExpArgs};
 use crate::report::Report;
 use pop_proto::Simulator;
 use sim_stats::plot::AsciiChart;
@@ -295,6 +295,7 @@ pub fn fig1_left_report(args: &ExpArgs) -> Report {
     let k = args.k_or(theory::figure1_k(n));
     let default = Backend::clique_default(n, ObservationGranularity::Event);
     let backend = args.clique_backend_or(default, n, &[k]);
+    require_figure1(n, &[k]);
     let run = simulate_fig1_run_with(n, k, args.seed, default_budget(n, k), backend);
     let mut report = Report::new();
     report.heading(format!(
@@ -340,6 +341,7 @@ pub fn fig1_right_report(args: &ExpArgs) -> Report {
     let k = args.k_or(theory::figure1_k(n));
     let default = Backend::clique_default(n, ObservationGranularity::Event);
     let backend = args.clique_backend_or(default, n, &[k]);
+    require_figure1(n, &[k]);
     let run = simulate_fig1_run_with(n, k, args.seed, default_budget(n, k), backend);
     let mut report = Report::new();
     report.heading(format!(

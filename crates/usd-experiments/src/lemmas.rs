@@ -27,7 +27,7 @@
 //! the ~√n-interaction block boundary, a granularity far below the kn-scale
 //! quantities the lemmas bound.
 
-use crate::cli::ExpArgs;
+use crate::cli::{require_figure1, ExpArgs};
 use crate::report::Report;
 use crate::runner;
 use pop_proto::Observation;
@@ -114,6 +114,7 @@ pub fn lemma31_report(args: &ExpArgs) -> Report {
         None => default_k_grid(n),
     };
     let backend = args.clique_backend_or(Backend::clique_default(n, Event), n, &ks);
+    require_figure1(n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         lemma31_cell(backend, n, k, seeds, args.seed)
     });
@@ -244,6 +245,7 @@ pub fn lemma33_report(args: &ExpArgs) -> Report {
         None => default_k_grid(n),
     };
     let backend = args.clique_backend_or(Backend::clique_default(n, Event), n, &ks);
+    require_figure1(n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         lemma33_cell(backend, n, k, seeds, args.seed)
     });
@@ -382,6 +384,7 @@ pub fn lemma34_report(args: &ExpArgs) -> Report {
         None => default_k_grid(n),
     };
     let backend = args.clique_backend_or(Backend::clique_default(n, Event), n, &ks);
+    require_figure1(n, &ks);
     let cells = runner::sweep(args.seed, ks, |_, &k, _| {
         lemma34_cell(backend, n, k, seeds, args.seed)
     });

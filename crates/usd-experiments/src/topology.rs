@@ -29,6 +29,7 @@ use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use usd_core::backend::{Backend, RunTicker};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::stabilization::ConsensusOutcome;
+use usd_core::theory;
 use usd_core::{EnsembleOutcome, RunIdentity, RunSpec};
 
 /// One (family, n) sweep cell.
@@ -62,17 +63,20 @@ pub struct TopologyCell {
 }
 
 /// Validate an E14 flag combination before running anything: `--degree`
-/// must target a degree-parameterized family, and [`Backend::check`] must
-/// admit every cell of the sweep. Binaries call this up front and exit
+/// must target a degree-parameterized family, and [`Backend::check`] and
+/// the Figure-1 bias ([`InitialConfigBuilder::check_bias`]) must admit
+/// every cell of the sweep. Binaries call this up front and exit
 /// non-zero on `Err` instead of silently falling back (or panicking deep
 /// inside the sweep).
 pub fn validate_args(args: &ExpArgs) -> Result<(), String> {
     let backend = args.backend_or(Backend::BatchGraph);
+    let k = args.k_or(2);
     for (family, n) in grid(args) {
         let n = family.snap_n(n as usize) as u64;
         // A replica cell packs seeds.clamp(1, 64) lanes: always admitted.
         backend
-            .check(n, args.k_or(2), 1, Some(family))
+            .check(n, k, 1, Some(family))
+            .and_then(|()| InitialConfigBuilder::check_bias(n, k, theory::sqrt_n_log_n(n)))
             .map_err(|e| e.to_string())?;
     }
     if let (Some(family), Some(d)) = (args.topology, args.degree) {

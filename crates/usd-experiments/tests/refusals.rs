@@ -38,6 +38,17 @@ fn unrunnable_flags_exit_2_before_any_run() {
             "--quick --n 10 --k 20",
             "invalid instance n = 10, k = 20",
         ),
+        // The Figure-1 bias √(n ln n) plus k opinions must fit n.
+        (
+            env!("CARGO_BIN_EXE_fig1_left"),
+            "--quick --n 10 --k 8",
+            "bias 5 leaves no room for 8 nonempty opinions at n = 10",
+        ),
+        (
+            env!("CARGO_BIN_EXE_topology_sweep"),
+            "--quick --k 250 --seeds 1",
+            "bias 38 leaves no room for 250 nonempty opinions at n = 256",
+        ),
         // The complete-graph cap.
         (
             env!("CARGO_BIN_EXE_bias_sensitivity"),

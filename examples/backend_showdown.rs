@@ -1,7 +1,7 @@
 //! Backend showdown: one USD instance, every simulation backend.
 //!
 //! ```text
-//! cargo run --release --example backend_showdown [n] [--json [path]]
+//! cargo run --release --example backend_showdown [n]
 //! ```
 //!
 //! Runs the same Figure-1 instance to stabilization on each backend the
@@ -17,32 +17,30 @@
 //! demo-sized (run with n ≤ 10 000 to see them; their real habitat is
 //! sparse topologies via `usd-sim run --topology`). The replica row packs
 //! 64 lanes into one pass: its interaction count sums the lanes, and its
-//! parallel time is the lane mean.
+//! parallel time is the lane mean. An n too small for the instance (the
+//! Figure-1 bias plus 4 opinions must fit) exits 2 with one line.
 
 use plurality_consensus::prelude::*;
 use usd_core::backend::Backend;
+use usd_core::theory;
 use usd_core::RunSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n: u64 = 2_000_000;
-    let mut json: Option<String> = None;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        if arg == "--json" {
-            json = Some(match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                _ => "BENCH_backends.json".to_string(),
-            });
-        } else if let Ok(v) = arg.parse() {
-            n = v;
-        } else {
-            eprintln!("usage: backend_showdown [n] [--json [path]]");
-            std::process::exit(2);
-        }
+    let n: u64 = match args.as_slice() {
+        [] => Some(2_000_000),
+        [v] => v.parse().ok(),
+        _ => None,
     }
+    .unwrap_or_else(|| {
+        eprintln!("usage: backend_showdown [n]");
+        std::process::exit(2);
+    });
     let k = 4usize;
-    let mut rows: Vec<String> = Vec::new();
+    if let Err(e) = InitialConfigBuilder::check_bias(n, k, theory::sqrt_n_log_n(n)) {
+        eprintln!("backend_showdown: {e}");
+        std::process::exit(2);
+    }
     let config = InitialConfigBuilder::new(n, k).figure1();
     println!("instance: {config}");
     println!(
@@ -85,24 +83,5 @@ fn main() {
             result.interactions as f64 / (f64::from(lanes) * n as f64),
             wall,
         );
-        rows.push(format!(
-            "  {{\"backend\":\"{}\",\"topology\":\"clique\",\"n\":{n},\"mode\":\"stabilize\",\
-             \"wall_s\":{:.6},\"scheduled\":{},\"scheduled_per_s\":{:.1},\"winner\":\"{winner}\"}}",
-            backend.name(),
-            wall.as_secs_f64(),
-            result.interactions,
-            result.interactions as f64 / wall.as_secs_f64(),
-        ));
-    }
-    if let Some(path) = json {
-        let doc = format!(
-            "{{\n\"workload\": \"backend_showdown\",\n\"rows\": [\n{}\n]\n}}\n",
-            rows.join(",\n")
-        );
-        std::fs::write(&path, doc).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {path}");
     }
 }

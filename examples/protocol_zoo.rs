@@ -40,7 +40,7 @@ fn main() {
     {
         let init = CountConfig::from_counts(vec![config2.x(0), config2.x(1), 0, 0]);
         let mut sim = CountSimulator::new(FourStateMajority, &init);
-        sim.run(&mut rng, u64::MAX / 2, |s| s.is_silent());
+        sim.run_to_silence(&mut rng, u64::MAX / 2);
         let (a, b) = FourStateMajority::sides(sim.counts());
         row(
             "4-state exact (PP)",
@@ -53,7 +53,7 @@ fn main() {
     {
         let init = CountConfig::from_counts(config2.opinions().to_vec());
         let mut sim = CountSimulator::new(VoterDynamics::new(2), &init);
-        sim.run(&mut rng, u64::MAX / 2, |s| s.is_silent());
+        sim.run_to_silence(&mut rng, u64::MAX / 2);
         row(
             "Voter (PP)",
             sim.parallel_time(),
@@ -114,7 +114,7 @@ fn main() {
     {
         let init = CountConfig::from_counts(config5.opinions().to_vec());
         let mut sim = CountSimulator::new(VoterDynamics::new(5), &init);
-        sim.run(&mut rng, u64::MAX / 2, |s| s.is_silent());
+        sim.run_to_silence(&mut rng, u64::MAX / 2);
         row(
             "Voter (PP)",
             sim.parallel_time(),

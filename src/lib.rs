@@ -55,6 +55,7 @@ pub use usd_experiments;
 /// One-stop imports for the common simulation workflow.
 pub mod prelude {
     pub use pop_proto::topology::TopologyFamily;
+    pub use pop_proto::Simulator;
     pub use sim_stats::rng::{RngFactory, SimRng};
     pub use usd_core::analysis::{
         expected_gap_drift, expected_undecided_drift, monochromatic_distance, undecided_plateau,

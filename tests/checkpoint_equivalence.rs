@@ -15,11 +15,11 @@ use sim_stats::rng::SimRng;
 use usd_core::backend::{make_simulator, make_topology_simulator, Backend};
 use usd_core::config::UsdConfig;
 use usd_core::protocol::UndecidedStateDynamics;
-use usd_core::RunCheckpoint;
+use usd_core::{RunCheckpoint, RunIdentity};
 
 fn snapshot_bytes(sim: &dyn Simulator) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
-    sim.snapshot_state(&mut w).expect("snapshot_state failed");
+    sim.snapshot_state(&mut w);
     w.into_bytes()
 }
 
@@ -94,19 +94,21 @@ fn run(
             "{}: trajectory went silent before the split — test lost its teeth",
             backend.name()
         );
-        let ckpt = RunCheckpoint {
-            backend: backend.name().to_string(),
+        let identity = RunIdentity::new(
+            backend.name(),
             n,
-            k: 2,
+            2,
             seed,
-            topology: family.map(|f| f.name()).unwrap_or_default(),
+            family.map(|f| f.name()).unwrap_or_default(),
+        );
+        let ckpt = RunCheckpoint {
+            identity: identity.clone(),
             rng: rng.state(),
             recorder: Some(rec.clone()),
             engine: snapshot_bytes(sim.as_ref()),
         };
         let back = RunCheckpoint::from_bytes(&ckpt.to_bytes()).expect("sealed bytes round-trip");
-        back.check_identity(backend.name(), n, 2, seed, &ckpt.topology)
-            .expect("identity echo");
+        back.check_identity(&identity).expect("identity echo");
         // A fresh process: rebuild exactly as the original did (same RNG
         // draws in the constructor), then restore and reposition.
         let mut rng2 = SimRng::new(seed);
@@ -224,11 +226,7 @@ fn endgame_run(backend: Backend, seed: u64, split: bool) -> RunOutput {
         }
         split_pending = false;
         let ckpt = RunCheckpoint {
-            backend: backend.name().to_string(),
-            n: n as u64,
-            k: 2,
-            seed,
-            topology: "torus".to_string(),
+            identity: RunIdentity::new(backend.name(), n as u64, 2, seed, "torus"),
             rng: rng.state(),
             recorder: Some(rec.clone()),
             engine: snapshot_bytes(sim.as_ref()),

@@ -12,7 +12,7 @@ use pop_proto::checkpoint::{FaultPlan, SnapshotReader, SnapshotWriter};
 use sim_stats::rng::SimRng;
 use usd_core::backend::{make_simulator, Backend};
 use usd_core::config::UsdConfig;
-use usd_core::RunCheckpoint;
+use usd_core::{RunCheckpoint, RunIdentity};
 
 /// A mid-flight checkpoint for `backend` on a small dead-heat instance.
 fn checkpoint_for(backend: Backend) -> RunCheckpoint {
@@ -21,13 +21,9 @@ fn checkpoint_for(backend: Backend) -> RunCheckpoint {
     let mut rng = SimRng::new(0xFA11 ^ backend as u64);
     sim.run_until(&mut rng, 3_000, &mut |_| false);
     let mut w = SnapshotWriter::new();
-    sim.snapshot_state(&mut w).expect("snapshot");
+    sim.snapshot_state(&mut w);
     RunCheckpoint {
-        backend: backend.name().to_string(),
-        n: 512,
-        k: 2,
-        seed: 0xFA11 ^ backend as u64,
-        topology: String::new(),
+        identity: RunIdentity::new(backend.name(), 512, 2, 0xFA11 ^ backend as u64, ""),
         rng: rng.state(),
         recorder: None,
         engine: w.into_bytes(),
@@ -142,7 +138,7 @@ fn persist_faults_at_every_op_leave_a_loadable_chain() {
 
     let first = checkpoint_for(Backend::Count);
     let mut second = checkpoint_for(Backend::Count);
-    second.seed ^= 1; // distinguishable payloads
+    second.identity.seed ^= 1; // distinguishable payloads
 
     // Count the ops a clean persist performs.
     let mut counter = FaultPlan::none();
@@ -162,11 +158,15 @@ fn persist_faults_at_every_op_leave_a_loadable_chain() {
             .unwrap_or_else(|e| panic!("fault at op {op}: chain unloadable: {e}"));
         match res {
             // The persist claims success: the new checkpoint must be live.
-            Ok(()) => assert_eq!(loaded.seed, second.seed, "fault at op {op}"),
+            Ok(()) => assert_eq!(
+                loaded.identity.seed, second.identity.seed,
+                "fault at op {op}"
+            ),
             // The persist failed: whichever file validates must be one of
             // the two coherent states, never a torn hybrid.
             Err(_) => assert!(
-                loaded.seed == first.seed || loaded.seed == second.seed,
+                loaded.identity.seed == first.identity.seed
+                    || loaded.identity.seed == second.identity.seed,
                 "fault at op {op}: loaded a torn checkpoint from {}",
                 from.display()
             ),

@@ -111,7 +111,7 @@ fn exactness_contrast_at_margin_one() {
         let init = CountConfig::from_counts(vec![51, 50, 0, 0]);
         let mut sim = CountSimulator::new(FourStateMajority, &init);
         let mut rng = SimRng::new(seed);
-        sim.run(&mut rng, 100_000_000, |s| s.is_silent());
+        sim.run_to_silence(&mut rng, 100_000_000);
         let (a, b) = FourStateMajority::sides(sim.counts());
         if a == n && b == 0 {
             four_correct += 1;

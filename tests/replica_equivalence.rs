@@ -50,8 +50,9 @@ fn usd_layouts(config: &usd_core::UsdConfig, lanes: u32, seed: u64) -> Vec<Vec<u
 #[test]
 fn lane_zero_usd_trajectory_is_bit_identical_to_scalar_agentwise() {
     let n = 120u64;
-    let k = 3usize;
-    for seed in [2u64, 31, 404] {
+    // k = 3 (2 planes) runs the per-state lane masks; k = 20 (5 planes)
+    // the wide path's per-lane decode.
+    for (k, seed) in [(3usize, 2u64), (3, 31), (3, 404), (20, 7)] {
         let config = InitialConfigBuilder::new(n, k).figure1();
         let layouts = usd_layouts(&config, 16, seed);
         let proto = UndecidedStateDynamics::new(k);
@@ -67,19 +68,19 @@ fn lane_zero_usd_trajectory_is_bit_identical_to_scalar_agentwise() {
         let mut rng_s = SimRng::new(seed ^ 0xD1CE);
         let mut lane0_done = false;
         for step in 0..200_000u64 {
-            replica.draw_step(&mut rng_r);
-            Simulator::step(&mut scalar, &mut rng_s);
+            replica.step(&mut rng_r);
+            scalar.step(&mut rng_s);
             assert_eq!(
                 replica.lane_states(0),
                 scalar.states(),
                 "seed {seed}: lane 0 diverged from the scalar engine at draw {step}"
             );
-            assert_eq!(replica.counts_of_lane(0), Simulator::counts(&scalar));
-            if Simulator::is_silent(&scalar) && !lane0_done {
+            assert_eq!(replica.lane_counts(0), scalar.counts());
+            if scalar.is_silent() && !lane0_done {
                 lane0_done = true;
                 assert_eq!(
-                    replica.stabilized_at(0),
-                    Some(Simulator::interactions(&scalar)),
+                    replica.lane_stabilized_at(0),
+                    Some(scalar.interactions()),
                     "seed {seed}: lane 0 retired at a different clock"
                 );
             }
@@ -199,13 +200,13 @@ fn lane_retirement_is_monotone_and_freezes_lanes() {
         let mut prev_live = sim.live_mask();
         let mut frozen: Vec<Option<(Vec<u64>, u64)>> = vec![None; 64];
         while !sim.is_silent() {
-            sim.draw_step(&mut rng);
+            sim.step(&mut rng);
             let live = sim.live_mask();
             assert_eq!(live & !prev_live, 0, "seed {seed}: a retired lane revived");
             prev_live = live;
             let mut lane_sum = vec![0u64; k + 1];
             for lane in 0..64u32 {
-                let counts = sim.counts_of_lane(lane).to_vec();
+                let counts = sim.lane_counts(lane).to_vec();
                 assert_eq!(
                     counts.iter().sum::<u64>(),
                     n as u64,
@@ -216,12 +217,12 @@ fn lane_retirement_is_monotone_and_freezes_lanes() {
                 }
                 let retired = live & (1 << lane) == 0;
                 assert_eq!(
-                    sim.stabilized_at(lane).is_some(),
+                    sim.lane_stabilized_at(lane).is_some(),
                     retired,
                     "seed {seed}: lane {lane} bitmap and clock disagree"
                 );
                 if retired {
-                    let clock = sim.stabilized_at(lane).unwrap();
+                    let clock = sim.lane_stabilized_at(lane).unwrap();
                     match &frozen[lane as usize] {
                         None => frozen[lane as usize] = Some((counts, clock)),
                         Some((c0, t0)) => {
@@ -239,8 +240,11 @@ fn lane_retirement_is_monotone_and_freezes_lanes() {
         }
         assert_eq!(sim.live_mask(), 0, "seed {seed}: silent with live lanes");
         for lane in 0..64u32 {
-            let t = sim.stabilized_at(lane).expect("every lane retired");
-            assert!(t <= sim.draws(), "seed {seed}: lane clock past the draws");
+            let t = sim.lane_stabilized_at(lane).expect("every lane retired");
+            assert!(
+                t <= sim.lane_clock(),
+                "seed {seed}: lane clock past the draws"
+            );
         }
     }
 }

@@ -41,7 +41,7 @@ fn engine_means(n: u64, k: usize, reps: u64) -> [f64; 4] {
             let proto = UndecidedStateDynamics::new(k);
             let mut sim = CountSimulator::new(proto, &config.to_count_config());
             let mut rng = SimRng::new(seed * 4 + 1);
-            sim.run(&mut rng, u64::MAX / 2, |s| usd_silent_counts(s.counts(), k));
+            sim.run_until(&mut rng, u64::MAX / 2, &mut |c| usd_silent_counts(c, k));
             means[1] += sim.interactions() as f64;
         }
         // Engines 2 and 3: the batch-leaping engine and the graph engine

@@ -186,7 +186,7 @@ fn counters_are_monotone_across_advance_interleavings() {
                 });
                 hits
             } else {
-                sim.advance(&mut rng, chunk)
+                sim.advance_changed(&mut rng, chunk).0
             };
             let t = sim.telemetry();
             assert_eq!(

@@ -383,10 +383,10 @@ fn reference_agent_graph_drive(
     mut ticker: Option<&mut dyn usd_core::backend::RunTicker>,
 ) -> StabilizationResult {
     use pop_proto::Simulator;
-    let chunk = (4 * Simulator::population(sim)).max(1 << 16);
+    let chunk = (4 * sim.population()).max(1 << 16);
     let (interactions, stabilized) = loop {
-        let done = Simulator::interactions(sim);
-        if Simulator::is_silent(sim)
+        let done = sim.interactions();
+        if sim.is_silent()
             || reference_graph_silent(sim.protocol(), sim.scheduler().graph(), sim.states())
         {
             break (done, true);
@@ -401,13 +401,7 @@ fn reference_agent_graph_drive(
             t.tick(sim);
         }
     };
-    usd_core::backend::classify_counts(
-        Simulator::counts(sim),
-        k,
-        interactions,
-        stabilized,
-        initial_plurality,
-    )
+    usd_core::backend::classify_counts(sim.counts(), k, interactions, stabilized, initial_plurality)
 }
 
 /// `RunSpec` drives `agent` on a graph through the chunked loop every
@@ -478,7 +472,7 @@ fn agent_graph_stop_clocks_match_the_edge_scan_driver() {
                     ticked.then_some(&mut ticker as &mut dyn RunTicker),
                 );
                 assert_eq!(result, expected, "{what}");
-                assert_eq!(sim.counts(), Simulator::counts(&reference), "{what}");
+                assert_eq!(sim.counts(), reference.counts(), "{what}");
                 frozen += u32::from(result.outcome == ConsensusOutcome::Frozen);
             }
         }
@@ -520,7 +514,7 @@ fn lattice_engine(
 
 fn snapshot_bytes(sim: &dyn pop_proto::Simulator) -> Vec<u8> {
     let mut w = pop_proto::SnapshotWriter::new();
-    sim.snapshot_state(&mut w).expect("snapshot_state failed");
+    sim.snapshot_state(&mut w);
     w.into_bytes()
 }
 
