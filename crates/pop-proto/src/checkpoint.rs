@@ -17,6 +17,8 @@
 //! [`open`] validates it; any corruption — bit flips, truncation, a
 //! partially written file — fails the CRC or a bounds check and surfaces
 //! as a [`CheckpointError`], never a panic and never silently wrong state.
+//! The same writer and reader also encode the unsealed `.usdt` trajectory
+//! files (`usd_core::encode`).
 //!
 //! Persistence is crash-safe: [`persist`] writes to a sibling `.tmp` file,
 //! fsyncs it, rotates any existing checkpoint to `.prev`, and atomically
@@ -182,6 +184,11 @@ impl SnapshotWriter {
         self.buf.push(v as u8);
     }
 
+    /// Append a little-endian u16.
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Append a little-endian u32.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -270,6 +277,12 @@ impl<'a> SnapshotReader<'a> {
             1 => Ok(true),
             b => Err(CheckpointError::Corrupt(format!("invalid bool byte {b}"))),
         }
+    }
+
+    /// Read a little-endian u16.
+    pub fn get_u16(&mut self) -> Result<u16, CheckpointError> {
+        let s = self.take(2)?;
+        Ok(u16::from_le_bytes([s[0], s[1]]))
     }
 
     /// Read a little-endian u32.
@@ -546,6 +559,7 @@ mod tests {
         let mut w = SnapshotWriter::new();
         w.put_u8(7);
         w.put_bool(true);
+        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_i64(-42);
@@ -558,6 +572,7 @@ mod tests {
         let mut r = SnapshotReader::new(&body);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
+        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_i64().unwrap(), -42);

@@ -11,8 +11,6 @@
 //! pulling an extra dependency; the implementation is checked against the
 //! reference test vectors in the unit tests below.
 
-use rand::{RngCore, SeedableRng};
-
 /// SplitMix64 step: advances `state` and returns the next output.
 ///
 /// Used for seeding Xoshiro state and for deriving per-stream seeds from a
@@ -43,8 +41,7 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
 /// The workspace-wide simulation RNG: Xoshiro256++.
 ///
 /// Fast (sub-nanosecond per `u64` on current hardware), equidistributed in
-/// 4 dimensions, with a 2^256 − 1 period. Implements [`rand::RngCore`] so it
-/// can be used with the whole `rand` API.
+/// 4 dimensions, with a 2^256 − 1 period.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
@@ -261,42 +258,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dst: &mut [u8]) {
-        let mut chunks = dst.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        SimRng::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        SimRng::new(state)
-    }
-}
-
 /// A factory that hands out independent [`SimRng`] streams derived from one
 /// master seed.
 ///
@@ -501,14 +462,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "astronomically unlikely");
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_covers_remainder() {
-        let mut rng = SimRng::new(4);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use std::path::{Path, PathBuf};
 use usd_core::backend::{Backend, ObservationGranularity, RunTicker};
 use usd_core::checkpoint::{RunCheckpoint, RunIdentity};
-use usd_core::encode::Trajectory;
+use usd_core::encode::{Trajectory, MAX_K};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::stabilization::ConsensusOutcome;
 use usd_core::theory::{self, Bounds};
@@ -439,18 +439,17 @@ fn outcome_line(
         ConsensusOutcome::AllUndecided => format!(
             "absorbed in the all-undecided state after {clock}; wall clock {elapsed:.2?}"
         ),
-        ConsensusOutcome::Frozen => {
-            // Lane-summed replica counts are a mixture whenever lanes
-            // disagree on the winner, even on a connected topology.
-            let why = if ensemble.is_some() {
-                "lane mixture -- see the ensemble line"
-            } else {
-                "disconnected topology"
-            };
-            format!(
-                "froze in a mixed configuration ({why}) after {clock}; wall clock {elapsed:.2?}"
-            )
-        }
+        // Lane-summed replica counts are a mixture whenever lanes disagree,
+        // even when no lane froze, so an ensemble says what its lanes did.
+        ConsensusOutcome::Frozen => match ensemble {
+            Some(ens) => format!(
+                "{} after {clock} ({parallel}); wall clock {elapsed:.2?}",
+                ens.describe()
+            ),
+            None => format!(
+                "froze in a mixed configuration (disconnected topology) after {clock}; wall clock {elapsed:.2?}"
+            ),
+        },
         ConsensusOutcome::Timeout => "budget exhausted".to_string(),
     }
 }
@@ -580,6 +579,12 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     backend
         .check(n, k, lanes, topology)
         .map_err(|e| CliError(e.to_string()))?;
+    if trace_path.is_some() && k > MAX_K {
+        return Err(CliError(format!(
+            "--trace records at most {MAX_K} opinions (the .usdt header stores k in 16 bits), \
+             not {k}"
+        )));
+    }
     if trace_path.is_some() && lanes > 1 {
         return Err(CliError(format!(
             "--trace records one trajectory; the {backend} run packs {lanes} lanes \
@@ -1103,6 +1108,32 @@ mod tests {
     }
 
     #[test]
+    fn trace_refuses_malformed_files() {
+        let dir = std::env::temp_dir().join("usd_cli_test_malformed_trace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.usdt");
+        let path_str = path.to_str().unwrap().to_string();
+        cmd_run(&s(&[
+            "--n", "2000", "--k", "3", "--seed", "5", "--trace", &path_str,
+        ]))
+        .unwrap();
+        let recorded = std::fs::read(&path).unwrap();
+        // Header fields: k at bytes 6..8, the snapshot count at 16..24.
+        for (at, bytes, why) in [
+            (23, vec![recorded[23] | 0x80], "truncated"),
+            (16, (1u64 << 61).to_le_bytes().to_vec(), "truncated"),
+            (6, vec![0, 0], "k = 0"),
+        ] {
+            let mut blob = recorded.clone();
+            blob[at..at + bytes.len()].copy_from_slice(&bytes);
+            std::fs::write(&path, &blob).unwrap();
+            let err = cmd_trace(&s(&[&path_str])).unwrap_err();
+            assert!(err.0.contains(why), "{}", err.0);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn bounds_command_runs() {
         cmd_bounds(&s(&["--n", "100000", "--k", "8"])).unwrap();
     }
@@ -1160,6 +1191,10 @@ mod tests {
             "/tmp/x.usdt"
         ]))
         .is_err());
+        // And a k past the .usdt header's 16 bits, refused before the run.
+        let wide = "--n 140000 --k 70000 --bias 0 --backend count --trace /tmp/x.usdt";
+        let err = cmd_run(&s(&wide.split_whitespace().collect::<Vec<_>>())).unwrap_err();
+        assert!(err.0.contains("at most 65535 opinions"), "{}", err.0);
         // --degree without --topology.
         assert!(cmd_run(&s(&["--n", "256", "--degree", "8"])).is_err());
         // Unknown family.
@@ -1363,14 +1398,18 @@ mod tests {
         // not a panic.
         assert!(cmd_run(&s(&["--n", "2", "--k", "2"])).is_err());
         assert!(cmd_run(&s(&["--n", "10", "--k", "2", "--bias", "9"])).is_err());
-        // Alphabets past the graph engine's 16-bit state packing: exit 2
-        // naming the limit, on the named and on the resolved backend.
-        let wide = "--n 70002 --k 70000 --bias 0 --topology cycle";
-        for backend in ["--backend graph", "--backend batchgraph", ""] {
-            let args = format!("{wide} {backend}");
+        // Alphabets past the transition-table budget: exit 2 naming the
+        // budget, on the named and on the resolved backend, on a graph and
+        // on the clique (where `batch` is resolved).
+        for args in [
+            "--n 70002 --k 70000 --bias 0 --topology cycle --backend graph",
+            "--n 70002 --k 70000 --bias 0 --topology cycle --backend batchgraph",
+            "--n 70002 --k 70000 --bias 0 --topology cycle",
+            "--n 140000 --k 70000 --bias 0",
+        ] {
             let args: Vec<&str> = args.split_whitespace().collect();
             let err = cmd_run(&s(&args)).unwrap_err().0;
-            assert!(err.contains("over the limit of 65536"), "{err}");
+            assert!(err.contains("over its table budget of 8192"), "{err}");
         }
         // Refused before anything is built: a cycle past the u32 edge ids,
         // a replica alphabet past 16 bit planes, and a complete topology
@@ -1440,6 +1479,64 @@ mod tests {
         // A single-lane run keeps the plain clock.
         let line = outcome_line(&result, n, None, std::time::Duration::ZERO);
         assert!(line.contains(&format!("({:.2} parallel time)", result.parallel_time(n))));
+    }
+
+    #[test]
+    fn a_lane_mixture_reads_as_frozen_only_when_a_lane_froze() {
+        use usd_core::stabilization::StabilizationResult;
+        use ConsensusOutcome::{AllUndecided, Frozen, Timeout, Winner};
+        let result = |outcome, interactions| StabilizationResult {
+            outcome,
+            interactions,
+            initial_plurality: Some(0),
+        };
+        let ensemble = |a, b| EnsembleOutcome {
+            lanes: vec![
+                usd_core::LaneOutcome {
+                    lane: 0,
+                    result: result(a, 1_000),
+                },
+                usd_core::LaneOutcome {
+                    lane: 1,
+                    result: result(b, 1_000),
+                },
+            ],
+        };
+        // The lane-summed counts of two lanes that elected different
+        // winners classify as frozen.
+        let aggregate = result(Frozen, 2_000);
+        let zero = std::time::Duration::ZERO;
+        let line = outcome_line(&aggregate, 100, Some(&ensemble(Winner(0), Winner(1))), zero);
+        assert!(
+            line.starts_with(
+                "all 2 lanes stabilized; they elected different winners after 2,000 \
+                 interactions summed over 2 lanes (10.00 parallel time per lane)"
+            ),
+            "{line}"
+        );
+        let line = outcome_line(&aggregate, 100, Some(&ensemble(Winner(0), Frozen)), zero);
+        assert!(
+            line.starts_with("1 of 2 lanes froze in a mixed configuration after 2,000"),
+            "{line}"
+        );
+        let line = outcome_line(&aggregate, 100, None, zero);
+        assert!(line.starts_with("froze in a mixed configuration (disconnected topology)"));
+        for (a, b, text) in [
+            (Winner(1), Winner(1), "all 2 lanes stabilized on opinion 2"),
+            (
+                AllUndecided,
+                AllUndecided,
+                "all 2 lanes absorbed in the all-undecided state",
+            ),
+            (
+                Winner(0),
+                AllUndecided,
+                "all 2 lanes stabilized; they elected different winners",
+            ),
+            (Frozen, Timeout, "1 of 2 lanes exhausted the budget"),
+        ] {
+            assert_eq!(ensemble(a, b).describe(), text);
+        }
     }
 
     #[test]

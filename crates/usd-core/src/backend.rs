@@ -94,7 +94,7 @@ use crate::config::UsdConfig;
 use crate::runspec::RunSpec;
 use crate::stabilization::{ConsensusOutcome, StabilizationResult};
 use pop_proto::simulator::MAX_PLANES;
-use pop_proto::{Graph, Simulator, StateWord, TopologyFamily};
+use pop_proto::{Graph, Simulator, TopologyFamily};
 use sim_stats::rng::SimRng;
 
 /// A named USD simulation backend.
@@ -201,8 +201,9 @@ impl Backend {
     ///
     /// - n ≥ 2 and 1 ≤ k ≤ n;
     /// - 1 ≤ lanes ≤ `capabilities().replicas`;
-    /// - at most 65,536 states (k + 1) on `graph` and `batchgraph` (16-bit
-    ///   state words) and on `replica` (16 bit planes);
+    /// - at most [`TABLE_MAX_STATES`] states (k + 1) on `batch`, `graph` and
+    ///   `batchgraph`, which cache a transition for every pair of states,
+    ///   and at most 65,536 on `replica` (16 bit planes);
     /// - on the clique, `graph` and `batchgraph` only up to
     ///   [`COMPLETE_GRAPH_MAX_N`] agents: they materialize the complete
     ///   graph;
@@ -236,17 +237,23 @@ impl Backend {
                 caps.replicas
             ));
         }
-        let state_limit = match self {
-            Backend::Graph | Backend::BatchGraph => <u16 as StateWord>::LIMIT,
-            Backend::Replica => 1 << MAX_PLANES,
-            Backend::Agent | Backend::Count | Backend::Batch => usize::MAX,
-        };
-        if k >= state_limit {
-            return refuse(format!(
-                "{self} packs each agent's state in 16 bits: k = {k} opinions need {} \
-                 states, over the limit of {state_limit}",
-                k as u64 + 1
-            ));
+        let states = k as u64 + 1;
+        match self {
+            Backend::Batch | Backend::Graph | Backend::BatchGraph if k >= TABLE_MAX_STATES => {
+                return refuse(format!(
+                    "{self} caches a transition for every pair of states: k = {k} opinions \
+                     need {states} states, over its table budget of {TABLE_MAX_STATES} (run \
+                     count or agent on the clique, agent or replica on a graph)"
+                ));
+            }
+            Backend::Replica if k >= 1 << MAX_PLANES => {
+                return refuse(format!(
+                    "{self} packs each agent's state in 16 bits: k = {k} opinions need \
+                     {states} states, over the limit of {}",
+                    1 << MAX_PLANES
+                ));
+            }
+            _ => {}
         }
         let Some(family) = topology else {
             if matches!(self, Backend::Graph | Backend::BatchGraph) && n > COMPLETE_GRAPH_MAX_N {
@@ -380,6 +387,14 @@ impl std::str::FromStr for Backend {
         }
     }
 }
+
+/// The most states (k + 1) for which [`Backend::check`] admits the engines
+/// that cache a states × states transition table at construction
+/// ([`Backend::Batch`], [`Backend::Graph`], [`Backend::BatchGraph`]):
+/// 2²⁶ cached transitions, at most 576 MiB on `batch`'s 9-byte entries.
+/// It admits the paper's whole regime (k ≤ √n / ln n, about 4,300 even at
+/// n = 10¹⁰); without it a large k aborts on the table's allocation.
+pub const TABLE_MAX_STATES: usize = 1 << 13;
 
 /// Largest population for which [`Backend::check`] admits [`Backend::Graph`]
 /// and [`Backend::BatchGraph`] on the clique, which they run as the
@@ -902,17 +917,37 @@ mod tests {
         assert!(admitted > 100, "only {admitted} small runs admitted");
         // Check only: sizes past the engines' limits, or too large to build.
         let on_graph = |b: Backend| matches!(b, Backend::Graph | Backend::BatchGraph);
-        let packed = |b: Backend| on_graph(b) || b == Backend::Replica;
+        let tabled = |b: Backend| on_graph(b) || b == Backend::Batch;
+        // The paper's regime reaches k = √n / ln n, about 4,300 at n = 10¹⁰.
+        let n = 1e10f64;
+        let regime_k = (n.sqrt() / n.ln()) as usize;
+        assert!(regime_k > 4_300);
+        assert!(Backend::Batch.check(n as u64, regime_k, 1, None).is_ok());
         for b in Backend::ALL {
             let topo = b.capabilities().topologies;
             // The complete-graph cap on the clique.
             assert!(b.check(cap, 2, 1, None).is_ok(), "{b}");
             assert_eq!(b.check(cap + 1, 2, 1, None).is_ok(), !on_graph(b), "{b}");
-            // The 16-bit state packing, on a cycle where topologies run.
+            // The transition-table budget and the replica's 16 bit planes,
+            // on a cycle where topologies run.
             let place = if topo { Some(Cycle) } else { None };
             let wide = 1 << 17;
-            assert!(b.check(wide, 65_535, 1, place).is_ok(), "{b}");
-            assert_eq!(b.check(wide, 65_536, 1, place).is_ok(), !packed(b), "{b}");
+            let table_k = TABLE_MAX_STATES - 1;
+            for (k, refused) in [
+                (regime_k, false),
+                (table_k, false),
+                (table_k + 1, tabled(b)),
+                (65_535, tabled(b)),
+                (65_536, tabled(b) || b == Backend::Replica),
+            ] {
+                let verdict = b.check(wide, k, 1, place);
+                assert_eq!(verdict.is_err(), refused, "{b} k = {k}");
+                if refused && tabled(b) {
+                    let err = verdict.unwrap_err().0;
+                    let instead = "(run count or agent on the clique, agent or replica on a graph)";
+                    assert!(err.contains(instead), "{b}: {err}");
+                }
+            }
             // The u32 id ceiling: 2m <= u32::MAX, m = n on the cycle, 2n on
             // the torus, n(n-1)/2 on the complete graph, and the mean 4n
             // plus 8√(4n) on er:8 (at n = 536,800,000 the mean alone fits).

@@ -127,7 +127,7 @@ mod tests {
     fn roundtrips_through_the_binary_format() {
         let config = InitialConfigBuilder::new(800, 4).figure1();
         let (traj, _) = record(&config, Backend::Count, u64::MAX / 2, 4);
-        let decoded = Trajectory::decode(traj.encode()).unwrap();
+        let decoded = Trajectory::decode(&traj.encode()).unwrap();
         assert_eq!(decoded, traj);
     }
 }

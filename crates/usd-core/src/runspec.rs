@@ -81,7 +81,7 @@
 use crate::backend::{classify_counts, Backend, ObservationGranularity, RunTicker};
 use crate::config::UsdConfig;
 use crate::protocol::UndecidedStateDynamics;
-use crate::stabilization::StabilizationResult;
+use crate::stabilization::{ConsensusOutcome, StabilizationResult};
 use pop_proto::simulator::shuffled_layout;
 use pop_proto::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Graph,
@@ -623,7 +623,7 @@ impl EnsembleOutcome {
     pub fn wins_for(&self, opinion: usize) -> usize {
         self.lanes
             .iter()
-            .filter(|l| l.result.outcome == crate::stabilization::ConsensusOutcome::Winner(opinion))
+            .filter(|l| l.result.outcome == ConsensusOutcome::Winner(opinion))
             .count()
     }
 
@@ -633,5 +633,32 @@ impl EnsembleOutcome {
             .iter()
             .filter(|l| l.result.plurality_won())
             .count()
+    }
+
+    /// How the lanes ended, in one phrase. The lane-summed aggregate
+    /// reads as frozen whenever the lanes disagree; this says "froze" only
+    /// when a lane froze.
+    pub fn describe(&self) -> String {
+        let lanes = self.len();
+        let tally =
+            |o: ConsensusOutcome| self.lanes.iter().filter(|l| l.result.outcome == o).count();
+        let (unfinished, frozen) = (
+            tally(ConsensusOutcome::Timeout),
+            tally(ConsensusOutcome::Frozen),
+        );
+        if unfinished > 0 {
+            return format!("{unfinished} of {lanes} lanes exhausted the budget");
+        }
+        if frozen > 0 {
+            return format!("{frozen} of {lanes} lanes froze in a mixed configuration");
+        }
+        let unanimous = self.lanes.first().map(|l| l.result.outcome);
+        match unanimous.filter(|&o| tally(o) == lanes) {
+            Some(ConsensusOutcome::Winner(w)) => {
+                format!("all {lanes} lanes stabilized on opinion {}", w + 1)
+            }
+            Some(_) => format!("all {lanes} lanes absorbed in the all-undecided state"),
+            None => format!("all {lanes} lanes stabilized; they elected different winners"),
+        }
     }
 }

@@ -129,7 +129,7 @@ proptest! {
         for &t in &sorted {
             traj.push(t, config.clone());
         }
-        let decoded = Trajectory::decode(traj.encode()).unwrap();
+        let decoded = Trajectory::decode(&traj.encode()).unwrap();
         prop_assert_eq!(decoded, traj);
     }
 

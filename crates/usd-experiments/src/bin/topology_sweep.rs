@@ -53,7 +53,7 @@ mod tests {
         assert!(validate_args(&parse(&["--topology", "regular:8", "--degree", "4"])).is_ok());
         // Every cell is checked before the first runs: k = 300 fits the
         // quick grid's n = 1,024 cells but not its n = 256 ones, and
-        // k = 70,000 (past the 16-bit state packing too) fits no cell.
+        // k = 70,000 (past the transition-table budget too) fits no cell.
         for flags in [
             "--quick --k 300 --seeds 1",
             "--k 70000 --backend graph",

@@ -389,7 +389,10 @@ impl NoU for UsdConfig {
 pub fn baseline_report(args: &ExpArgs) -> Report {
     let n = args.unless_quick(args.n.min(10_000), 2_000);
     let seeds = args.unless_quick(args.seeds, 2);
-    let ks: Vec<usize> = [2, 5].into_iter().filter(|&k| k as u64 * 4 <= n).collect();
+    let ks = match args.k {
+        Some(k) => vec![k],
+        None => [2, 5].into_iter().filter(|&k| k as u64 * 4 <= n).collect(),
+    };
     let backend = args.clique_backend_or(Backend::clique_default(n, Block), n, &ks);
     require_figure1(n, &ks);
     let mut report = Report::new();
@@ -751,5 +754,9 @@ mod tests {
         assert!(gossip_report(&args).render().contains("Gossip"));
         assert!(baseline_report(&args).render().contains("Baseline"));
         assert!(ablation_report(&args).render().contains("ablation"));
+        // E11 reports the `--k` it is given and no other.
+        let k7 = baseline_report(&ExpArgs { k: Some(7), ..args }).render();
+        let ks: Vec<&str> = k7.lines().filter(|l| l.starts_with("k = ")).collect();
+        assert_eq!(ks, ["k = 7:"], "{k7}");
     }
 }

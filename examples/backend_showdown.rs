@@ -23,7 +23,7 @@
 use plurality_consensus::prelude::*;
 use usd_core::backend::Backend;
 use usd_core::theory;
-use usd_core::RunSpec;
+use usd_core::{EnsembleOutcome, RunSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,13 +63,17 @@ fn main() {
         }
         let mut rng = SimRng::new(7);
         let start = std::time::Instant::now();
-        let result = spec.run(&mut rng);
+        let (result, sim) = spec.run_keeping(&mut rng);
         let wall = start.elapsed();
-        let winner = match result.outcome {
-            ConsensusOutcome::Winner(w) => format!("opinion {}", w + 1),
-            ConsensusOutcome::AllUndecided => "all-undecided".to_string(),
-            ConsensusOutcome::Frozen => "frozen".to_string(),
-            ConsensusOutcome::Timeout => "timeout".to_string(),
+        let winner = match (result.outcome, sim.filter(|_| lanes > 1)) {
+            // Lane-summed counts read as frozen whenever the lanes disagree.
+            (ConsensusOutcome::Frozen, Some(sim)) => {
+                EnsembleOutcome::from_simulator(sim.as_ref(), k, config.plurality()).describe()
+            }
+            (ConsensusOutcome::Winner(w), _) => format!("opinion {}", w + 1),
+            (ConsensusOutcome::AllUndecided, _) => "all-undecided".to_string(),
+            (ConsensusOutcome::Frozen, None) => "frozen".to_string(),
+            (ConsensusOutcome::Timeout, _) => "timeout".to_string(),
         };
         let summed = if lanes > 1 {
             format!(" (interactions summed over {lanes} lanes, time per lane)")
