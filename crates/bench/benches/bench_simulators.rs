@@ -1,9 +1,9 @@
 //! Engine throughput: interactions per second for the three exact clique
 //! engines.
 //!
-//! This is the quantitative backing for DESIGN.md §7's ablation choices:
-//! count-based beats agent-based on memory without losing speed, and the
-//! batch-leaping engine wins by leaping whole blocks of interactions.
+//! This is the micro-benchmark beside E12's ablation: count-based beats
+//! agent-based on memory without losing speed, and the batch-leaping
+//! engine wins by leaping whole blocks of interactions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pop_proto::{AgentSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Simulator};

@@ -1,12 +1,13 @@
 //! Shared helpers for the Criterion benchmark suite.
 //!
-//! The benches measure (see DESIGN.md §3/§7):
+//! The benches measure:
 //!
 //! * `bench_simulators` — per-interaction throughput of the three clique
 //!   engines (agentwise, countwise, batch-leaping) across (n, k) — the
 //!   count-based vs agent-based and leaping-vs-stepping ablation;
-//! * `bench_sampling` — Fenwick vs linear-scan vs alias-table categorical
-//!   sampling across category counts (the log k vs k vs O(1) crossover);
+//! * `bench_sampling` — the Fenwick tree's categorical sample and
+//!   sample-plus-update across category counts, and the batch engine's
+//!   hypergeometric splits, pairing tables and schedule-order block draws;
 //! * `bench_fig1` — the end-to-end Figure 1 run at reduced n (E1/E2's
 //!   regeneration cost), on the resolved default engine;
 //! * `bench_stabilization` — full stabilization measurement at small n

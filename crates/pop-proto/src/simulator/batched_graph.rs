@@ -132,13 +132,12 @@
 //! [`make_topology_simulator`]: ../../usd_core/backend/fn.make_topology_simulator.html
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
-use crate::config::CountConfig;
 use crate::graph::{Adjacency, Graph};
 use crate::protocol::Protocol;
 use crate::simulator::sparse::{
     orient_event, SparseSkipper, SparseStep, SPARSE_BLOCK_EVENTS, SPARSE_TRIGGER_NOOPS,
 };
-use crate::simulator::{shuffled_layout, snapshot_tags, Simulator};
+use crate::simulator::{snapshot_tags, Simulator};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::rng::SimRng;
@@ -199,8 +198,7 @@ const CHUNK_MAX: usize = 4096;
 /// The u16 state-packing fallback of [`BatchGraphSimulator`] for protocols
 /// with more than 256 (and up to 65 536) states — same engine, twice the
 /// state-array footprint. Construct via
-/// [`BatchGraphSimulator::with_states`] /
-/// [`BatchGraphSimulator::with_config_shuffled`] through this alias.
+/// [`BatchGraphSimulator::with_states`] through this alias.
 pub type WideBatchGraphSimulator<P> = BatchGraphSimulator<P, u16>;
 
 /// Exact simulator for graph-restricted schedulers, under the block or
@@ -356,21 +354,6 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
             telemetry: EngineTelemetry::new(),
             hist: None,
         }
-    }
-
-    /// Create from a count configuration with a uniformly shuffled agent
-    /// layout ([`shuffled_layout`]) — the canonical initial law on
-    /// non-clique topologies, where states are not exchangeable across
-    /// vertices and a block layout would correlate them with the
-    /// generator's vertex numbering.
-    pub fn with_config_shuffled(
-        protocol: P,
-        graph: &Graph,
-        config: &CountConfig,
-        rng: &mut SimRng,
-    ) -> Self {
-        let states = shuffled_layout(config, rng);
-        Self::with_states(protocol, graph, states)
     }
 
     /// Switch to the **per-event** policy: the dense phase steps one
@@ -848,18 +831,6 @@ impl<P: Protocol> BatchGraphSimulator<P> {
     pub fn new(protocol: P, graph: &Graph, states: Vec<usize>) -> Self {
         Self::with_states(protocol, graph, states)
     }
-
-    /// Create from a count configuration with a uniformly shuffled agent
-    /// layout (one-byte packing) — the canonical initial law on non-clique
-    /// topologies.
-    pub fn from_config_shuffled(
-        protocol: P,
-        graph: &Graph,
-        config: &CountConfig,
-        rng: &mut SimRng,
-    ) -> Self {
-        Self::with_config_shuffled(protocol, graph, config, rng)
-    }
 }
 
 impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
@@ -1068,8 +1039,10 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CountConfig;
     use crate::protocol::OneWayEpidemic;
     use crate::scheduler::GraphScheduler;
+    use crate::simulator::shuffled_layout;
 
     fn epidemic_on(graph: &Graph, infected: usize) -> BatchGraphSimulator<OneWayEpidemic> {
         let mut states = vec![1usize; graph.n()];

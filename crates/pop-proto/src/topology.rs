@@ -29,7 +29,8 @@ pub const DEFAULT_DEGREE: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyFamily {
     /// The complete graph K_n — the paper's model, materialized as an
-    /// explicit Θ(n²) edge list (degenerate reference; keep n modest).
+    /// explicit Θ(n²) edge list (degenerate reference; `usd_core`'s
+    /// `Backend::check` caps it at n = 10,000).
     Complete,
     /// The cycle C_n (implicit: O(1) memory, see [`Graph::cycle`]).
     Cycle,
@@ -77,28 +78,6 @@ impl TopologyFamily {
             TopologyFamily::Hypercube => "hypercube".into(),
             TopologyFamily::Regular { d } => format!("regular:{d}"),
             TopologyFamily::ErdosRenyi { avg_degree } => format!("er:{avg_degree}"),
-        }
-    }
-
-    /// Whether this family is degree-parameterized (i.e.
-    /// [`TopologyFamily::with_degree`] has any effect).
-    pub fn takes_degree(&self) -> bool {
-        matches!(
-            self,
-            TopologyFamily::Regular { .. } | TopologyFamily::ErdosRenyi { .. }
-        )
-    }
-
-    /// Replace the degree parameter of a degree-parameterized family
-    /// (`regular`, `er`); other families are returned unchanged.
-    #[must_use]
-    pub fn with_degree(self, d: usize) -> Self {
-        match self {
-            TopologyFamily::Regular { .. } => TopologyFamily::Regular { d },
-            TopologyFamily::ErdosRenyi { .. } => TopologyFamily::ErdosRenyi {
-                avg_degree: d as f64,
-            },
-            other => other,
         }
     }
 
@@ -195,11 +174,15 @@ impl FromStr for TopologyFamily {
                 Some(v) => v.parse().map_err(|e| format!("degree '{v}': {e}")),
             }
         };
+        let fixed = |family: TopologyFamily| match param {
+            None => Ok(family),
+            Some(v) => Err(format!("{base} takes no degree (got '{v}')")),
+        };
         match base {
-            "complete" | "clique" => Ok(TopologyFamily::Complete),
-            "cycle" | "ring" => Ok(TopologyFamily::Cycle),
-            "torus" => Ok(TopologyFamily::Torus),
-            "hypercube" | "cube" => Ok(TopologyFamily::Hypercube),
+            "complete" | "clique" => fixed(TopologyFamily::Complete),
+            "cycle" | "ring" => fixed(TopologyFamily::Cycle),
+            "torus" => fixed(TopologyFamily::Torus),
+            "hypercube" | "cube" => fixed(TopologyFamily::Hypercube),
             "regular" => {
                 let d = parse_d(param)?;
                 if d == 0 {
@@ -559,25 +542,15 @@ mod tests {
             TopologyFamily::Regular { d: DEFAULT_DEGREE }
         );
         assert!("moebius".parse::<TopologyFamily>().is_err());
+        // Only regular and er take a degree.
+        assert!("cycle:4".parse::<TopologyFamily>().is_err());
+        assert!("complete:8".parse::<TopologyFamily>().is_err());
         assert!("regular:x".parse::<TopologyFamily>().is_err());
         // Degenerate parameters are parse errors, not downstream panics.
         assert!("regular:0".parse::<TopologyFamily>().is_err());
         assert!("er:0".parse::<TopologyFamily>().is_err());
         assert!("er:-3".parse::<TopologyFamily>().is_err());
         assert!("er:nan".parse::<TopologyFamily>().is_err());
-    }
-
-    #[test]
-    fn with_degree_applies_only_to_parameterized_families() {
-        assert_eq!(
-            TopologyFamily::Regular { d: 8 }.with_degree(4),
-            TopologyFamily::Regular { d: 4 }
-        );
-        assert_eq!(
-            TopologyFamily::ErdosRenyi { avg_degree: 8.0 }.with_degree(4),
-            TopologyFamily::ErdosRenyi { avg_degree: 4.0 }
-        );
-        assert_eq!(TopologyFamily::Cycle.with_degree(4), TopologyFamily::Cycle);
     }
 
     #[test]

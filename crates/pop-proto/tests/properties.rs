@@ -238,6 +238,7 @@ proptest! {
         (proto, counts) in (2usize..5).prop_flat_map(|m| (table_protocol(m), config_counts(m))),
         seed in any::<u64>(),
     ) {
+        use pop_proto::simulator::shuffled_layout;
         use pop_proto::{BatchGraphSimulator, TopologyFamily};
         let n: u64 = counts.iter().sum();
         let cfg = CountConfig::from_counts(counts);
@@ -245,8 +246,8 @@ proptest! {
         let graph = fam.build(fam.snap_n(n as usize), 1);
         prop_assume!(graph.n() as u64 == n);
         let mut rng = SimRng::new(seed);
-        let mut sim =
-            BatchGraphSimulator::from_config_shuffled(proto, &graph, &cfg, &mut rng).per_event();
+        let states = shuffled_layout(&cfg, &mut rng);
+        let mut sim = BatchGraphSimulator::new(proto, &graph, states).per_event();
         for _ in 0..100 {
             let before = sim.interactions();
             let (advanced, _) = sim.advance_changed(&mut rng, 50);

@@ -27,7 +27,7 @@ commands:
          [--replicas <1..=64>] [--threads <t>]
          [--trace <file.usdt>]
          [--topology complete|cycle|torus|hypercube|regular[:d]|er[:avg]]
-         [--degree <usize>] [--topo-seed <u64>]
+         [--topo-seed <u64>]
          [--telemetry[=table|json]] [--progress-every <secs>]
          [--timeline <out.jsonl>] [--timeline-cadence <interactions>]
          [--histograms]
@@ -50,10 +50,11 @@ commands:
            cores); trajectories are bit-identical for any thread count.
            --topology runs on an interaction graph instead of the clique
            (backend default becomes batchgraph — the block-leaping engine;
-           graph, agent, and replica also work); --degree sets d
-           for regular/er; the
-           population is snapped to the nearest feasible size for the
-           family. --telemetry prints the engine's run report (counters,
+           graph, agent, and replica also work); regular:d and er:avg set
+           the degree (default 8); the population is snapped to the
+           nearest feasible size for the family; complete is capped at
+           n = 10000, and graph and batchgraph with no --topology run on
+           it. --telemetry prints the engine's run report (counters,
            timing spans, derived rates) as a table or one JSON object;
            --progress-every emits a stderr heartbeat for long runs (phase
            tag, effective fraction, instantaneous effective rate).
@@ -85,6 +86,9 @@ commands:
   trace  <file.usdt>
            inspect a trajectory recorded by `run --trace`
   help
+
+a flag the command does not take, a flag given twice or a stray argument
+exits 2 naming it
 ";
 
 /// A fatal CLI error (message printed to stderr, exit code 2).
@@ -97,38 +101,47 @@ impl From<String> for CliError {
     }
 }
 
-/// Minimal flag parser: `--name value` / `--name=value` pairs plus
-/// boolean flags (which may also carry an inline `=value`, the
-/// `--telemetry[=json]` shape).
+/// Strict flag parser: each command names its value flags (`--name
+/// value` / `--name=value`) and its boolean flags (which may carry an
+/// inline `=value`, the `--telemetry[=json]` shape). An unknown flag, a
+/// flag given twice and a positional argument are errors naming the
+/// offender, so a typo never runs a different experiment.
 pub struct Flags {
     pairs: Vec<(String, Option<String>)>,
-    positional: Vec<String>,
 }
 
 impl Flags {
-    /// Parse; `bools` lists flags that take no value (unless given inline
-    /// with `=`).
-    pub fn parse(args: &[String], bools: &[&str]) -> Result<Self, CliError> {
+    /// Parse `args` against the command's `values` and `bools` flags.
+    pub fn parse(args: &[String], values: &[&str], bools: &[&str]) -> Result<Self, CliError> {
         let mut pairs = Vec::new();
-        let mut positional = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if let Some((key, value)) = name.split_once('=') {
-                    pairs.push((key.to_string(), Some(value.to_string())));
-                } else if bools.contains(&name) {
-                    pairs.push((name.to_string(), None));
-                } else {
-                    let v = it
+            let Some(flag) = a.strip_prefix("--") else {
+                return Err(CliError(format!("unexpected argument '{a}'")));
+            };
+            let (name, inline) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (flag, None),
+            };
+            let value = if values.contains(&name) {
+                Some(match inline {
+                    Some(v) => v,
+                    None => it
                         .next()
-                        .ok_or_else(|| CliError(format!("--{name} needs a value")))?;
-                    pairs.push((name.to_string(), Some(v.clone())));
-                }
+                        .ok_or_else(|| CliError(format!("--{name} needs a value")))?
+                        .clone(),
+                })
+            } else if bools.contains(&name) {
+                inline
             } else {
-                positional.push(a.clone());
+                return Err(CliError(format!("unknown flag --{name}")));
+            };
+            if pairs.iter().any(|(k, _)| k == name) {
+                return Err(CliError(format!("--{name} given twice")));
             }
+            pairs.push((name.to_string(), value));
         }
-        Ok(Flags { pairs, positional })
+        Ok(Flags { pairs })
     }
 
     /// Tri-state lookup for flags with an optional inline value: `None`
@@ -146,28 +159,22 @@ impl Flags {
     where
         T::Err: std::fmt::Display,
     {
-        for (k, v) in &self.pairs {
-            if k == name {
-                let v = v
-                    .as_ref()
-                    .ok_or_else(|| CliError(format!("--{name} needs a value")))?;
-                return v
-                    .parse::<T>()
-                    .map(Some)
-                    .map_err(|e| CliError(format!("--{name}: {e}")));
-            }
+        match self.get_opt(name) {
+            None => Ok(None),
+            Some(v) => v
+                .ok_or_else(|| CliError(format!("--{name} needs a value")))?
+                .parse::<T>()
+                .map(Some)
+                .map_err(|e| CliError(format!("--{name}: {e}"))),
         }
-        Ok(None)
     }
 
-    /// Whether a boolean flag is present.
-    pub fn has(&self, name: &str) -> bool {
-        self.pairs.iter().any(|(k, v)| k == name && v.is_none())
-    }
-
-    /// Positional arguments.
-    pub fn positional(&self) -> &[String] {
-        &self.positional
+    /// Whether a boolean flag is present; an inline value is an error.
+    pub fn has(&self, name: &str) -> Result<bool, CliError> {
+        match self.get_opt(name) {
+            Some(Some(v)) => Err(CliError(format!("--{name} takes no value, got '{v}'"))),
+            present => Ok(present.is_some()),
+        }
     }
 }
 
@@ -454,24 +461,68 @@ fn outcome_line(
     }
 }
 
+/// The ensemble line of a replica `usd-sim run`: the per-lane tallies
+/// beside the aggregate outcome line, which classifies the lane-summed
+/// counts (a mixture unless every lane agreed). Frozen lanes are counted
+/// apart from stabilized ones, and the T statistics cover only the lanes
+/// that reached consensus or all-undecided absorption.
+fn ensemble_line(ens: &EnsembleOutcome, n: u64) -> String {
+    let times = ens.stabilization_times();
+    let lane_line = if times.is_empty() {
+        "no lane reached consensus or all-undecided absorption".to_string()
+    } else {
+        let s = Summary::of(&times);
+        let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = times.iter().cloned().fold(0.0f64, f64::max);
+        format!(
+            "T parallel mean {} (min {}, max {})",
+            fmt_sig(s.mean() / n as f64, 4),
+            fmt_sig(min / n as f64, 4),
+            fmt_sig(max / n as f64, 4),
+        )
+    };
+    let frozen = match ens.frozen_lanes() {
+        0 => String::new(),
+        f => format!(", {f} froze"),
+    };
+    format!(
+        "ensemble: {} lanes, {} stabilized{frozen}, plurality won {}/{}, {lane_line}",
+        ens.len(),
+        ens.stabilized_lanes(),
+        ens.plurality_wins(),
+        ens.len(),
+    )
+}
+
 /// `usd-sim run`.
 pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["max-bias", "telemetry", "histograms"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "n",
+            "k",
+            "bias",
+            "seed",
+            "backend",
+            "replicas",
+            "threads",
+            "trace",
+            "topology",
+            "topo-seed",
+            "progress-every",
+            "timeline",
+            "timeline-cadence",
+            "checkpoint",
+            "checkpoint-every",
+            "resume",
+        ],
+        &["max-bias", "telemetry", "histograms"],
+    )?;
     let mut n: u64 = flags.get("n")?.unwrap_or(100_000);
     let k: usize = flags.get("k")?.unwrap_or_else(|| theory::figure1_k(n));
     let seed: u64 = flags.get("seed")?.unwrap_or(42);
     let topology: Option<TopologyFamily> = flags.get("topology")?;
     let topo_seed: u64 = flags.get("topo-seed")?.unwrap_or(7);
-    let topology = match (topology, flags.get::<usize>("degree")?) {
-        (_, Some(0)) => {
-            return Err(CliError("--degree must be at least 1".to_string()));
-        }
-        (Some(t), Some(d)) => Some(t.with_degree(d)),
-        (t, None) => t,
-        (None, Some(_)) => {
-            return Err(CliError("--degree requires --topology".to_string()));
-        }
-    };
     let backend: Backend = flags.get("backend")?.unwrap_or(if topology.is_some() {
         Backend::BatchGraph
     } else {
@@ -563,7 +614,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         c => c,
     };
     let resume_path: Option<String> = flags.get("resume")?;
-    let want_histograms = flags.has("histograms");
+    let want_histograms = flags.has("histograms")?;
     if let Some(family) = topology {
         if trace_path.is_some() {
             return Err(CliError(
@@ -607,7 +658,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
 
     let builder = InitialConfigBuilder::new(n, k);
-    let requested_bias = if flags.has("max-bias") {
+    let requested_bias = if flags.has("max-bias")? {
         None // max_admissible_bias clamps internally
     } else if let Some(b) = flags.get::<u64>("bias")? {
         Some(b)
@@ -765,30 +816,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     println!("{}", outcome_line(&result, n, ensemble.as_ref(), elapsed));
 
     if let Some(ens) = &ensemble {
-        // The aggregate outcome above classifies the lane-summed counts
-        // (a mixture unless every lane agreed); the ensemble line is what
-        // the run actually measured — one independent replica per lane.
-        let times = ens.stabilization_times();
-        let lane_line = if times.is_empty() {
-            "no lane stabilized within the budget".to_string()
-        } else {
-            let s = Summary::of(&times);
-            let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = times.iter().cloned().fold(0.0f64, f64::max);
-            format!(
-                "T parallel mean {} (min {}, max {})",
-                fmt_sig(s.mean() / n as f64, 4),
-                fmt_sig(min / n as f64, 4),
-                fmt_sig(max / n as f64, 4),
-            )
-        };
-        println!(
-            "ensemble: {} lanes, {} stabilized, plurality won {}/{}, {lane_line}",
-            ens.len(),
-            ens.stabilized_lanes(),
-            ens.plurality_wins(),
-            ens.len(),
-        );
+        println!("{}", ensemble_line(ens, n));
     }
 
     if let Some(format) = telemetry_format {
@@ -853,7 +881,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
 
 /// `usd-sim sweep`.
 pub fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["n", "seeds", "seed", "backend"], &[])?;
     let n: u64 = flags.get("n")?.unwrap_or(50_000);
     let seeds: u64 = flags.get("seeds")?.unwrap_or(5);
     let seed: u64 = flags.get("seed")?.unwrap_or(42);
@@ -913,7 +941,7 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
 
 /// `usd-sim bounds`.
 pub fn cmd_bounds(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["n", "k"], &[])?;
     let n: u64 = flags.get("n")?.unwrap_or(1_000_000);
     let k: usize = flags.get("k")?.unwrap_or_else(|| theory::figure1_k(n));
     let b = Bounds::new(n, k);
@@ -962,11 +990,16 @@ pub fn cmd_bounds(args: &[String]) -> Result<(), CliError> {
 
 /// `usd-sim trace`.
 pub fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
-    let path = flags
-        .positional()
-        .first()
-        .ok_or_else(|| CliError("trace: need a file path".into()))?;
+    let path = match args {
+        [path] if !path.starts_with("--") => path,
+        [] => return Err(CliError("trace: need a file path".into())),
+        _ => {
+            return Err(CliError(format!(
+                "trace takes one file path and no flags, not '{}'",
+                args.join(" ")
+            )))
+        }
+    };
     let blob = std::fs::read(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
     let traj = Trajectory::decode(&blob[..]).map_err(|e| CliError(format!("decoding: {e}")))?;
     println!(
@@ -1003,26 +1036,70 @@ mod tests {
 
     #[test]
     fn flags_parse_pairs_bools_positional() {
-        let f = Flags::parse(&s(&["--n", "100", "--max-bias", "file.bin"]), &["max-bias"]).unwrap();
+        let f = Flags::parse(&s(&["--n", "100", "--max-bias"]), &["n"], &["max-bias"]).unwrap();
         assert_eq!(f.get::<u64>("n").unwrap(), Some(100));
-        assert!(f.has("max-bias"));
-        assert_eq!(f.positional(), &["file.bin".to_string()]);
-        assert_eq!(f.get::<u64>("missing").unwrap(), None);
+        assert!(f.has("max-bias").unwrap());
+        assert_eq!(f.get::<u64>("k").unwrap(), None);
+        // A positional argument is refused, naming it.
+        let err = Flags::parse(&s(&["--max-bias", "file.bin"]), &[], &["max-bias"]);
+        assert_eq!(err.err().unwrap().0, "unexpected argument 'file.bin'");
+        // So is a value on a boolean flag.
+        let f = Flags::parse(&s(&["--max-bias=5"]), &[], &["max-bias"]).unwrap();
+        assert!(f.has("max-bias").unwrap_err().0.contains("takes no value"));
     }
 
     #[test]
     fn flags_report_missing_values() {
-        assert!(Flags::parse(&s(&["--n"]), &[]).is_err());
+        assert!(Flags::parse(&s(&["--n"]), &["n"], &[]).is_err());
     }
 
     #[test]
     fn flags_split_inline_equals_values() {
-        let f = Flags::parse(&s(&["--n=100", "--telemetry=json"]), &["telemetry"]).unwrap();
+        let f = Flags::parse(&s(&["--n=100", "--telemetry=json"]), &["n"], &["telemetry"]).unwrap();
         assert_eq!(f.get::<u64>("n").unwrap(), Some(100));
         assert_eq!(f.get_opt("telemetry"), Some(Some("json")));
-        let f = Flags::parse(&s(&["--telemetry"]), &["telemetry"]).unwrap();
+        let f = Flags::parse(&s(&["--telemetry"]), &[], &["telemetry"]).unwrap();
         assert_eq!(f.get_opt("telemetry"), Some(None));
         assert_eq!(f.get_opt("missing"), None);
+    }
+
+    /// A typo, a repeated flag or a stray value exits 2 naming it instead
+    /// of running another experiment.
+    #[test]
+    fn commands_refuse_unknown_repeated_and_stray_arguments() {
+        let args = |line: &str| s(&line.split_whitespace().collect::<Vec<_>>());
+        for (cmd, line, why) in [
+            (
+                cmd_run as fn(&[String]) -> Result<(), CliError>,
+                "--n 1000 --k 2 --topolgy cycle",
+                "unknown flag --topolgy",
+            ),
+            (
+                cmd_sweep,
+                "--n 2000 --seeds 1 --backnd count",
+                "unknown flag --backnd",
+            ),
+            (cmd_run, "--n 1000 --n 2000", "--n given twice"),
+            (
+                cmd_run,
+                "--n 1000 --k 2 --max-bias 5",
+                "unexpected argument '5'",
+            ),
+            (
+                cmd_run,
+                "--n 1000 --topology regular --degree 4",
+                "unknown flag --degree",
+            ),
+            (cmd_bounds, "--n 1000 --seed 3", "unknown flag --seed"),
+            (
+                cmd_trace,
+                "t.usdt --n 3",
+                "trace takes one file path and no flags",
+            ),
+        ] {
+            let err = cmd(&args(line)).unwrap_err().0;
+            assert!(err.contains(why), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -1079,7 +1156,7 @@ mod tests {
 
     #[test]
     fn flags_report_bad_parse() {
-        let f = Flags::parse(&s(&["--n", "abc"]), &[]).unwrap();
+        let f = Flags::parse(&s(&["--n", "abc"]), &["n"], &[]).unwrap();
         assert!(f.get::<u64>("n").is_err());
     }
 
@@ -1153,16 +1230,14 @@ mod tests {
             ]))
             .unwrap_or_else(|e| panic!("topology {t}: {}", e.0));
         }
-        // Agent backend and --degree also work on topologies.
+        // The agent backend, with the degree in the family's name.
         cmd_run(&s(&[
             "--n",
             "100",
             "--k",
             "2",
             "--topology",
-            "regular",
-            "--degree",
-            "6",
+            "regular:6",
             "--backend",
             "agent",
         ]))
@@ -1195,8 +1270,9 @@ mod tests {
         let wide = "--n 140000 --k 70000 --bias 0 --backend count --trace /tmp/x.usdt";
         let err = cmd_run(&s(&wide.split_whitespace().collect::<Vec<_>>())).unwrap_err();
         assert!(err.0.contains("at most 65535 opinions"), "{}", err.0);
-        // --degree without --topology.
-        assert!(cmd_run(&s(&["--n", "256", "--degree", "8"])).is_err());
+        // The degree is part of the family's name; there is no --degree.
+        let err = cmd_run(&s(&["--n", "256", "--degree", "8"])).unwrap_err();
+        assert_eq!(err.0, "unknown flag --degree");
         // Unknown family.
         assert!(cmd_run(&s(&["--n", "256", "--topology", "moebius"])).is_err());
     }
@@ -1412,8 +1488,8 @@ mod tests {
             assert!(err.contains("over its table budget of 8192"), "{err}");
         }
         // Refused before anything is built: a cycle past the u32 edge ids,
-        // a replica alphabet past 16 bit planes, and a complete topology
-        // whose edge list alone would take 40 GB.
+        // a replica alphabet past 16 bit planes, and complete graphs past
+        // their cap (the first's edge list alone would take 40 GB).
         for (args, why) in [
             (
                 "--n 3000000000 --k 2 --topology cycle --backend graph",
@@ -1425,7 +1501,11 @@ mod tests {
             ),
             (
                 "--n 100000 --k 2 --topology complete",
-                "past the u32 id ceiling",
+                "exceeds the 10000 cap",
+            ),
+            (
+                "--n 10001 --k 2 --bias 0 --topology complete --backend agent",
+                "agent on the complete graph materializes its n(n-1)/2 edges",
             ),
         ] {
             let err = cmd_run(&s(&args.split_whitespace().collect::<Vec<_>>()))
@@ -1537,6 +1617,44 @@ mod tests {
         ] {
             assert_eq!(ensemble(a, b).describe(), text);
         }
+    }
+
+    #[test]
+    fn ensemble_line_counts_frozen_lanes_apart() {
+        use usd_core::stabilization::StabilizationResult;
+        use usd_core::LaneOutcome;
+        use ConsensusOutcome::{Frozen, Timeout, Winner};
+        let ensemble = |outcomes: [(ConsensusOutcome, u64); 2]| EnsembleOutcome {
+            lanes: (0..2)
+                .map(|lane| LaneOutcome {
+                    lane,
+                    result: StabilizationResult {
+                        outcome: outcomes[lane as usize].0,
+                        interactions: outcomes[lane as usize].1,
+                        initial_plurality: Some(0),
+                    },
+                })
+                .collect(),
+        };
+        // The frozen lane's clock stays out of the T statistics.
+        let line = ensemble_line(&ensemble([(Winner(0), 1_000), (Frozen, 9_000)]), 100);
+        assert_eq!(
+            line,
+            "ensemble: 2 lanes, 1 stabilized, 1 froze, plurality won 1/2, \
+             T parallel mean 10.00 (min 10.00, max 10.00)"
+        );
+        let line = ensemble_line(&ensemble([(Frozen, 1_000), (Timeout, 2_000)]), 100);
+        assert_eq!(
+            line,
+            "ensemble: 2 lanes, 0 stabilized, 1 froze, plurality won 0/2, \
+             no lane reached consensus or all-undecided absorption"
+        );
+        let line = ensemble_line(&ensemble([(Winner(0), 1_000), (Winner(1), 3_000)]), 100);
+        assert_eq!(
+            line,
+            "ensemble: 2 lanes, 2 stabilized, plurality won 1/2, \
+             T parallel mean 20.00 (min 10.00, max 30.00)"
+        );
     }
 
     #[test]

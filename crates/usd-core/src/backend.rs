@@ -31,7 +31,11 @@
 //! random on its vertices, and runs the engine to graph silence, which
 //! every one of them certifies itself through
 //! [`Simulator::is_silent`] — frozen mixed configurations on disconnected
-//! graphs included — so one chunked loop drives them all). The
+//! graphs included — so one chunked loop drives them all). `graph` and
+//! `batchgraph` run only on a graph: a run of theirs that names no
+//! topology runs on the complete graph ([`Backend::resolve_topology`]),
+//! which, named or resolved, [`Backend::check`] caps at
+//! [`COMPLETE_GRAPH_MAX_N`] vertices. The
 //! `replica` backend is the ensemble engine: one pass advances up to 64
 //! independent replicas of the same configuration, with per-lane outcomes
 //! read back through [`EnsembleOutcome`](crate::EnsembleOutcome).
@@ -107,8 +111,8 @@ pub enum Backend {
     /// Batch-leaping generic simulator (large n).
     Batch,
     /// The graph simulator under its per-event policy (graph topologies;
-    /// the complete graph is its degenerate clique instance): the
-    /// `batchgraph` trajectory, observed at every effective event.
+    /// on the clique it runs the complete graph): the `batchgraph`
+    /// trajectory, observed at every effective event.
     Graph,
     /// The graph simulator under its block policy (matching-based
     /// multi-event blocks; the fast engine for graph topologies).
@@ -204,11 +208,12 @@ impl Backend {
     /// - at most [`TABLE_MAX_STATES`] states (k + 1) on `batch`, `graph` and
     ///   `batchgraph`, which cache a transition for every pair of states,
     ///   and at most 65,536 on `replica` (16 bit planes);
-    /// - on the clique, `graph` and `batchgraph` only up to
-    ///   [`COMPLETE_GRAPH_MAX_N`] agents: they materialize the complete
-    ///   graph;
-    /// - a topology only on a topology-capable backend, with vertex and
-    ///   orientation ids that fit `u32` ([`Graph::ids_fit`] on
+    /// - a topology (after [`resolve_topology`](Backend::resolve_topology),
+    ///   so `graph` and `batchgraph` always have one) only on a
+    ///   topology-capable backend;
+    /// - the complete graph only up to [`COMPLETE_GRAPH_MAX_N`] vertices,
+    ///   on every backend: it is a materialized edge list;
+    /// - vertex and orientation ids that fit `u32` ([`Graph::ids_fit`] on
     ///   [`TopologyFamily::max_edges`], worked out before anything is
     ///   allocated; for `er`, whose edge count is random, that bound
     ///   carries a tail margin), at a size [`TopologyFamily::snap_n`]
@@ -255,20 +260,20 @@ impl Backend {
             }
             _ => {}
         }
-        let Some(family) = topology else {
-            if matches!(self, Backend::Graph | Backend::BatchGraph) && n > COMPLETE_GRAPH_MAX_N {
-                return refuse(format!(
-                    "{self} on the clique materializes the complete graph's n(n-1)/2 edges: \
-                     n = {n} exceeds the {COMPLETE_GRAPH_MAX_N} cap (run a sparse topology, \
-                     or agent, count or batch on the clique)"
-                ));
-            }
+        let Some(family) = self.resolve_topology(topology) else {
             return Ok(());
         };
         if !caps.topologies {
             return refuse(format!(
                 "{self} cannot run graph topologies (topology-capable: {})",
                 Backend::names_where(|c| c.topologies)
+            ));
+        }
+        if family == TopologyFamily::Complete && n > COMPLETE_GRAPH_MAX_N {
+            return refuse(format!(
+                "{self} on the complete graph materializes its n(n-1)/2 edges: n = {n} \
+                 exceeds the {COMPLETE_GRAPH_MAX_N} cap (run a sparse topology, or agent, \
+                 count or batch on the clique)"
             ));
         }
         let edges = family.max_edges(n);
@@ -286,6 +291,19 @@ impl Backend {
             ));
         }
         Ok(())
+    }
+
+    /// The interaction graph a run on this backend is built on: `topology`
+    /// as named, except that `graph` and `batchgraph`, which run only on a
+    /// graph, run the clique (`None`) as [`TopologyFamily::Complete`]. The
+    /// law is the clique's: agents are exchangeable on Kₙ, and the run
+    /// draws its shuffled layout from the run RNG like any topology run.
+    /// [`Backend::check`] and [`RunSpec`] both resolve through it.
+    pub fn resolve_topology(self, topology: Option<TopologyFamily>) -> Option<TopologyFamily> {
+        match self {
+            Backend::Graph | Backend::BatchGraph => topology.or(Some(TopologyFamily::Complete)),
+            _ => topology,
+        }
     }
 
     /// The clique engine a run that names no backend gets: a pure function
@@ -396,10 +414,12 @@ impl std::str::FromStr for Backend {
 /// n = 10¹⁰); without it a large k aborts on the table's allocation.
 pub const TABLE_MAX_STATES: usize = 1 << 13;
 
-/// Largest population for which [`Backend::check`] admits [`Backend::Graph`]
-/// and [`Backend::BatchGraph`] on the clique, which they run as the
-/// materialized complete graph (~10⁸/2 edges ≈ 1.2 GB of edge list +
-/// adjacency at the cap).
+/// Largest population for which [`Backend::check`] admits the complete
+/// graph ([`TopologyFamily::Complete`]) on any topology backend: named with
+/// `--topology complete`, or resolved for `graph` and `batchgraph` on the
+/// clique ([`Backend::resolve_topology`]). The graph is a materialized
+/// n(n-1)/2-edge list; with the engine a run takes about 32 bytes per
+/// edge (980 MiB peak at n = 8,000), so about 1.6 GB at the cap.
 pub const COMPLETE_GRAPH_MAX_N: u64 = 10_000;
 
 /// Construct a generic-substrate simulator for `config` as a trait object.
@@ -408,14 +428,12 @@ pub const COMPLETE_GRAPH_MAX_N: u64 = 10_000;
 /// engine with its default 64 lanes), so observer-driven experiments
 /// select any of the six interchangeably.
 /// Delegates to [`RunSpec::build_simulator`](crate::RunSpec::build_simulator)
-/// — the one place backends register; clique construction draws no RNG
-/// (replica lane layouts come from an internal fixed-seed stream).
-/// [`Backend::Graph`] and [`Backend::BatchGraph`] here mean the
-/// *complete* graph (their degenerate clique instance) and are capped at
-/// [`COMPLETE_GRAPH_MAX_N`] agents.
+/// — the one place backends register — with a fixed-seed stream:
+/// [`Backend::Graph`] and [`Backend::BatchGraph`] run on the complete graph
+/// ([`Backend::resolve_topology`], capped at [`COMPLETE_GRAPH_MAX_N`]
+/// agents) and draw their shuffled layout from it; the clique engines draw
+/// nothing (replica lane layouts come from an internal fixed-seed stream).
 pub fn make_simulator(backend: Backend, config: &UsdConfig) -> Box<dyn Simulator> {
-    // Clique construction is RNG-free for every backend; the throwaway
-    // stream is never drawn from.
     RunSpec::new(config)
         .backend(backend)
         .build_simulator(&mut SimRng::new(0))
@@ -856,6 +874,37 @@ mod tests {
         }
     }
 
+    /// `graph` and `batchgraph` run the clique as the complete graph: a
+    /// spec that names no topology is the `.topology(Complete)` run, seed
+    /// by seed — same result, final counts and telemetry.
+    #[test]
+    fn graph_engines_run_the_clique_as_the_complete_graph() {
+        let config = InitialConfigBuilder::new(600, 3).figure1();
+        for b in [Backend::Graph, Backend::BatchGraph] {
+            assert_eq!(b.resolve_topology(None), Some(TopologyFamily::Complete));
+            for seed in 1..=4 {
+                let run = |spec: RunSpec| {
+                    let (result, sim) = spec.backend(b).run_keeping(&mut SimRng::new(seed));
+                    let sim = sim.expect("an engine ran");
+                    (result, sim.counts().to_vec(), *sim.telemetry())
+                };
+                let clique = run(RunSpec::new(&config));
+                assert!(clique.0.stabilized(), "{b} seed {seed}");
+                let complete = run(RunSpec::new(&config).topology(TopologyFamily::Complete));
+                assert_eq!(clique, complete, "{b} seed {seed}");
+            }
+        }
+        // Every other backend keeps the clique scheduler.
+        for b in [
+            Backend::Agent,
+            Backend::Count,
+            Backend::Batch,
+            Backend::Replica,
+        ] {
+            assert_eq!(b.resolve_topology(None), None, "{b}");
+        }
+    }
+
     /// [`Backend::check`] over `Backend::ALL` × the clique and every
     /// family × edge sizes, opinion counts and lane counts. Where the
     /// instance is small enough to build (n ≤ 300, 1 ≤ k ≤ n),
@@ -925,9 +974,19 @@ mod tests {
         assert!(Backend::Batch.check(n as u64, regime_k, 1, None).is_ok());
         for b in Backend::ALL {
             let topo = b.capabilities().topologies;
-            // The complete-graph cap on the clique.
+            // The complete graph's cap, named or resolved on the clique
+            // for the graph engines, on every topology backend; the clique
+            // engines run any n on the clique.
             assert!(b.check(cap, 2, 1, None).is_ok(), "{b}");
             assert_eq!(b.check(cap + 1, 2, 1, None).is_ok(), !on_graph(b), "{b}");
+            assert_eq!(b.check(cap, 2, 1, Some(Complete)).is_ok(), topo, "{b}");
+            for n in [cap + 1, 65_536, 65_537, 1 << 40] {
+                let err = b.check(n, 2, 1, Some(Complete)).unwrap_err().0;
+                assert!(!topo || err.contains("exceeds the 10000 cap"), "{b}: {err}");
+                if on_graph(b) {
+                    assert_eq!(b.check(n, 2, 1, None).unwrap_err().0, err, "{b}");
+                }
+            }
             // The transition-table budget and the replica's 16 bit planes,
             // on a cycle where topologies run.
             let place = if topo { Some(Cycle) } else { None };
@@ -949,13 +1008,13 @@ mod tests {
                 }
             }
             // The u32 id ceiling: 2m <= u32::MAX, m = n on the cycle, 2n on
-            // the torus, n(n-1)/2 on the complete graph, and the mean 4n
-            // plus 8√(4n) on er:8 (at n = 536,800,000 the mean alone fits).
+            // the torus, and the mean 4n plus 8√(4n) on er:8 (at
+            // n = 536,800,000 the mean alone fits). The complete graph's
+            // cap lies far below its ceiling (n = 65,536).
             for (family, fits, wider) in [
                 (Cycle, (1 << 31) - 1, 1 << 31),
                 (Cycle, (1 << 31) - 1, 3_000_000_000),
                 (Torus, 32_767 * 32_767, 32_768 * 32_768),
-                (Complete, 65_536, 65_537),
                 (ErdosRenyi { avg_degree: 8.0 }, 536_000_000, 536_800_000),
             ] {
                 assert_eq!(

@@ -56,11 +56,15 @@
 //!
 //! The setters never panic. [`Backend::check`] decides whether a spec can
 //! be built, and holds every rule: instance shape, lane count, state
-//! packing, the complete-graph cap, topology capability, feasible size
-//! and the graph's `u32` id width. [`build_simulator`](RunSpec::build_simulator)
-//! and [`run_keeping`](RunSpec::run_keeping) (so [`run`](RunSpec::run)
-//! too) call it with the resolved backend and lane count before building
-//! anything, and panic with its message on `Err`; [`drive`](RunSpec::drive)
+//! packing, topology capability, the complete graph's
+//! [`COMPLETE_GRAPH_MAX_N`](crate::backend::COMPLETE_GRAPH_MAX_N) cap,
+//! feasible size and the graph's `u32` id width.
+//! [`build_simulator`](RunSpec::build_simulator) and
+//! [`run_keeping`](RunSpec::run_keeping) (so [`run`](RunSpec::run) too)
+//! call it with the resolved backend, lane count and interaction graph —
+//! `graph` and `batchgraph` on the clique resolve to the complete graph
+//! ([`Backend::resolve_topology`]) — before building anything, and panic
+//! with its message on `Err`; [`drive`](RunSpec::drive)
 //! takes an engine already built. The binaries call [`Backend::check`] on
 //! their plain inputs first and exit 2 on `Err`, so no flag reaches these
 //! panics.
@@ -69,7 +73,8 @@
 //!
 //! Two loops drive every run. A clique run with no ticker and no observer
 //! is a single `run_to_silence` call. Every other run — instrumented,
-//! on a topology, or resumed through [`RunSpec::drive`] — uses the
+//! on a topology (the complete graph `graph` and `batchgraph` resolve on
+//! the clique included), or resumed through [`RunSpec::drive`] — uses the
 //! `~max(4n, 2¹⁶)`-chunked loop, which ends the run at the first chunk
 //! boundary where [`Simulator::is_silent`] holds. Each engine certifies
 //! graph silence itself (a frozen mixed configuration on a disconnected
@@ -260,28 +265,31 @@ impl<'a> RunSpec<'a> {
         }
     }
 
-    /// The resolved engine and lane count, admitted by [`Backend::check`]:
+    /// The resolved engine, lane count and interaction graph
+    /// ([`Backend::resolve_topology`]), admitted by [`Backend::check`]:
     /// panics with the check's message on a run the engines cannot build.
-    fn admit(&self) -> (Backend, u32) {
+    fn admit(&self) -> (Backend, u32, Option<TopologyFamily>) {
         let (backend, lanes) = (self.engine(), self.lanes());
+        let topology = backend.resolve_topology(self.topology);
         let (n, k) = (self.config.n(), self.config.k());
-        if let Err(e) = backend.check(n, k, lanes, self.topology) {
+        if let Err(e) = backend.check(n, k, lanes, topology) {
             panic!("{e}");
         }
-        (backend, lanes)
+        (backend, lanes, topology)
     }
 
     /// Construct the engine this spec describes, without driving it — the
     /// single registration point for every backend, clique or topology,
     /// scalar or replica. Clique construction draws nothing from `rng`
     /// (replica lane layouts come from an internal fixed-seed stream, see
-    /// `REPLICA_CLIQUE_LAYOUT_SEED`'s docs); topology construction
-    /// draws the shuffled initial layout(s) — lane 0 first for replica
-    /// runs, so a scalar run from the same stream starts identically.
-    /// Panics unless [`Backend::check`] admits the spec.
+    /// `REPLICA_CLIQUE_LAYOUT_SEED`'s docs); topology construction —
+    /// `graph` and `batchgraph` on the clique included, which run the
+    /// complete graph — draws the shuffled initial layout(s), lane 0 first
+    /// for replica runs, so a scalar run from the same stream starts
+    /// identically. Panics unless [`Backend::check`] admits the spec.
     pub fn build_simulator(&self, rng: &mut SimRng) -> Box<dyn Simulator> {
-        let (backend, lanes) = self.admit();
-        match self.topology {
+        let (backend, lanes, topology) = self.admit();
+        match topology {
             None => self.build_clique(backend, lanes),
             Some(family) => {
                 let graph = family.build(self.config.n() as usize, self.topo_seed);
@@ -303,20 +311,6 @@ impl<'a> RunSpec<'a> {
             Backend::Batch => {
                 Box::new(BatchSimulator::new(proto, &counts).with_threads(self.threads))
             }
-            Backend::Graph | Backend::BatchGraph => {
-                // Degenerate clique instance: the complete graph,
-                // materialized as a Θ(n²) edge list — demo/ablation
-                // territory, capped by `Backend::check`.
-                let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
-                // Agents are exchangeable on the clique: the block layout.
-                let states = counts
-                    .counts()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(idx, &c)| std::iter::repeat_n(idx, c as usize))
-                    .collect();
-                graph_engine(backend, proto, &graph, states)
-            }
             Backend::Replica => {
                 let mut layout_rng = SimRng::new(REPLICA_CLIQUE_LAYOUT_SEED);
                 let layouts: Vec<Vec<usize>> = (0..lanes)
@@ -328,6 +322,7 @@ impl<'a> RunSpec<'a> {
                     &layouts,
                 ))
             }
+            _ => unreachable!("Backend::resolve_topology runs {backend} on a graph"),
         }
     }
 
@@ -376,10 +371,10 @@ impl<'a> RunSpec<'a> {
         let plurality = self.config.plurality();
         let budget = self.budget;
         // Resolve before the observer is taken: it decides the default.
-        let (backend, lanes) = self.admit();
+        let (backend, lanes, topology) = self.admit();
         let ticker = self.ticker.take();
         let observer = self.observer.take();
-        let mut sim = match self.topology {
+        let mut sim = match topology {
             Some(family) => {
                 let graph = family.build(self.config.n() as usize, self.topo_seed);
                 if graph.num_edges() == 0 {
@@ -398,7 +393,7 @@ impl<'a> RunSpec<'a> {
         if self.histograms {
             sim.set_histograms(true);
         }
-        let result = if self.topology.is_none() && ticker.is_none() && observer.is_none() {
+        let result = if topology.is_none() && ticker.is_none() && observer.is_none() {
             // No instrumentation on the clique: a single uninterrupted
             // `run_to_silence` (chunk boundaries can truncate the leaping
             // backends' geometric skip draws, so this distinction is
@@ -598,9 +593,36 @@ impl EnsembleOutcome {
         self.lanes.is_empty()
     }
 
-    /// How many lanes stabilized within the budget.
+    /// How many lanes ended with `outcome`.
+    fn tally(&self, outcome: ConsensusOutcome) -> usize {
+        self.lanes
+            .iter()
+            .filter(|l| l.result.outcome == outcome)
+            .count()
+    }
+
+    /// The lanes that stabilized within the budget: reached consensus or
+    /// all-undecided absorption. A frozen lane is silent but is not among
+    /// them ([`frozen_lanes`](Self::frozen_lanes) counts it).
+    fn stabilized(&self) -> impl Iterator<Item = &LaneOutcome> {
+        self.lanes.iter().filter(|l| {
+            matches!(
+                l.result.outcome,
+                ConsensusOutcome::Winner(_) | ConsensusOutcome::AllUndecided
+            )
+        })
+    }
+
+    /// How many lanes stabilized within the budget (consensus or
+    /// all-undecided absorption).
     pub fn stabilized_lanes(&self) -> usize {
-        self.lanes.iter().filter(|l| l.result.stabilized()).count()
+        self.stabilized().count()
+    }
+
+    /// How many lanes froze in a mixed configuration (reachable only on a
+    /// disconnected graph).
+    pub fn frozen_lanes(&self) -> usize {
+        self.tally(ConsensusOutcome::Frozen)
     }
 
     /// Whether every lane stabilized within the budget.
@@ -608,23 +630,18 @@ impl EnsembleOutcome {
         self.stabilized_lanes() == self.lanes.len()
     }
 
-    /// The stabilization clocks of the lanes that stabilized, in lane
-    /// order, as `f64` — the sample the `sim_stats` summaries and KS
-    /// comparisons consume.
+    /// The stabilization clocks of the lanes that stabilized (consensus or
+    /// all-undecided absorption, not a freeze), in lane order, as `f64` —
+    /// the sample the `sim_stats` summaries and KS comparisons consume.
     pub fn stabilization_times(&self) -> Vec<f64> {
-        self.lanes
-            .iter()
-            .filter(|l| l.result.stabilized())
+        self.stabilized()
             .map(|l| l.result.interactions as f64)
             .collect()
     }
 
     /// How many lanes elected `opinion`.
     pub fn wins_for(&self, opinion: usize) -> usize {
-        self.lanes
-            .iter()
-            .filter(|l| l.result.outcome == ConsensusOutcome::Winner(opinion))
-            .count()
+        self.tally(ConsensusOutcome::Winner(opinion))
     }
 
     /// How many lanes the initial plurality opinion won.
@@ -640,12 +657,7 @@ impl EnsembleOutcome {
     /// when a lane froze.
     pub fn describe(&self) -> String {
         let lanes = self.len();
-        let tally =
-            |o: ConsensusOutcome| self.lanes.iter().filter(|l| l.result.outcome == o).count();
-        let (unfinished, frozen) = (
-            tally(ConsensusOutcome::Timeout),
-            tally(ConsensusOutcome::Frozen),
-        );
+        let (unfinished, frozen) = (self.tally(ConsensusOutcome::Timeout), self.frozen_lanes());
         if unfinished > 0 {
             return format!("{unfinished} of {lanes} lanes exhausted the budget");
         }
@@ -653,7 +665,7 @@ impl EnsembleOutcome {
             return format!("{frozen} of {lanes} lanes froze in a mixed configuration");
         }
         let unanimous = self.lanes.first().map(|l| l.result.outcome);
-        match unanimous.filter(|&o| tally(o) == lanes) {
+        match unanimous.filter(|&o| self.tally(o) == lanes) {
             Some(ConsensusOutcome::Winner(w)) => {
                 format!("all {lanes} lanes stabilized on opinion {}", w + 1)
             }

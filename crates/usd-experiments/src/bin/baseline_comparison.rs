@@ -1,6 +1,6 @@
 //! E11: USD vs four-state exact majority, voter, 3-majority, and synchronized USD.
 //!
-//! See DESIGN.md §4 (E11) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E8: majority win rate and stabilization time across the initial-bias grid.
 //!
-//! See DESIGN.md §4 (E8) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,7 +1,7 @@
 //! E13: plain USD vs the idealized synchronized elimination tournament —
 //! the paper's §4 "break the lower bound barrier" open question.
 //!
-//! See DESIGN.md §4 (E13) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

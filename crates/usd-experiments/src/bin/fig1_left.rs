@@ -1,6 +1,6 @@
 //! E1: regenerate Figure 1 (left) — trajectory of majority, minorities (×k) and undecided count.
 //!
-//! See DESIGN.md §4 (E1) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

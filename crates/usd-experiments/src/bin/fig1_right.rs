@@ -1,6 +1,6 @@
 //! E2: regenerate Figure 1 (right) — zoom until the majority doubles, with the max difference.
 //!
-//! See DESIGN.md §4 (E2) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E9: population-protocol vs Gossip-model USD, with per-node flip statistics.
 //!
-//! See DESIGN.md §4 (E9) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E10: the k = 2 special case — O(log n) stabilization.
 //!
-//! See DESIGN.md §4 (E10) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

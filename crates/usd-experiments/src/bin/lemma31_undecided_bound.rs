@@ -1,6 +1,6 @@
 //! E3: verify the Lemma 3.1 ceiling on the undecided count.
 //!
-//! See DESIGN.md §4 (E3) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E4: verify Lemma 3.3 — opinion growth 3n/2k → 2n/k needs ≥ kn/25 interactions.
 //!
-//! See DESIGN.md §4 (E4) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E5: verify Lemma 3.4 — max-gap doubling needs ≥ kn/24 interactions.
 //!
-//! See DESIGN.md §4 (E5) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E12: distributional equivalence and throughput of the three exact engines.
 //!
-//! See DESIGN.md §4 (E12) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E6: Theorem 3.5 stabilization-time scaling vs the lower-bound curve.
 //!
-//! See DESIGN.md §4 (E6) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,6 @@
 //! E7: tightness band — measured time between the lower bound and the Amir et al. upper bound.
 //!
-//! See DESIGN.md §4 (E7) and EXPERIMENTS.md for the recorded results.
+//! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p usd-experiments --bin topology_sweep -- \
 //!     [--n <max>] [--k <opinions>] [--seeds <reps>] [--topology <family>]
-//!     [--degree <d>] [--backend <graph|batchgraph|agent|replica>] [--threads <t>]
+//!     [--backend <graph|batchgraph|agent|replica>] [--threads <t>]
 //!     [--quick] [--csv out.csv] [--timeline-dir <dir>]
 //! ```
 //!
@@ -12,10 +12,11 @@
 //! `usd_experiments::topology` module docs for the measured columns.
 //! `--timeline-dir` additionally writes one flight-recorder JSONL per
 //! sweep cell (from the cell's representative run) into the directory.
-//! Invalid flag combinations (`--degree` on a family that takes none, an
-//! unwritable `--timeline-dir`, and any cell `Backend::check` refuses: a
-//! clique-only `--backend`, a `--k` past the 16-bit state packing or past
-//! a cell's population) exit with status 2 before any work runs.
+//! `--topology regular:d` and `er:avg` carry the degree (default 8).
+//! Invalid flag combinations (an unwritable `--timeline-dir`, and any cell
+//! `Backend::check` refuses: a clique-only `--backend`, a `--k` past the
+//! transition-table budget or past a cell's population) exit with status
+//! 2 before any work runs.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();
@@ -49,8 +50,10 @@ mod tests {
             let removed = ExpArgs::parse(["--backend", name].iter().map(|s| s.to_string()));
             assert!(removed.is_err(), "removed backend {name} must not parse");
         }
-        assert!(validate_args(&parse(&["--topology", "cycle", "--degree", "4"])).is_err());
-        assert!(validate_args(&parse(&["--topology", "regular:8", "--degree", "4"])).is_ok());
+        // The degree is part of the family's name; there is no --degree.
+        assert!(ExpArgs::parse(["--degree", "4"].iter().map(|s| s.to_string())).is_err());
+        assert!(validate_args(&parse(&["--topology", "regular:4"])).is_ok());
+        assert!("cycle:4".parse::<pop_proto::TopologyFamily>().is_err());
         // Every cell is checked before the first runs: k = 300 fits the
         // quick grid's n = 1,024 cells but not its n = 256 ones, and
         // k = 70,000 (past the transition-table budget too) fits no cell.

@@ -11,8 +11,8 @@
 //! --quick          shrink everything for a fast smoke run
 //! --threads <t>    worker-thread count for sweeps (default: USD_THREADS
 //!                  env, else available parallelism)
-//! --topology <f>   interaction-graph family (topology experiments only)
-//! --degree <d>     degree parameter for regular/er families
+//! --topology <f>   interaction-graph family (topology experiments only;
+//!                  regular:d and er:avg carry the degree)
 //! --backend <b>    simulation backend, where the experiment honors it
 //!                  (fig1, the lemma probes E3/E4/E5, the scaling sweeps
 //!                  E6/E7/E10, E8, E11, and E13: any single-lane backend;
@@ -56,8 +56,6 @@ pub struct ExpArgs {
     pub threads: Option<usize>,
     /// Restrict topology experiments to one graph family.
     pub topology: Option<TopologyFamily>,
-    /// Degree parameter for degree-parameterized families.
-    pub degree: Option<usize>,
     /// Simulation backend, for the experiments that honor it (`None` →
     /// experiment default).
     pub backend: Option<Backend>,
@@ -81,7 +79,6 @@ impl Default for ExpArgs {
             quick: false,
             threads: None,
             topology: None,
-            degree: None,
             backend: None,
             timeline_dir: None,
             resume_dir: None,
@@ -141,17 +138,10 @@ impl ExpArgs {
                 "--resume-dir" => {
                     out.resume_dir = Some(take("--resume-dir")?);
                 }
-                "--degree" => {
-                    out.degree = Some(
-                        take("--degree")?
-                            .parse()
-                            .map_err(|e| format!("--degree: {e}"))?,
-                    );
-                }
                 "--help" | "-h" => {
                     return Err("flags: --n <u64> --k <usize> --seeds <u64> --seed <u64> \
                          --csv <path> --quick --threads <usize> \
-                         --topology <family> --degree <usize> --backend <name> \
+                         --topology <family> --backend <name> \
                          --timeline-dir <dir> --resume-dir <dir>"
                         .to_string());
                 }
@@ -169,9 +159,6 @@ impl ExpArgs {
         }
         if out.threads == Some(0) {
             return Err("--threads must be positive".to_string());
-        }
-        if out.degree == Some(0) {
-            return Err("--degree must be at least 1".to_string());
         }
         Ok(out)
     }
@@ -298,8 +285,6 @@ mod tests {
             "2",
             "--topology",
             "regular:6",
-            "--degree",
-            "4",
             "--timeline-dir",
             "/tmp/timelines",
             "--resume-dir",
@@ -314,7 +299,6 @@ mod tests {
         assert!(a.quick);
         assert_eq!(a.threads, Some(2));
         assert_eq!(a.topology, Some(TopologyFamily::Regular { d: 6 }));
-        assert_eq!(a.degree, Some(4));
         assert_eq!(a.timeline_dir.as_deref(), Some("/tmp/timelines"));
         assert_eq!(a.resume_dir.as_deref(), Some("/tmp/cells"));
     }
@@ -323,7 +307,8 @@ mod tests {
     fn topology_and_threads_validation() {
         assert!(parse(&["--topology", "moebius"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--degree", "x"]).is_err());
+        let err = parse(&["--degree", "4"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--degree' (try --help)");
         let a = parse(&["--topology", "hypercube"]).unwrap();
         assert_eq!(a.topology, Some(TopologyFamily::Hypercube));
     }

@@ -10,19 +10,19 @@
 //! * **E11 (baseline comparison)**: USD vs the four-state exact-majority
 //!   protocol, voter dynamics, 3-majority, and synchronized USD.
 //! * **E12 (simulator ablation)**: distributional equivalence and relative
-//!   speed of the exact engines on the clique (DESIGN.md §7).
+//!   speed of the `count`, `batch`, `graph` and `batchgraph` engines on the
+//!   clique.
 //!
 //! The USD measurements in E8 and E11 run through the generic backend
-//! layer and honor `--backend`; E12 is inherently engine-specific (it *is*
-//! the engine comparison) and E9 needs the literal per-agent model for its
-//! per-node flip statistic, so both pin their engines.
+//! layer and honor `--backend`; E12 is the engine comparison, so it runs
+//! its four engines through [`RunSpec`] itself, and E9 needs the literal
+//! per-agent model for its per-node flip statistic, so it builds its own
+//! `agent` engine.
 
 use crate::cli::{require_figure1, ExpArgs};
 use crate::report::Report;
 use crate::runner;
-use pop_proto::{
-    AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Simulator,
-};
+use pop_proto::{AgentSimulator, CliqueScheduler, CountSimulator, Simulator};
 use sim_stats::histogram::Histogram;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
@@ -436,170 +436,60 @@ pub struct AblationRow {
     pub time: Summary,
     /// Histogram of stabilization times for χ² comparison.
     pub histogram: Histogram,
-    /// Measured wall-clock throughput, interactions per second.
+    /// Drive throughput, interactions per second of `run_to_silence`
+    /// (engine construction excluded).
     pub throughput: f64,
 }
 
-/// Throughput measurement loop shared by the generic-engine ablation rows:
-/// drive `target` scheduled interactions, rebuilding the simulator whenever
-/// it stabilizes mid-measurement, and return interactions per wall second.
-fn restart_throughput<S: Simulator>(
-    master_seed: u64,
-    target: u64,
-    mut rebuild: impl FnMut(&mut sim_stats::rng::SimRng) -> S,
-) -> f64 {
-    let mut rng = sim_stats::rng::SimRng::new(master_seed);
-    let mut sim = rebuild(&mut rng);
-    let start = std::time::Instant::now();
-    let mut done = 0u64;
-    while done + sim.interactions() < target {
-        let before = sim.interactions();
-        if sim.advance_changed(&mut rng, target - done - before).0 == 0 || sim.is_silent() {
-            done += sim.interactions();
-            sim = rebuild(&mut rng);
-        }
-    }
-    target as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Run E12: the exact engines on the same clique instance.
+/// Run E12: the exact engines on the same clique instance. Each run builds
+/// its engine with [`RunSpec::build_simulator`] (`graph` and `batchgraph`
+/// on the complete graph) and drives it with `run_to_silence`; the
+/// throughput is the drive's alone, total interactions over total drive
+/// time of the same runs.
 pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<AblationRow> {
     let config = InitialConfigBuilder::new(n, k).figure1();
     let budget = crate::fig1::default_budget(n, k);
     // Common histogram range from theory: 0 .. 4×upper bound.
     let hi = 4.0 * theory::Bounds::new(n, k).upper_bound_interactions();
-
-    let mut rows = Vec::new();
-
-    // Generic CountSimulator.
-    let generic: Vec<u64> = runner::repeat(master_seed ^ 0xE3, seeds, |_r, rng| {
-        let proto = UndecidedStateDynamics::new(k);
-        let mut sim = CountSimulator::new(proto, &config.to_count_config());
-        sim.run_until(rng, budget, &mut |counts| {
-            let total: u64 = counts.iter().sum();
-            counts[k] == total
-                || (counts[k] == 0 && counts[..k].iter().filter(|&&c| c > 0).count() <= 1)
-        });
-        sim.interactions()
-    });
-    rows.push(make_ablation_row(
-        "CountSimulator (generic)",
-        &generic,
-        hi,
-        || {
-            let mut rng = sim_stats::rng::SimRng::new(master_seed);
-            let proto = UndecidedStateDynamics::new(k);
-            let mut sim = CountSimulator::new(proto, &config.to_count_config());
+    [
+        ("CountSimulator (generic)", Backend::Count, 0xE3),
+        ("BatchSimulator (generic)", Backend::Batch, 0xE4),
+        (
+            "BatchGraphSimulator per-event (complete)",
+            Backend::Graph,
+            0xE5,
+        ),
+        ("BatchGraphSimulator (complete)", Backend::BatchGraph, 0xE6),
+    ]
+    .into_iter()
+    .map(|(name, backend, stream)| {
+        let runs = runner::repeat(master_seed ^ stream, seeds, |_r, rng| {
+            let mut sim = RunSpec::new(&config).backend(backend).build_simulator(rng);
             let start = std::time::Instant::now();
-            let target = (n * 200).min(2_000_000);
-            for _ in 0..target {
-                sim.step(&mut rng);
-            }
-            target as f64 / start.elapsed().as_secs_f64()
-        },
-    ));
-
-    // Generic BatchSimulator (collision-aware leaping).
-    let batch: Vec<u64> = runner::repeat(master_seed ^ 0xE4, seeds, |_r, rng| {
-        let proto = UndecidedStateDynamics::new(k);
-        let mut sim = BatchSimulator::new(proto, &config.to_count_config());
-        let (t, _) = sim.run_to_silence(rng, budget);
-        t
-    });
-    rows.push(make_ablation_row(
-        "BatchSimulator (generic)",
-        &batch,
-        hi,
-        || {
-            // The batch engine is fast enough that the other engines' target
-            // would finish below timer resolution; use a larger workload.
-            restart_throughput(master_seed, (n * 2_000).min(200_000_000), |_| {
-                BatchSimulator::new(UndecidedStateDynamics::new(k), &config.to_count_config())
-            })
-        },
-    ));
-
-    // The graph engine's per-event policy (the `graph` backend) on the
-    // complete graph — its degenerate clique instance (same Markov chain as
-    // all rows above).
-    let complete = pop_proto::TopologyFamily::Complete.build(n as usize, 0);
-    let graph: Vec<u64> = runner::repeat(master_seed ^ 0xE5, seeds, |_r, rng| {
-        let proto = UndecidedStateDynamics::new(k);
-        let mut sim = BatchGraphSimulator::from_config_shuffled(
-            proto,
-            &complete,
-            &config.to_count_config(),
-            rng,
-        )
-        .per_event();
-        let (t, _) = sim.run_to_silence(rng, budget);
-        t
-    });
-    rows.push(make_ablation_row(
-        "BatchGraphSimulator per-event (complete)",
-        &graph,
-        hi,
-        || {
-            restart_throughput(master_seed, (n * 200).min(2_000_000), |rng| {
-                BatchGraphSimulator::from_config_shuffled(
-                    UndecidedStateDynamics::new(k),
-                    &complete,
-                    &config.to_count_config(),
-                    rng,
-                )
-                .per_event()
-            })
-        },
-    ));
-
-    // The same engine under its block policy (`batchgraph`).
-    let batchgraph: Vec<u64> = runner::repeat(master_seed ^ 0xE6, seeds, |_r, rng| {
-        let proto = UndecidedStateDynamics::new(k);
-        let mut sim = BatchGraphSimulator::from_config_shuffled(
-            proto,
-            &complete,
-            &config.to_count_config(),
-            rng,
-        );
-        let (t, _) = sim.run_to_silence(rng, budget);
-        t
-    });
-    rows.push(make_ablation_row(
-        "BatchGraphSimulator (complete)",
-        &batchgraph,
-        hi,
-        || {
-            restart_throughput(master_seed, (n * 200).min(2_000_000), |rng| {
-                BatchGraphSimulator::from_config_shuffled(
-                    UndecidedStateDynamics::new(k),
-                    &complete,
-                    &config.to_count_config(),
-                    rng,
-                )
-            })
-        },
-    ));
-
-    rows
+            let (t, _) = sim.run_to_silence(rng, budget);
+            (t, start.elapsed().as_secs_f64())
+        });
+        make_ablation_row(name, &runs, hi)
+    })
+    .collect()
 }
 
-fn make_ablation_row(
-    name: &'static str,
-    times: &[u64],
-    hi: f64,
-    throughput: impl FnOnce() -> f64,
-) -> AblationRow {
+/// One row from `(interactions, drive seconds)` per run.
+fn make_ablation_row(name: &'static str, runs: &[(u64, f64)], hi: f64) -> AblationRow {
     let mut hist = Histogram::new(0.0, hi.max(1.0), 20);
     let mut summary = Summary::new();
-    for &t in times {
+    for &(t, _) in runs {
         hist.add(t as f64);
         summary.add(t as f64);
     }
+    let (interactions, seconds) = runs
+        .iter()
+        .fold((0.0, 0.0), |(i, s), &(t, d)| (i + t as f64, s + d));
     AblationRow {
         name,
         time: summary,
         histogram: hist,
-        throughput: throughput(),
+        throughput: interactions / seconds.max(1e-9),
     }
 }
 
@@ -618,11 +508,13 @@ pub fn ablation_report(args: &ExpArgs) -> Report {
     ));
     report.text(
         "All engines simulate the exact same Markov chain (the two \
-         BatchGraphSimulator rows, its per-event and block policies, run on \
-         the complete graph, their degenerate clique instance); their \
+         BatchGraphSimulator rows, its per-event and block policies, run \
+         the clique as the complete graph, capped at n = 10000); their \
          stabilization-time distributions must agree (chi^2 per dof ~ 1) \
          while throughputs differ (the point of the batch-leaping and \
-         active-edge designs).",
+         active-edge designs). Each run is built through RunSpec; \
+         interactions/s times only its drive to silence, not the engine's \
+         construction.",
     );
     let mut t = TextTable::new(&["engine", "mean interactions", "stderr", "interactions/s"]);
     for r in &rows {

@@ -12,15 +12,16 @@
 
 use crate::cli::{require_figure1, ExpArgs};
 use crate::report::Report;
-use pop_proto::Simulator;
+use pop_proto::Observation;
 use sim_stats::plot::AsciiChart;
 use sim_stats::rng::RngFactory;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use sim_stats::timeseries::{Series, TimeSeries};
 use usd_core::analysis::undecided_plateau;
-use usd_core::backend::{make_simulator, Backend, ObservationGranularity};
+use usd_core::backend::{Backend, ObservationGranularity};
 use usd_core::init::InitialConfigBuilder;
-use usd_core::theory;
+use usd_core::stabilization::ConsensusOutcome;
+use usd_core::{theory, RunSpec, TraceRecorder, UsdConfig};
 
 /// One recorded Figure-1 style run.
 #[derive(Debug, Clone)]
@@ -63,6 +64,35 @@ pub struct Fig1Snapshot {
     pub max_difference: i64,
 }
 
+impl Fig1Snapshot {
+    /// The tracked quantities of configuration `c` at clock `interactions`.
+    fn of(interactions: u64, c: &UsdConfig) -> Self {
+        let xs = c.opinions();
+        let k = xs.len();
+        let majority = xs[0];
+        let (sum, min) = xs[1..]
+            .iter()
+            .fold((0u64, u64::MAX), |(s, m), &v| (s + v, m.min(v)));
+        let (minority_sample, minority_mean, max_difference) = if k > 1 {
+            (
+                xs[1],
+                sum as f64 / (k - 1) as f64,
+                majority as i64 - min as i64,
+            )
+        } else {
+            (majority, 0.0, 0)
+        };
+        Fig1Snapshot {
+            interactions,
+            majority,
+            minority_sample,
+            minority_mean,
+            undecided: c.u(),
+            max_difference,
+        }
+    }
+}
+
 /// Simulate one Figure-1 run on the resolved default engine — the
 /// trackers read every effective event, so
 /// [`Backend::clique_default`] at event granularity — recording roughly
@@ -72,14 +102,13 @@ pub fn simulate_fig1_run(n: u64, k: usize, seed: u64, budget: u64) -> Fig1Run {
     simulate_fig1_run_with(n, k, seed, budget, backend)
 }
 
-/// Simulate one Figure-1 run on any [`Backend`] (the observer below only
-/// reads the trait-level counts).
-///
-/// Observation granularity follows the backend's advancement granularity:
-/// the per-event engines (agent, count, graph) expose every effective
-/// interaction to the doubling/plateau trackers, while the leaping
-/// engines (batch) are sampled at their batch boundaries — advancements
-/// are capped at the capture spacing of ~one parallel round either way.
+/// Simulate one Figure-1 run on any [`Backend`] through [`RunSpec`]: a
+/// [`TraceRecorder`] snapshots the configuration at clock 0, at every
+/// multiple of n (one parallel round) and at the end, and an observer
+/// tracks the maximum undecided count and the instant x₁ first reaches
+/// 2·x₁(0) at the backend's observation granularity — every effective
+/// event on the per-event engines (agent, count, graph), block boundaries
+/// on the leaping ones.
 pub fn simulate_fig1_run_with(
     n: u64,
     k: usize,
@@ -87,89 +116,40 @@ pub fn simulate_fig1_run_with(
     budget: u64,
     backend: Backend,
 ) -> Fig1Run {
-    let builder = InitialConfigBuilder::new(n, k);
-    let config = builder.figure1();
-    let bias = config.bias();
+    let config = InitialConfigBuilder::new(n, k).figure1();
     let initial_majority = config.x(0);
-    let mut sim = make_simulator(backend, &config);
-    let mut rng = RngFactory::new(seed).stream(0);
-
-    let mut snapshots = Vec::new();
     let mut majority_doubling = None;
     let mut max_undecided = 0u64;
-    let capture = |sim: &dyn Simulator| {
-        let counts = sim.counts();
-        let xs = &counts[..k];
-        let majority = xs[0];
-        let minority_sample = if k > 1 { xs[1] } else { xs[0] };
-        let (sum, min) = xs[1..]
-            .iter()
-            .fold((0u64, u64::MAX), |(s, m), &v| (s + v, m.min(v)));
-        let minority_mean = if k > 1 {
-            sum as f64 / (k - 1) as f64
-        } else {
-            0.0
-        };
-        Fig1Snapshot {
-            interactions: sim.interactions(),
-            majority,
-            minority_sample,
-            minority_mean,
-            undecided: counts[k],
-            max_difference: if k > 1 {
-                majority as i64 - min as i64
-            } else {
-                0
-            },
+    let mut observer = |obs: &Observation<'_>| {
+        max_undecided = max_undecided.max(obs.counts[k]);
+        if majority_doubling.is_none() && obs.counts[0] >= 2 * initial_majority {
+            majority_doubling = Some(obs.interactions);
         }
+        true
     };
-    snapshots.push(capture(&*sim));
-    let mut next_capture = n; // ~1 parallel round
-    let mut stabilized = sim.is_silent();
-    while !stabilized {
-        let done = sim.interactions();
-        if done >= budget {
-            break;
-        }
-        // Cap each advancement at the next capture boundary so leaping
-        // backends cannot overshoot the snapshot cadence.
-        let horizon = next_capture.max(done + 1).min(budget);
-        let (advanced, changed) = sim.advance_changed(&mut rng, horizon - done);
-        if advanced == 0 {
-            stabilized = sim.is_silent();
-            break;
-        }
-        if changed {
-            let counts = sim.counts();
-            max_undecided = max_undecided.max(counts[k]);
-            if majority_doubling.is_none() && counts[0] >= 2 * initial_majority {
-                majority_doubling = Some(sim.interactions());
-            }
-            if sim.is_silent() {
-                stabilized = true;
-                break;
-            }
-        }
-        if sim.interactions() >= next_capture {
-            snapshots.push(capture(&*sim));
-            next_capture = sim.interactions() + n;
-        }
-    }
-    let counts = sim.counts();
-    let winner = if counts[k] == 0 && counts[..k].iter().filter(|&&c| c > 0).count() == 1 {
-        counts[..k].iter().position(|&c| c > 0)
-    } else {
-        None
-    };
-    snapshots.push(capture(&*sim));
+    let mut trace = TraceRecorder::new(&config);
+    let (result, sim) = RunSpec::new(&config)
+        .backend(backend)
+        .budget(budget)
+        .ticker(&mut trace)
+        .observer(&mut observer)
+        .run_keeping(&mut RngFactory::new(seed).stream(0));
+    let trajectory = trace.finish(sim.expect("a clique run keeps its engine").as_ref());
     Fig1Run {
         n,
         k,
-        bias,
-        snapshots,
-        winner,
-        stabilization: sim.interactions(),
-        stabilized,
+        bias: config.bias(),
+        snapshots: trajectory
+            .snapshots
+            .iter()
+            .map(|(t, c)| Fig1Snapshot::of(*t, c))
+            .collect(),
+        winner: match result.outcome {
+            ConsensusOutcome::Winner(w) => Some(w),
+            _ => None,
+        },
+        stabilization: result.interactions,
+        stabilized: result.stabilized(),
         majority_doubling,
         max_undecided,
     }

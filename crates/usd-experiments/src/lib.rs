@@ -1,8 +1,8 @@
 //! Experiment harness for the PODC 2025 lower-bound reproduction.
 //!
 //! Every figure and quantitative claim in the paper's evaluation maps to
-//! one module here and one binary in `src/bin/` (see DESIGN.md §4 for the
-//! full index):
+//! one module here and one binary in `src/bin/` (README.md's "Experiments
+//! × backends" table lists the engines each runs on):
 //!
 //! | id  | artifact                         | module / binary              |
 //! |-----|----------------------------------|------------------------------|

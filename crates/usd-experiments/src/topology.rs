@@ -62,9 +62,8 @@ pub struct TopologyCell {
     pub timeline: Option<String>,
 }
 
-/// Validate an E14 flag combination before running anything: `--degree`
-/// must target a degree-parameterized family, and [`Backend::check`] and
-/// the Figure-1 bias ([`InitialConfigBuilder::check_bias`]) must admit
+/// Validate an E14 flag combination before running anything:
+/// [`Backend::check`] and the Figure-1 bias ([`InitialConfigBuilder::check_bias`]) must admit
 /// every cell of the sweep. Binaries call this up front and exit
 /// non-zero on `Err` instead of silently falling back (or panicking deep
 /// inside the sweep).
@@ -78,15 +77,6 @@ pub fn validate_args(args: &ExpArgs) -> Result<(), String> {
             .check(n, k, 1, Some(family))
             .and_then(|()| InitialConfigBuilder::check_bias(n, k, theory::sqrt_n_log_n(n)))
             .map_err(|e| e.to_string())?;
-    }
-    if let (Some(family), Some(d)) = (args.topology, args.degree) {
-        if !family.takes_degree() {
-            return Err(format!(
-                "--degree {d} has no effect on --topology {}: only the \
-                 regular and er families take a degree",
-                family.name()
-            ));
-        }
     }
     for (flag, dir) in [
         ("--timeline-dir", &args.timeline_dir),
@@ -107,15 +97,13 @@ pub fn validate_args(args: &ExpArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// The family grid for a run: `--topology` restricts to one family
-/// (with `--degree` applied); the default is the sparse sweep set.
+/// The family grid for a run: `--topology` restricts to one family;
+/// the default is the sparse sweep set at degree
+/// [`DEFAULT_DEGREE`](pop_proto::topology::DEFAULT_DEGREE).
 pub fn families(args: &ExpArgs) -> Vec<TopologyFamily> {
-    let d = args.degree.unwrap_or(pop_proto::topology::DEFAULT_DEGREE);
+    let d = pop_proto::topology::DEFAULT_DEGREE;
     match args.topology {
-        Some(f) => vec![match args.degree {
-            Some(d) => f.with_degree(d),
-            None => f,
-        }],
+        Some(f) => vec![f],
         None => {
             if args.quick {
                 // CI smoke grid: two cheap families.
@@ -622,15 +610,8 @@ mod tests {
             ..ExpArgs::default()
         };
         assert!(validate_args(&bad_backend).is_err());
-        let degree_on_cycle = ExpArgs {
-            topology: Some(TopologyFamily::Cycle),
-            degree: Some(4),
-            ..ExpArgs::default()
-        };
-        assert!(validate_args(&degree_on_cycle).is_err());
         let degree_on_regular = ExpArgs {
-            topology: Some(TopologyFamily::Regular { d: 8 }),
-            degree: Some(4),
+            topology: Some(TopologyFamily::Regular { d: 4 }),
             backend: Some(Backend::Graph),
             ..ExpArgs::default()
         };
@@ -640,8 +621,7 @@ mod tests {
     #[test]
     fn families_respect_restriction_and_degree() {
         let mut args = ExpArgs {
-            topology: Some(TopologyFamily::Regular { d: 8 }),
-            degree: Some(4),
+            topology: Some(TopologyFamily::Regular { d: 4 }),
             ..ExpArgs::default()
         };
         assert_eq!(families(&args), vec![TopologyFamily::Regular { d: 4 }]);

@@ -6,15 +6,15 @@
 //!
 //! Runs the same Figure-1 instance to stabilization on each backend the
 //! workspace provides — per-agent, countwise, batch-leaping, the graph
-//! engines (on the complete graph, their degenerate topology), and the
+//! engines (which run the clique as `--topology complete`), and the
 //! replica ensemble engine — and prints interactions, winner, and wall
 //! clock per backend. With the default n = 2 000 000 the batch
 //! backend's sub-constant-per-interaction leaping is already visible; pass
 //! a larger n (it alone handles 10⁸+ comfortably) to watch the gap widen.
 //! A backend `Backend::check` refuses prints a "skipped" row with its
 //! reason: the graph-engine rows (`graph`, `batchgraph`) materialize all
-//! C(n, 2) clique edges, so they sit out once that edge list stops being
-//! demo-sized (run with n ≤ 10 000 to see them; their real habitat is
+//! C(n, 2) clique edges, so they sit out past the complete graph's
+//! n = 10 000 cap (run with n ≤ 10 000 to see them; their real habitat is
 //! sparse topologies via `usd-sim run --topology`). The replica row packs
 //! 64 lanes into one pass: its interaction count sums the lanes, and its
 //! parallel time is the lane mean. An n too small for the instance (the

@@ -23,7 +23,7 @@
 //!   majority, voter dynamics, 3-majority, Gossip-model and synchronized
 //!   USD;
 //! * an **experiment harness** ([`usd_experiments`]) regenerating every
-//!   figure and quantitative claim (DESIGN.md lists the experiment index);
+//!   figure and quantitative claim (its crate docs index the experiments);
 //! * shared **statistics utilities** ([`sim_stats`]).
 //!
 //! ## Quickstart
