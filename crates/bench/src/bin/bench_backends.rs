@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p usd-bench --bin bench_backends -- \
-//!     [--quick] [--seed <u64>] [--json [path]]
+//!     [--quick] [--json <path>]
 //!     [--backend <name>]
 //!     [--topology <clique|clique-k27|cycle-frontier|regular:8|torus>]
 //! ```
@@ -12,7 +12,9 @@
 //! rows; a combination that selects nothing (e.g. `--backend batch
 //! --topology regular:8` — the clique-only engine on a graph family) is an
 //! error and the binary exits with status 2 instead of silently running
-//! the full grid.
+//! the full grid. So is an unknown, repeated or stray flag: every workload
+//! pins its own seed, so rows are comparable between commits and there is
+//! no `--seed`.
 //!
 //! Unlike the Criterion micro-benches, every row here is one *honest
 //! workload*: either a full stabilization run (clique and expander rows —
@@ -20,8 +22,8 @@
 //! derived from the same run) or a fixed scheduled-interaction drive (the
 //! cycle-frontier row, whose stabilization is Θ(n²) parallel time and
 //! which exists to measure the no-op-dominated regime the sparse skippers
-//! leap over). `--json` writes the rows as `BENCH_backends.json`
-//! (hand-rolled JSON, no dependencies) so CI can archive the numbers and
+//! leap over). `--json <path>` writes the rows in the `BENCH_backends.json`
+//! layout (hand-rolled JSON, no dependencies) so CI can archive the numbers and
 //! regressions are visible in review diffs. Every row embeds the engine's
 //! telemetry block plus its per-event histogram quantiles
 //! (`EventHistograms::to_json`), so `bench_compare` can trend p50/p90/p99
@@ -31,6 +33,7 @@
 use pop_proto::{
     AgentSimulator, BatchGraphSimulator, Graph, GraphScheduler, Simulator, TopologyFamily,
 };
+use sim_stats::flags::Flags;
 use sim_stats::rng::SimRng;
 use usd_core::backend::Backend;
 use usd_core::init::InitialConfigBuilder;
@@ -91,12 +94,39 @@ impl Row {
     }
 }
 
-/// The histogram JSON a driven simulator reports once
-/// [`Simulator::set_histograms`] was enabled (`{}` for an engine that
-/// somehow reports none, so the row still parses).
-fn hist_json(sim: &dyn Simulator) -> String {
-    sim.histograms()
-        .map_or_else(|| "{}".to_string(), |h| h.to_json())
+/// One row: enable `sim`'s event histograms, time `drive` on it, and read
+/// the clocks, histograms and telemetry off the driven engine.
+fn measure(
+    backend: Backend,
+    topology: String,
+    n: u64,
+    mode: &'static str,
+    mut sim: Box<dyn Simulator>,
+    drive: impl FnOnce(&mut dyn Simulator),
+) -> Row {
+    sim.set_histograms(true);
+    let start = std::time::Instant::now();
+    drive(sim.as_mut());
+    Row {
+        backend: backend.name(),
+        topology,
+        n,
+        mode,
+        wall_s: start.elapsed().as_secs_f64(),
+        scheduled: sim.interactions(),
+        effective: sim.effective_interactions(),
+        // `{}` for an engine that reports no histograms, so the row still
+        // parses.
+        histograms: sim
+            .histograms()
+            .map_or_else(|| "{}".to_string(), |h| h.to_json()),
+        telemetry: sim.telemetry().to_json(),
+    }
+}
+
+/// The drive of every stabilization row: run to silence.
+fn stabilize(sim: &mut dyn Simulator, rng: &mut SimRng) {
+    sim.run_to_silence(rng, u64::MAX / 2);
 }
 
 /// Build a topology simulator for one of the graph-capable backends.
@@ -115,21 +145,10 @@ fn topo_sim(
 fn topo_stabilize_row(backend: Backend, family: TopologyFamily, n: u64, k: usize) -> Row {
     let n = family.snap_n(n as usize) as u64;
     let mut rng = SimRng::new(1);
-    let mut sim = topo_sim(backend, family, n, k, &mut rng);
-    sim.set_histograms(true);
-    let start = std::time::Instant::now();
-    sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: family.name(),
-        n,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
-    }
+    let sim = topo_sim(backend, family, n, k, &mut rng);
+    measure(backend, family.name(), n, "stabilize", sim, |sim| {
+        stabilize(sim, &mut rng)
+    })
 }
 
 /// Build a graph-engine simulator over explicit per-agent states.
@@ -163,10 +182,9 @@ fn frontier_states(n: usize) -> Vec<usize> {
 fn cycle_frontier_row(backend: Backend, n: usize, target: u64) -> Row {
     let graph = TopologyFamily::Cycle.build(n, 0);
     let mut rng = SimRng::new(2);
-    let mut sim = explicit_sim(backend, &graph, frontier_states(n));
-    sim.set_histograms(true);
-    let start = std::time::Instant::now();
-    loop {
+    let sim = explicit_sim(backend, &graph, frontier_states(n));
+    let label = "cycle-frontier".to_string();
+    measure(backend, label, n as u64, "target", sim, |sim| loop {
         let done = sim.interactions();
         if done >= target || sim.is_silent() {
             break;
@@ -174,18 +192,7 @@ fn cycle_frontier_row(backend: Backend, n: usize, target: u64) -> Row {
         if sim.advance_changed(&mut rng, target - done).0 == 0 {
             break;
         }
-    }
-    Row {
-        backend: backend.name(),
-        topology: "cycle-frontier".to_string(),
-        n: n as u64,
-        mode: "target",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
-    }
+    })
 }
 
 /// Full stabilization from the cycle-frontier configuration: the boundary
@@ -194,21 +201,11 @@ fn cycle_frontier_row(backend: Backend, n: usize, target: u64) -> Row {
 fn frontier_stabilize_row(backend: Backend, n: usize) -> Row {
     let graph = TopologyFamily::Cycle.build(n, 0);
     let mut rng = SimRng::new(4);
-    let mut sim = explicit_sim(backend, &graph, frontier_states(n));
-    sim.set_histograms(true);
-    let start = std::time::Instant::now();
-    sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: "cycle-frontier".to_string(),
-        n: n as u64,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
-    }
+    let sim = explicit_sim(backend, &graph, frontier_states(n));
+    let label = "cycle-frontier".to_string();
+    measure(backend, label, n as u64, "stabilize", sim, |sim| {
+        stabilize(sim, &mut rng)
+    })
 }
 
 /// Torus endgame stabilization: one minority square patch on an
@@ -227,21 +224,11 @@ fn torus_endgame_row(backend: Backend, n: usize, patch: usize) -> Row {
         }
     }
     let mut rng = SimRng::new(5);
-    let mut sim = explicit_sim(backend, &graph, states);
-    sim.set_histograms(true);
-    let start = std::time::Instant::now();
-    sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: "torus-endgame".to_string(),
-        n: n as u64,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
-    }
+    let sim = explicit_sim(backend, &graph, states);
+    let label = "torus-endgame".to_string();
+    measure(backend, label, n as u64, "stabilize", sim, |sim| {
+        stabilize(sim, &mut rng)
+    })
 }
 
 /// Bit-parallel replica ensemble stabilization: `lanes` independent runs
@@ -262,21 +249,11 @@ fn replica_ensemble_row(family: Option<TopologyFamily>, n: u64, k: usize, lanes:
     if let Some(f) = family {
         spec = spec.topology(f).topo_seed(7);
     }
-    let mut sim = spec.build_simulator(&mut rng);
-    sim.set_histograms(true);
-    let start = std::time::Instant::now();
-    sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: Backend::Replica.name(),
-        topology: family.map_or_else(|| "clique".to_string(), |f| f.name()),
-        n,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
-    }
+    let sim = spec.build_simulator(&mut rng);
+    let label = family.map_or_else(|| "clique".to_string(), |f| f.name());
+    measure(Backend::Replica, label, n, "stabilize", sim, |sim| {
+        stabilize(sim, &mut rng)
+    })
 }
 
 /// Clique stabilization through the generic simulator entry point (every
@@ -286,21 +263,10 @@ fn replica_ensemble_row(family: Option<TopologyFamily>, n: u64, k: usize, lanes:
 fn clique_row(backend: Backend, n: u64, k: usize, label: &str) -> Row {
     let config = InitialConfigBuilder::new(n, k).figure1();
     let mut rng = SimRng::new(3);
-    let mut sim = usd_core::backend::make_simulator(backend, &config);
-    sim.set_histograms(true);
-    let start = std::time::Instant::now();
-    sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: label.to_string(),
-        n,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
-    }
+    let sim = usd_core::backend::make_simulator(backend, &config);
+    measure(backend, label.to_string(), n, "stabilize", sim, |sim| {
+        stabilize(sim, &mut rng)
+    })
 }
 
 /// One planned (not yet run) scenario of the pinned grid.
@@ -602,61 +568,26 @@ fn select_scenarios(
     Ok(selected)
 }
 
+/// The scenarios `args` select, whether they ask for the `--quick` grid,
+/// and the `--json` path; or the one-line error naming the flag at fault.
+fn parse_args(args: &[String]) -> Result<(Vec<Scenario>, bool, Option<String>), String> {
+    let flags = Flags::parse(args, &["json", "backend", "topology"], &["quick"])?;
+    let quick = flags.has("quick")?;
+    let topology: Option<String> = flags.get("topology")?;
+    let scenarios = select_scenarios(
+        scenario_set(quick),
+        flags.get("backend")?,
+        topology.as_deref(),
+    )?;
+    Ok((scenarios, quick, flags.get("json")?))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut json: Option<String> = None;
-    let mut backend: Option<Backend> = None;
-    let mut topology: Option<String> = None;
-    let mut it = args.iter().peekable();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--json" => {
-                let path = match it.peek() {
-                    Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                    _ => "BENCH_backends.json".to_string(),
-                };
-                json = Some(path);
-            }
-            "--seed" => {
-                // Accepted for interface stability; the workloads pin their
-                // seeds so rows are comparable across PRs.
-                let _ = it.next();
-            }
-            "--backend" => match it.next().map(|v| v.parse::<Backend>()) {
-                Some(Ok(b)) => backend = Some(b),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--backend needs a value");
-                    std::process::exit(2);
-                }
-            },
-            "--topology" => match it.next() {
-                Some(v) => topology = Some(v.clone()),
-                None => {
-                    eprintln!("--topology needs a value");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown flag '{other}' (flags: --quick --json [path] --seed <u64> \
-                     --backend <name> --topology <label>)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let scenarios = select_scenarios(scenario_set(quick), backend, topology.as_deref())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    let (scenarios, quick, json) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let rows: Vec<Row> = scenarios.iter().map(Scenario::run).collect();
 
     println!(
@@ -814,5 +745,29 @@ mod tests {
         assert!(select_scenarios(scenario_set(false), None, Some("moebius")).is_err());
         // A backend absent from the (quick) grid entirely.
         assert!(select_scenarios(scenario_set(true), Some(Backend::Count), None).is_err());
+    }
+
+    #[test]
+    fn flags_are_strict() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(&args)
+        };
+        let (selected, quick, json) =
+            parse("--quick --backend batch --topology clique --json b.json").unwrap();
+        assert_eq!(selected.len(), 1);
+        assert!(quick);
+        assert_eq!(json.as_deref(), Some("b.json"));
+        for (line, why) in [
+            (
+                "--quick --seed 1 --backend batch --topology clique",
+                "unknown flag --seed",
+            ),
+            ("--quick --json", "--json needs a value"),
+            ("--quick --quick", "--quick given twice"),
+            ("--quick b.json", "unexpected argument 'b.json'"),
+        ] {
+            assert_eq!(parse(line).err().as_deref(), Some(why), "{line}");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! cargo run --release -p usd-bench --bin bench_compare -- \
-//!     <baseline.json> <candidate.json> [--threshold <frac>]
-//!     [--summary <path>]
+//!     --baseline <baseline.json> --candidate <candidate.json>
+//!     [--threshold <frac>] [--summary <path>]
 //! cargo run --release -p usd-bench --bin bench_compare -- \
 //!     --assert-telemetry <run.json>
 //! cargo run --release -p usd-bench --bin bench_compare -- \
@@ -11,6 +11,10 @@
 //! cargo run --release -p usd-bench --bin bench_compare -- \
 //!     --assert-checkpoint <run.ckpt>
 //! ```
+//!
+//! Each `--assert-*` mode takes its one path and no other flag. An
+//! unknown, repeated or stray argument, or a flag the chosen mode does not
+//! read, exits 2 naming it.
 //!
 //! `--summary <path>` additionally **appends** a markdown per-scenario
 //! ratio table to `path` (created if missing) — pass
@@ -78,6 +82,8 @@
 //! nested `telemetry` object), and the row's own scalar fields are found
 //! by first occurrence, which is safe because `bench_backends` emits the
 //! telemetry object as the row's **last** key.
+
+use sim_stats::flags::Flags;
 
 /// The telemetry summary a row may carry (`None` when the row predates
 /// telemetry, or its block is empty/unparseable — the distinction only
@@ -597,153 +603,164 @@ fn histogram_markdown(baseline: &[CmpRow], candidate: &[CmpRow]) -> String {
     doc
 }
 
+/// The usage line, printed when the gate is missing one of its paths.
+const USAGE: &str = "usage: bench_compare --baseline <baseline.json> --candidate \
+    <candidate.json> [--threshold <frac>] [--summary <path>] | bench_compare \
+    --assert-telemetry <run.json> | bench_compare --assert-timeline <run.jsonl> | \
+    bench_compare --assert-checkpoint <run.ckpt>";
+
+/// The smoke modes: each checks one file and takes no other flag.
+const SMOKE: [&str; 3] = ["assert-telemetry", "assert-timeline", "assert-checkpoint"];
+
+/// The gate's flags.
+const GATE: [&str; 4] = ["baseline", "candidate", "threshold", "summary"];
+
+/// What one invocation asks for.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// `--assert-telemetry <run.json>`.
+    AssertTelemetry(String),
+    /// `--assert-timeline <run.jsonl>`.
+    AssertTimeline(String),
+    /// `--assert-checkpoint <run.ckpt>`.
+    AssertCheckpoint(String),
+    /// The perf-regression gate.
+    Gate {
+        baseline: String,
+        candidate: String,
+        threshold: f64,
+        summary: Option<String>,
+    },
+}
+
+/// The mode `args` ask for, or the one-line error naming the flag at fault.
+fn parse_args(args: &[String]) -> Result<Mode, String> {
+    let flags = Flags::parse(args, &[&SMOKE[..], &GATE[..]].concat(), &[])?;
+    let path = |name: &str| match flags.get::<String>(name)? {
+        Some(p) if p.is_empty() => Err(format!("--{name} needs a non-empty path")),
+        p => Ok(p),
+    };
+    let given: Vec<&str> = SMOKE
+        .iter()
+        .chain(&GATE)
+        .copied()
+        .filter(|f| flags.get_opt(f).is_some())
+        .collect();
+    if let Some(&smoke) = SMOKE.iter().find(|f| given.contains(f)) {
+        if given.len() > 1 {
+            return Err(format!(
+                "--{smoke} takes one path and no other flag (got --{})",
+                given.join(", --")
+            ));
+        }
+        let path = path(smoke)?.expect("the flag was given");
+        return Ok(match smoke {
+            "assert-telemetry" => Mode::AssertTelemetry(path),
+            "assert-timeline" => Mode::AssertTimeline(path),
+            _ => Mode::AssertCheckpoint(path),
+        });
+    }
+    let (Some(baseline), Some(candidate)) = (path("baseline")?, path("candidate")?) else {
+        return Err(USAGE.to_string());
+    };
+    let threshold = match flags.get::<f64>("threshold")? {
+        None => 0.40,
+        Some(t) if (0.0..1.0).contains(&t) => t,
+        Some(_) => return Err("--threshold needs a fraction in [0, 1)".to_string()),
+    };
+    Ok(Mode::Gate {
+        baseline,
+        candidate,
+        threshold,
+        summary: path("summary")?,
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut threshold = 0.40f64;
-    let mut summary: Option<String> = None;
-    let mut assert_telemetry: Option<String> = None;
-    let mut assert_timeline_path: Option<String> = None;
-    let mut assert_checkpoint_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--assert-telemetry" => match it.next() {
-                Some(path) if !path.is_empty() => assert_telemetry = Some(path.clone()),
-                _ => {
-                    eprintln!("--assert-telemetry needs a run-JSON path");
-                    std::process::exit(2);
-                }
-            },
-            "--assert-timeline" => match it.next() {
-                Some(path) if !path.is_empty() => assert_timeline_path = Some(path.clone()),
-                _ => {
-                    eprintln!("--assert-timeline needs a timeline-JSONL path");
-                    std::process::exit(2);
-                }
-            },
-            "--assert-checkpoint" => match it.next() {
-                Some(path) if !path.is_empty() => assert_checkpoint_path = Some(path.clone()),
-                _ => {
-                    eprintln!("--assert-checkpoint needs a checkpoint-file path");
-                    std::process::exit(2);
-                }
-            },
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t| (0.0..1.0).contains(t))
-                    .unwrap_or_else(|| {
-                        eprintln!("--threshold needs a fraction in [0, 1)");
-                        std::process::exit(2);
-                    });
-            }
-            "--summary" => match it.next() {
-                Some(path) if !path.is_empty() => summary = Some(path.clone()),
-                _ => {
-                    eprintln!("--summary needs a non-empty path");
-                    std::process::exit(2);
-                }
-            },
-            other if !other.starts_with("--") => paths.push(other.to_string()),
-            other => {
-                eprintln!("unknown flag '{other}' (usage: bench_compare <baseline.json> <candidate.json> [--threshold <frac>] [--summary <path>] | bench_compare --assert-telemetry <run.json> | bench_compare --assert-timeline <run.jsonl> | bench_compare --assert-checkpoint <run.ckpt>)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = assert_checkpoint_path {
-        // Standalone smoke mode, like the other --assert-* flags: rejects
-        // stray positionals and mode mixing instead of ignoring them.
-        if !paths.is_empty() || assert_telemetry.is_some() || assert_timeline_path.is_some() {
-            eprintln!("--assert-checkpoint takes a single checkpoint path and no other mode");
-            std::process::exit(2);
-        }
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        match assert_checkpoint(&bytes) {
-            Ok(summary) => {
-                println!("{path}: {summary}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = assert_timeline_path {
-        // Standalone smoke mode, like --assert-telemetry below: rejects
-        // stray positionals and mode mixing instead of ignoring them.
-        if !paths.is_empty() || assert_telemetry.is_some() {
-            eprintln!("--assert-timeline takes a single JSONL path and no other mode");
-            std::process::exit(2);
-        }
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        match assert_timeline(&doc) {
-            Ok(0) => {
-                eprintln!("{path}: empty timeline — the recorder never sampled");
-                std::process::exit(2);
-            }
-            Ok(samples) => {
-                println!("{path}: {samples} schema-conforming timeline sample(s), clocks monotone");
-                return;
-            }
-            Err(problems) => {
-                eprintln!(
-                    "{path}: {} timeline schema violation(s):\n  {}",
-                    problems.len(),
-                    problems.join("\n  ")
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = assert_telemetry {
-        // Standalone smoke mode: no baseline involved, so it rejects any
-        // extra positional paths instead of silently ignoring them.
-        if !paths.is_empty() {
-            eprintln!("--assert-telemetry takes no positional paths (got {paths:?})");
-            std::process::exit(2);
-        }
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        let rows = parse_rows(&doc).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
-        });
-        if rows.is_empty() {
-            eprintln!("{path}: no rows — nothing to assert telemetry on");
-            std::process::exit(2);
-        }
-        let missing = missing_telemetry(&rows);
-        if missing.is_empty() {
-            println!(
-                "{path}: all {} row(s) report a telemetry block with scheduled > 0",
-                rows.len()
-            );
-            return;
-        }
-        eprintln!(
-            "{path}: {} of {} row(s) missing a live telemetry block:\n  {}",
-            missing.len(),
-            rows.len(),
-            missing.join("\n  ")
-        );
-        std::process::exit(1);
-    }
-    if paths.len() != 2 {
-        eprintln!("usage: bench_compare <baseline.json> <candidate.json> [--threshold <frac>] [--summary <path>] | bench_compare --assert-telemetry <run.json> | bench_compare --assert-timeline <run.jsonl> | bench_compare --assert-checkpoint <run.ckpt>");
+    let mode = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
+    });
+    let (baseline, candidate, threshold, summary) = match mode {
+        Mode::Gate {
+            baseline,
+            candidate,
+            threshold,
+            summary,
+        } => (baseline, candidate, threshold, summary),
+        Mode::AssertCheckpoint(path) => {
+            let bytes = std::fs::read(&path).unwrap_or_else(|e| {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(2);
+            });
+            match assert_checkpoint(&bytes) {
+                Ok(summary) => {
+                    println!("{path}: {summary}");
+                    return;
+                }
+                Err(e) => {
+                    eprintln!("{path}: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        Mode::AssertTimeline(path) => {
+            let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(2);
+            });
+            match assert_timeline(&doc) {
+                Ok(0) => {
+                    eprintln!("{path}: empty timeline — the recorder never sampled");
+                    std::process::exit(2);
+                }
+                Ok(samples) => {
+                    println!(
+                        "{path}: {samples} schema-conforming timeline sample(s), clocks monotone"
+                    );
+                    return;
+                }
+                Err(problems) => {
+                    eprintln!(
+                        "{path}: {} timeline schema violation(s):\n  {}",
+                        problems.len(),
+                        problems.join("\n  ")
+                    );
+                    std::process::exit(1);
+                }
+            }
+        }
+        Mode::AssertTelemetry(path) => {
+            let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(2);
+            });
+            let rows = parse_rows(&doc).unwrap_or_else(|e| {
+                eprintln!("cannot parse {path}: {e}");
+                std::process::exit(2);
+            });
+            if rows.is_empty() {
+                eprintln!("{path}: no rows — nothing to assert telemetry on");
+                std::process::exit(2);
+            }
+            let missing = missing_telemetry(&rows);
+            if missing.is_empty() {
+                println!(
+                    "{path}: all {} row(s) report a telemetry block with scheduled > 0",
+                    rows.len()
+                );
+                return;
+            }
+            eprintln!(
+                "{path}: {} of {} row(s) missing a live telemetry block:\n  {}",
+                missing.len(),
+                rows.len(),
+                missing.join("\n  ")
+            );
+            std::process::exit(1);
+        }
+    };
     // Every exit-2 path below reports through this, so a mis-set-up gate
     // (unreadable/corrupt JSON, disjoint scenario sets) is visible on the
     // run page too, not just in the step log.
@@ -760,8 +777,8 @@ fn main() {
             .unwrap_or_else(|e| fail_setup(format!("cannot read {path}: {e}")));
         parse_rows(&doc).unwrap_or_else(|e| fail_setup(format!("cannot parse {path}: {e}")))
     };
-    let baseline = read(&paths[0]);
-    let candidate = read(&paths[1]);
+    let baseline = read(&baseline);
+    let candidate = read(&candidate);
     let comparisons = compare(&baseline, &candidate, threshold).unwrap_or_else(|e| fail_setup(e));
     if let Some(path) = &summary {
         let doc = summary_markdown(&comparisons, threshold)
@@ -1289,5 +1306,49 @@ mod tests {
             "summary must append, not truncate"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flags_select_one_mode_and_refuse_the_rest() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(&args)
+        };
+        assert_eq!(
+            parse("--baseline a.json --candidate b.json --summary s.md"),
+            Ok(Mode::Gate {
+                baseline: "a.json".into(),
+                candidate: "b.json".into(),
+                threshold: 0.40,
+                summary: Some("s.md".into()),
+            })
+        );
+        assert_eq!(
+            parse("--assert-timeline t.jsonl"),
+            Ok(Mode::AssertTimeline("t.jsonl".into()))
+        );
+        for (line, why) in [
+            ("a.json b.json", "unexpected argument 'a.json'"),
+            ("--baseline a.json", USAGE),
+            (
+                "--baseline a.json --candidate b.json --threshold 1.5",
+                "--threshold needs a fraction in [0, 1)",
+            ),
+            (
+                "--assert-checkpoint c.ckpt --threshold 0.4",
+                "--assert-checkpoint takes one path and no other flag \
+                 (got --assert-checkpoint, --threshold)",
+            ),
+            (
+                "--assert-telemetry a.json --assert-telemetry b.json",
+                "--assert-telemetry given twice",
+            ),
+            (
+                "--summary= --baseline a.json --candidate b.json",
+                "--summary needs a non-empty path",
+            ),
+        ] {
+            assert_eq!(parse(line), Err(why.to_string()), "{line}");
+        }
     }
 }

@@ -1,110 +1,8 @@
-//! Fixed-width and logarithmic histograms.
+//! Logarithmic histograms.
 //!
-//! Used by the experiment harness to summarize stabilization-time
-//! distributions and by the statistical equivalence tests (E12) that compare
-//! simulator variants.
-
-/// A histogram with equal-width bins over `[lo, hi)`; values outside the
-/// range are counted in underflow/overflow buckets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins covering `[lo, hi)`.
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// `(lo, hi)` edges of bin `i`.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Pearson χ² statistic against another histogram with identical binning,
-    /// over bins where the pooled expectation is positive. Used for
-    /// distributional-equivalence checks between simulator variants.
-    ///
-    /// Returns `(chi2, degrees_of_freedom)`.
-    pub fn chi2_against(&self, other: &Histogram) -> (f64, usize) {
-        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
-        assert_eq!((self.lo, self.hi), (other.lo, other.hi), "range mismatch");
-        let n1: f64 = self.total() as f64;
-        let n2: f64 = other.total() as f64;
-        let mut chi2 = 0.0;
-        let mut dof = 0usize;
-        let cells = self
-            .bins
-            .iter()
-            .zip(&other.bins)
-            .map(|(&a, &b)| (a as f64, b as f64))
-            .chain([
-                (self.underflow as f64, other.underflow as f64),
-                (self.overflow as f64, other.overflow as f64),
-            ]);
-        for (a, b) in cells {
-            let pooled = a + b;
-            if pooled == 0.0 {
-                continue;
-            }
-            // Two-sample chi-square with unequal sample sizes.
-            let k1 = (n2 / n1).sqrt();
-            let k2 = (n1 / n2).sqrt();
-            chi2 += (k1 * a - k2 * b).powi(2) / pooled;
-            dof += 1;
-        }
-        (chi2, dof.saturating_sub(1))
-    }
-}
+//! The engines' per-event histograms (skip lengths, block sizes, flush
+//! sizes) record into these, and the bench rows and timelines report their
+//! bin-edge quantiles.
 
 /// A histogram with logarithmically spaced bins, for heavy-tailed samples
 /// such as hitting times. Bin `i` covers `[base^i, base^(i+1))` scaled by
@@ -281,69 +179,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_histogram_bins_correctly() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.add(i as f64 + 0.5);
-        }
-        assert_eq!(h.counts(), &[1; 10]);
-        assert_eq!(h.total(), 10);
-    }
-
-    #[test]
-    fn under_and_overflow() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.add(-0.1);
-        h.add(1.0); // hi is exclusive
-        h.add(5.0);
-        h.add(0.999);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts()[3], 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn bin_edges_cover_range() {
-        let h = Histogram::new(2.0, 6.0, 4);
-        assert_eq!(h.bin_edges(0), (2.0, 3.0));
-        assert_eq!(h.bin_edges(3), (5.0, 6.0));
-    }
-
-    #[test]
-    fn boundary_value_lands_in_correct_bin() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        h.add(0.1); // exactly a bin edge -> bin 1
-        assert_eq!(h.counts()[1], 1);
-    }
-
-    #[test]
-    fn chi2_of_identical_samples_is_small() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let mut b = Histogram::new(0.0, 10.0, 10);
-        for i in 0..1000 {
-            let v = (i % 10) as f64 + 0.5;
-            a.add(v);
-            b.add(v);
-        }
-        let (chi2, dof) = a.chi2_against(&b);
-        assert!(chi2 < 1e-9, "chi2 {chi2}");
-        assert!(dof > 0);
-    }
-
-    #[test]
-    fn chi2_detects_different_distributions() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let mut b = Histogram::new(0.0, 10.0, 10);
-        for i in 0..1000 {
-            a.add((i % 5) as f64 + 0.25); // mass on [0,5)
-            b.add((i % 5) as f64 + 5.25); // mass on [5,10)
-        }
-        let (chi2, _) = a.chi2_against(&b);
-        assert!(chi2 > 100.0, "chi2 {chi2}");
-    }
 
     #[test]
     fn log_quantiles_resolve_to_bin_edges() {

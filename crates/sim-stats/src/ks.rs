@@ -1,9 +1,10 @@
 //! Two-sample Kolmogorov–Smirnov statistics.
 //!
-//! The simulator-equivalence experiment (E12) needs a principled
-//! distributional comparison between engines' stabilization-time samples;
-//! alongside the χ² histogram comparison we provide the two-sample KS
-//! statistic and its asymptotic critical values.
+//! The simulator-equivalence experiment (E12) and the engine-equivalence
+//! tests compare engines' stabilization-time samples with the two-sample
+//! KS statistic D against its asymptotic critical value. Unlike a binned
+//! χ², D needs no bin range, so it still checks the laws at the handful
+//! of samples a `--quick` run draws.
 
 /// The two-sample KS statistic D = sup_x |F₁(x) − F₂(x)|.
 ///

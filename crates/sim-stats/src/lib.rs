@@ -9,9 +9,10 @@
 //!   reproducible from a single master seed;
 //! * [`summary`] — streaming and batch summary statistics (Welford mean and
 //!   variance, quantiles, confidence intervals);
-//! * [`histogram`] — fixed-width and logarithmic histograms;
+//! * [`histogram`] — logarithmic histograms for the engines' per-event
+//!   quantities;
 //! * [`ks`] — two-sample Kolmogorov–Smirnov statistics for the
-//!   simulator-equivalence experiments;
+//!   simulator-equivalence experiment and tests;
 //! * [`regression`] — ordinary least squares and log–log scaling fits, used
 //!   to extract empirical exponents from stabilization-time sweeps;
 //! * [`multinomial`] — hypergeometric sampling
@@ -21,7 +22,8 @@
 //!   of the batch-leaping simulator;
 //! * [`timeseries`] — trajectory containers with downsampling;
 //! * [`plot`] — ASCII line charts for terminal experiment output;
-//! * [`tables`] — plain-text table formatting for experiment reports.
+//! * [`tables`] — plain-text table formatting for experiment reports;
+//! * [`flags`] — the strict command-line flag parser every binary uses.
 //!
 //! All functionality is dependency-light and deterministic under a fixed
 //! seed, which the test suites across the workspace rely on.
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod binomial;
+pub mod flags;
 pub mod histogram;
 pub mod ks;
 pub mod multinomial;
@@ -48,7 +51,7 @@ pub mod timeseries;
 pub use binomial::{
     ln_binomial, ln_factorial, ln_gamma, sample_binomial, sample_hypergeometric_fast,
 };
-pub use histogram::{Histogram, LogHistogram};
+pub use histogram::LogHistogram;
 pub use ks::{ks_critical_value, ks_reject, ks_statistic};
 pub use multinomial::{
     hypergeometric_pairing_table, multivariate_hypergeometric, multivariate_hypergeometric_streams,

@@ -4,7 +4,7 @@
 //! README.md's "Experiments × backends" table lists the engines it runs on.
 
 fn main() {
-    let args = usd_experiments::ExpArgs::from_env();
+    let args = usd_experiments::ExpArgs::from_env(&["k", "seeds", "backend"]);
     let report = usd_experiments::barrier::barrier_report(&args);
     report.finish(args.csv.as_deref());
 }

@@ -2,9 +2,10 @@
 //!
 //! ```text
 //! cargo run --release -p usd-experiments --bin topology_sweep -- \
-//!     [--n <max>] [--k <opinions>] [--seeds <reps>] [--topology <family>]
-//!     [--backend <graph|batchgraph|agent|replica>] [--threads <t>]
-//!     [--quick] [--csv out.csv] [--timeline-dir <dir>]
+//!     [--n <max>] [--k <opinions>] [--seeds <reps>] [--seed <u64>]
+//!     [--topology <family>] [--backend <graph|batchgraph|agent|replica>]
+//!     [--threads <t>] [--quick] [--csv out.csv] [--timeline-dir <dir>]
+//!     [--resume-dir <dir>]
 //! ```
 //!
 //! Runs a topology-capable backend over the sparse family grid
@@ -18,8 +19,18 @@
 //! transition-table budget or past a cell's population) exit with status
 //! 2 before any work runs.
 
+/// The optional flags E14 reads, beyond the ones every experiment takes.
+const TAKES: &[&str] = &[
+    "k",
+    "seeds",
+    "backend",
+    "topology",
+    "timeline-dir",
+    "resume-dir",
+];
+
 fn main() {
-    let args = usd_experiments::ExpArgs::from_env();
+    let args = usd_experiments::ExpArgs::from_env(TAKES);
     if let Err(msg) = usd_experiments::topology::validate_args(&args) {
         eprintln!("{msg}");
         std::process::exit(2);
@@ -30,6 +41,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use super::TAKES;
     use usd_experiments::topology::validate_args;
     use usd_experiments::ExpArgs;
 
@@ -37,7 +49,11 @@ mod tests {
     /// accept by panicking (or by silently ignoring a flag) are errors.
     #[test]
     fn preflight_rejects_invalid_backend_and_degree_combinations() {
-        let parse = |flags: &[&str]| ExpArgs::parse(flags.iter().map(|s| s.to_string())).unwrap();
+        let parse_args = |flags: &[&str]| {
+            let flags: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+            ExpArgs::parse(&flags, TAKES)
+        };
+        let parse = |flags: &[&str]| parse_args(flags).unwrap();
         assert!(validate_args(&parse(&[])).is_ok());
         assert!(validate_args(&parse(&["--backend", "graph"])).is_ok());
         assert!(validate_args(&parse(&["--backend", "batch"])).is_err());
@@ -47,11 +63,11 @@ mod tests {
             "{err}"
         );
         for name in ["skip", "pargraph"] {
-            let removed = ExpArgs::parse(["--backend", name].iter().map(|s| s.to_string()));
+            let removed = parse_args(&["--backend", name]);
             assert!(removed.is_err(), "removed backend {name} must not parse");
         }
         // The degree is part of the family's name; there is no --degree.
-        assert!(ExpArgs::parse(["--degree", "4"].iter().map(|s| s.to_string())).is_err());
+        assert!(parse_args(&["--degree", "4"]).is_err());
         assert!(validate_args(&parse(&["--topology", "regular:4"])).is_ok());
         assert!("cycle:4".parse::<pop_proto::TopologyFamily>().is_err());
         // Every cell is checked before the first runs: k = 300 fits the

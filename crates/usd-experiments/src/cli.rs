@@ -1,36 +1,44 @@
-//! Uniform command-line argument handling for the experiment binaries.
+//! Command-line argument handling for the experiment binaries.
 //!
-//! Every binary accepts the same flags:
+//! Every binary takes the flags every experiment reads:
 //!
 //! ```text
 //! --n <u64>        population size
-//! --k <usize>      number of opinions (default: experiment-specific)
-//! --seeds <u64>    number of independent runs per cell
 //! --seed <u64>     master seed (default 42)
 //! --csv <path>     also write results as CSV next to the stdout report
 //! --quick          shrink everything for a fast smoke run
 //! --threads <t>    worker-thread count for sweeps (default: USD_THREADS
 //!                  env, else available parallelism)
-//! --topology <f>   interaction-graph family (topology experiments only;
-//!                  regular:d and er:avg carry the degree)
-//! --backend <b>    simulation backend, where the experiment honors it
-//!                  (fig1, the lemma probes E3/E4/E5, the scaling sweeps
-//!                  E6/E7/E10, E8, E11, and E13: any single-lane backend;
-//!                  topology_sweep: any topology-capable backend — agent,
-//!                  graph, batchgraph, replica)
+//! --help           list the flags this binary takes (exits 2)
+//! ```
+//!
+//! and, from this list, the flags its report reads (each binary names
+//! them in its call to [`ExpArgs::from_env`]; README.md's "Experiments ×
+//! backends" table lists them per binary):
+//!
+//! ```text
+//! --k <usize>      number of opinions (default: experiment-specific)
+//! --seeds <u64>    number of independent runs per cell
+//! --backend <b>    simulation backend (any single-lane backend on the
+//!                  clique; topology_sweep: any topology-capable backend —
+//!                  agent, graph, batchgraph, replica)
+//! --topology <f>   interaction-graph family (regular:d and er:avg carry
+//!                  the degree)
 //! --timeline-dir <dir>
 //!                  write one flight-recorder JSONL per sweep cell from
-//!                  the cell's representative run (topology_sweep only)
+//!                  the cell's representative run
 //! --resume-dir <dir>
 //!                  persist each completed sweep cell in <dir> and skip
 //!                  cells already completed by a previous interrupted run
-//!                  with the same parameters (topology_sweep only)
+//!                  with the same parameters
 //! ```
 //!
-//! Parsing is by hand (no external dependency) and strict: unknown flags
-//! are errors, so typos do not silently run the default experiment.
+//! Parsing goes through the strict [`Flags`] parser: a flag the binary
+//! does not take, a flag given twice and a stray argument exit 2 naming
+//! it, so a typo never silently runs the default experiment.
 
 use pop_proto::topology::TopologyFamily;
+use sim_stats::flags::Flags;
 use usd_core::backend::Backend;
 use usd_core::init::InitialConfigBuilder;
 use usd_core::theory;
@@ -87,67 +95,33 @@ impl Default for ExpArgs {
 }
 
 impl ExpArgs {
-    /// Parse from an iterator of argument strings (excluding `argv[0]`).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut out = ExpArgs::default();
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut take = |name: &str| {
-                it.next()
-                    .ok_or_else(|| format!("flag {name} needs a value"))
-            };
-            match flag.as_str() {
-                "--n" => {
-                    out.n = take("--n")?.parse().map_err(|e| format!("--n: {e}"))?;
-                }
-                "--k" => {
-                    out.k = Some(take("--k")?.parse().map_err(|e| format!("--k: {e}"))?);
-                }
-                "--seeds" => {
-                    out.seeds = take("--seeds")?
-                        .parse()
-                        .map_err(|e| format!("--seeds: {e}"))?;
-                }
-                "--seed" => {
-                    out.seed = take("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--csv" => {
-                    out.csv = Some(take("--csv")?);
-                }
-                "--quick" => {
-                    out.quick = true;
-                }
-                "--threads" => {
-                    out.threads = Some(
-                        take("--threads")?
-                            .parse()
-                            .map_err(|e| format!("--threads: {e}"))?,
-                    );
-                }
-                "--topology" => {
-                    out.topology = Some(take("--topology")?.parse()?);
-                }
-                "--backend" => {
-                    out.backend = Some(take("--backend")?.parse()?);
-                }
-                "--timeline-dir" => {
-                    out.timeline_dir = Some(take("--timeline-dir")?);
-                }
-                "--resume-dir" => {
-                    out.resume_dir = Some(take("--resume-dir")?);
-                }
-                "--help" | "-h" => {
-                    return Err("flags: --n <u64> --k <usize> --seeds <u64> --seed <u64> \
-                         --csv <path> --quick --threads <usize> \
-                         --topology <family> --backend <name> \
-                         --timeline-dir <dir> --resume-dir <dir>"
-                        .to_string());
-                }
-                other => return Err(format!("unknown flag '{other}' (try --help)")),
-            }
+    /// Parse `args` (excluding `argv[0]`): the flags every experiment
+    /// reads plus the value flags in `takes` (names without the leading
+    /// `--`). Any other flag is an error naming it, as is `--help`, whose
+    /// error lists the flags this parse accepts.
+    pub fn parse(args: &[String], takes: &[&str]) -> Result<Self, String> {
+        let values: Vec<&str> = ["n", "seed", "csv", "threads"]
+            .into_iter()
+            .chain(takes.iter().copied())
+            .collect();
+        let flags = Flags::parse(args, &values, &["quick", "help"])?;
+        if flags.has("help")? {
+            return Err(format!("flags: --{} --quick", values.join(" --")));
         }
+        let d = ExpArgs::default();
+        let out = ExpArgs {
+            n: flags.get("n")?.unwrap_or(d.n),
+            k: flags.get("k")?,
+            seeds: flags.get("seeds")?.unwrap_or(d.seeds),
+            seed: flags.get("seed")?.unwrap_or(d.seed),
+            csv: flags.get("csv")?,
+            quick: flags.has("quick")?,
+            threads: flags.get("threads")?,
+            topology: flags.get("topology")?,
+            backend: flags.get("backend")?,
+            timeline_dir: flags.get("timeline-dir")?,
+            resume_dir: flags.get("resume-dir")?,
+        };
         if out.n < 2 {
             return Err("--n must be at least 2".to_string());
         }
@@ -163,11 +137,12 @@ impl ExpArgs {
         Ok(out)
     }
 
-    /// Parse from the process environment; print the error and exit(2) on
-    /// failure (for use in `fn main`). Applies `--threads` to the sweep
+    /// [`ExpArgs::parse`] over the process arguments, for `fn main`: prints
+    /// the error and exits 2 on failure. Applies `--threads` to the sweep
     /// runner as a process-wide override.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
+    pub fn from_env(takes: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match Self::parse(&args, takes) {
             Ok(args) => {
                 crate::runner::set_thread_override(args.threads);
                 args
@@ -253,8 +228,21 @@ fn exit_on(verdict: Result<(), String>) {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parse with every optional flag taken (topology_sweep's list).
     fn parse(args: &[&str]) -> Result<ExpArgs, String> {
-        ExpArgs::parse(args.iter().map(|s| s.to_string()))
+        let takes = [
+            "k",
+            "seeds",
+            "backend",
+            "topology",
+            "timeline-dir",
+            "resume-dir",
+        ];
+        ExpArgs::parse(&strings(args), &takes)
     }
 
     #[test]
@@ -308,7 +296,7 @@ mod tests {
         assert!(parse(&["--topology", "moebius"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
         let err = parse(&["--degree", "4"]).unwrap_err();
-        assert_eq!(err, "unknown flag '--degree' (try --help)");
+        assert_eq!(err, "unknown flag --degree");
         let a = parse(&["--topology", "hypercube"]).unwrap();
         assert_eq!(a.topology, Some(TopologyFamily::Hypercube));
     }
@@ -330,6 +318,22 @@ mod tests {
     #[test]
     fn unknown_flag_rejected() {
         assert!(parse(&["--bogus"]).is_err());
+    }
+
+    /// A binary takes only the optional flags it lists: one it does not
+    /// read is refused like a typo, and a repeated flag is refused too.
+    #[test]
+    fn takes_gates_the_optional_flags() {
+        let k5 = strings(&["--quick", "--k", "5"]);
+        assert_eq!(
+            ExpArgs::parse(&k5, &["seeds", "backend"]).unwrap_err(),
+            "unknown flag --k"
+        );
+        assert_eq!(ExpArgs::parse(&k5, &["k"]).unwrap().k, Some(5));
+        let twice = strings(&["--n", "3000", "--n", "2000"]);
+        assert_eq!(ExpArgs::parse(&twice, &[]).unwrap_err(), "--n given twice");
+        let help = ExpArgs::parse(&strings(&["--help"]), &["k"]).unwrap_err();
+        assert_eq!(help, "flags: --n --seed --csv --threads --k --quick");
     }
 
     #[test]

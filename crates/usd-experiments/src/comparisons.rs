@@ -23,7 +23,7 @@ use crate::cli::{require_figure1, ExpArgs};
 use crate::report::Report;
 use crate::runner;
 use pop_proto::{AgentSimulator, CliqueScheduler, CountSimulator, Simulator};
-use sim_stats::histogram::Histogram;
+use sim_stats::ks::{ks_critical_value, ks_statistic};
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use usd_baselines::{FourStateMajority, GossipUsd, SynchronizedUsd, ThreeMajority, VoterDynamics};
@@ -434,8 +434,9 @@ pub struct AblationRow {
     pub name: &'static str,
     /// Stabilization-time summary (interactions).
     pub time: Summary,
-    /// Histogram of stabilization times for χ² comparison.
-    pub histogram: Histogram,
+    /// Each run's stabilization time (interactions), for the pairwise
+    /// two-sample KS test.
+    pub times: Vec<f64>,
     /// Drive throughput, interactions per second of `run_to_silence`
     /// (engine construction excluded).
     pub throughput: f64,
@@ -449,8 +450,6 @@ pub struct AblationRow {
 pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<AblationRow> {
     let config = InitialConfigBuilder::new(n, k).figure1();
     let budget = crate::fig1::default_budget(n, k);
-    // Common histogram range from theory: 0 .. 4×upper bound.
-    let hi = 4.0 * theory::Bounds::new(n, k).upper_bound_interactions();
     [
         ("CountSimulator (generic)", Backend::Count, 0xE3),
         ("BatchSimulator (generic)", Backend::Batch, 0xE4),
@@ -469,29 +468,27 @@ pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<Abla
             let (t, _) = sim.run_to_silence(rng, budget);
             (t, start.elapsed().as_secs_f64())
         });
-        make_ablation_row(name, &runs, hi)
+        make_ablation_row(name, &runs)
     })
     .collect()
 }
 
 /// One row from `(interactions, drive seconds)` per run.
-fn make_ablation_row(name: &'static str, runs: &[(u64, f64)], hi: f64) -> AblationRow {
-    let mut hist = Histogram::new(0.0, hi.max(1.0), 20);
-    let mut summary = Summary::new();
-    for &(t, _) in runs {
-        hist.add(t as f64);
-        summary.add(t as f64);
-    }
+fn make_ablation_row(name: &'static str, runs: &[(u64, f64)]) -> AblationRow {
+    let times: Vec<f64> = runs.iter().map(|&(t, _)| t as f64).collect();
     let (interactions, seconds) = runs
         .iter()
         .fold((0.0, 0.0), |(i, s), &(t, d)| (i + t as f64, s + d));
     AblationRow {
         name,
-        time: summary,
-        histogram: hist,
+        time: Summary::of(&times),
+        times,
         throughput: interactions / seconds.max(1e-9),
     }
 }
+
+/// Significance level of E12's pairwise two-sample KS test.
+const ABLATION_KS_ALPHA: f64 = 0.01;
 
 /// E12 report.
 pub fn ablation_report(args: &ExpArgs) -> Report {
@@ -510,8 +507,9 @@ pub fn ablation_report(args: &ExpArgs) -> Report {
         "All engines simulate the exact same Markov chain (the two \
          BatchGraphSimulator rows, its per-event and block policies, run \
          the clique as the complete graph, capped at n = 10000); their \
-         stabilization-time distributions must agree (chi^2 per dof ~ 1) \
-         while throughputs differ (the point of the batch-leaping and \
+         stabilization-time distributions must agree (two-sample KS per \
+         pair: D at most its critical value at alpha = 0.01) while \
+         throughputs differ (the point of the batch-leaping and \
          active-edge designs). Each run is built through RunSpec; \
          interactions/s times only its drive to silence, not the engine's \
          construction.",
@@ -526,19 +524,21 @@ pub fn ablation_report(args: &ExpArgs) -> Report {
         ]);
     }
     report.table("ablation", t);
-    let mut pairs = TextTable::new(&["pair", "chi2", "dof", "chi2/dof"]);
+    let mut pairs = TextTable::new(&["pair", "KS D", "critical D (alpha 0.01)", "verdict"]);
     for i in 0..rows.len() {
         for j in (i + 1)..rows.len() {
-            let (chi2, dof) = rows[i].histogram.chi2_against(&rows[j].histogram);
+            let (a, b) = (&rows[i].times, &rows[j].times);
+            let d = ks_statistic(a, b);
+            let critical = ks_critical_value(a.len(), b.len(), ABLATION_KS_ALPHA);
             pairs.row_owned(vec![
                 format!("{} vs {}", rows[i].name, rows[j].name),
-                fmt_sig(chi2, 4),
-                dof.to_string(),
-                fmt_sig(chi2 / dof.max(1) as f64, 3),
+                fmt_sig(d, 3),
+                fmt_sig(critical, 3),
+                if d > critical { "differs" } else { "same law" }.to_string(),
             ]);
         }
     }
-    report.table("ablation_chi2", pairs);
+    report.table("ablation_ks", pairs);
     report
 }
 
@@ -629,8 +629,14 @@ mod tests {
         let max = means.iter().cloned().fold(f64::MIN, f64::max);
         let min = means.iter().cloned().fold(f64::MAX, f64::min);
         assert!((max - min) / max < 0.15, "engine means diverge: {means:?}");
-        for r in &rows {
-            assert!(r.throughput > 0.0);
+        for (i, a) in rows.iter().enumerate() {
+            assert!(a.throughput > 0.0);
+            assert_eq!(a.times.len(), 60);
+            // The report's verdict: every pair of exact engines reads "same law".
+            for b in &rows[i + 1..] {
+                let rejected = sim_stats::ks::ks_reject(&a.times, &b.times, ABLATION_KS_ALPHA);
+                assert!(!rejected, "{} vs {} differ in law", a.name, b.name);
+            }
         }
     }
 

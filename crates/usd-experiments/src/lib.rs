@@ -21,10 +21,11 @@
 //! | E13 | Breaking the barrier (§4)        | [`barrier`] / `breaking_the_barrier`   |
 //! | E14 | Topology sweep (off-clique USD)  | [`topology`] / `topology_sweep`        |
 //!
-//! Shared infrastructure: [`cli`] (uniform `--n/--k/--seeds/--csv/--threads`
-//! flag parsing), [`runner`] (deterministic multi-threaded sweeps with
-//! `USD_THREADS`/`--threads` thread-count control), and [`report`] (stdout
-//! tables/charts plus optional CSV output).
+//! Shared infrastructure: [`cli`] (strict flag parsing: the flags every
+//! experiment reads plus the ones each binary lists), [`runner`]
+//! (deterministic multi-threaded sweeps with `USD_THREADS`/`--threads`
+//! thread-count control), and [`report`] (stdout tables/charts plus
+//! optional CSV output).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

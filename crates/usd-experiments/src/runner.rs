@@ -3,10 +3,7 @@
 //! A sweep maps a worker function over a vector of cells, each cell getting
 //! its own [`SimRng`] stream derived from the master seed and the cell
 //! index — so results are bit-identical regardless of thread count or
-//! scheduling. Work is claimed from a shared atomic cursor; the done-counter
-//! on the progress hot path is a plain [`AtomicUsize`] (a worker bumps it
-//! after every cell, so a lock there would serialize the sweep's only
-//! shared write).
+//! scheduling. Work is claimed from a shared atomic cursor.
 //!
 //! # Thread-count control
 //!
@@ -15,8 +12,8 @@
 //! the experiment binaries' `--threads` flag) and the `USD_THREADS`
 //! environment variable — useful for pinning benchmark runs, containers
 //! whose cgroup quota is below the reported core count, and debugging
-//! scheduling-dependent timing. [`sweep_with_threads`] takes the count
-//! explicitly. Thread count never changes results, only wall clock.
+//! scheduling-dependent timing. Thread count never changes results, only
+//! wall clock.
 //!
 //! The resolution itself lives in [`sim_stats::threads`] (re-exported
 //! here), so the one parallel facility in the lower layers — the batch
@@ -32,61 +29,6 @@ use std::sync::Mutex;
 
 pub use sim_stats::threads::{resolve_threads, set_thread_override};
 
-/// Sweep progress counters (shared across workers).
-#[derive(Debug, Default)]
-pub struct Progress {
-    done: AtomicUsize,
-    /// Total cells of the bound sweep; 0 until a sweep binds this
-    /// progress (the sweep driver sets it before any cell runs).
-    total: AtomicUsize,
-}
-
-/// A point-in-time view of sweep progress, cheap enough for a heartbeat
-/// thread to poll every few milliseconds (two relaxed atomic loads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressSnapshot {
-    /// Completed cells.
-    pub done: usize,
-    /// Total cells in the sweep (0 until a sweep binds the progress).
-    pub total: usize,
-}
-
-impl ProgressSnapshot {
-    /// Completed fraction in [0, 1]; 0.0 before the total is known.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.done as f64 / self.total as f64
-        }
-    }
-}
-
-impl Progress {
-    /// Number of completed cells.
-    pub fn done(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot for progress rendering. `total` is bound once before any
-    /// cell runs, so the pair is coherent for any racing reader.
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        let total = self.total.load(Ordering::Relaxed);
-        ProgressSnapshot {
-            done: self.done.load(Ordering::Relaxed),
-            total,
-        }
-    }
-
-    fn bind_total(&self, total: usize) {
-        self.total.store(total, Ordering::Relaxed);
-    }
-
-    fn bump(&self) {
-        self.done.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Run `work(index, &item, rng)` for every item, in parallel, returning
 /// results in input order. Deterministic: cell `i` always receives the RNG
 /// stream `i` of `seed`, regardless of how cells are scheduled.
@@ -96,46 +38,10 @@ where
     O: Send,
     F: Fn(usize, &I, &mut SimRng) -> O + Sync,
 {
-    sweep_with_progress(seed, items, work, &Progress::default())
+    run_sweep(seed, items, work, resolve_threads())
 }
 
-/// [`sweep`] with an explicit worker-thread count (bypassing the override
-/// and environment resolution). `threads == 1` runs inline on the calling
-/// thread. Results are identical for any thread count.
-pub fn sweep_with_threads<I, O, F>(seed: u64, items: Vec<I>, work: F, threads: usize) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(usize, &I, &mut SimRng) -> O + Sync,
-{
-    assert!(threads > 0, "need at least one worker thread");
-    run_sweep(seed, items, work, &Progress::default(), threads)
-}
-
-/// [`sweep`], reporting completed-cell counts through `progress` so a
-/// caller on another thread can render a progress bar.
-pub fn sweep_with_progress<I, O, F>(
-    seed: u64,
-    items: Vec<I>,
-    work: F,
-    progress: &Progress,
-) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(usize, &I, &mut SimRng) -> O + Sync,
-{
-    let threads = resolve_threads();
-    run_sweep(seed, items, work, progress, threads)
-}
-
-fn run_sweep<I, O, F>(
-    seed: u64,
-    items: Vec<I>,
-    work: F,
-    progress: &Progress,
-    threads: usize,
-) -> Vec<O>
+fn run_sweep<I, O, F>(seed: u64, items: Vec<I>, work: F, threads: usize) -> Vec<O>
 where
     I: Send + Sync,
     O: Send,
@@ -143,7 +49,6 @@ where
 {
     let factory = RngFactory::new(seed);
     let n_items = items.len();
-    progress.bind_total(n_items);
     if n_items == 0 {
         return Vec::new();
     }
@@ -154,9 +59,7 @@ where
             .enumerate()
             .map(|(i, item)| {
                 let mut rng = factory.stream(i as u64);
-                let out = work(i, item, &mut rng);
-                progress.bump();
-                out
+                work(i, item, &mut rng)
             })
             .collect();
     }
@@ -178,7 +81,6 @@ where
                 let mut rng = factory.stream(i as u64);
                 let out = work_ref(i, &items_ref[i], &mut rng);
                 *slots_ref[i].lock().expect("slot poisoned") = Some(out);
-                progress.bump();
             });
         }
     });
@@ -244,30 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn progress_reaches_item_count() {
-        let progress = Progress::default();
-        assert_eq!(progress.snapshot(), ProgressSnapshot { done: 0, total: 0 });
-        assert_eq!(progress.snapshot().fraction(), 0.0);
-        let out = sweep_with_progress(9, (0..64u64).collect(), |_, &x, _| x, &progress);
-        assert_eq!(out.len(), 64);
-        assert_eq!(progress.done(), 64);
-        let snap = progress.snapshot();
-        assert_eq!(
-            snap,
-            ProgressSnapshot {
-                done: 64,
-                total: 64
-            }
-        );
-        assert_eq!(snap.fraction(), 1.0);
-    }
-
-    #[test]
     fn explicit_thread_counts_agree() {
         let items: Vec<u64> = (0..30).collect();
-        let one = sweep_with_threads(13, items.clone(), |_, &x, rng| x ^ rng.next(), 1);
-        let four = sweep_with_threads(13, items.clone(), |_, &x, rng| x ^ rng.next(), 4);
-        let many = sweep_with_threads(13, items, |_, &x, rng| x ^ rng.next(), 64);
+        let one = run_sweep(13, items.clone(), |_, &x, rng| x ^ rng.next(), 1);
+        let four = run_sweep(13, items.clone(), |_, &x, rng| x ^ rng.next(), 4);
+        let many = run_sweep(13, items, |_, &x, rng| x ^ rng.next(), 64);
         assert_eq!(one, four);
         assert_eq!(one, many);
     }
@@ -283,12 +166,6 @@ mod tests {
         assert_eq!(forced, reference);
         // With the override cleared, resolution still yields >= 1 workers.
         assert!(resolve_threads() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_rejected() {
-        sweep_with_threads(1, vec![0u64], |_, &x, _| x, 0);
     }
 
     #[test]

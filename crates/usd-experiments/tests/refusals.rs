@@ -71,6 +71,37 @@ fn unrunnable_flags_exit_2_before_any_run() {
             "--backend batch",
             "batch cannot run graph topologies",
         ),
+        // A repeated flag, and a flag the binary's report does not read.
+        (
+            env!("CARGO_BIN_EXE_fig1_left"),
+            "--quick --n 3000 --n 2000",
+            "--n given twice",
+        ),
+        (
+            env!("CARGO_BIN_EXE_k2_logn"),
+            "--quick --k 5",
+            "unknown flag --k",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig1_left"),
+            "--quick --seeds 9",
+            "unknown flag --seeds",
+        ),
+        (
+            env!("CARGO_BIN_EXE_gossip_vs_pp"),
+            "--quick --backend batch",
+            "unknown flag --backend",
+        ),
+        (
+            env!("CARGO_BIN_EXE_simulator_ablation"),
+            "--quick --backend agent",
+            "unknown flag --backend",
+        ),
+        (
+            env!("CARGO_BIN_EXE_thm35_scaling"),
+            "--quick --topology torus",
+            "unknown flag --topology",
+        ),
     ] {
         let out = Command::new(bin)
             .args(args.split_whitespace())
